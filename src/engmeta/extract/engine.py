@@ -30,7 +30,15 @@ from ..errors import CoercionError, ExtractionRootError, PathIndexGapError
 from ..fswalk import walk_files
 from ..isodates import is_iso_date_or_datetime
 from ..merging import Conflict
-from ..model import NODE, SCALAR, EngMetaDataset, Variable, field_by_element, scalars_equal
+from ..model import (
+    NODE,
+    SCALAR,
+    EngMetaDataset,
+    Variable,
+    field_by_element,
+    scalar_key,
+    scalars_equal,
+)
 from ..paths import (
     MetadataPath,
     PathSegment,
@@ -234,6 +242,8 @@ class _AssemblyState:
         self.failures: list[CoercionFailure] = []
         self.warnings: list[str] = []
         self.deferred: list[tuple[str, object]] = []  # (description, retry thunk)
+        # list path -> (stored tuple, keys of its entries); see _seen_keys
+        self._list_keys: dict[MetadataPath, tuple[tuple, set]] = {}
 
     def take_file(self, source_file: str, per_rule: dict[str, list[RawHit]]) -> None:
         handled_groups: set[str] = set()
@@ -323,11 +333,7 @@ class _AssemblyState:
         suffix = rule.target.segments[open_position + 1:]
         if not suffix:
             # scalar list target, e.g. each hit is one keyword
-            current = get_path(self.dataset, MetadataPath(prefix))
-            if any(scalars_equal(item, value) for item in current):
-                return
-            indexed = prefix[:-1] + (PathSegment(prefix[-1].name, len(current)),)
-            self.dataset = set_path(self.dataset, MetadataPath(indexed), value)
+            self._append_scalar(MetadataPath(prefix), value)
             return
         # node list target: each hit creates one new node
         node_type = _open_node_type(rule)
@@ -335,6 +341,16 @@ class _AssemblyState:
         if rule.unit is not None and isinstance(node, Variable) and node.unit is None:
             node = replace(node, unit=rule.unit)
         self._append_deduplicated(MetadataPath(prefix), node)
+
+    def _append_scalar(self, list_path: MetadataPath, value) -> None:
+        stored = self._stored_list(list_path)
+        seen = self._seen_keys(list_path, stored, scalar_key)
+        if scalar_key(value) in seen:
+            return
+        *parents, last = list_path.segments
+        indexed = MetadataPath((*parents, PathSegment(last.name, len(stored))))
+        self.dataset = set_path(self.dataset, indexed, value)
+        self._remember_last(list_path, seen, scalar_key)
 
     def _append_deduplicated(self, list_path: MetadataPath, node) -> None:
         if not self._apply_append(list_path, node):
@@ -344,15 +360,43 @@ class _AssemblyState:
             ))
 
     def _apply_append(self, list_path: MetadataPath, node) -> bool:
-        current = get_path(self.dataset, list_path)
-        if node in current:
+        seen = self._seen_keys(list_path, self._stored_list(list_path), _node_key)
+        if node in seen:
             return True
         try:
             updated = append_node(self.dataset, list_path, node)
         except PathIndexGapError:
             return False
         self.dataset = updated
+        self._remember_last(list_path, seen, _node_key)
         return True
+
+    def _stored_list(self, list_path: MetadataPath) -> tuple:
+        """The tuple stored at an index-less list path; () while its owner is absent."""
+        *parents, last = list_path.segments
+        owners = get_path(self.dataset, MetadataPath(tuple(parents))) if parents else [self.dataset]
+        if not owners:
+            return ()
+        owner = owners[0]
+        return getattr(owner, field_by_element(type(owner), last.name).attr)
+
+    def _seen_keys(self, list_path: MetadataPath, stored: tuple, key) -> set:
+        """Dedup keys of a stored list, rebuilt whenever the stored tuple changed.
+
+        Any write elsewhere in the list (an indexed rule, a unit) replaces the
+        tuple, so keys cached for the old tuple are never trusted for the new.
+        """
+        cached = self._list_keys.get(list_path)
+        if cached is not None and cached[0] is stored:
+            return cached[1]
+        keys = {key(item) for item in stored}
+        self._list_keys[list_path] = (stored, keys)
+        return keys
+
+    def _remember_last(self, list_path: MetadataPath, seen: set, key) -> None:
+        stored = self._stored_list(list_path)
+        seen.add(key(stored[-1]))
+        self._list_keys[list_path] = (stored, seen)
 
     def _take_group(self, group: str, source_file: str,
                     per_rule: dict[str, list[RawHit]]) -> None:
@@ -392,6 +436,11 @@ class _AssemblyState:
             if unit is not None and isinstance(node, Variable) and node.unit is None:
                 node = replace(node, unit=unit)
             self._append_deduplicated(MetadataPath(prefix), node)
+
+
+def _node_key(node):
+    # nodes are their own dedup key: they hash and compare by canonical key
+    return node
 
 
 def _open_node_type(rule: ExtractionRule) -> type:

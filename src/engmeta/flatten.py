@@ -26,6 +26,7 @@ from .model import (
     PersonOrOrganization,
     Software,
     Variable,
+    scalar_key,
     scalar_to_text,
 )
 
@@ -75,11 +76,11 @@ class _BlockBuilder:
         self._single_primitives: dict[str, object] = {}
         self._compounds: dict[str, list[dict]] = {}
         self._single_compounds: dict[str, dict] = {}
-        self._order: list[tuple[str, str]] = []  # (typeName, shape)
+        self._deduplicated: set[str] = set()  # multi-primitive fields without repeats
+        self._order: dict[tuple[str, str], None] = {}  # (typeName, shape), first use order
 
     def _note_order(self, type_name: str, shape: str) -> None:
-        if (type_name, shape) not in self._order:
-            self._order.append((type_name, shape))
+        self._order.setdefault((type_name, shape))
 
     def claim(self, type_name: str, path: str, value):
         if value is not None:
@@ -97,19 +98,17 @@ class _BlockBuilder:
         if value is None:
             return
         self.claim(type_name, path, value)
-        entries = self._primitives.setdefault(type_name, [])
-        if not (dedup and value in entries):
-            entries.append(value)
+        self._primitives.setdefault(type_name, []).append(value)
+        if dedup:
+            self._deduplicated.add(type_name)
         self._note_order(type_name, "multi-primitive")
 
     def compound_entry(self, type_name: str, submap: dict) -> None:
-        """Add one compound instance; exact duplicates collapse."""
+        """Add one compound instance; exact duplicates collapse in build()."""
         cleaned = {key: value for key, value in submap.items() if value is not None}
         if not cleaned:
             return
-        entries = self._compounds.setdefault(type_name, [])
-        if cleaned not in entries:
-            entries.append(cleaned)
+        self._compounds.setdefault(type_name, []).append(cleaned)
         self._note_order(type_name, "multi-compound")
 
     def single_compound(self, type_name: str, submap: dict) -> None:
@@ -125,12 +124,37 @@ class _BlockBuilder:
             if shape == "single-primitive":
                 fields.append(BlockField(type_name, False, "primitive", self._single_primitives[type_name]))
             elif shape == "multi-primitive":
-                fields.append(BlockField(type_name, True, "primitive", list(self._primitives[type_name])))
+                values = self._primitives[type_name]
+                if type_name in self._deduplicated:
+                    values = _unique(values, scalar_key)
+                fields.append(BlockField(type_name, True, "primitive", list(values)))
             elif shape == "single-compound":
                 fields.append(BlockField(type_name, False, "compound", self._single_compounds[type_name]))
             else:
-                fields.append(BlockField(type_name, True, "compound", list(self._compounds[type_name])))
+                fields.append(BlockField(type_name, True, "compound", _unique(self._compounds[type_name], _compound_key)))
         return MetadataBlock(self.block_name, tuple(fields))
+
+
+def _unique(entries: list, key) -> list:
+    """The entries in order, dropping exact duplicates of earlier ones.
+
+    Duplicates are judged type-strictly through ``key``: ``True`` and ``1``
+    (or ``300`` and ``Decimal(300)``) serialize differently, so both are
+    kept. Keys are built once all entries exist and freed on return, rather
+    than held for the whole flattening.
+    """
+    seen = set()
+    kept = []
+    for entry in entries:
+        entry_key = key(entry)
+        if entry_key not in seen:
+            seen.add(entry_key)
+            kept.append(entry)
+    return kept
+
+
+def _compound_key(submap: dict) -> tuple:
+    return tuple(sorted((name, scalar_key(value)) for name, value in submap.items()))
 
 
 class _ReportBuilder:

@@ -66,9 +66,12 @@ def _merge_node(base, overlay, path: str, policy: str, conflicts: list[Conflict]
                 merged = left
             else:
                 merged = _merge_node(left, right, field_path, policy, conflicts)
-        else:  # lists concatenate, dropping overlay entries the base already has
-            extra = tuple(item for item in right if item not in left)
+        elif right:  # lists concatenate, dropping overlay entries the base already has
+            present = set(left)  # nodes hash by their type-strict canonical key
+            extra = tuple(item for item in right if item not in present)
             merged = left + extra if extra else left
+        else:
+            merged = left
 
         if merged is not left:
             updates[spec.attr] = merged

@@ -16,8 +16,9 @@ Construction is deliberately permissive: partially filled documents are the
 normal intermediate state of automated extraction. Rule-level constraints
 (code lists, digest lengths, ISO dates, ...) are checked by
 ``validation.validate``, not by constructors. Constructors do enforce value
-semantics: correct scalar types, no empty strings, and no empty nodes
-(a node whose fields are all unset collapses to "absent").
+semantics: correct scalar types, no empty strings, only finite decimals,
+and no empty nodes (a node whose fields are all unset collapses to
+"absent").
 """
 
 from __future__ import annotations
@@ -80,13 +81,28 @@ def scalars_equal(a, b) -> bool:
     return scalar_type_name(a) == scalar_type_name(b) and a == b
 
 
-class _Node:
-    """Shared constructor and equality behavior for all model dataclasses.
+def scalar_key(value) -> tuple:
+    """Hashable, type-strict identity of a scalar value.
 
-    Equality is type-strict on scalars: an integer 300 and a decimal 300
+    Two scalars have equal keys exactly when ``scalars_equal`` holds, so
+    sets and dicts of keys deduplicate the way serialization distinguishes
+    values (``True``, ``1`` and ``Decimal(1)`` stay apart).
+    """
+    return (scalar_type_name(value), value)
+
+
+class _Node:
+    """Shared constructor, equality and hashing for all model dataclasses.
+
+    Equality and hashing are type-strict and go through one canonical key
+    (``canonical_key``): the node class plus, field by field, type-tagged
+    scalars and the keys of child nodes. An integer 300 and a decimal 300
     serialize differently, so they are different values (plain ``==`` on
-    Python numbers would conflate them). Node classes are declared with
-    ``eq=False`` so this comparison is not overridden.
+    Python numbers would conflate them). The key is computed on first use
+    and cached; node classes are declared with ``eq=False`` so dataclasses
+    generate neither ``__eq__`` nor ``__hash__``. Construction checks every
+    field (scalar types, no empty strings, finite decimals only), so each
+    value has exactly one key.
     """
 
     def __post_init__(self):
@@ -98,31 +114,56 @@ class _Node:
         """True when no field of this node is set."""
         return all(getattr(self, s.attr) in (None, ()) for s in schema(type(self)))
 
+    def canonical_key(self) -> tuple:
+        """Hashable identity of this node's content, cached after first use."""
+        cached = getattr(self, "_canonical_key", None)
+        if cached is not None:
+            return cached
+        parts = []
+        for spec in schema(type(self)):
+            value = getattr(self, spec.attr)
+            if spec.kind == SCALAR:
+                parts.append(None if value is None else scalar_key(value))
+            elif spec.kind == NODE:
+                parts.append(None if value is None else value.canonical_key())
+            elif spec.kind == SCALAR_LIST:
+                parts.append(tuple(scalar_key(item) for item in value))
+            else:
+                parts.append(tuple(item.canonical_key() for item in value))
+        key = (type(self), tuple(parts))
+        object.__setattr__(self, "_canonical_key", key)  # not via __dict__: see _replaced
+        return key
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
+        return self is other or self.canonical_key() == other.canonical_key()
+
+    def __hash__(self):
+        return hash(self.canonical_key())
+
+    def _replaced(self, attr: str, value):
+        """Copy with one field set, sharing the others without re-checking.
+
+        Only for values already in canonical form: a scalar that passed
+        ``_check_scalar``, a non-empty node, or a tuple of those. The other
+        fields are normalized already, so skipping ``__post_init__`` keeps
+        the copy canonical at the cost of one field, not the whole node.
+        """
+        copy = object.__new__(type(self))
+        # attribute by attribute: touching __dict__ would give every copy a
+        # separate dict instead of CPython's compact instance layout
         for spec in schema(type(self)):
-            mine = getattr(self, spec.attr)
-            theirs = getattr(other, spec.attr)
-            if spec.kind == SCALAR:
-                if mine is None or theirs is None:
-                    if mine is not theirs:
-                        return False
-                elif not scalars_equal(mine, theirs):
-                    return False
-            elif spec.kind == SCALAR_LIST:
-                if len(mine) != len(theirs) or not all(
-                    scalars_equal(a, b) for a, b in zip(mine, theirs)
-                ):
-                    return False
-            elif mine != theirs:
-                return False
-        return True
+            object.__setattr__(copy, spec.attr, getattr(self, spec.attr))
+        object.__setattr__(copy, attr, value)
+        return copy
 
 
 def _check_scalar(spec: "FieldSpec", value):
     if isinstance(value, str) and value == "":
         raise ValueError(f"{spec.attr}: empty strings are not valid values")
+    if isinstance(value, Decimal) and not value.is_finite():
+        raise ValueError(f"{spec.attr}: {value} is not a finite decimal")
     if spec.value_type is TAGGED:
         if isinstance(value, (bool, int, str, Decimal)):
             return value

@@ -10,7 +10,7 @@ demand, with list writes allowed at most one position past the current end.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import PathIndexGapError, PathSyntaxError, PathTargetError
 from .model import (
@@ -135,85 +135,31 @@ def set_path(
     one past the current end (append). The input document is not modified.
     """
     parsed = _as_path(path)
-    resolved = resolve_specs(parsed)
-    return _set_in(dataset, parsed, resolved, 0, value)
 
-
-def _set_in(node, path: MetadataPath, resolved, pos: int, value):
-    segment, spec = resolved[pos]
-    terminal = pos == len(resolved) - 1
-
-    if spec.kind == SCALAR:
-        if not terminal:
-            raise PathTargetError(f"{path}: {segment.name} is a scalar, nothing below it")
-        if segment.index not in (None, 0):
-            raise PathTargetError(f"{path}: {segment.name} is not a list")
+    def write_scalar(current, segment: PathSegment, spec: FieldSpec):
+        if spec.kind in (NODE, NODE_LIST):
+            raise PathTargetError(f"{parsed}: {segment.name} is not a scalar field")
+        if spec.kind == SCALAR and segment.index not in (None, 0):
+            raise PathTargetError(f"{parsed}: {segment.name} is not a list")
+        if spec.kind == SCALAR_LIST and segment.index is None:
+            raise PathTargetError(f"{parsed}: {segment.name} needs an index for writing")
         try:
             checked = _check_scalar(spec, value)
         except (TypeError, ValueError) as exc:
-            raise PathTargetError(f"{path}: {exc}") from None
-        return replace(node, **{spec.attr: checked})
+            raise PathTargetError(f"{parsed}: {exc}") from None
+        if spec.kind == SCALAR:
+            return checked
+        return _place(current, segment, checked, parsed)
 
-    if spec.kind == SCALAR_LIST:
-        if not terminal:
-            raise PathTargetError(f"{path}: {segment.name} entries are scalars")
-        if segment.index is None:
-            raise PathTargetError(f"{path}: {segment.name} needs an index for writing")
-        current = getattr(node, spec.attr)
-        try:
-            checked = _check_scalar(spec, value)
-        except (TypeError, ValueError) as exc:
-            raise PathTargetError(f"{path}: {exc}") from None
-        items = _place(current, segment.index, checked, path, segment)
-        return replace(node, **{spec.attr: items})
-
-    if spec.kind == NODE:
-        if terminal:
-            raise PathTargetError(f"{path}: {segment.name} is not a scalar field")
-        if segment.index not in (None, 0):
-            raise PathTargetError(f"{path}: {segment.name} is not a list")
-        child = getattr(node, spec.attr)
-        if child is None:
-            child = spec.value_type()
-        new_child = _set_in(child, path, resolved, pos + 1, value)
-        return replace(node, **{spec.attr: new_child})
-
-    # NODE_LIST
-    if terminal:
-        raise PathTargetError(f"{path}: {segment.name} is not a scalar field")
-    if segment.index is None:
-        raise PathTargetError(f"{path}: {segment.name} needs an index for writing")
-    current = getattr(node, spec.attr)
-    if segment.index < len(current):
-        child = current[segment.index]
-    elif segment.index == len(current):
-        child = spec.value_type()
-    else:
-        raise PathIndexGapError(
-            f"{path}: index {segment.index} would leave a gap "
-            f"({segment.name} has {len(current)} entries)"
-        )
-    new_child = _set_in(child, path, resolved, pos + 1, value)
-    items = _place(current, segment.index, new_child, path, segment)
-    return replace(node, **{spec.attr: items})
-
-
-def _place(current: tuple, index: int, item, path, segment) -> tuple:
-    if index < len(current):
-        return current[:index] + (item,) + current[index + 1 :]
-    if index == len(current):
-        return current + (item,)
-    raise PathIndexGapError(
-        f"{path}: index {index} would leave a gap "
-        f"({segment.name} has {len(current)} entries)"
-    )
+    return _write(dataset, parsed, resolve_specs(parsed), 0, write_scalar)
 
 
 def append_node(dataset: EngMetaDataset, list_path: str | MetadataPath, item) -> EngMetaDataset:
     """Append a prebuilt node to the node list the path addresses.
 
     The final segment must name a node list (index-less); intermediate
-    segments behave as in set_path.
+    segments behave as in set_path. Appending an empty node changes
+    nothing: documents never hold content-free nodes.
     """
     parsed = _as_path(list_path)
     resolved = resolve_specs(parsed)
@@ -225,30 +171,54 @@ def append_node(dataset: EngMetaDataset, list_path: str | MetadataPath, item) ->
             f"{parsed}: expected {final_spec.value_type.__name__}, "
             f"got {type(item).__name__}"
         )
-    return _append_in(dataset, parsed, resolved, 0, item)
+    if item.is_empty():
+        return dataset
+    return _write(dataset, parsed, resolved, 0, lambda current, _segment, _spec: current + (item,))
 
 
-def _append_in(node, path: MetadataPath, resolved, pos: int, item):
+def _write(node, path: MetadataPath, resolved, pos: int, leaf):
+    """Copy of node with the final field of the path replaced by leaf's result.
+
+    ``leaf(current, segment, spec)`` returns the new value of the final
+    field. Missing intermediate nodes are created; a list index may point
+    at most one past the current end. Only the fields along the path are
+    rebuilt: callers write checked scalars or non-empty nodes, so every
+    node on the path stays non-empty and canonical.
+    """
     segment, spec = resolved[pos]
     if pos == len(resolved) - 1:
-        current = getattr(node, spec.attr)
-        return replace(node, **{spec.attr: current + (item,)})
+        return node._replaced(spec.attr, leaf(getattr(node, spec.attr), segment, spec))
+
+    # resolve_specs guarantees intermediate segments name nodes or node lists
     if spec.kind == NODE:
+        if segment.index not in (None, 0):
+            raise PathTargetError(f"{path}: {segment.name} is not a list")
         child = getattr(node, spec.attr) or spec.value_type()
-        return replace(node, **{spec.attr: _append_in(child, path, resolved, pos + 1, item)})
-    if spec.kind == NODE_LIST:
-        if segment.index is None:
-            raise PathTargetError(f"{path}: intermediate {segment.name} needs an index")
-        current = getattr(node, spec.attr)
-        if segment.index < len(current):
-            child = current[segment.index]
-        elif segment.index == len(current):
-            child = spec.value_type()
-        else:
-            raise PathIndexGapError(
-                f"{path}: index {segment.index} would leave a gap "
-                f"({segment.name} has {len(current)} entries)"
-            )
-        items = _place(current, segment.index, _append_in(child, path, resolved, pos + 1, item), path, segment)
-        return replace(node, **{spec.attr: items})
-    raise PathTargetError(f"{path}: {segment.name} is a scalar, nothing below it")
+        return node._replaced(spec.attr, _write(child, path, resolved, pos + 1, leaf))
+
+    if segment.index is None:
+        raise PathTargetError(f"{path}: {segment.name} needs an index for writing")
+    current = getattr(node, spec.attr)
+    if segment.index < len(current):
+        child = current[segment.index]
+    else:
+        _check_no_gap(current, segment, path)
+        child = spec.value_type()
+    new_child = _write(child, path, resolved, pos + 1, leaf)
+    return node._replaced(spec.attr, _place(current, segment, new_child, path))
+
+
+def _place(current: tuple, segment: PathSegment, item, path) -> tuple:
+    index = segment.index
+    if index < len(current):
+        return current[:index] + (item,) + current[index + 1 :]
+    _check_no_gap(current, segment, path)
+    return current + (item,)
+
+
+def _check_no_gap(current: tuple, segment: PathSegment, path) -> None:
+    if segment.index > len(current):
+        raise PathIndexGapError(
+            f"{path}: index {segment.index} would leave a gap "
+            f"({segment.name} has {len(current)} entries)"
+        )

@@ -76,6 +76,36 @@ def test_repeated_software_across_steps_collapses():
     assert len(software.value) == 1
 
 
+def test_type_distinct_values_are_not_collapsed():
+    from decimal import Decimal
+
+    from engmeta.model import ObservedSystem, ProcessingStep, Variable
+
+    doc = EngMetaDataset(
+        system=ObservedSystem(controlledVariables=(
+            Variable(name="flag", value=True),
+            Variable(name="flag", value=1),
+            Variable(name="T", value=Decimal(300)),
+            Variable(name="T", value=300),
+            Variable(name="T", value=Decimal("300.0")),  # same decimal: collapses
+        )),
+        processingSteps=(
+            ProcessingStep(stepType="analysis", executionCommand="run"),
+            ProcessingStep(stepType="analysis", executionCommand="run"),
+        ),
+    )
+    blocks, report = flatten(doc)
+    variables = field_by_name(block_by_name(blocks, "engMeta"), "controlledVariable").value
+    assert [(entry["name"], entry["value"]) for entry in variables] == [
+        ("flag", True), ("flag", 1), ("T", Decimal(300)), ("T", 300),
+    ]
+    assert [type(entry["value"]) for entry in variables] == [bool, int, Decimal, int]
+    process = block_by_name(blocks, "process")
+    assert field_by_name(process, "stepType").value == ["analysis"]
+    assert field_by_name(process, "executionCommand").value == ["run"]
+    assert sorted(m.path for m in report.mappedPaths) == sorted(leaf_paths(doc))
+
+
 def test_success_marker_lands_in_citation():
     doc = EngMetaDataset(worked=SuccessMarker(success=False, note="diverged at step 10"))
     blocks, _ = flatten(doc)

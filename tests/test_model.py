@@ -2,6 +2,7 @@ from decimal import Decimal
 
 import pytest
 
+from engmeta.errors import PathTargetError
 from engmeta.model import (
     Component,
     EngMetaDataset,
@@ -9,6 +10,7 @@ from engmeta.model import (
     FileRef,
     ObservedSystem,
     ProcessingStep,
+    ResourceType,
     SuccessMarker,
     TemporalResolution,
     Title,
@@ -17,6 +19,7 @@ from engmeta.model import (
     scalar_to_text,
     scalars_equal,
 )
+from engmeta.paths import set_path
 
 
 def test_empty_dataset_is_empty():
@@ -80,6 +83,25 @@ def test_nested_empty_collapse_cascades():
 def test_value_objects_compare_by_content():
     assert Title(text="a") == Title(text="a")
     assert Title(text="a") != Title(text="a", titleType="main")
+
+
+def test_equality_and_hash_are_type_strict():
+    assert Variable(value=True) != Variable(value=1)
+    assert Variable(value=300) != Variable(value=Decimal(300))
+    assert Variable(value=Decimal("1.0")) == Variable(value=Decimal("1"))
+    assert hash(Variable(value=Decimal("1.0"))) == hash(Variable(value=Decimal("1")))
+    assert len({Variable(value=True), Variable(value=1), Variable(value=Decimal(1))}) == 3
+    assert Title(text="a") != ResourceType(text="a")  # same fields, other class
+
+
+def test_non_finite_decimals_rejected():
+    for text in ("NaN", "sNaN", "Infinity", "-Infinity"):
+        with pytest.raises(ValueError):
+            Variable(name="x", value=Decimal(text))
+        with pytest.raises(ValueError):
+            TemporalResolution(interval=Decimal(text))
+        with pytest.raises(PathTargetError):
+            set_path(EngMetaDataset(), "system.controlledVariables[0].value", Decimal(text))
 
 
 def test_decimal_canonical_text():
