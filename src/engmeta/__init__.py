@@ -7,17 +7,7 @@ blocks.
 """
 
 from .canon import ENGMETA_NAMESPACE, ReadResult, from_json, from_xml, to_json, to_xml
-from .extract import (
-    ExtractionConfig,
-    ExtractionReport,
-    ExtractionRule,
-    RawHit,
-    assemble,
-    coerce,
-    extract,
-    parse_config,
-    parse_line,
-)
+from .extract import ExtractionConfig, ExtractionReport, ExtractionRule, extract, parse_config
 from .flatten import (
     BlockField,
     FlattenReport,
@@ -94,7 +84,6 @@ __all__ = [
     "PersonOrOrganization",
     "ProcessingStep",
     "ProvDocument",
-    "RawHit",
     "ReadResult",
     "RelatedIdentifier",
     "ResourceType",
@@ -106,8 +95,6 @@ __all__ = [
     "Title",
     "ValidationReport",
     "Variable",
-    "assemble",
-    "coerce",
     "extract",
     "flatten",
     "from_json",
@@ -116,7 +103,6 @@ __all__ = [
     "harvest",
     "merge",
     "parse_config",
-    "parse_line",
     "parse_path",
     "serialize_blocks_json",
     "serialize_prov_n",

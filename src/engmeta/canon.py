@@ -1,10 +1,10 @@
 """Canonical XML and JSON serialization with lossless round-trip.
 
-Serialization is deterministic: elements appear in the order the schema
-table declares, absent optional fields are omitted entirely (never emitted
-as empty elements), decimals are rendered in plain notation without
-trailing zeros, and repeated serialization of the same document is
-byte-identical. Both writers refuse structurally invalid documents.
+Serialization is deterministic: elements appear in the order the model's
+dataclasses declare their fields, absent optional fields are omitted
+entirely (never emitted as empty elements), decimals are rendered in plain
+notation without trailing zeros, and repeated serialization of the same
+document is byte-identical. Both writers refuse structurally invalid documents.
 
 Parsing is forgiving about unknown content: unknown elements, attributes
 and object keys are skipped and reported as warnings; only malformed input
@@ -32,6 +32,8 @@ from .model import (
     EngMetaDataset,
     FieldSpec,
     SCALAR_TYPES_BY_NAME,
+    content_field,
+    field_by_element,
     scalar_to_text,
     scalar_type_name,
     schema,
@@ -201,13 +203,12 @@ def _local_name(tag: str) -> str | None:
 
 
 def _decode_element(element, cls: type, path: str, warnings: list[str]):
-    by_element = {spec.element: spec for spec in schema(cls)}
     kwargs: dict[str, object] = {}
     lists: dict[str, list] = {}
     label = path or ROOT_ELEMENT
 
     for name, raw in element.attrib.items():
-        spec = by_element.get(name)
+        spec = field_by_element(cls, name)
         if spec is None or spec.placement != ATTRIBUTE:
             warnings.append(f"{label}: unknown attribute {name!r} skipped")
             continue
@@ -216,7 +217,7 @@ def _decode_element(element, cls: type, path: str, warnings: list[str]):
             continue
         kwargs[spec.attr] = _scalar_from_text(raw, spec.value_type, f"{label}.{name}")
 
-    content_spec = next((s for s in by_element.values() if s.placement == CONTENT), None)
+    content_spec = content_field(cls)
     text = element.text or ""
     if content_spec is not None:
         if text != "":
@@ -231,7 +232,7 @@ def _decode_element(element, cls: type, path: str, warnings: list[str]):
         if child.tail and child.tail.strip():
             warnings.append(f"{label}: stray text {child.tail.strip()!r} skipped")
         name = _local_name(child.tag)
-        spec = by_element.get(name) if name is not None else None
+        spec = field_by_element(cls, name) if name is not None else None
         if spec is None or spec.placement != CHILD:
             shown = name if name is not None else child.tag
             warnings.append(f"{label}: unknown element <{shown}> skipped")
@@ -327,12 +328,11 @@ def from_json(text: str) -> ReadResult:
 
 
 def _decode_obj(obj: dict, cls: type, path: str, warnings: list[str]):
-    by_element = {spec.element: spec for spec in schema(cls)}
     kwargs: dict[str, object] = {}
     label = path or ROOT_ELEMENT
 
     for key, raw in obj.items():
-        spec = by_element.get(key)
+        spec = field_by_element(cls, key)
         if spec is None:
             warnings.append(f"{label}: unknown key {key!r} skipped")
             continue

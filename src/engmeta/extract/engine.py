@@ -187,7 +187,15 @@ def scan_file(
         data = absolute_path.read_bytes()
     except OSError as exc:
         return [], 0, [f"{relative_path}: unreadable, skipped ({exc})"]
-    text = data.decode("utf-8", errors="replace")
+    warnings: list[str] = []
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        text = data.decode("utf-8", errors="replace")
+        warnings.append(
+            f"{relative_path}: not valid UTF-8 from byte {exc.start}; "
+            "undecodable bytes replaced"
+        )
     hits: list[RawHit] = []
     for line_number, line in enumerate(text.split("\n"), start=1):
         line = line.rstrip("\r")
@@ -195,7 +203,7 @@ def scan_file(
             hit = parse_line(line, rule, source_file=relative_path, line_number=line_number)
             if hit is not None:
                 hits.append(hit)
-    return hits, len(data), []
+    return hits, len(data), warnings
 
 
 @dataclass(frozen=True)
@@ -503,7 +511,12 @@ def extract(
         raise ExtractionRootError(f"extraction root {root} is not a readable directory")
 
     started = time.perf_counter()
-    all_files = walk_files(root)
+    warnings: list[str] = []
+
+    def unreadable_directory(relative_path: str, exc: OSError) -> None:
+        warnings.append(f"{relative_path}: unreadable directory, skipped ({exc})")
+
+    all_files = walk_files(root, unreadable_directory)
     work: list[tuple[str, Path, list[ExtractionRule]]] = []
     for relative_path, absolute_path in all_files:
         applicable = [r for r in config.rules if glob_matches(r.source, relative_path)]
@@ -520,7 +533,6 @@ def extract(
         scanned = [scan_file(abs_path, rel, rules) for rel, abs_path, rules in work]
 
     hits: list[RawHit] = []
-    warnings: list[str] = []
     bytes_scanned = 0
     for file_hits, nbytes, file_warnings in scanned:
         hits.extend(file_hits)

@@ -1,8 +1,11 @@
 """Technical-metadata harvesting from the file system.
 
 Walks a directory tree and records, per regular file, the relative path,
-size, checksum and an extension-derived format hint. The listing is sorted
-and deterministic, so repeated harvests of unchanged trees are identical.
+size, checksum and an extension-derived format hint. Size and checksum come
+from the same read, so they agree even for a file that changes meanwhile.
+Unreadable files and directories are reported as errors. The listing is
+sorted and deterministic, so repeated harvests of unchanged trees are
+identical.
 """
 
 from __future__ import annotations
@@ -36,12 +39,15 @@ class HarvestResult:
         return EngMetaDataset(files=self.files)
 
 
-def _digest(path: Path, algorithm: str) -> str:
+def _digest(path: Path, algorithm: str) -> tuple[str, int]:
+    """Hex digest and size of the bytes read, so the two always agree."""
     hasher = _HASHERS[algorithm]()
+    size = 0
     with path.open("rb") as handle:
         for chunk in iter(lambda: handle.read(_CHUNK_SIZE), b""):
             hasher.update(chunk)
-    return hasher.hexdigest()
+            size += len(chunk)
+    return hasher.hexdigest(), size
 
 
 def _file_type(relative_path: str) -> str | None:
@@ -60,17 +66,23 @@ def harvest(root_dir: str | Path, algorithm: str = "SHA-256") -> HarvestResult:
 
     files: list[FileInfo] = []
     errors: list[HarvestError] = []
-    for relative_path, absolute_path in walk_files(root):
+
+    def unreadable_directory(relative_path: str, exc: OSError) -> None:
+        errors.append(HarvestError(relative_path, f"unreadable directory: {exc}"))
+
+    for relative_path, absolute_path in walk_files(root, unreadable_directory):
         try:
-            size = absolute_path.stat().st_size
-        except OSError as exc:
-            errors.append(HarvestError(relative_path, f"stat failed: {exc}"))
-            continue
-        checksum = None
-        try:
-            checksum = Checksum(_digest(absolute_path, algorithm), algorithm)
-        except OSError as exc:
-            errors.append(HarvestError(relative_path, f"unreadable: {exc}"))
+            digest, size = _digest(absolute_path, algorithm)
+            checksum = Checksum(digest, algorithm)
+        except OSError as read_error:
+            # unreadable: record the size alone, when the file still has one
+            try:
+                size = absolute_path.stat().st_size
+            except OSError as exc:
+                errors.append(HarvestError(relative_path, f"stat failed: {exc}"))
+                continue
+            checksum = None
+            errors.append(HarvestError(relative_path, f"unreadable: {read_error}"))
         files.append(
             FileInfo(
                 filename=relative_path,

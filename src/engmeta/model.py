@@ -7,10 +7,14 @@ with software, methods and the computing environment) and discipline-specific
 metadata (the observed system with its components, variables, parameters and
 resolutions).
 
-All types are immutable value objects. Field names equal the canonical
-element names used by the XML/JSON serializations and by metadata paths;
-list-valued attributes carry the plural spelling while the schema table at
-the bottom of this module records the canonical (repeated) element name.
+All types are immutable value objects. The dataclass declarations are the
+schema: declaration order is element order, annotations give each field's
+kind and scalar type, and field metadata adds the rest. Field names equal
+the canonical element names used by the XML/JSON serializations and by
+metadata paths, except that list-valued attributes carry the plural spelling
+and name their canonical (repeated) element in metadata (``_plural``). A
+class with a text-content field (``_content``) carries every other field as
+an XML attribute; all other classes carry their fields as child elements.
 
 Construction is deliberately permissive: partially filled documents are the
 normal intermediate state of automated extraction. Rule-level constraints
@@ -21,15 +25,25 @@ and no empty nodes (a node whose fields are all unset collapses to
 "absent").
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass, field, fields as dataclass_fields
 from decimal import Decimal
+from typing import get_args, get_origin
 
 Scalar = str | int | bool | Decimal
 
 # Marker for the one union-typed scalar field (Variable.value).
 TAGGED = "tagged"
+
+# field kinds
+SCALAR = "scalar"
+NODE = "node"
+SCALAR_LIST = "scalar-list"
+NODE_LIST = "node-list"
+
+# XML placements
+CHILD = "child"
+ATTRIBUTE = "attribute"
+CONTENT = "content"
 
 SCALAR_TYPE_NAMES = {str: "string", int: "integer", Decimal: "decimal", bool: "boolean"}
 SCALAR_TYPES_BY_NAME = {name: tp for tp, name in SCALAR_TYPE_NAMES.items()}
@@ -219,21 +233,31 @@ def _normalize_field(spec: "FieldSpec", value):
     return tuple(kept)
 
 
+def _plural(element: str):
+    """A list field whose repeated element is named ``element``."""
+    return field(default=(), metadata={"element": element})
+
+
+def _content():
+    """The field carried as the element's text; its siblings become attributes."""
+    return field(default=None, metadata={"placement": CONTENT})
+
+
 @dataclass(frozen=True, eq=False)
 class Title(_Node):
-    text: str | None = None
+    text: str | None = _content()
     titleType: str | None = None
 
 
 @dataclass(frozen=True, eq=False)
 class Description(_Node):
-    text: str | None = None
+    text: str | None = _content()
     descriptionType: str | None = None
 
 
 @dataclass(frozen=True, eq=False)
 class DatedEvent(_Node):
-    date: str | None = None
+    date: str | None = _content()
     dateType: str | None = None
 
 
@@ -241,7 +265,7 @@ class DatedEvent(_Node):
 class Identifier(_Node):
     """A scheme-qualified identifier, e.g. an ORCID for a person."""
 
-    value: str | None = None
+    value: str | None = _content()
     scheme: str | None = None
 
 
@@ -264,14 +288,14 @@ class FundingReference(_Node):
 class RelatedIdentifier(_Node):
     """A link to related work or data: identifier plus two type codes."""
 
-    identifier: str | None = None
+    identifier: str | None = _content()
     relatedIdentifierType: str | None = None
     relationType: str | None = None
 
 
 @dataclass(frozen=True, eq=False)
 class ResourceType(_Node):
-    text: str | None = None
+    text: str | None = _content()
     resourceTypeGeneral: str | None = None
 
 
@@ -286,18 +310,18 @@ class SuccessMarker(_Node):
     """Documents whether a run worked; failed runs are data too."""
 
     success: bool | None = None
-    note: str | None = None
+    note: str | None = _content()
 
 
 @dataclass(frozen=True, eq=False)
 class PersistentIdentifier(_Node):
-    value: str | None = None
+    value: str | None = _content()
     scheme: str | None = None
 
 
 @dataclass(frozen=True, eq=False)
 class Checksum(_Node):
-    digest: str | None = None
+    digest: str | None = _content()
     algorithm: str | None = None
 
 
@@ -431,8 +455,8 @@ class ProcessingStep(_Node):
     stepType: str | None = None
     date: str | None = None
     actor: PersonOrOrganization | None = None
-    inputs: tuple[FileRef, ...] = ()
-    outputs: tuple[FileRef, ...] = ()
+    inputs: tuple[FileRef, ...] = _plural("input")
+    outputs: tuple[FileRef, ...] = _plural("output")
     method: Method | None = None
     errorMethod: Method | None = None
     software: tuple[Software, ...] = ()
@@ -445,40 +469,32 @@ class ProcessingStep(_Node):
 class EngMetaDataset(_Node):
     """Root document describing one piece of research data."""
 
-    titles: tuple[Title, ...] = ()
-    descriptions: tuple[Description, ...] = ()
-    dates: tuple[DatedEvent, ...] = ()
-    keywords: tuple[str, ...] = ()
+    titles: tuple[Title, ...] = _plural("title")
+    descriptions: tuple[Description, ...] = _plural("description")
+    dates: tuple[DatedEvent, ...] = _plural("date")
+    keywords: tuple[str, ...] = _plural("keyword")
     subject: tuple[str, ...] = ()
-    persons: tuple[PersonOrOrganization, ...] = ()
-    fundingReferences: tuple[FundingReference, ...] = ()
+    persons: tuple[PersonOrOrganization, ...] = _plural("person")
+    fundingReferences: tuple[FundingReference, ...] = _plural("fundingReference")
     project: str | None = None
     context: tuple[RelatedIdentifier, ...] = ()
     resourceType: ResourceType | None = None
     rightsStatement: RightsStatement | None = None
     worked: SuccessMarker | None = None
     pid: PersistentIdentifier | None = None
-    files: tuple[FileInfo, ...] = ()
+    files: tuple[FileInfo, ...] = _plural("file")
     storage: str | None = None
     format: str | None = None
     system: ObservedSystem | None = None
-    processingSteps: tuple[ProcessingStep, ...] = ()
+    processingSteps: tuple[ProcessingStep, ...] = _plural("processingStep")
 
 
-# --- Schema table -------------------------------------------------------
+# --- Schema -------------------------------------------------------------
 #
-# Single source of truth for element names, element order, scalar types and
-# XML placement. Serialization, paths, validation, merging and flattening
-# all walk this table.
-
-SCALAR = "scalar"
-NODE = "node"
-SCALAR_LIST = "scalar-list"
-NODE_LIST = "node-list"
-
-CHILD = "child"
-ATTRIBUTE = "attribute"
-CONTENT = "content"
+# Derived once, at import, from the declarations above. Serialization,
+# paths, validation, merging and flattening all walk these field specs.
+# This module does not postpone annotations, so each dataclass field's
+# ``type`` is the evaluated annotation that ``_kind`` reads.
 
 
 @dataclass(frozen=True)
@@ -492,175 +508,35 @@ class FieldSpec:
 
 ROOT_ELEMENT = "engMeta"
 
+
+def _kind(hint) -> tuple[str, object]:
+    """Field kind and value type of an annotation: ``X | None`` or ``tuple[X, ...]``."""
+    if get_origin(hint) is tuple:
+        item = get_args(hint)[0]
+        return (NODE_LIST if issubclass(item, _Node) else SCALAR_LIST), item
+    types = [tp for tp in get_args(hint) if tp is not type(None)]
+    if len(types) > 1:
+        return SCALAR, TAGGED
+    return (NODE if issubclass(types[0], _Node) else SCALAR), types[0]
+
+
+def _derive_schema(cls: type) -> tuple[FieldSpec, ...]:
+    declared = dataclass_fields(cls)
+    has_content = any(f.metadata.get("placement") == CONTENT for f in declared)
+    default_placement = ATTRIBUTE if has_content else CHILD
+    return tuple(
+        FieldSpec(
+            f.name,
+            f.metadata.get("element", f.name),
+            *_kind(f.type),
+            f.metadata.get("placement", default_placement),
+        )
+        for f in declared
+    )
+
+
 _SCHEMA: dict[type, tuple[FieldSpec, ...]] = {
-    Title: (
-        FieldSpec("text", "text", SCALAR, str, CONTENT),
-        FieldSpec("titleType", "titleType", SCALAR, str, ATTRIBUTE),
-    ),
-    Description: (
-        FieldSpec("text", "text", SCALAR, str, CONTENT),
-        FieldSpec("descriptionType", "descriptionType", SCALAR, str, ATTRIBUTE),
-    ),
-    DatedEvent: (
-        FieldSpec("date", "date", SCALAR, str, CONTENT),
-        FieldSpec("dateType", "dateType", SCALAR, str, ATTRIBUTE),
-    ),
-    Identifier: (
-        FieldSpec("value", "value", SCALAR, str, CONTENT),
-        FieldSpec("scheme", "scheme", SCALAR, str, ATTRIBUTE),
-    ),
-    PersonOrOrganization: (
-        FieldSpec("name", "name", SCALAR, str),
-        FieldSpec("identifier", "identifier", NODE, Identifier),
-        FieldSpec("affiliation", "affiliation", SCALAR, str),
-        FieldSpec("role", "role", SCALAR, str),
-    ),
-    FundingReference: (
-        FieldSpec("funderName", "funderName", SCALAR, str),
-        FieldSpec("awardNumber", "awardNumber", SCALAR, str),
-        FieldSpec("funderIdentifierType", "funderIdentifierType", SCALAR, str),
-    ),
-    RelatedIdentifier: (
-        FieldSpec("identifier", "identifier", SCALAR, str, CONTENT),
-        FieldSpec("relatedIdentifierType", "relatedIdentifierType", SCALAR, str, ATTRIBUTE),
-        FieldSpec("relationType", "relationType", SCALAR, str, ATTRIBUTE),
-    ),
-    ResourceType: (
-        FieldSpec("text", "text", SCALAR, str, CONTENT),
-        FieldSpec("resourceTypeGeneral", "resourceTypeGeneral", SCALAR, str, ATTRIBUTE),
-    ),
-    RightsStatement: (
-        FieldSpec("license", "license", SCALAR, str),
-        FieldSpec("accessConditions", "accessConditions", SCALAR, str),
-    ),
-    SuccessMarker: (
-        FieldSpec("success", "success", SCALAR, bool, ATTRIBUTE),
-        FieldSpec("note", "note", SCALAR, str, CONTENT),
-    ),
-    PersistentIdentifier: (
-        FieldSpec("value", "value", SCALAR, str, CONTENT),
-        FieldSpec("scheme", "scheme", SCALAR, str, ATTRIBUTE),
-    ),
-    Checksum: (
-        FieldSpec("digest", "digest", SCALAR, str, CONTENT),
-        FieldSpec("algorithm", "algorithm", SCALAR, str, ATTRIBUTE),
-    ),
-    FileInfo: (
-        FieldSpec("filename", "filename", SCALAR, str),
-        FieldSpec("link", "link", SCALAR, str),
-        FieldSpec("pid", "pid", NODE, PersistentIdentifier),
-        FieldSpec("checksum", "checksum", NODE, Checksum),
-        FieldSpec("sizeBytes", "sizeBytes", SCALAR, int),
-        FieldSpec("fileType", "fileType", SCALAR, str),
-    ),
-    FileRef: (
-        FieldSpec("name", "name", SCALAR, str),
-        FieldSpec("link", "link", SCALAR, str),
-        FieldSpec("pid", "pid", SCALAR, str),
-    ),
-    Variable: (
-        FieldSpec("name", "name", SCALAR, str),
-        FieldSpec("value", "value", SCALAR, TAGGED),
-        FieldSpec("unit", "unit", SCALAR, str),
-        FieldSpec("uncertainty", "uncertainty", SCALAR, Decimal),
-        FieldSpec("symbol", "symbol", SCALAR, str),
-    ),
-    ForceField: (
-        FieldSpec("name", "name", SCALAR, str),
-        FieldSpec("parameters", "parameters", NODE_LIST, Variable),
-    ),
-    Component: (
-        FieldSpec("name", "name", SCALAR, str),
-        FieldSpec("identifier", "identifier", SCALAR, str),
-        FieldSpec("forceField", "forceField", NODE, ForceField),
-    ),
-    TemporalResolution: (
-        FieldSpec("numberOfTimesteps", "numberOfTimesteps", SCALAR, int),
-        FieldSpec("interval", "interval", SCALAR, Decimal),
-        FieldSpec("intervalUnit", "intervalUnit", SCALAR, str),
-    ),
-    SpatialResolution: (
-        FieldSpec("numberOfCells", "numberOfCells", SCALAR, int),
-        FieldSpec("scale", "scale", SCALAR, Decimal),
-        FieldSpec("scaleUnit", "scaleUnit", SCALAR, str),
-    ),
-    ObservedSystem: (
-        FieldSpec("description", "description", SCALAR, str),
-        FieldSpec("components", "components", NODE_LIST, Component),
-        FieldSpec("boundaryConditions", "boundaryConditions", SCALAR_LIST, str),
-        FieldSpec("controlledVariables", "controlledVariables", NODE_LIST, Variable),
-        FieldSpec("measuredVariables", "measuredVariables", NODE_LIST, Variable),
-        FieldSpec("parameters", "parameters", NODE_LIST, Variable),
-        FieldSpec("spatialResolution", "spatialResolution", NODE, SpatialResolution),
-        FieldSpec("temporalResolution", "temporalResolution", NODE, TemporalResolution),
-    ),
-    Method: (
-        FieldSpec("name", "name", SCALAR, str),
-        FieldSpec("parameters", "parameters", NODE_LIST, Variable),
-    ),
-    Compiler: (
-        FieldSpec("name", "name", SCALAR, str),
-        FieldSpec("flags", "flags", SCALAR, str),
-    ),
-    Environment: (
-        FieldSpec("name", "name", SCALAR, str),
-        FieldSpec("nodes", "nodes", SCALAR, int),
-        FieldSpec("coresPerNode", "coresPerNode", SCALAR, int),
-        FieldSpec("totalCores", "totalCores", SCALAR, int),
-        FieldSpec("compiler", "compiler", NODE, Compiler),
-    ),
-    Software: (
-        FieldSpec("name", "name", SCALAR, str),
-        FieldSpec("softwareVersion", "softwareVersion", SCALAR, str),
-        FieldSpec("contributor", "contributor", NODE_LIST, PersonOrOrganization),
-        FieldSpec("programmingLanguage", "programmingLanguage", SCALAR, str),
-        FieldSpec("operatingSystem", "operatingSystem", SCALAR, str),
-        FieldSpec("url", "url", SCALAR, str),
-        FieldSpec("softwareSourceCode", "softwareSourceCode", SCALAR, str),
-        FieldSpec("softwareApplication", "softwareApplication", SCALAR, str),
-        FieldSpec("codeRepository", "codeRepository", SCALAR, str),
-        FieldSpec("citation", "citation", SCALAR, str),
-        FieldSpec("referencePublication", "referencePublication", SCALAR, str),
-        FieldSpec("license", "license", NODE, RightsStatement),
-    ),
-    Instrument: (
-        FieldSpec("name", "name", SCALAR, str),
-        FieldSpec("description", "description", SCALAR, str),
-        FieldSpec("identifier", "identifier", SCALAR, str),
-    ),
-    ProcessingStep: (
-        FieldSpec("stepType", "stepType", SCALAR, str),
-        FieldSpec("date", "date", SCALAR, str),
-        FieldSpec("actor", "actor", NODE, PersonOrOrganization),
-        FieldSpec("inputs", "input", NODE_LIST, FileRef),
-        FieldSpec("outputs", "output", NODE_LIST, FileRef),
-        FieldSpec("method", "method", NODE, Method),
-        FieldSpec("errorMethod", "errorMethod", NODE, Method),
-        FieldSpec("software", "software", NODE_LIST, Software),
-        FieldSpec("instrument", "instrument", NODE_LIST, Instrument),
-        FieldSpec("environment", "environment", NODE, Environment),
-        FieldSpec("executionCommand", "executionCommand", SCALAR, str),
-    ),
-    EngMetaDataset: (
-        FieldSpec("titles", "title", NODE_LIST, Title),
-        FieldSpec("descriptions", "description", NODE_LIST, Description),
-        FieldSpec("dates", "date", NODE_LIST, DatedEvent),
-        FieldSpec("keywords", "keyword", SCALAR_LIST, str),
-        FieldSpec("subject", "subject", SCALAR_LIST, str),
-        FieldSpec("persons", "person", NODE_LIST, PersonOrOrganization),
-        FieldSpec("fundingReferences", "fundingReference", NODE_LIST, FundingReference),
-        FieldSpec("project", "project", SCALAR, str),
-        FieldSpec("context", "context", NODE_LIST, RelatedIdentifier),
-        FieldSpec("resourceType", "resourceType", NODE, ResourceType),
-        FieldSpec("rightsStatement", "rightsStatement", NODE, RightsStatement),
-        FieldSpec("worked", "worked", NODE, SuccessMarker),
-        FieldSpec("pid", "pid", NODE, PersistentIdentifier),
-        FieldSpec("files", "file", NODE_LIST, FileInfo),
-        FieldSpec("storage", "storage", SCALAR, str),
-        FieldSpec("format", "format", SCALAR, str),
-        FieldSpec("system", "system", NODE, ObservedSystem),
-        FieldSpec("processingSteps", "processingStep", NODE_LIST, ProcessingStep),
-    ),
+    cls: _derive_schema(cls) for cls in _Node.__subclasses__()
 }
 
 # element name -> FieldSpec, per node class
@@ -668,12 +544,16 @@ _BY_ELEMENT: dict[type, dict[str, FieldSpec]] = {
     cls: {spec.element: spec for spec in specs} for cls, specs in _SCHEMA.items()
 }
 
+# the text-content field, per node class (None where fields are all children)
+_CONTENT: dict[type, FieldSpec | None] = {
+    cls: next((spec for spec in specs if spec.placement == CONTENT), None)
+    for cls, specs in _SCHEMA.items()
+}
+
 # every element name that may appear in a metadata path
 ELEMENT_VOCABULARY = frozenset(
     spec.element for specs in _SCHEMA.values() for spec in specs
 )
-
-NODE_CLASSES = tuple(_SCHEMA)
 
 
 def schema(cls: type) -> tuple[FieldSpec, ...]:
@@ -686,10 +566,6 @@ def field_by_element(cls: type, element: str) -> FieldSpec | None:
     return _BY_ELEMENT[cls].get(element)
 
 
-def _consistency_check() -> None:
-    for cls, specs in _SCHEMA.items():
-        declared = [f.name for f in dataclass_fields(cls)]
-        assert [s.attr for s in specs] == declared, cls
-
-
-_consistency_check()
+def content_field(cls: type) -> FieldSpec | None:
+    """The field ``cls`` carries as XML text content, if it has one."""
+    return _CONTENT[cls]

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -33,3 +34,23 @@ def steps_rules_path() -> Path:
 @pytest.fixture(scope="session")
 def golden_xml_path() -> Path:
     return DATA_DIR / "golden.xml"
+
+
+@pytest.fixture()
+def make_unlistable(monkeypatch):
+    """Make listing the given directory fail, as an unreadable one would.
+
+    A permission bit cannot do this when the suite runs as root, so
+    ``os.scandir`` (which ``os.walk`` lists through) raises instead.
+    """
+    real_scandir = os.scandir
+
+    def unlistable(directory: Path) -> None:
+        def scandir(path="."):
+            if Path(path) == directory:
+                raise PermissionError(13, "Permission denied", os.fspath(path))
+            return real_scandir(path)
+
+        monkeypatch.setattr(os, "scandir", scandir)
+
+    return unlistable

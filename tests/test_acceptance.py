@@ -110,8 +110,8 @@ def test_criterion_3_extraction_golden(corpus_dir, rules_path, golden_xml_path,
     # permuting directory enumeration changes nothing
     true_walk = engine_module.walk_files
 
-    def shuffled_walk(root):
-        entries = true_walk(root)
+    def shuffled_walk(root, on_unreadable=None):
+        entries = true_walk(root, on_unreadable)
         random.Random(99).shuffle(entries)
         return entries
 

@@ -1,4 +1,6 @@
+import dataclasses
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -8,8 +10,12 @@ from engmeta.model import (
     EngMetaDataset,
     ProcessingStep,
     Title,
+    _Node,
 )
+from everyfield import every_field_dataset
 from genmodel import dataset_pool
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def test_empty_dataset_serializes_to_bare_root():
@@ -176,3 +182,35 @@ def test_no_warnings_on_own_output():
 def test_fixture_round_trip(gromacs_doc):
     assert from_xml(to_xml(gromacs_doc)).dataset == gromacs_doc
     assert from_json(to_json(gromacs_doc)).dataset == gromacs_doc
+
+
+def _set_fields(node, found: dict) -> None:
+    names = found.setdefault(type(node), set())
+    for field in dataclasses.fields(node):
+        value = getattr(node, field.name)
+        if value is None or value == ():
+            continue
+        names.add(field.name)
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, _Node):
+                _set_fields(item, found)
+
+
+def test_every_field_document_sets_every_field():
+    found: dict = {}
+    _set_fields(every_field_dataset(), found)
+    declared = {
+        cls: {field.name for field in dataclasses.fields(cls)} for cls in _Node.__subclasses__()
+    }
+    assert found == declared
+
+
+def test_every_field_golden():
+    """Every element and attribute name, placement and value type, byte for byte."""
+    doc = every_field_dataset()
+    xml, json_text = to_xml(doc), to_json(doc)
+    assert xml == (DATA_DIR / "every_field.xml").read_text(encoding="utf-8")
+    assert json_text == (DATA_DIR / "every_field.json").read_text(encoding="utf-8")
+    for result in (from_xml(xml), from_json(json_text)):
+        assert result.warnings == ()
+        assert result.dataset == doc

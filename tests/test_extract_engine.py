@@ -294,8 +294,8 @@ def test_extract_enumeration_order_does_not_matter(corpus_dir, rules_path, monke
     expected_xml = to_xml(expected_corpus_dataset())
     true_walk = engine_module.walk_files
 
-    def shuffled_walk(root):
-        entries = true_walk(root)
+    def shuffled_walk(root, on_unreadable=None):
+        entries = true_walk(root, on_unreadable)
         random.Random(1234).shuffle(entries)
         return entries
 
@@ -365,6 +365,31 @@ def test_scan_file_counts_and_warnings(tmp_path):
     )
     assert (missing_hits, missing_bytes) == ([], 0)
     assert len(missing_warnings) == 1
+
+
+def test_non_utf8_bytes_are_reported(tmp_path):
+    config = parse_config("[rule p]\ntarget = project\nsource = *\nkey = P\ndelimiter = :\n")
+    target = tmp_path / "x.txt"
+    data = b"P: one\n\xff\nP: caf\xe9\nP: two\n"
+    target.write_bytes(data)
+    hits, nbytes, warnings = scan_file(target, "x.txt", list(config.rules))
+    assert [h.rawValue for h in hits] == ["one", "caf\ufffd", "two"]
+    assert nbytes == len(data)
+    assert warnings == ["x.txt: not valid UTF-8 from byte 7; undecodable bytes replaced"]
+
+
+def test_unreadable_directory_is_reported(tmp_path, make_unlistable):
+    config = parse_config("[rule p]\ntarget = project\nsource = *\nkey = P\ndelimiter = :\n")
+    (tmp_path / "a").mkdir()
+    (tmp_path / "a" / "x.txt").write_text("P: seen\n")
+    (tmp_path / "b").mkdir()
+    (tmp_path / "b" / "y.txt").write_text("P: hidden\n")
+    make_unlistable(tmp_path / "b")
+    dataset, report = extract(tmp_path, config)
+    assert dataset.project == "seen"
+    assert report.filesScanned == 1
+    assert len(report.warnings) == 1
+    assert report.warnings[0].startswith("b: unreadable directory, skipped (")
 
 
 def test_crlf_lines_handled(tmp_path):

@@ -1,7 +1,10 @@
+import hashlib
 import os
 import random
 import shutil
+import stat
 import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -117,3 +120,53 @@ def test_unreadable_file_flagged_run_continues(tmp_path):
         assert any(info.filename == "good.txt" and info.checksum for info in result.files)
     finally:
         bad.chmod(0o644)
+
+
+def test_size_comes_from_the_bytes_hashed(tmp_path, monkeypatch):
+    """A file that grows between stat and read keeps a size matching its digest."""
+    (tmp_path / "grown.log").write_bytes(b"0123456789")
+    real_stat = Path.stat
+
+    def stale_stat(self, *args, **kwargs):
+        result = real_stat(self, *args, **kwargs)
+        if self.name != "grown.log":
+            return result
+        fields = list(result)
+        fields[stat.ST_SIZE] = 4  # the size before the file grew
+        return os.stat_result(fields)
+
+    monkeypatch.setattr(Path, "stat", stale_stat)
+    info = harvest(tmp_path).files[0]
+    assert info.sizeBytes == 10
+    assert info.checksum.digest == hashlib.sha256(b"0123456789").hexdigest()
+
+
+def test_unopenable_file_keeps_size_without_checksum(tmp_path, monkeypatch):
+    (tmp_path / "good.txt").write_text("fine")
+    (tmp_path / "bad.txt").write_text("secret")
+    real_open = Path.open
+
+    def guarded_open(self, *args, **kwargs):
+        if self.name == "bad.txt":
+            raise PermissionError(13, "Permission denied", str(self))
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", guarded_open)
+    result = harvest(tmp_path)
+    assert [(info.filename, info.sizeBytes, info.checksum is None) for info in result.files] == [
+        ("bad.txt", 6, True),
+        ("good.txt", 4, False),
+    ]
+    assert [(e.path, e.message.split(":")[0]) for e in result.errors] == [("bad.txt", "unreadable")]
+
+
+def test_unreadable_directory_reported(tmp_path, make_unlistable):
+    (tmp_path / "ok").mkdir()
+    (tmp_path / "ok" / "a.txt").write_text("a")
+    (tmp_path / "locked").mkdir()
+    (tmp_path / "locked" / "b.txt").write_text("b")
+    make_unlistable(tmp_path / "locked")
+    result = harvest(tmp_path)
+    assert [info.filename for info in result.files] == ["ok/a.txt"]
+    assert [e.path for e in result.errors] == ["locked"]
+    assert result.errors[0].message.startswith("unreadable directory: ")
