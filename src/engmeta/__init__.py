@@ -4,111 +4,88 @@ Typed construction and validation of metadata documents, config-driven
 extraction of metadata from simulation input/output/log files, conversion
 of the processing history to PROV, and flattening into repository metadata
 blocks.
+
+Every name in ``__all__`` is importable from this package, and its module
+loads on first use (PEP 562): ``import engmeta`` costs almost nothing, and a
+program that only reads and validates documents never loads extraction,
+harvest or merge code.
 """
 
-from .canon import ENGMETA_NAMESPACE, ReadResult, from_json, from_xml, to_json, to_xml
-from .extract import ExtractionConfig, ExtractionReport, ExtractionRule, extract, parse_config
-from .flatten import (
-    BlockField,
-    FlattenReport,
-    MetadataBlock,
-    flatten,
-    serialize_blocks_json,
-)
-from .harvest import HarvestResult, harvest
-from .merging import Conflict, merge
-from .model import (
-    Checksum,
-    Compiler,
-    Component,
-    DatedEvent,
-    Description,
-    EngMetaDataset,
-    Environment,
-    FileInfo,
-    FileRef,
-    ForceField,
-    FundingReference,
-    Identifier,
-    Instrument,
-    Method,
-    ObservedSystem,
-    PersistentIdentifier,
-    PersonOrOrganization,
-    ProcessingStep,
-    RelatedIdentifier,
-    ResourceType,
-    RightsStatement,
-    Software,
-    SpatialResolution,
-    SuccessMarker,
-    TemporalResolution,
-    Title,
-    Variable,
-)
-from .paths import MetadataPath, PathSegment, get_path, parse_path, set_path
-from .prov import ProvDocument, serialize_prov_n, to_prov
-from .validation import Finding, ValidationReport, validate
+import sys
+from importlib import import_module
+from types import ModuleType
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ENGMETA_NAMESPACE",
-    "BlockField",
-    "Checksum",
-    "Compiler",
-    "Component",
-    "Conflict",
-    "DatedEvent",
-    "Description",
-    "EngMetaDataset",
-    "Environment",
-    "ExtractionConfig",
-    "ExtractionReport",
-    "ExtractionRule",
-    "FileInfo",
-    "FileRef",
-    "Finding",
-    "FlattenReport",
-    "ForceField",
-    "FundingReference",
-    "HarvestResult",
-    "Identifier",
-    "Instrument",
-    "MetadataBlock",
-    "MetadataPath",
-    "Method",
-    "ObservedSystem",
-    "PathSegment",
-    "PersistentIdentifier",
-    "PersonOrOrganization",
-    "ProcessingStep",
-    "ProvDocument",
-    "ReadResult",
-    "RelatedIdentifier",
-    "ResourceType",
-    "RightsStatement",
-    "Software",
-    "SpatialResolution",
-    "SuccessMarker",
-    "TemporalResolution",
-    "Title",
-    "ValidationReport",
-    "Variable",
-    "extract",
-    "flatten",
-    "from_json",
-    "from_xml",
-    "get_path",
-    "harvest",
-    "merge",
-    "parse_config",
-    "parse_path",
-    "serialize_blocks_json",
-    "serialize_prov_n",
-    "set_path",
-    "to_json",
-    "to_prov",
-    "to_xml",
-    "validate",
-]
+# Public name -> defining module, grouped by module; the one list of the API.
+_EXPORTS = {
+    "canon": ("ENGMETA_NAMESPACE", "ReadResult", "from_json", "from_xml", "to_json", "to_xml"),
+    "extract": ("ExtractionConfig", "ExtractionReport", "ExtractionRule", "extract", "parse_config"),
+    "flatten": ("BlockField", "FlattenReport", "MetadataBlock", "flatten", "serialize_blocks_json"),
+    "harvest": ("HarvestResult", "harvest"),
+    "merging": ("Conflict", "merge"),
+    "model": (
+        "Checksum",
+        "Compiler",
+        "Component",
+        "DatedEvent",
+        "Description",
+        "EngMetaDataset",
+        "Environment",
+        "FileInfo",
+        "FileRef",
+        "ForceField",
+        "FundingReference",
+        "Identifier",
+        "Instrument",
+        "Method",
+        "ObservedSystem",
+        "PersistentIdentifier",
+        "PersonOrOrganization",
+        "ProcessingStep",
+        "RelatedIdentifier",
+        "ResourceType",
+        "RightsStatement",
+        "Software",
+        "SpatialResolution",
+        "SuccessMarker",
+        "TemporalResolution",
+        "Title",
+        "Variable",
+    ),
+    "paths": ("MetadataPath", "PathSegment", "get_path", "parse_path", "set_path"),
+    "prov": ("ProvDocument", "serialize_prov_n", "to_prov"),
+    "validation": ("Finding", "ValidationReport", "validate"),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_ORIGIN)
+
+
+def __getattr__(name: str):
+    module = _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))
+
+
+class _Package(ModuleType):
+    """This package, keeping ``extract``, ``flatten`` and ``harvest`` functions.
+
+    Loading a submodule binds it as an attribute of its package, which
+    would replace the public function of the same name with the module.
+    """
+
+    def __setattr__(self, name: str, value) -> None:
+        if isinstance(value, ModuleType) and _ORIGIN.get(name) == name:
+            value = getattr(value, name)
+        super().__setattr__(name, value)
+
+
+sys.modules[__name__].__class__ = _Package

@@ -38,7 +38,6 @@ from .model import (
     scalar_type_name,
     schema,
 )
-from .validation import validate
 
 # Documented home of the element vocabulary; not emitted on output, but
 # accepted as a default namespace on input.
@@ -62,9 +61,12 @@ def _scalar_from_text(text: str, value_type, path: str):
         return text
     stripped = text.strip()
     if value_type is int:
-        if not _is_int_text(stripped):
-            raise CanonDecodeError(f"{text!r} is not an integer", path)
-        return int(stripped)
+        try:
+            if _is_int_text(stripped):
+                return int(stripped)
+        except ValueError:  # a digit that is not decimal, or too many digits
+            pass
+        raise CanonDecodeError(f"{text!r} is not an integer", path)
     if value_type is bool:
         if stripped == "true":
             return True
@@ -116,6 +118,8 @@ def _escape_attribute(text: str) -> str:
 
 def to_xml(dataset: EngMetaDataset) -> str:
     """Serialize to canonical XML; rejects structurally invalid documents."""
+    from .validation import validate
+
     report = validate(dataset, "structural")
     if report.errors:
         raise CanonValidationError(report.errors)
@@ -183,6 +187,10 @@ def from_xml(text: str) -> ReadResult:
     except ElementTree.ParseError as exc:
         line, column = exc.position
         raise CanonSyntaxError(f"not well-formed XML: {exc.msg}", line, column) from None
+    except UnicodeEncodeError as exc:  # a lone surrogate cannot reach the parser
+        line = text.count("\n", 0, exc.start) + 1
+        column = exc.start - text.rfind("\n", 0, exc.start)
+        raise CanonSyntaxError("not well-formed XML: lone surrogate", line, column) from None
     warnings: list[str] = []
     if _local_name(root.tag) != ROOT_ELEMENT:
         raise CanonDecodeError(
@@ -282,6 +290,8 @@ def _decode_scalar_child(child, spec: FieldSpec, path: str, warnings: list[str])
 
 def to_json(dataset: EngMetaDataset) -> str:
     """Serialize to canonical JSON (same names and order as the XML form)."""
+    from .validation import validate
+
     report = validate(dataset, "structural")
     if report.errors:
         raise CanonValidationError(report.errors)
@@ -320,6 +330,10 @@ def from_json(text: str) -> ReadResult:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise CanonSyntaxError(f"not valid JSON: {exc.msg}", exc.lineno, exc.colno) from None
+    except ValueError as exc:  # an integer literal over the digit limit
+        raise CanonDecodeError(f"not decodable: {exc}", ROOT_ELEMENT) from None
+    except RecursionError:
+        raise CanonDecodeError("not decodable: nested too deeply", ROOT_ELEMENT) from None
     if not isinstance(obj, dict):
         raise CanonDecodeError("document root must be a JSON object", ROOT_ELEMENT)
     warnings: list[str] = []
@@ -338,12 +352,16 @@ def _decode_obj(obj: dict, cls: type, path: str, warnings: list[str]):
             continue
         key_path = f"{path}.{key}" if path else key
         if spec.kind == SCALAR:
-            kwargs[spec.attr] = _scalar_from_json(raw, spec, key_path)
+            value = _scalar_from_json(raw, spec, key_path, warnings)
+            if value is not None:
+                kwargs[spec.attr] = value
         elif spec.kind == SCALAR_LIST:
             items = _expect_array(raw, key_path)
-            kwargs[spec.attr] = tuple(
-                _scalar_from_json(item, spec, f"{key_path}[{i}]") for i, item in enumerate(items)
-            )
+            values = [
+                _scalar_from_json(item, spec, f"{key_path}[{i}]", warnings)
+                for i, item in enumerate(items)
+            ]
+            kwargs[spec.attr] = tuple(value for value in values if value is not None)
         elif spec.kind == NODE:
             kwargs[spec.attr] = _decode_obj(_expect_object(raw, key_path), spec.value_type, key_path, warnings)
         else:
@@ -367,7 +385,8 @@ def _expect_object(raw, path: str) -> dict:
     return raw
 
 
-def _scalar_from_json(raw, spec: FieldSpec, path: str):
+def _scalar_from_json(raw, spec: FieldSpec, path: str, warnings: list[str]):
+    """The field's value, or None for an empty string, which counts as absent."""
     if spec.value_type is TAGGED:
         tagged = _expect_object(raw, path)
         unknown = set(tagged) - {"type", "text"}
@@ -378,10 +397,14 @@ def _scalar_from_json(raw, spec: FieldSpec, path: str):
         type_name = tagged.get("type", "string")
         if not isinstance(type_name, str):
             raise CanonDecodeError("tagged value 'type' must be a string", path)
+        if tagged["text"] == "":
+            return _absent(path, warnings)
         return _tagged_from_text(tagged["text"], type_name, path)
     if spec.value_type is str:
         if not isinstance(raw, str):
             raise CanonDecodeError(f"expected a string, got {type(raw).__name__}", path)
+        if raw == "":
+            return _absent(path, warnings)
         return raw
     if spec.value_type is bool:
         if not isinstance(raw, bool):
@@ -396,5 +419,12 @@ def _scalar_from_json(raw, spec: FieldSpec, path: str):
             raise CanonDecodeError(
                 f"decimals are carried as strings, got {type(raw).__name__}", path
             )
+        if raw == "":
+            return _absent(path, warnings)
         return _scalar_from_text(raw, Decimal, path)
     raise AssertionError(spec.value_type)
+
+
+def _absent(path: str, warnings: list[str]) -> None:
+    warnings.append(f"{path}: empty value treated as absent")
+    return None

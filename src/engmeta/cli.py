@@ -16,17 +16,12 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import canon
 from .errors import CanonError, ConfigError, EngMetaError, ExtractionRootError
-from .extract import extract as run_extract
-from .extract import parse_config
-from .flatten import flatten, serialize_blocks_json
-from .harvest import harvest as run_harvest
-from .merging import merge
-from .model import EngMetaDataset
-from .prov import serialize_prov_n, to_prov
-from .validation import validate
+
+if TYPE_CHECKING:
+    from .model import EngMetaDataset
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -47,9 +42,18 @@ def _emit(payload: str, out: str | None) -> None:
         Path(out).write_text(payload, encoding="utf-8")
 
 
+def _not_utf8(path: str, error: UnicodeDecodeError) -> str:
+    return f"{path}: not valid UTF-8 from byte {error.start}"
+
+
 def _read_document(path: str) -> EngMetaDataset:
     """Load a document from XML or JSON, sniffing the format."""
-    text = Path(path).read_text(encoding="utf-8")
+    from . import canon
+
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CanonError(_not_utf8(path, exc)) from None
     result = canon.from_xml(text) if text.lstrip().startswith("<") else canon.from_json(text)
     for warning in result.warnings:
         _info(f"warning: {path}: {warning}")
@@ -57,6 +61,8 @@ def _read_document(path: str) -> EngMetaDataset:
 
 
 def _serialize(dataset: EngMetaDataset, fmt: str) -> str:
+    from . import canon
+
     return canon.to_xml(dataset) if fmt == "xml" else canon.to_json(dataset)
 
 
@@ -131,8 +137,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _cmd_extract(args) -> int:
-    config = parse_config(Path(args.config).read_text(encoding="utf-8"))
-    dataset, report = run_extract(args.root, config, mode=args.mode)
+    from .extract import extract, parse_config
+
+    try:
+        rules_text = Path(args.config).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        _info(f"error: {_not_utf8(args.config, exc)}")
+        return EXIT_USAGE
+    config = parse_config(rules_text)
+    dataset, report = extract(args.root, config, mode=args.mode)
     _emit(_serialize(dataset, args.format), args.out)
     if args.report is not None:
         Path(args.report).write_text(
@@ -150,6 +163,8 @@ def _cmd_extract(args) -> int:
 
 
 def _cmd_validate(args) -> int:
+    from .validation import validate
+
     dataset = _read_document(args.infile)
     report = validate(dataset, args.profile)
     for finding in report.findings:
@@ -168,12 +183,16 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_to_prov(args) -> int:
+    from .prov import serialize_prov_n, to_prov
+
     dataset = _read_document(args.infile)
     _emit(serialize_prov_n(to_prov(dataset)), args.out)
     return EXIT_OK
 
 
 def _cmd_to_dataverse(args) -> int:
+    from .flatten import flatten, serialize_blocks_json
+
     dataset = _read_document(args.infile)
     blocks, report = flatten(dataset)
     _emit(serialize_blocks_json(blocks, report), args.out)
@@ -181,11 +200,15 @@ def _cmd_to_dataverse(args) -> int:
 
 
 def _cmd_harvest(args) -> int:
-    result = run_harvest(args.root, _ALGORITHM_CODES[args.algorithm])
+    from .harvest import harvest
+
+    result = harvest(args.root, _ALGORITHM_CODES[args.algorithm])
     for error in result.errors:
         _info(f"warning: {error.path}: {error.message}")
     dataset = result.to_dataset()
     if args.merge_into:
+        from .merging import merge
+
         base = _read_document(args.merge_into)
         dataset, conflicts = merge(base, dataset, "first-wins")
         for conflict in conflicts:

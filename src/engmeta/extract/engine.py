@@ -21,7 +21,6 @@ from __future__ import annotations
 import fnmatch
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from decimal import Decimal, InvalidOperation
 from pathlib import Path
@@ -524,6 +523,8 @@ def extract(
             work.append((relative_path, absolute_path, applicable))
 
     if mode == "parallel" and len(work) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         worker_count = workers or _positive_env_workers() or os.cpu_count() or 1
         with ThreadPoolExecutor(max_workers=worker_count) as pool:
             scanned = list(

@@ -18,19 +18,30 @@ def walk_files(
     ``on_unreadable`` (with its posix relative path) when that is given.
     """
 
-    def report(error: OSError) -> None:
-        if on_unreadable is not None:
-            where = Path(error.filename or root).relative_to(root).as_posix()
-            on_unreadable(where, error)
-
     entries: list[tuple[str, Path]] = []
-    for dirpath, dirnames, filenames in os.walk(root, onerror=report, followlinks=False):
-        dirnames.sort()
-        filenames.sort()
-        for filename in filenames:
-            path = Path(dirpath) / filename
-            if path.is_symlink() or not path.is_file():
-                continue
-            entries.append((path.relative_to(root).as_posix(), path))
+    # (directory, its relative path with a trailing "/", or "" for root);
+    # the type flags of each listing entry come from the directory read
+    # itself, so no file is stat-ed
+    pending: list[tuple[str, str]] = [(os.fspath(root), "")]
+    while pending:
+        directory, prefix = pending.pop()
+        files: list[tuple[str, Path]] = []
+        subdirectories: list[tuple[str, str]] = []
+        try:
+            with os.scandir(directory) as listing:
+                for entry in listing:
+                    try:
+                        if entry.is_dir(follow_symlinks=False):
+                            subdirectories.append((entry.path, f"{prefix}{entry.name}/"))
+                        elif entry.is_file(follow_symlinks=False):
+                            files.append((prefix + entry.name, Path(entry.path)))
+                    except OSError:
+                        continue  # vanished between the listing and its type check
+        except OSError as error:
+            if on_unreadable is not None:
+                on_unreadable(prefix[:-1] or ".", error)
+            continue
+        entries.extend(files)
+        pending.extend(subdirectories)
     entries.sort(key=lambda entry: entry[0])
     return entries

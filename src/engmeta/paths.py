@@ -58,7 +58,12 @@ def parse_path(text: str) -> MetadataPath:
         name = match.group(1)
         if name not in ELEMENT_VOCABULARY:
             raise PathSyntaxError(f"unknown element {name!r}", pos)
-        index = int(match.group(2)) if match.group(2) is not None else None
+        index = None
+        if match.group(2) is not None:
+            try:
+                index = int(match.group(2))
+            except ValueError:  # more digits than int() converts
+                raise PathSyntaxError("index too large", match.start(2)) from None
         segments.append(PathSegment(name, index))
         pos = match.end()
         if pos == len(text):

@@ -1,6 +1,8 @@
 """Small independent helpers used to cross-check module output in tests."""
 
+import os
 from dataclasses import replace
+from pathlib import Path
 
 from engmeta.errors import PathIndexGapError
 from engmeta.extract.engine import _AssemblyState
@@ -181,3 +183,22 @@ def assemble_by_list_scan(hits, config) -> ListScanAssembly:
         state.take_file(source_file, by_file[source_file])
     state.resolve_deferred()
     return state
+
+
+def walk_files_by_os_walk(root: Path, on_unreadable=None) -> list[tuple[str, Path]]:
+    """Reference for ``fswalk.walk_files``: ``os.walk`` plus a stat per check."""
+
+    def report(error: OSError) -> None:
+        if on_unreadable is not None:
+            where = Path(error.filename or root).relative_to(root).as_posix()
+            on_unreadable(where, error)
+
+    entries: list[tuple[str, Path]] = []
+    for dirpath, _, filenames in os.walk(root, onerror=report, followlinks=False):
+        for filename in filenames:
+            path = Path(dirpath) / filename
+            if path.is_symlink() or not path.is_file():
+                continue
+            entries.append((path.relative_to(root).as_posix(), path))
+    entries.sort(key=lambda entry: entry[0])
+    return entries

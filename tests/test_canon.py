@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from decimal import Decimal
 from pathlib import Path
 
@@ -150,6 +151,29 @@ def test_json_type_error_has_path():
     with pytest.raises(CanonDecodeError) as excinfo:
         from_json('{"project": 42}')
     assert excinfo.value.path == "project"
+
+
+def test_json_empty_values_are_absent_as_in_xml():
+    xml = from_xml(
+        '<engMeta><date dateType="created"></date><keyword/><keyword>x</keyword>'
+        "<project></project><system><controlledVariables><name>T</name>"
+        '<value type="decimal"></value></controlledVariables></system></engMeta>'
+    )
+    result = from_json(json.dumps({
+        "date": [{"date": "", "dateType": "created"}],
+        "keyword": ["", "x"],
+        "project": "",
+        "system": {"controlledVariables": [{"name": "T", "value": {"type": "decimal", "text": ""}}]},
+    }))
+    assert result.dataset == xml.dataset
+    assert result.dataset.project is None
+    assert result.dataset.keywords == ("x",)
+    assert result.warnings == (
+        "date[0].date: empty value treated as absent",
+        "keyword[0]: empty value treated as absent",
+        "project: empty value treated as absent",
+        "system.controlledVariables[0].value: empty value treated as absent",
+    )
 
 
 def test_round_trip_on_random_documents():

@@ -214,3 +214,22 @@ def test_repeated_runs_identical(tmp_path, corpus_dir, rules_path, capsys):
     assert main(args) == 0
     second = capsys.readouterr().out
     assert first == second
+
+
+@pytest.mark.parametrize("command, code", [
+    (["validate", "--in", "{bad}"], 1),
+    (["to-prov", "--in", "{bad}"], 1),
+    (["to-dataverse", "--in", "{bad}"], 1),
+    (["harvest", "--root", "{root}", "--merge-into", "{bad}"], 1),
+    (["extract", "--config", "{bad}", "--root", "{root}"], 2),
+])
+def test_non_utf8_input_is_reported_not_raised(command, code, tmp_path, capsys):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(b"\xff<engMeta/>\n")
+    root = tmp_path / "root"
+    root.mkdir()
+    argv = [arg.format(bad=bad, root=root) for arg in command]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"error: {bad}: not valid UTF-8 from byte 0"

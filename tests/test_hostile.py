@@ -1,0 +1,207 @@
+"""Hostile-input property tests: the readers raise only EngMetaError.
+
+Inputs are generated close to the real formats, so that most of them get
+past the syntax check and reach the decoders: JSON trees that follow the
+model's schema with hostile values and stray keys, the same trees written
+as XML, and rule files made of plausible field lines. Any exception other
+than an ``EngMetaError`` subclass fails the test.
+"""
+
+import json
+from decimal import Decimal
+from xml.sax.saxutils import escape, quoteattr
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from engmeta.canon import from_json, from_xml
+from engmeta.errors import EngMetaError
+from engmeta.extract import parse_config
+from engmeta.model import (
+    ATTRIBUTE,
+    CONTENT,
+    ELEMENT_VOCABULARY,
+    NODE,
+    NODE_LIST,
+    ROOT_ELEMENT,
+    SCALAR,
+    SCALAR_LIST,
+    TAGGED,
+    EngMetaDataset,
+    field_by_element,
+    schema,
+)
+
+NAMES = sorted(ELEMENT_VOCABULARY)
+
+# texts that parse as some scalar type, or nearly do
+TEXTS = st.one_of(
+    st.sampled_from([
+        "", " ", "x", "1", "-0", "+7", "1.5", "1e5", "NaN", "Infinity", "true", "false",
+        "2019-05-24", "2019-05-24T10:00:00Z", "²", "١٢", "1_000", "9" * 5000,
+    ]),
+    st.text(max_size=6),
+)
+TYPE_NAMES = st.sampled_from(["string", "integer", "decimal", "boolean", "date", ""])
+JSON_LEAVES = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), TEXTS)
+JUNK = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.lists(children, max_size=2) | st.dictionaries(TEXTS, children, max_size=2),
+    max_leaves=4,
+)
+
+
+def _scalars(value_type):
+    if value_type is TAGGED:
+        return st.fixed_dictionaries({"type": TYPE_NAMES, "text": TEXTS})
+    if value_type is int:
+        return st.integers() | TEXTS
+    if value_type is bool:
+        return st.booleans() | TEXTS
+    assert value_type in (str, Decimal)
+    return TEXTS
+
+
+@st.composite
+def json_nodes(draw, cls=EngMetaDataset, depth=0) -> dict:
+    """A JSON object for ``cls``: schema fields, mostly well typed, plus strays."""
+    obj = {}
+    for spec in schema(cls):
+        if draw(st.integers(0, 3)) != 0:
+            continue
+        if draw(st.integers(0, 9)) == 0:
+            obj[spec.element] = draw(JUNK)
+        elif spec.kind == SCALAR:
+            obj[spec.element] = draw(_scalars(spec.value_type))
+        elif spec.kind == SCALAR_LIST:
+            obj[spec.element] = draw(st.lists(_scalars(spec.value_type), max_size=3))
+        elif depth < 4 and spec.kind == NODE:
+            obj[spec.element] = draw(json_nodes(spec.value_type, depth + 1))
+        elif depth < 4 and spec.kind == NODE_LIST:
+            obj[spec.element] = draw(st.lists(json_nodes(spec.value_type, depth + 1), max_size=2))
+    obj.update(draw(st.dictionaries(st.sampled_from(NAMES) | TEXTS, JUNK, max_size=1)))
+    return obj
+
+
+def _xml_text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _as_xml(tag: str, obj, cls) -> str:
+    """The XML form of a generated JSON object, stray keys included."""
+    if not isinstance(obj, dict) or cls is None:
+        return f"<{tag}>{escape(_xml_text(obj))}</{tag}>"
+    attributes, content, children = [], "", []
+    for key, value in obj.items():
+        if not key.isidentifier():
+            continue
+        spec = field_by_element(cls, key)
+        if spec is None:
+            children.append(_as_xml(key, value, None))
+        elif spec.placement == ATTRIBUTE:
+            attributes.append(f" {key}={quoteattr(_xml_text(value))}")
+        elif spec.placement == CONTENT:
+            content = escape(_xml_text(value))
+        else:
+            listed = spec.kind in (SCALAR_LIST, NODE_LIST) and isinstance(value, list)
+            for item in value if listed else [value]:
+                if spec.value_type is TAGGED and isinstance(item, dict):
+                    children.append(
+                        f"<{key} type={quoteattr(_xml_text(item.get('type')))}>"
+                        f"{escape(_xml_text(item.get('text')))}</{key}>"
+                    )
+                else:
+                    node_cls = spec.value_type if spec.kind in (NODE, NODE_LIST) else None
+                    children.append(_as_xml(key, item, node_cls))
+    return f"<{tag}{''.join(attributes)}>{content}{''.join(children)}</{tag}>"
+
+
+def _raises_only_engmeta_errors(read, text: str) -> None:
+    try:
+        read(text)
+    except EngMetaError:
+        pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(json_nodes())
+@example({"date": [{"date": ""}]})
+@example({"keyword": ["", "x"]})
+@example({"system": {"controlledVariables": [{"value": {"type": "string", "text": ""}}]}})
+def test_from_json_raises_only_engmeta_errors(obj):
+    _raises_only_engmeta_errors(from_json, json.dumps(obj))
+
+
+@settings(max_examples=150, deadline=None)
+@given(json_nodes())
+@example({"file": [{"sizeBytes": "²"}]})
+@example({"file": [{"sizeBytes": "9" * 5000}]})
+def test_from_xml_raises_only_engmeta_errors(obj):
+    _raises_only_engmeta_errors(from_xml, _as_xml(ROOT_ELEMENT, obj, EngMetaDataset))
+
+
+@settings(max_examples=60, deadline=None)
+@given(json_nodes(), st.sampled_from(["json", "xml"]), st.integers(0, 200), st.text(max_size=3))
+def test_readers_on_damaged_text_raise_only_engmeta_errors(obj, form, cut, insert):
+    if form == "json":
+        read, text = from_json, json.dumps(obj)
+    else:
+        read, text = from_xml, _as_xml(ROOT_ELEMENT, obj, EngMetaDataset)
+    _raises_only_engmeta_errors(read, text[:cut] + insert + text[cut:])
+
+
+def test_deep_nesting_and_surrogates_raise_only_engmeta_errors():
+    _raises_only_engmeta_errors(from_json, "[" * 100_000)
+    _raises_only_engmeta_errors(from_xml, "<engMeta>" + "<a>" * 100_000)
+    _raises_only_engmeta_errors(from_xml, "<engMeta>\ud800</engMeta>")
+
+
+SEGMENTS = st.builds(
+    str.__add__,
+    st.sampled_from(NAMES) | st.text(max_size=3),
+    st.sampled_from(["", "[0]", "[1]", "[-1]", "[x]", "[١]", "[" + "9" * 5000 + "]"]),
+)
+MANDATORY = {
+    "target": st.lists(SEGMENTS, min_size=1, max_size=4).map(".".join),
+    "source": st.sampled_from(["*.mdp", "", "**/*.log", "[", "*"]) | TEXTS,
+    "key": st.sampled_from(["nsteps", "", "="]) | TEXTS,
+}
+OPTIONAL = {
+    "type": st.sampled_from(["string", "integer", "decimal", "boolean", "date", "x"]),
+    "occurrence": st.sampled_from(["first", "last", "all", "x"]),
+    "group": st.sampled_from(["g", "h", ""]),
+    "unit": TEXTS,
+    "delimiter": st.sampled_from(["=", ":", " ", ""]) | TEXTS,
+}
+FIELD_LINES = st.sampled_from(sorted(OPTIONAL)).flatmap(
+    lambda name: OPTIONAL[name].map(f"{name} = {{}}".format)
+)
+STRAY_LINES = st.sampled_from(
+    ["# comment", "", "no equals sign", "[", "= x", "[rule]", "[rule a b]", "bogus = 1"]
+) | st.text(max_size=10)
+
+
+@st.composite
+def rule_files(draw) -> str:
+    lines = draw(st.lists(STRAY_LINES, max_size=1))
+    for number in range(draw(st.integers(0, 3))):
+        lines.append(draw(st.sampled_from([f"[rule r{number}]", "[rule r0]"])))
+        # the mandatory fields, mostly present, so that most rules get built
+        fields = [
+            f"{name} = {draw(values)}"
+            for name, values in MANDATORY.items()
+            if draw(st.integers(0, 9))
+        ]
+        fields += draw(st.lists(FIELD_LINES, max_size=3))
+        fields += draw(st.lists(STRAY_LINES, max_size=1))
+        lines.extend(draw(st.permutations(fields)))
+    return "\n".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rule_files())
+@example("[rule r0]\ntarget = title[" + "9" * 5000 + "].text\nsource = *\nkey = k")
+def test_parse_config_raises_only_engmeta_errors(text):
+    _raises_only_engmeta_errors(parse_config, text)

@@ -1,0 +1,142 @@
+"""Start-up regression tests: what each command imports, and the lazy API.
+
+Each case runs in a fresh interpreter, because this test process has
+imported most of engmeta already. Nothing here is timed: the assertions
+are on ``sys.modules`` and on attribute identity only.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Runs the CLI, then writes the loaded modules to the file named first.
+_RUN_CLI = """
+import json, sys
+from engmeta.cli import main
+code = main(sys.argv[2:])
+with open(sys.argv[1], "w") as out:
+    json.dump({"code": code, "modules": sorted(sys.modules)}, out)
+"""
+
+READERS = {"engmeta", "engmeta.canon", "engmeta.cli", "engmeta.errors", "engmeta.model"}
+VALIDATION = {"engmeta.codes", "engmeta.isodates", "engmeta.validation"}
+EXTRACTION = VALIDATION | {
+    "engmeta.extract", "engmeta.extract.config", "engmeta.extract.engine",
+    "engmeta.fswalk", "engmeta.merging", "engmeta.paths",
+}
+HARVEST = VALIDATION | {"engmeta.fswalk", "engmeta.harvest"}
+
+EXTRACT = ["extract", "--config", "{rules}", "--root", "{corpus}", "--out", "{out}"]
+COMMANDS = {
+    "validate": (["validate", "--in", "{golden}"], READERS | VALIDATION),
+    "to-prov": (
+        ["to-prov", "--in", "{golden}", "--out", "{out}"],
+        READERS | {"engmeta.isodates", "engmeta.prov"},
+    ),
+    "to-dataverse": (
+        ["to-dataverse", "--in", "{golden}", "--out", "{out}"],
+        READERS | {"engmeta.flatten"},
+    ),
+    "extract": (EXTRACT, READERS | EXTRACTION),
+    "extract --mode parallel": (EXTRACT + ["--mode", "parallel"], READERS | EXTRACTION),
+    "harvest": (["harvest", "--root", "{corpus}", "--out", "{out}"], READERS | HARVEST),
+    "harvest --merge-into": (
+        ["harvest", "--root", "{corpus}", "--merge-into", "{golden}", "--out", "{out}"],
+        READERS | HARVEST | {"engmeta.merging"},
+    ),
+}
+
+
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_command_loads_only_its_layers(command, tmp_path, golden_xml_path, rules_path,
+                                       corpus_dir):
+    template, expected = COMMANDS[command]
+    argv = [
+        arg.format(golden=golden_xml_path, rules=rules_path, corpus=corpus_dir, out=tmp_path / "out")
+        for arg in template
+    ]
+    loaded_file = tmp_path / "loaded.json"
+    result = _python(_RUN_CLI, str(loaded_file), *argv)
+    assert result.returncode == 0, result.stderr
+    loaded = json.loads(loaded_file.read_text())
+    assert loaded["code"] == 0
+    assert {m for m in loaded["modules"] if m.split(".")[0] == "engmeta"} == expected
+    # only the parallel branch needs the thread pool
+    assert ("concurrent.futures" in loaded["modules"]) == (command == "extract --mode parallel")
+
+
+IMPORT_ORDERS = {
+    "package first": "import engmeta; engmeta.extract; from engmeta.extract import scan_file",
+    "submodule first": "from engmeta.flatten import serialize_blocks_json; import engmeta",
+    "dotted import": "import engmeta.harvest, engmeta.extract, engmeta.flatten",
+    "from the package": "from engmeta import extract, flatten, harvest; import engmeta.extract.engine",
+    "star import": "from engmeta import *; import engmeta.harvest",
+    "through the cli": "import engmeta.cli; from engmeta.harvest import harvest; import engmeta",
+}
+
+
+@pytest.mark.parametrize("order", sorted(IMPORT_ORDERS))
+def test_functions_keep_their_names_in_every_import_order(order):
+    check = (
+        IMPORT_ORDERS[order]
+        + "\nimport engmeta, types"
+        + "\nfor name in ('extract', 'flatten', 'harvest'):"
+        + "\n    value = getattr(engmeta, name)"
+        + "\n    assert isinstance(value, types.FunctionType), (name, value)"
+        + "\n    assert value.__module__.startswith('engmeta.' + name), (name, value.__module__)"
+    )
+    result = _python(check)
+    assert result.returncode == 0, result.stderr
+
+
+API = {
+    "ENGMETA_NAMESPACE", "BlockField", "Checksum", "Compiler", "Component", "Conflict",
+    "DatedEvent", "Description", "EngMetaDataset", "Environment", "ExtractionConfig",
+    "ExtractionReport", "ExtractionRule", "FileInfo", "FileRef", "Finding", "FlattenReport",
+    "ForceField", "FundingReference", "HarvestResult", "Identifier", "Instrument",
+    "MetadataBlock", "MetadataPath", "Method", "ObservedSystem", "PathSegment",
+    "PersistentIdentifier", "PersonOrOrganization", "ProcessingStep", "ProvDocument",
+    "ReadResult", "RelatedIdentifier", "ResourceType", "RightsStatement", "Software",
+    "SpatialResolution", "SuccessMarker", "TemporalResolution", "Title", "ValidationReport",
+    "Variable", "extract", "flatten", "from_json", "from_xml", "get_path", "harvest", "merge",
+    "parse_config", "parse_path", "serialize_blocks_json", "serialize_prov_n", "set_path",
+    "to_json", "to_prov", "to_xml", "validate",
+}
+
+
+def test_star_import_gives_the_public_api():
+    import engmeta
+
+    namespace: dict = {}
+    exec("from engmeta import *", namespace)
+    namespace.pop("__builtins__")
+    assert len(API) == 58
+    assert set(engmeta.__all__) == set(namespace) == API
+    assert API <= set(dir(engmeta))
+    assert namespace["EngMetaDataset"] is engmeta.model.EngMetaDataset
+    with pytest.raises(AttributeError):
+        engmeta.no_such_name
+
+
+def test_import_engmeta_loads_no_layer():
+    result = _python(
+        "import sys, engmeta; print(sorted(m for m in sys.modules if m.startswith('engmeta')))"
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "['engmeta']"
