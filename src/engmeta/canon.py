@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from xml.etree import ElementTree
 
 from .errors import CanonDecodeError, CanonSyntaxError, CanonValidationError
@@ -33,7 +33,9 @@ from .model import (
     FieldSpec,
     SCALAR_TYPES_BY_NAME,
     content_field,
+    decimal_from_text,
     field_by_element,
+    integer_from_text,
     scalar_to_text,
     scalar_type_name,
     schema,
@@ -61,12 +63,10 @@ def _scalar_from_text(text: str, value_type, path: str):
         return text
     stripped = text.strip()
     if value_type is int:
-        try:
-            if _is_int_text(stripped):
-                return int(stripped)
-        except ValueError:  # a digit that is not decimal, or too many digits
-            pass
-        raise CanonDecodeError(f"{text!r} is not an integer", path)
+        value = integer_from_text(stripped)
+        if value is None:
+            raise CanonDecodeError(f"{text!r} is not an integer", path)
+        return value
     if value_type is bool:
         if stripped == "true":
             return True
@@ -74,19 +74,11 @@ def _scalar_from_text(text: str, value_type, path: str):
             return False
         raise CanonDecodeError(f"{text!r} is not a boolean ('true'/'false')", path)
     if value_type is Decimal:
-        try:
-            value = Decimal(stripped)
-        except InvalidOperation:
-            raise CanonDecodeError(f"{text!r} is not a decimal number", path) from None
-        if not value.is_finite():
-            raise CanonDecodeError(f"{text!r} is not a finite decimal", path)
+        value = decimal_from_text(stripped)
+        if value is None:
+            raise CanonDecodeError(f"{text!r} is not a decimal number", path)
         return value
     raise AssertionError(value_type)
-
-
-def _is_int_text(text: str) -> bool:
-    body = text[1:] if text[:1] in "+-" else text
-    return body.isdigit()
 
 
 def _tagged_from_text(text: str, type_name: str, path: str):

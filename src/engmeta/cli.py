@@ -76,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     cmd = commands.add_parser("extract", help="extract metadata from files under a directory")
     cmd.add_argument("--config", required=True, help="extraction rule file")
     cmd.add_argument("--root", required=True, help="directory tree to scan")
-    cmd.add_argument("--mode", choices=["serial", "parallel"], default="serial")
+    cmd.add_argument("--mode", choices=["serial", "parallel"], default="serial",
+                     help="parallel is an alias of serial: both run one scan")
     cmd.add_argument("--format", choices=["xml", "json"], default="xml")
     cmd.add_argument("--out", help="write the document here instead of stdout")
     cmd.add_argument("--report", help="write the extraction report (JSON) here")

@@ -9,7 +9,6 @@ from .config import (
 )
 from .engine import (
     MODES,
-    WORKERS_ENV_VAR,
     AssembleResult,
     CoercionFailure,
     ExtractionReport,
@@ -26,7 +25,6 @@ __all__ = [
     "OCCURRENCES",
     "VALUE_TYPES",
     "MODES",
-    "WORKERS_ENV_VAR",
     "AssembleResult",
     "CoercionFailure",
     "ExtractionConfig",

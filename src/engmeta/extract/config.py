@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass, field
 
 from ..errors import ConfigError, PathError
-from ..model import NODE, NODE_LIST, SCALAR, SCALAR_LIST, EngMetaDataset, Variable
+from ..model import NODE_LIST, SCALAR, SCALAR_LIST, EngMetaDataset, Variable
 from ..paths import MetadataPath, PathSegment, parse_path, resolve_specs
 
 VALUE_TYPES = ("string", "integer", "decimal", "boolean", "date")
@@ -43,7 +43,7 @@ class TargetShape:
     """How a rule's target writes: fixed scalar or open list appends."""
 
     open_segment: int | None  # position of the index-less list segment, if any
-    owner_type: type | None  # node class owning the terminal scalar field
+    node_type: type | None  # node class of the open list, when it is a node list
 
 
 @dataclass(frozen=True)
@@ -68,12 +68,6 @@ class ExtractionConfig:
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
 
-    def rule(self, rule_id: str) -> ExtractionRule:
-        for rule in self.rules:
-            if rule.id == rule_id:
-                return rule
-        raise KeyError(rule_id)
-
 
 def analyze_target(rule_id: str, path: MetadataPath, *, grouped: bool, occurrence: str,
                    unit: str | None, line: int) -> TargetShape:
@@ -94,17 +88,21 @@ def analyze_target(rule_id: str, path: MetadataPath, *, grouped: bool, occurrenc
             f"rule {rule_id!r}: target {path} does not address a scalar field", line
         )
 
-    wants_open = grouped or occurrence == "all"
-    if wants_open:
+    open_segment: int | None = None
+    node_type: type | None = None
+    if grouped or occurrence == "all":
         if len(open_positions) != 1:
             raise ConfigError(
                 f"rule {rule_id!r}: target {path} needs exactly one index-less "
                 f"list segment for {'grouped rules' if grouped else 'occurrence=all'}",
                 line,
             )
+        open_segment = open_positions[0]
+        open_spec = resolved[open_segment][1]
+        if open_spec.kind == NODE_LIST:
+            node_type = open_spec.value_type
         if grouped:
-            open_spec = resolved[open_positions[0]][1]
-            if open_spec.kind != NODE_LIST or open_positions[0] == len(resolved) - 1:
+            if open_spec.kind != NODE_LIST or open_segment == len(resolved) - 1:
                 raise ConfigError(
                     f"rule {rule_id!r}: grouped rules must target a field inside "
                     f"a node list (got {path})",
@@ -113,7 +111,7 @@ def analyze_target(rule_id: str, path: MetadataPath, *, grouped: bool, occurrenc
         # appended instances are built from scalar fields reachable through
         # singular child nodes; list segments after the open one would be
         # ambiguous across instances
-        for _, spec in resolved[open_positions[0] + 1:]:
+        for _, spec in resolved[open_segment + 1:]:
             if spec.kind in (NODE_LIST, SCALAR_LIST):
                 raise ConfigError(
                     f"rule {rule_id!r}: target {path} nests a list inside the "
@@ -128,12 +126,8 @@ def analyze_target(rule_id: str, path: MetadataPath, *, grouped: bool, occurrenc
             line,
         )
 
-    if len(resolved) == 1:
-        owner_type: type | None = EngMetaDataset
-    else:
-        parent_spec = resolved[-2][1]
-        owner_type = parent_spec.value_type if parent_spec.kind in (NODE, NODE_LIST) else None
-
+    # resolve_specs lets only nodes and node lists precede the final segment
+    owner_type = resolved[-2][1].value_type if len(resolved) > 1 else EngMetaDataset
     if unit is not None and owner_type is not Variable:
         raise ConfigError(
             f"rule {rule_id!r}: unit only applies when the target is a "
@@ -141,7 +135,7 @@ def analyze_target(rule_id: str, path: MetadataPath, *, grouped: bool, occurrenc
             line,
         )
 
-    return TargetShape(open_positions[0] if wants_open else None, owner_type)
+    return TargetShape(open_segment, node_type)
 
 
 def parse_config(text: str) -> ExtractionConfig:

@@ -10,10 +10,11 @@ Assembly is deterministic regardless of scan order: files are processed in
 lexicographic path order, lines in file order, rules in declaration order.
 Scalar targets follow first-wins (later differing values are recorded as
 conflicts); open list targets append, skipping entries the list already
-contains, so scanning duplicated inputs cannot duplicate metadata. The
-parallel mode distributes the per-file scans over a thread pool and feeds
-the same ordered assembly, which is why both modes produce byte-identical
-documents.
+contains, so scanning duplicated inputs cannot duplicate metadata.
+
+Both modes run this one path, so they produce byte-identical documents.
+"parallel" is kept as an alias of "serial": scanning is pure Python and
+cheap next to assembly, so a thread pool measured no faster.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import fnmatch
 import os
 import time
 from dataclasses import dataclass, field, replace
-from decimal import Decimal, InvalidOperation
+from functools import partial
 from pathlib import Path
 
 from ..errors import CoercionError, ExtractionRootError, PathIndexGapError
@@ -34,23 +35,18 @@ from ..model import (
     SCALAR,
     EngMetaDataset,
     Variable,
+    decimal_from_text,
     field_by_element,
-    scalar_key,
+    integer_from_text,
     scalars_equal,
 )
-from ..paths import (
-    MetadataPath,
-    PathSegment,
-    append_node,
-    get_path,
-    resolve_specs,
-    set_path,
-)
+from ..paths import MetadataPath, PathSegment, append_node, get_path, set_path
 from .config import ExtractionConfig, ExtractionRule
 
 MODES = ("serial", "parallel")
 
-WORKERS_ENV_VAR = "ENGMETA_WORKERS"
+_UNREACHABLE_TARGET = "rule {!r} ({}:{}): target {} not reachable"
+_UNREACHABLE_LIST = "append to {} not reachable"
 
 _BOOLEAN_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
@@ -144,17 +140,14 @@ def coerce(raw_value: str, value_type: str):
     if value_type == "string":
         return raw_value
     if value_type == "integer":
-        body = raw_value[1:] if raw_value[:1] in "+-" else raw_value
-        if not body.isdigit():
+        value = integer_from_text(raw_value)
+        if value is None:
             raise CoercionError(f"{raw_value!r} is not an integer")
-        return int(raw_value)
+        return value
     if value_type == "decimal":
-        try:
-            value = Decimal(raw_value)
-        except InvalidOperation:
-            raise CoercionError(f"{raw_value!r} is not a decimal number") from None
-        if not value.is_finite():
-            raise CoercionError(f"{raw_value!r} is not a finite decimal")
+        value = decimal_from_text(raw_value)
+        if value is None:
+            raise CoercionError(f"{raw_value!r} is not a decimal number")
         return value
     if value_type == "boolean":
         word = raw_value.lower()
@@ -243,22 +236,32 @@ class _AssemblyState:
     """
 
     def __init__(self, config: ExtractionConfig):
-        self.config = config
         self.dataset = EngMetaDataset()
         self.conflicts: list[Conflict] = []
         self.failures: list[CoercionFailure] = []
         self.warnings: list[str] = []
-        self.deferred: list[tuple[str, object]] = []  # (description, retry thunk)
-        # list path -> (stored tuple, keys of its entries); see _seen_keys
+        self.deferred: list[tuple[object, object]] = []  # (describe, retry)
+        # list path -> (stored tuple, its entries as a set); see _seen
         self._list_keys: dict[MetadataPath, tuple[tuple, set]] = {}
+        # the rules in application order: a group's members together at its
+        # first rule; every rule that appends to a node list builds its
+        # nodes as a group, alone if ungrouped
+        self._steps: list[list[ExtractionRule]] = []
+        groups: dict[str, list[ExtractionRule]] = {}
+        for rule in config.rules:
+            if rule.group is None:
+                self._steps.append([rule])
+            elif rule.group in groups:
+                groups[rule.group].append(rule)
+            else:
+                groups[rule.group] = [rule]
+                self._steps.append(groups[rule.group])
 
     def take_file(self, source_file: str, per_rule: dict[str, list[RawHit]]) -> None:
-        handled_groups: set[str] = set()
-        for rule in self.config.rules:
-            if rule.group is not None:
-                if rule.group not in handled_groups:
-                    handled_groups.add(rule.group)
-                    self._take_group(rule.group, source_file, per_rule)
+        for members in self._steps:
+            rule = members[0]
+            if rule.shape.node_type is not None:
+                self._take_group(members, source_file, per_rule)
                 continue
             rule_hits = per_rule.get(rule.id)
             if not rule_hits:
@@ -274,9 +277,16 @@ class _AssemblyState:
                 if value is None:
                     continue
                 if rule.shape.open_segment is None:
-                    self._write_scalar(rule, hit, value)
-                else:
-                    self._append_open(rule, value)
+                    self._attempt(
+                        partial(_UNREACHABLE_TARGET.format, rule.id, hit.sourceFile,
+                                hit.lineNumber, rule.target),
+                        partial(self._apply_scalar, rule, value),
+                    )
+                else:  # each hit is one entry of a scalar list, e.g. a keyword
+                    self._attempt(
+                        partial(_UNREACHABLE_LIST.format, rule.target),
+                        partial(self._append, rule.target, value),
+                    )
 
     def _coerced(self, rule: ExtractionRule, hit: RawHit):
         try:
@@ -287,13 +297,14 @@ class _AssemblyState:
             )
             return None
 
-    def _write_scalar(self, rule: ExtractionRule, hit: RawHit, value) -> None:
-        if not self._apply_scalar(rule, value):
-            self.deferred.append((
-                f"rule {rule.id!r} ({hit.sourceFile}:{hit.lineNumber}): "
-                f"target {rule.target} not reachable",
-                lambda: self._apply_scalar(rule, value),
-            ))
+    def _attempt(self, describe, write) -> None:
+        """Run a write now, or defer it while it reports its target unreachable.
+
+        ``describe()`` gives the warning text, needed only for a write that
+        stays unplaceable.
+        """
+        if not write():
+            self.deferred.append((describe, write))
 
     def _apply_scalar(self, rule: ExtractionRule, value) -> bool:
         existing = get_path(self.dataset, rule.target)
@@ -315,16 +326,16 @@ class _AssemblyState:
         while self.deferred:
             remaining = []
             progress = False
-            for description, retry in self.deferred:
+            for describe, retry in self.deferred:
                 if retry():
                     progress = True
                 else:
-                    remaining.append((description, retry))
+                    remaining.append((describe, retry))
             self.deferred = remaining
             if not progress:
                 break
-        for description, _ in self.deferred:
-            self.warnings.append(f"{description}; hit skipped")
+        for describe, _ in self.deferred:
+            self.warnings.append(f"{describe()}; hit skipped")
         self.deferred = []
 
     def _attach_unit(self, rule: ExtractionRule, segments: tuple[PathSegment, ...]) -> None:
@@ -334,48 +345,17 @@ class _AssemblyState:
         if not get_path(self.dataset, unit_path):
             self.dataset = set_path(self.dataset, unit_path, rule.unit)
 
-    def _append_open(self, rule: ExtractionRule, value) -> None:
-        open_position = rule.shape.open_segment
-        prefix = rule.target.segments[: open_position + 1]
-        suffix = rule.target.segments[open_position + 1:]
-        if not suffix:
-            # scalar list target, e.g. each hit is one keyword
-            self._append_scalar(MetadataPath(prefix), value)
-            return
-        # node list target: each hit creates one new node
-        node_type = _open_node_type(rule)
-        node = _build_node(node_type, {tuple(s.name for s in suffix): value})
-        if rule.unit is not None and isinstance(node, Variable) and node.unit is None:
-            node = replace(node, unit=rule.unit)
-        self._append_deduplicated(MetadataPath(prefix), node)
-
-    def _append_scalar(self, list_path: MetadataPath, value) -> None:
-        stored = self._stored_list(list_path)
-        seen = self._seen_keys(list_path, stored, scalar_key)
-        if scalar_key(value) in seen:
-            return
-        *parents, last = list_path.segments
-        indexed = MetadataPath((*parents, PathSegment(last.name, len(stored))))
-        self.dataset = set_path(self.dataset, indexed, value)
-        self._remember_last(list_path, seen, scalar_key)
-
-    def _append_deduplicated(self, list_path: MetadataPath, node) -> None:
-        if not self._apply_append(list_path, node):
-            self.deferred.append((
-                f"append to {list_path} not reachable",
-                lambda: self._apply_append(list_path, node),
-            ))
-
-    def _apply_append(self, list_path: MetadataPath, node) -> bool:
-        seen = self._seen_keys(list_path, self._stored_list(list_path), _node_key)
-        if node in seen:
+    def _append(self, list_path: MetadataPath, item) -> bool:
+        """Append a scalar or node unless the list holds an equal entry already."""
+        seen = self._seen(list_path)
+        if item in seen:
             return True
         try:
-            updated = append_node(self.dataset, list_path, node)
+            self.dataset = append_node(self.dataset, list_path, item)
         except PathIndexGapError:
             return False
-        self.dataset = updated
-        self._remember_last(list_path, seen, _node_key)
+        seen.add(item)
+        self._list_keys[list_path] = (self._stored_list(list_path), seen)
         return True
 
     def _stored_list(self, list_path: MetadataPath) -> tuple:
@@ -387,27 +367,24 @@ class _AssemblyState:
         owner = owners[0]
         return getattr(owner, field_by_element(type(owner), last.name).attr)
 
-    def _seen_keys(self, list_path: MetadataPath, stored: tuple, key) -> set:
-        """Dedup keys of a stored list, rebuilt whenever the stored tuple changed.
+    def _seen(self, list_path: MetadataPath) -> set:
+        """The entries of a stored list as a set, rebuilt whenever the tuple changed.
 
-        Any write elsewhere in the list (an indexed rule, a unit) replaces the
-        tuple, so keys cached for the old tuple are never trusted for the new.
+        Entries are their own dedup keys: nodes hash and compare by their
+        type-strict canonical key, and scalar lists hold strings only. Any
+        write elsewhere in the list (an indexed rule, a unit) replaces the
+        tuple, so a set cached for the old tuple is never trusted for the new.
         """
+        stored = self._stored_list(list_path)
         cached = self._list_keys.get(list_path)
         if cached is not None and cached[0] is stored:
             return cached[1]
-        keys = {key(item) for item in stored}
-        self._list_keys[list_path] = (stored, keys)
-        return keys
-
-    def _remember_last(self, list_path: MetadataPath, seen: set, key) -> None:
-        stored = self._stored_list(list_path)
-        seen.add(key(stored[-1]))
+        seen = set(stored)
         self._list_keys[list_path] = (stored, seen)
+        return seen
 
-    def _take_group(self, group: str, source_file: str,
+    def _take_group(self, members: list[ExtractionRule], source_file: str,
                     per_rule: dict[str, list[RawHit]]) -> None:
-        members = [r for r in self.config.rules if r.group == group]
         present = [r for r in members if per_rule.get(r.id)]
         if not present:
             return
@@ -416,13 +393,12 @@ class _AssemblyState:
         if len(set(counts.values())) > 1:
             detail = ", ".join(f"{rid}={n}" for rid, n in sorted(counts.items()))
             self.warnings.append(
-                f"group {group!r} in {source_file}: mismatched instance counts "
-                f"({detail}); surplus dropped"
+                f"group {present[0].group!r} in {source_file}: mismatched instance "
+                f"counts ({detail}); surplus dropped"
             )
         first = present[0]
-        open_position = first.shape.open_segment
-        prefix = first.target.segments[: open_position + 1]
-        node_type = _open_node_type(first)
+        list_path = MetadataPath(first.target.segments[: first.shape.open_segment + 1])
+        describe = partial(_UNREACHABLE_LIST.format, list_path)
         for instance in range(instance_count):
             values: dict[tuple[str, ...], object] = {}
             unit: str | None = None
@@ -439,20 +415,10 @@ class _AssemblyState:
                     unit = rule.unit
             if not values:
                 continue
-            node = _build_node(node_type, values)
+            node = _build_node(first.shape.node_type, values)
             if unit is not None and isinstance(node, Variable) and node.unit is None:
                 node = replace(node, unit=unit)
-            self._append_deduplicated(MetadataPath(prefix), node)
-
-
-def _node_key(node):
-    # nodes are their own dedup key: they hash and compare by canonical key
-    return node
-
-
-def _open_node_type(rule: ExtractionRule) -> type:
-    resolved = resolve_specs(rule.target)
-    return resolved[rule.shape.open_segment][1].value_type
+            self._attempt(describe, partial(self._append, list_path, node))
 
 
 def _build_node(node_type: type, values: dict[tuple[str, ...], object]):
@@ -479,19 +445,6 @@ def _set_relative(node, suffix: tuple[str, ...], value):
     return replace(node, **{spec.attr: _set_relative(child, rest, value)})
 
 
-def _positive_env_workers() -> int | None:
-    raw = os.environ.get(WORKERS_ENV_VAR)
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{WORKERS_ENV_VAR} must be a positive integer, got {raw!r}") from None
-    if value < 1:
-        raise ValueError(f"{WORKERS_ENV_VAR} must be a positive integer, got {raw!r}")
-    return value
-
-
 def extract(
     root_dir: str | Path,
     config: ExtractionConfig,
@@ -500,8 +453,9 @@ def extract(
 ) -> tuple[EngMetaDataset, ExtractionReport]:
     """Scan a directory tree and assemble the extracted metadata.
 
-    Serial and parallel modes produce identical documents; parallel only
-    changes how the per-file scans are scheduled.
+    ``mode`` is "serial" or "parallel"; both run the same scan and give
+    identical documents. ``workers`` is accepted and ignored, so that
+    callers written for a worker pool keep working.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -515,29 +469,17 @@ def extract(
     def unreadable_directory(relative_path: str, exc: OSError) -> None:
         warnings.append(f"{relative_path}: unreadable directory, skipped ({exc})")
 
-    all_files = walk_files(root, unreadable_directory)
-    work: list[tuple[str, Path, list[ExtractionRule]]] = []
-    for relative_path, absolute_path in all_files:
-        applicable = [r for r in config.rules if glob_matches(r.source, relative_path)]
-        if applicable:
-            work.append((relative_path, absolute_path, applicable))
-
-    if mode == "parallel" and len(work) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        worker_count = workers or _positive_env_workers() or os.cpu_count() or 1
-        with ThreadPoolExecutor(max_workers=worker_count) as pool:
-            scanned = list(
-                pool.map(lambda item: scan_file(item[1], item[0], item[2]), work)
-            )
-    else:
-        scanned = [scan_file(abs_path, rel, rules) for rel, abs_path, rules in work]
-
     hits: list[RawHit] = []
+    files_scanned = 0
     bytes_scanned = 0
-    for file_hits, nbytes, file_warnings in scanned:
+    for relative_path, absolute_path in walk_files(root, unreadable_directory):
+        applicable = [r for r in config.rules if glob_matches(r.source, relative_path)]
+        if not applicable:
+            continue
+        file_hits, nbytes, file_warnings = scan_file(absolute_path, relative_path, applicable)
         hits.extend(file_hits)
         warnings.extend(file_warnings)
+        files_scanned += 1
         bytes_scanned += nbytes
 
     assembled = assemble(hits, config)
@@ -555,7 +497,7 @@ def extract(
         conflicts=assembled.conflicts,
         coercionFailures=assembled.coercionFailures,
         warnings=tuple(warnings) + assembled.warnings,
-        filesScanned=len(work),
+        filesScanned=files_scanned,
         bytesScanned=bytes_scanned,
         elapsedSeconds=time.perf_counter() - started,
     )

@@ -25,8 +25,9 @@ and no empty nodes (a node whose fields are all unset collapses to
 "absent").
 """
 
+import re
 from dataclasses import dataclass, field, fields as dataclass_fields
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from typing import get_args, get_origin
 
 Scalar = str | int | bool | Decimal
@@ -70,6 +71,37 @@ def decimal_to_text(value: Decimal) -> str:
     if text in ("-0", ""):
         text = "0"
     return text
+
+
+# The only numeric spellings read from documents and raw values: ASCII
+# digits, an optional sign and, for decimals, a point and an exponent.
+# int() and Decimal() alone also accept underscores, surrounding
+# whitespace and any Unicode decimal digit ("١٢" reads as 12).
+_INTEGER_TEXT = re.compile(r"[+-]?[0-9]+")
+_DECIMAL_TEXT = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+
+
+def integer_from_text(text: str) -> int | None:
+    """The integer that ``[+-]?[0-9]+`` text spells; None for any other text."""
+    if _INTEGER_TEXT.fullmatch(text) is None:
+        return None
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() converts
+        return None
+
+
+def decimal_from_text(text: str) -> Decimal | None:
+    """The decimal that ASCII number text spells (``1.5``, ``-2``, ``1.0e-3``).
+
+    None for any other text, including ``NaN`` and ``Infinity``.
+    """
+    if _DECIMAL_TEXT.fullmatch(text) is None:
+        return None
+    try:
+        return Decimal(text)
+    except InvalidOperation:  # an exponent beyond the decimal module's range
+        return None
 
 
 def scalar_to_text(value) -> str:

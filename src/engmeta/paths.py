@@ -160,23 +160,29 @@ def set_path(
 
 
 def append_node(dataset: EngMetaDataset, list_path: str | MetadataPath, item) -> EngMetaDataset:
-    """Append a prebuilt node to the node list the path addresses.
+    """Append a prebuilt node, or a scalar, to the list the path addresses.
 
-    The final segment must name a node list (index-less); intermediate
-    segments behave as in set_path. Appending an empty node changes
-    nothing: documents never hold content-free nodes.
+    The final segment must name a list, index-less; intermediate segments
+    behave as in set_path. A scalar is checked as set_path checks it.
+    Appending an empty node changes nothing: documents never hold
+    content-free nodes.
     """
     parsed = _as_path(list_path)
     resolved = resolve_specs(parsed)
     final_segment, final_spec = resolved[-1]
-    if final_spec.kind != NODE_LIST or final_segment.index is not None:
-        raise PathTargetError(f"{parsed}: not an index-less node list")
-    if not isinstance(item, final_spec.value_type):
+    if final_spec.kind not in (NODE_LIST, SCALAR_LIST) or final_segment.index is not None:
+        raise PathTargetError(f"{parsed}: not an index-less list")
+    if final_spec.kind == SCALAR_LIST:
+        try:
+            item = _check_scalar(final_spec, item)
+        except (TypeError, ValueError) as exc:
+            raise PathTargetError(f"{parsed}: {exc}") from None
+    elif not isinstance(item, final_spec.value_type):
         raise PathTargetError(
             f"{parsed}: expected {final_spec.value_type.__name__}, "
             f"got {type(item).__name__}"
         )
-    if item.is_empty():
+    elif item.is_empty():
         return dataset
     return _write(dataset, parsed, resolved, 0, lambda current, _segment, _spec: current + (item,))
 

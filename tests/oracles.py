@@ -152,19 +152,19 @@ def _merge_node(base, overlay, path: str, policy: str, conflicts: list):
 class ListScanAssembly(_AssemblyState):
     """Assembly that deduplicates appends by scanning the stored list."""
 
-    def _append_scalar(self, list_path: MetadataPath, value) -> None:
+    def _append(self, list_path: MetadataPath, item) -> bool:
         current = get_path(self.dataset, list_path)
-        if any(scalars_equal(item, value) for item in current):
-            return
-        *parents, last = list_path.segments
-        indexed = MetadataPath((*parents, PathSegment(last.name, len(current))))
-        self.dataset = set_path(self.dataset, indexed, value)
-
-    def _apply_append(self, list_path: MetadataPath, node) -> bool:
-        if _already_in(get_path(self.dataset, list_path), node):
+        if not _is_node(item):
+            if any(scalars_equal(entry, item) for entry in current):
+                return True
+            *parents, last = list_path.segments
+            indexed = MetadataPath((*parents, PathSegment(last.name, len(current))))
+            self.dataset = set_path(self.dataset, indexed, item)
+            return True
+        if _already_in(current, item):
             return True
         try:
-            self.dataset = append_node(self.dataset, list_path, node)
+            self.dataset = append_node(self.dataset, list_path, item)
         except PathIndexGapError:
             return False
         return True

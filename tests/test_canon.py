@@ -72,6 +72,30 @@ def test_type_incompatible_text_reports_path():
     assert excinfo.value.path == "system.temporalResolution.numberOfTimesteps"
 
 
+@pytest.mark.parametrize("element, text", [("sizeBytes", "١٢"), ("interval", "1_0")])
+def test_numbers_are_read_from_ascii_text_only(element, text):
+    # the writer spells numbers in ASCII digits without separators only
+    if element == "sizeBytes":
+        xml = f"<engMeta><file><sizeBytes>{text}</sizeBytes></file></engMeta>"
+    else:
+        xml = (
+            "<engMeta><system><temporalResolution>"
+            f"<interval>{text}</interval></temporalResolution></system></engMeta>"
+        )
+        with pytest.raises(CanonDecodeError):
+            from_json(json.dumps({"system": {"temporalResolution": {"interval": text}}}))
+    with pytest.raises(CanonDecodeError) as excinfo:
+        from_xml(xml)
+    assert excinfo.value.path.endswith(element)
+
+
+def test_decimal_exponent_notation_is_read():
+    document = {"system": {"temporalResolution": {"interval": "1.0e-3"}}}
+    read = from_json(json.dumps(document))
+    assert read.dataset.system.temporalResolution.interval == Decimal("0.001")
+    assert from_xml(to_xml(read.dataset)).dataset == read.dataset
+
+
 def test_wrong_root_element_rejected():
     with pytest.raises(CanonDecodeError):
         from_xml("<metadata/>")

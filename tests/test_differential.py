@@ -199,7 +199,8 @@ def _count(dataset, list_path: str) -> int:
 def writes(draw):
     """One set_path or append_node call, with indices inside the writable range."""
     kind = draw(st.sampled_from(
-        ["project", "keyword", "value", "uncertainty", "interval", "software", "parameter"]
+        ["project", "keyword", "subject", "value", "uncertainty", "interval", "software",
+         "parameter"]
     ))
     slot = draw(st.integers(0, 4))
     text = draw(st.sampled_from(["a", "b & c", "x < y"]))
@@ -207,6 +208,8 @@ def writes(draw):
         return lambda doc: set_path(doc, "project", text)
     if kind == "keyword":
         return lambda doc: set_path(doc, f"keyword[{min(slot, _count(doc, 'keyword'))}]", text)
+    if kind == "subject":
+        return lambda doc: append_node(doc, "subject", text)
     if kind == "value":
         value = draw(TRICKY_VALUES.filter(lambda v: v is not None))
         return lambda doc: set_path(

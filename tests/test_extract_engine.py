@@ -103,6 +103,17 @@ def test_coerce_integer_rejects_floats():
         coerce("5.5", "integer")
 
 
+def test_coerce_reads_ascii_numbers_only():
+    # int() and Decimal() alone take underscores and any Unicode digit
+    for raw in ("²", "١٢", "1_0", "9" * 5000):
+        with pytest.raises(CoercionError):
+            coerce(raw, "integer")
+    for raw in ("١٢", "1_0", "NaN", "-Infinity"):
+        with pytest.raises(CoercionError):
+            coerce(raw, "decimal")
+    assert coerce("+1.0e-3", "decimal") == Decimal("0.001")
+
+
 # --- assemble ----------------------------------------------------------------
 
 def hits_for(config, lines_by_file):
@@ -275,18 +286,16 @@ def test_extract_serial_and_parallel_identical(corpus_dir, rules_path):
     assert to_xml(serial) == to_xml(parallel)
 
 
-def test_extract_respects_workers_env(corpus_dir, rules_path, monkeypatch):
-    monkeypatch.setenv("ENGMETA_WORKERS", "2")
-    config = parse_config(rules_path.read_text())
-    dataset, _ = extract(corpus_dir, config, mode="parallel")
-    assert to_xml(dataset) == to_xml(expected_corpus_dataset())
-
-
-def test_extract_invalid_workers_env(corpus_dir, rules_path, monkeypatch):
+def test_parallel_mode_keeps_its_call_shape(corpus_dir, rules_path, golden_xml_path,
+                                           monkeypatch):
+    # perfbench/traced.py calls extract(root, config, "parallel", workers)
+    # positionally; ENGMETA_WORKERS is not read, so a bad value is harmless
     monkeypatch.setenv("ENGMETA_WORKERS", "zero")
     config = parse_config(rules_path.read_text())
-    with pytest.raises(ValueError):
-        extract(corpus_dir, config, mode="parallel")
+    dataset, _ = extract(corpus_dir, config, "parallel", 3)
+    assert to_xml(dataset) == golden_xml_path.read_text()
+    with pytest.raises(ValueError, match="unknown mode"):
+        extract(corpus_dir, config, mode="threads")
 
 
 def test_extract_enumeration_order_does_not_matter(corpus_dir, rules_path, monkeypatch):
@@ -390,6 +399,22 @@ def test_unreadable_directory_is_reported(tmp_path, make_unlistable):
     assert report.filesScanned == 1
     assert len(report.warnings) == 1
     assert report.warnings[0].startswith("b: unreadable directory, skipped (")
+
+
+def test_non_ascii_digits_are_coercion_failures(tmp_path):
+    (tmp_path / "md.log").write_text("nsteps = ²\ndt = 1_0\n", encoding="utf-8")
+    config = parse_config(
+        "[rule n]\ntarget = system.temporalResolution.numberOfTimesteps\nsource = *\n"
+        "key = nsteps\ntype = integer\n"
+        "[rule dt]\ntarget = system.temporalResolution.interval\nsource = *\n"
+        "key = dt\ntype = decimal\n"
+    )
+    dataset, report = extract(tmp_path, config)
+    assert dataset == EngMetaDataset()
+    assert [(f.ruleId, f.reason) for f in report.coercionFailures] == [
+        ("n", "'²' is not an integer"),
+        ("dt", "'1_0' is not a decimal number"),
+    ]
 
 
 def test_crlf_lines_handled(tmp_path):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from engmeta.canon import from_json, from_xml
 from engmeta.errors import EngMetaError
-from engmeta.extract import parse_config
+from engmeta.extract import coerce, parse_config
 from engmeta.model import (
     ATTRIBUTE,
     CONTENT,
@@ -156,6 +156,33 @@ def test_deep_nesting_and_surrogates_raise_only_engmeta_errors():
     _raises_only_engmeta_errors(from_json, "[" * 100_000)
     _raises_only_engmeta_errors(from_xml, "<engMeta>" + "<a>" * 100_000)
     _raises_only_engmeta_errors(from_xml, "<engMeta>\ud800</engMeta>")
+
+
+def _read_number(text: str, type_name: str, reader: str):
+    if reader == "rule value":
+        return coerce(text, type_name)
+    if type_name == "integer":
+        obj = {"file": [{"sizeBytes": text}]}
+    else:
+        obj = {"system": {"temporalResolution": {"interval": text}}}
+    if reader == "json":
+        return from_json(json.dumps(obj))
+    return from_xml(_as_xml(ROOT_ELEMENT, obj, EngMetaDataset))
+
+
+@settings(max_examples=150, deadline=None)
+@given(TEXTS, st.sampled_from(["integer", "decimal"]), st.sampled_from(["xml", "json", "rule value"]))
+@example("1_0", "decimal", "xml")
+@example("1_0", "decimal", "json")
+@example("1_0", "decimal", "rule value")
+@example("١٢", "integer", "xml")
+@example("١٢", "decimal", "rule value")
+def test_numbers_are_read_only_from_ascii_text(text, type_name, reader):
+    try:
+        _read_number(text, type_name, reader)
+    except EngMetaError:
+        return
+    assert set(text.strip()) <= set("0123456789+-.eE"), text
 
 
 SEGMENTS = st.builds(

@@ -4,7 +4,7 @@ import pytest
 
 from engmeta.errors import PathIndexGapError, PathSyntaxError, PathTargetError
 from engmeta.model import EngMetaDataset, ProcessingStep, Title
-from engmeta.paths import get_path, parse_path, set_path
+from engmeta.paths import append_node, get_path, parse_path, set_path
 
 
 def test_parse_path_segments():
@@ -87,6 +87,14 @@ def test_set_path_rejects_incompatible_value():
 def test_set_path_requires_index_for_writing_lists():
     with pytest.raises(PathTargetError):
         set_path(EngMetaDataset(), "keyword", "x")
+
+
+def test_append_node_appends_checked_scalars():
+    doc = append_node(EngMetaDataset(), "keyword", "a")
+    assert append_node(doc, "keyword", "b").keywords == ("a", "b")
+    for path, value in (("keyword", 5), ("keyword", ""), ("keyword[0]", "c"), ("project", "c")):
+        with pytest.raises(PathTargetError):
+            append_node(doc, path, value)
 
 
 def test_set_path_does_not_mutate_input():

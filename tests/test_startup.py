@@ -77,8 +77,8 @@ def test_command_loads_only_its_layers(command, tmp_path, golden_xml_path, rules
     loaded = json.loads(loaded_file.read_text())
     assert loaded["code"] == 0
     assert {m for m in loaded["modules"] if m.split(".")[0] == "engmeta"} == expected
-    # only the parallel branch needs the thread pool
-    assert ("concurrent.futures" in loaded["modules"]) == (command == "extract --mode parallel")
+    # both extract modes run one serial path: no command loads a pool
+    assert "concurrent.futures" not in loaded["modules"]
 
 
 IMPORT_ORDERS = {
