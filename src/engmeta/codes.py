@@ -1,7 +1,8 @@
 """Controlled code lists.
 
 The lists live in a bundled JSON table (codes.json) so deployments can adjust
-them without touching code; only the processing-step types and checksum
+them without touching code; the model's field rules name them. Only the
+processing-step types (declared with their field in ``model``) and checksum
 algorithms are fixed, because other behavior depends on them.
 """
 
@@ -11,8 +12,7 @@ import json
 from functools import lru_cache
 from importlib import resources
 
-# Fixed: the four stages of the research process.
-STEP_TYPES = ("data generation", "post processing", "analysis", "visualization")
+from .model import STEP_TYPES  # noqa: F401  (re-exported)
 
 # Fixed: algorithm code -> required hex digest length.
 CHECKSUM_ALGORITHMS = {"MD5": 32, "SHA-256": 64}

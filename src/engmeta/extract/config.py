@@ -12,7 +12,10 @@ The format is line-oriented and diff-friendly:
 
 Every rule needs ``target``, ``source`` and ``key``; ``delimiter`` defaults
 to "=", ``type`` to string and ``occurrence`` to first. Values are taken
-verbatim after the first "=" and trimmed.
+verbatim after the first "=" and trimmed. The ``type`` must fill the target
+field: string and date fill text fields, integer fills integer and decimal
+fields, decimal fills decimal fields, boolean fills boolean fields, and a
+variable's ``value`` takes every type.
 
 A target is either a fully indexed scalar path, or (for occurrence=all and
 for grouped rules) a path with exactly one index-less list segment that
@@ -26,12 +29,30 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 from ..errors import ConfigError, PathError
-from ..model import NODE_LIST, SCALAR, SCALAR_LIST, EngMetaDataset, Variable
+from ..model import (
+    NODE_LIST,
+    SCALAR,
+    SCALAR_LIST,
+    SCALAR_TYPE_NAMES,
+    TAGGED,
+    EngMetaDataset,
+    Variable,
+)
 from ..paths import MetadataPath, PathSegment, parse_path, resolve_specs
 
-VALUE_TYPES = ("string", "integer", "decimal", "boolean", "date")
+# rule value type -> the field types its values fill; a TAGGED field
+# (Variable.value) takes every type
+_FILLS = {
+    "string": (str,),
+    "integer": (int, Decimal),
+    "decimal": (Decimal,),
+    "boolean": (bool,),
+    "date": (str,),
+}
+VALUE_TYPES = tuple(_FILLS)
 OCCURRENCES = ("first", "last", "all")
 
 _FIELD_NAMES = ("target", "source", "key", "delimiter", "type", "unit", "group", "occurrence")
@@ -70,8 +91,8 @@ class ExtractionConfig:
 
 
 def analyze_target(rule_id: str, path: MetadataPath, *, grouped: bool, occurrence: str,
-                   unit: str | None, line: int) -> TargetShape:
-    """Check a rule target against the document schema."""
+                   unit: str | None, value_type: str, line: int) -> TargetShape:
+    """Check a rule target, and the type of the values it takes, against the schema."""
     try:
         resolved = resolve_specs(path)
     except PathError as exc:
@@ -86,6 +107,13 @@ def analyze_target(rule_id: str, path: MetadataPath, *, grouped: bool, occurrenc
     if terminal_spec.kind not in (SCALAR, SCALAR_LIST):
         raise ConfigError(
             f"rule {rule_id!r}: target {path} does not address a scalar field", line
+        )
+    field_type = terminal_spec.value_type
+    if field_type is not TAGGED and field_type not in _FILLS[value_type]:
+        raise ConfigError(
+            f"rule {rule_id!r}: type {value_type} cannot fill target {path}, "
+            f"a {SCALAR_TYPE_NAMES[field_type]} field",
+            line,
         )
 
     open_segment: int | None = None
@@ -238,7 +266,7 @@ def _build_rule(rule_id: str, header_line: int, fields: dict[str, str],
     unit = fields.get("unit") or None
     shape = analyze_target(
         rule_id, target, grouped=group is not None, occurrence=occurrence,
-        unit=unit, line=header_line,
+        unit=unit, value_type=value_type, line=header_line,
     )
 
     return ExtractionRule(

@@ -22,7 +22,7 @@ from __future__ import annotations
 import fnmatch
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -31,10 +31,7 @@ from ..fswalk import walk_files
 from ..isodates import is_iso_date_or_datetime
 from ..merging import Conflict
 from ..model import (
-    NODE,
-    SCALAR,
     EngMetaDataset,
-    Variable,
     decimal_from_text,
     field_by_element,
     integer_from_text,
@@ -47,6 +44,7 @@ MODES = ("serial", "parallel")
 
 _UNREACHABLE_TARGET = "rule {!r} ({}:{}): target {} not reachable"
 _UNREACHABLE_LIST = "append to {} not reachable"
+_UNIT = MetadataPath((PathSegment("unit"),))
 
 _BOOLEAN_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
@@ -399,50 +397,27 @@ class _AssemblyState:
         first = present[0]
         list_path = MetadataPath(first.target.segments[: first.shape.open_segment + 1])
         describe = partial(_UNREACHABLE_LIST.format, list_path)
+        # each rule's target inside the node built for one instance
+        in_node = {
+            r.id: MetadataPath(r.target.segments[r.shape.open_segment + 1:]) for r in present
+        }
         for instance in range(instance_count):
-            values: dict[tuple[str, ...], object] = {}
+            node = first.shape.node_type()
             unit: str | None = None
             for rule in present:
-                hit = per_rule[rule.id][instance]
-                value = self._coerced(rule, hit)
-                if value is None:
-                    continue
-                suffix = tuple(
-                    s.name for s in rule.target.segments[rule.shape.open_segment + 1:]
-                )
-                values[suffix] = value
-                if rule.unit is not None and unit is None:
-                    unit = rule.unit
-            if not values:
+                value = self._coerced(rule, per_rule[rule.id][instance])
+                if value is not None:
+                    # config checks each rule's type against its field, so
+                    # the write cannot fail
+                    node = set_path(node, in_node[rule.id], value)
+                    unit = unit or rule.unit
+            if node.is_empty():
                 continue
-            node = _build_node(first.shape.node_type, values)
-            if unit is not None and isinstance(node, Variable) and node.unit is None:
-                node = replace(node, unit=unit)
+            # config accepts a unit only on a variable field, and variables
+            # sit in lists only, so the node is a Variable
+            if unit is not None and node.unit is None:
+                node = set_path(node, _UNIT, unit)
             self._attempt(describe, partial(self._append, list_path, node))
-
-
-def _build_node(node_type: type, values: dict[tuple[str, ...], object]):
-    node = node_type()
-    for suffix, value in values.items():
-        node = _set_relative(node, suffix, value)
-    return node
-
-
-def _set_relative(node, suffix: tuple[str, ...], value):
-    # config validation guarantees the suffix runs through singular nodes
-    # down to one scalar field
-    name, rest = suffix[0], suffix[1:]
-    spec = field_by_element(type(node), name)
-    if spec is None:
-        raise AssertionError(f"no element {name!r} in {type(node).__name__}")
-    if not rest:
-        if spec.kind != SCALAR:
-            raise AssertionError(f"{name!r} is not scalar")
-        return replace(node, **{spec.attr: value})
-    if spec.kind != NODE:
-        raise AssertionError(f"{name!r} cannot hold nested instance fields")
-    child = getattr(node, spec.attr) or spec.value_type()
-    return replace(node, **{spec.attr: _set_relative(child, rest, value)})
 
 
 def extract(

@@ -8,7 +8,7 @@ that disagree produce a conflict record resolved by the chosen policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .model import (
     NODE,
@@ -44,7 +44,7 @@ def merge(
 
 
 def _merge_node(base, overlay, path: str, policy: str, conflicts: list[Conflict]):
-    updates = {}
+    merged_node = base
     for spec in schema(type(base)):
         left = getattr(base, spec.attr)
         right = getattr(overlay, spec.attr)
@@ -73,7 +73,7 @@ def _merge_node(base, overlay, path: str, policy: str, conflicts: list[Conflict]
         else:
             merged = left
 
-        if merged is not left:
-            updates[spec.attr] = merged
+        if merged is not left:  # both sides hold canonical values already
+            merged_node = merged_node._replaced(spec.attr, merged)
 
-    return replace(base, **updates) if updates else base
+    return merged_node

@@ -17,12 +17,13 @@ class with a text-content field (``_content``) carries every other field as
 an XML attribute; all other classes carry their fields as child elements.
 
 Construction is deliberately permissive: partially filled documents are the
-normal intermediate state of automated extraction. Rule-level constraints
-(code lists, digest lengths, ISO dates, ...) are checked by
-``validation.validate``, not by constructors. Constructors do enforce value
-semantics: correct scalar types, no empty strings, only finite decimals,
-and no empty nodes (a node whose fields are all unset collapses to
-"absent").
+normal intermediate state of automated extraction. Field-local constraints
+(code lists, required fields, ISO dates, URIs, bounds, ...) are declared as
+field rules (``_rules``), carried in ``FieldSpec.rules`` and checked by
+``validation.validate``, not by constructors; the code lists a rule names
+stay editable in codes.json. Constructors do enforce value semantics:
+correct scalar types, no empty strings, only finite decimals, and no empty
+nodes (a node whose fields are all unset collapses to "absent").
 """
 
 import re
@@ -91,17 +92,28 @@ def integer_from_text(text: str) -> int | None:
         return None
 
 
+# The most digits a number's text may have: int() converts no more, and
+# decimals are written in plain notation, so a decimal's exponent counts too.
+_MAX_DIGITS = 4300
+
+
 def decimal_from_text(text: str) -> Decimal | None:
     """The decimal that ASCII number text spells (``1.5``, ``-2``, ``1.0e-3``).
 
-    None for any other text, including ``NaN`` and ``Infinity``.
+    None for any other text, including ``NaN`` and ``Infinity``, and for a
+    number whose plain notation would have more than 4300 digits
+    (``1e50000`` and ``1e-50000``).
     """
     if _DECIMAL_TEXT.fullmatch(text) is None:
         return None
     try:
-        return Decimal(text)
+        value = Decimal(text)
     except InvalidOperation:  # an exponent beyond the decimal module's range
         return None
+    _, digits, exponent = value.as_tuple()
+    # digits of the plain notation: trailing zeros, or a leading "0." and zeros
+    plain = len(digits) + exponent if exponent >= 0 else max(len(digits), 1 - exponent)
+    return value if plain <= _MAX_DIGITS else None
 
 
 def scalar_to_text(value) -> str:
@@ -265,32 +277,69 @@ def _normalize_field(spec: "FieldSpec", value):
     return tuple(kept)
 
 
+# Fixed: the four stages of the research process (other behaviour
+# depends on them, so unlike the code lists they are not editable).
+STEP_TYPES = ("data generation", "post processing", "analysis", "visualization")
+
+
+@dataclass(frozen=True)
+class FieldRules:
+    """Field-local constraints, declared with ``_rules``, that validation checks."""
+
+    required: str | None = None  # the error message when the field is absent
+    codes: str | None = None  # a code list in codes.json; other values are findings
+    severity: str = "warning"  # of a value outside that code list
+    one_of: tuple[str, ...] = ()  # fixed values; any other is an error
+    iso_date: bool = False  # an ISO-8601 date or date-time
+    uri: bool = False  # a URI reference: no whitespace or control characters
+    at_least: int | None = None  # inclusive lower bound
+    above: int | None = None  # exclusive lower bound
+    unique_names: bool = False  # the variables of the list have distinct names
+
+
+def _rules(*, content: bool = False, default=None, required: str | None = None,
+           codes: str | None = None, severity: str = "warning", one_of: tuple[str, ...] = (),
+           iso_date: bool = False, uri: bool = False, at_least: int | None = None,
+           above: int | None = None, unique_names: bool = False):
+    """A field with the ``FieldRules`` named; keyword-only, so a misspelled rule fails at import.
+
+    ``content`` marks the text-content field (see ``_content``); ``default``
+    is ``()`` for a list field.
+    """
+    rules = FieldRules(required, codes, severity, one_of, iso_date, uri, at_least, above,
+                       unique_names)
+    metadata: dict = {} if rules == FieldRules() else {"rules": rules}
+    if content:
+        metadata["placement"] = CONTENT
+    return field(default=default, metadata=metadata)
+
+
 def _plural(element: str):
     """A list field whose repeated element is named ``element``."""
     return field(default=(), metadata={"element": element})
 
 
-def _content():
+def _content(**rules):
     """The field carried as the element's text; its siblings become attributes."""
-    return field(default=None, metadata={"placement": CONTENT})
+    return _rules(content=True, **rules)
 
 
 @dataclass(frozen=True, eq=False)
 class Title(_Node):
     text: str | None = _content()
-    titleType: str | None = None
+    titleType: str | None = _rules(codes="titleTypes", severity="error")
 
 
 @dataclass(frozen=True, eq=False)
 class Description(_Node):
     text: str | None = _content()
-    descriptionType: str | None = None
+    descriptionType: str | None = _rules(codes="descriptionTypes")
 
 
 @dataclass(frozen=True, eq=False)
 class DatedEvent(_Node):
-    date: str | None = _content()
-    dateType: str | None = None
+    date: str | None = _content(iso_date=True)
+    dateType: str | None = _rules(codes="dateTypes")
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,29 +355,33 @@ class PersonOrOrganization(_Node):
     name: str | None = None
     identifier: Identifier | None = None
     affiliation: str | None = None
-    role: str | None = None
+    role: str | None = _rules(codes="roles", severity="error")
 
 
 @dataclass(frozen=True, eq=False)
 class FundingReference(_Node):
     funderName: str | None = None
     awardNumber: str | None = None
-    funderIdentifierType: str | None = None
+    funderIdentifierType: str | None = _rules(codes="funderIdentifierTypes")
 
 
 @dataclass(frozen=True, eq=False)
 class RelatedIdentifier(_Node):
     """A link to related work or data: identifier plus two type codes."""
 
-    identifier: str | None = _content()
-    relatedIdentifierType: str | None = None
-    relationType: str | None = None
+    identifier: str | None = _content(required="related identifier needs an identifier")
+    relatedIdentifierType: str | None = _rules(
+        required="type code is required", codes="relatedIdentifierTypes"
+    )
+    relationType: str | None = _rules(
+        required="relation type code is required", codes="relationTypes"
+    )
 
 
 @dataclass(frozen=True, eq=False)
 class ResourceType(_Node):
     text: str | None = _content()
-    resourceTypeGeneral: str | None = None
+    resourceTypeGeneral: str | None = _rules(codes="resourceTypes")
 
 
 @dataclass(frozen=True, eq=False)
@@ -347,8 +400,8 @@ class SuccessMarker(_Node):
 
 @dataclass(frozen=True, eq=False)
 class PersistentIdentifier(_Node):
-    value: str | None = _content()
-    scheme: str | None = None
+    value: str | None = _content(required="persistent identifier needs a value")
+    scheme: str | None = _rules(required="persistent identifier needs a scheme")
 
 
 @dataclass(frozen=True, eq=False)
@@ -360,10 +413,10 @@ class Checksum(_Node):
 @dataclass(frozen=True, eq=False)
 class FileInfo(_Node):
     filename: str | None = None
-    link: str | None = None
+    link: str | None = _rules(uri=True)
     pid: PersistentIdentifier | None = None
     checksum: Checksum | None = None
-    sizeBytes: int | None = None
+    sizeBytes: int | None = _rules(at_least=0)
     fileType: str | None = None
 
 
@@ -372,7 +425,7 @@ class FileRef(_Node):
     """A file locator used by processing-step inputs/outputs."""
 
     name: str | None = None
-    link: str | None = None
+    link: str | None = _rules(uri=True)
     pid: str | None = None
 
     def locator(self) -> str | None:
@@ -387,7 +440,7 @@ class Variable(_Node):
     name: str | None = None
     value: str | int | bool | Decimal | None = None
     unit: str | None = None
-    uncertainty: Decimal | None = None
+    uncertainty: Decimal | None = _rules(at_least=0)
     symbol: str | None = None
 
 
@@ -408,14 +461,14 @@ class Component(_Node):
 
 @dataclass(frozen=True, eq=False)
 class TemporalResolution(_Node):
-    numberOfTimesteps: int | None = None
-    interval: Decimal | None = None
+    numberOfTimesteps: int | None = _rules(at_least=0)
+    interval: Decimal | None = _rules(above=0)
     intervalUnit: str | None = None
 
 
 @dataclass(frozen=True, eq=False)
 class SpatialResolution(_Node):
-    numberOfCells: int | None = None
+    numberOfCells: int | None = _rules(at_least=0)
     scale: Decimal | None = None
     scaleUnit: str | None = None
 
@@ -427,9 +480,9 @@ class ObservedSystem(_Node):
     description: str | None = None
     components: tuple[Component, ...] = ()
     boundaryConditions: tuple[str, ...] = ()
-    controlledVariables: tuple[Variable, ...] = ()
-    measuredVariables: tuple[Variable, ...] = ()
-    parameters: tuple[Variable, ...] = ()
+    controlledVariables: tuple[Variable, ...] = _rules(default=(), unique_names=True)
+    measuredVariables: tuple[Variable, ...] = _rules(default=(), unique_names=True)
+    parameters: tuple[Variable, ...] = _rules(default=(), unique_names=True)
     spatialResolution: SpatialResolution | None = None
     temporalResolution: TemporalResolution | None = None
 
@@ -451,9 +504,9 @@ class Environment(_Node):
     """The computing environment a step ran on."""
 
     name: str | None = None
-    nodes: int | None = None
-    coresPerNode: int | None = None
-    totalCores: int | None = None
+    nodes: int | None = _rules(above=0)
+    coresPerNode: int | None = _rules(above=0)
+    totalCores: int | None = _rules(above=0)
     compiler: Compiler | None = None
 
 
@@ -464,10 +517,10 @@ class Software(_Node):
     contributor: tuple[PersonOrOrganization, ...] = ()
     programmingLanguage: str | None = None
     operatingSystem: str | None = None
-    url: str | None = None
-    softwareSourceCode: str | None = None
-    softwareApplication: str | None = None
-    codeRepository: str | None = None
+    url: str | None = _rules(uri=True)
+    softwareSourceCode: str | None = _rules(uri=True)
+    softwareApplication: str | None = _rules(uri=True)
+    codeRepository: str | None = _rules(uri=True)
     citation: str | None = None
     referencePublication: str | None = None
     license: RightsStatement | None = None
@@ -484,8 +537,8 @@ class Instrument(_Node):
 class ProcessingStep(_Node):
     """One stage of the research process."""
 
-    stepType: str | None = None
-    date: str | None = None
+    stepType: str | None = _rules(one_of=STEP_TYPES)
+    date: str | None = _rules(iso_date=True)
     actor: PersonOrOrganization | None = None
     inputs: tuple[FileRef, ...] = _plural("input")
     outputs: tuple[FileRef, ...] = _plural("output")
@@ -536,6 +589,7 @@ class FieldSpec:
     kind: str
     value_type: object  # scalar type / TAGGED for scalar kinds, node class otherwise
     placement: str = CHILD
+    rules: FieldRules | None = None  # the validation rules declared on the field
 
 
 ROOT_ELEMENT = "engMeta"
@@ -562,6 +616,7 @@ def _derive_schema(cls: type) -> tuple[FieldSpec, ...]:
             f.metadata.get("element", f.name),
             *_kind(f.type),
             f.metadata.get("placement", default_placement),
+            f.metadata.get("rules"),
         )
         for f in declared
     )

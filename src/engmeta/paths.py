@@ -108,14 +108,16 @@ def get_path(dataset: EngMetaDataset, path: str | MetadataPath) -> list:
     return current
 
 
-def resolve_specs(path: str | MetadataPath) -> list[tuple[PathSegment, FieldSpec]]:
-    """Resolve each segment to its field spec, starting at the document root.
+def resolve_specs(
+    path: str | MetadataPath, root: type = EngMetaDataset
+) -> list[tuple[PathSegment, FieldSpec]]:
+    """Resolve each segment to its field spec, starting at the ``root`` node class.
 
     Raises PathTargetError when a segment does not exist in its context or
     when a scalar appears before the final segment.
     """
     parsed = _as_path(path)
-    cls: type | None = EngMetaDataset
+    cls: type | None = root
     resolved: list[tuple[PathSegment, FieldSpec]] = []
     for position, segment in enumerate(parsed.segments):
         if cls is None:
@@ -131,13 +133,12 @@ def resolve_specs(path: str | MetadataPath) -> list[tuple[PathSegment, FieldSpec
     return resolved
 
 
-def set_path(
-    dataset: EngMetaDataset, path: str | MetadataPath, value
-) -> EngMetaDataset:
+def set_path(dataset, path: str | MetadataPath, value):
     """Return a copy of the dataset with one scalar location set.
 
     Intermediate nodes are created on demand; list indices may point at most
     one past the current end (append). The input document is not modified.
+    Any node can stand in for the dataset; the path is then relative to it.
     """
     parsed = _as_path(path)
 
@@ -156,19 +157,20 @@ def set_path(
             return checked
         return _place(current, segment, checked, parsed)
 
-    return _write(dataset, parsed, resolve_specs(parsed), 0, write_scalar)
+    return _write(dataset, parsed, resolve_specs(parsed, type(dataset)), 0, write_scalar)
 
 
-def append_node(dataset: EngMetaDataset, list_path: str | MetadataPath, item) -> EngMetaDataset:
+def append_node(dataset, list_path: str | MetadataPath, item):
     """Append a prebuilt node, or a scalar, to the list the path addresses.
 
     The final segment must name a list, index-less; intermediate segments
     behave as in set_path. A scalar is checked as set_path checks it.
     Appending an empty node changes nothing: documents never hold
-    content-free nodes.
+    content-free nodes. As with set_path, any node can stand in for the
+    dataset.
     """
     parsed = _as_path(list_path)
-    resolved = resolve_specs(parsed)
+    resolved = resolve_specs(parsed, type(dataset))
     final_segment, final_spec = resolved[-1]
     if final_spec.kind not in (NODE_LIST, SCALAR_LIST) or final_segment.index is not None:
         raise PathTargetError(f"{parsed}: not an index-less list")

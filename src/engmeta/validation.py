@@ -2,9 +2,16 @@
 
 The structural profile checks every constraint that applies to values that
 are actually present (codes, digest shapes, ISO dates, count ranges, ...).
-It never requires a field to exist: partially filled documents are the
+It never requires a node to exist: partially filled documents are the
 normal output of automated extraction. The citable profile adds the minimum
 a publishable record needs: a title, an author, a description and a date.
+
+The field-local constraints are the rules declared on the model's fields
+(``FieldSpec.rules``); each node class's table of checks is derived from
+them once. Only the two cross-field checks are code here: a checksum's
+algorithm and digest, and a variable's uncertainty, which needs a numeric
+value. Per node, findings come in table order: blank strings, the
+cross-field check, then the field rules in declaration order.
 
 Violations are findings, not exceptions; a report always enumerates every
 problem found.
@@ -12,9 +19,11 @@ problem found.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import cache, partial
 
 from . import codes as codetables
 from .isodates import is_iso_date_or_datetime
@@ -23,24 +32,9 @@ from .model import (
     NODE_LIST,
     SCALAR,
     SCALAR_LIST,
+    TAGGED,
     Checksum,
-    DatedEvent,
-    Description,
     EngMetaDataset,
-    Environment,
-    FileInfo,
-    FileRef,
-    FundingReference,
-    ObservedSystem,
-    PersistentIdentifier,
-    PersonOrOrganization,
-    ProcessingStep,
-    RelatedIdentifier,
-    ResourceType,
-    Software,
-    SpatialResolution,
-    TemporalResolution,
-    Title,
     Variable,
     schema,
 )
@@ -48,11 +42,6 @@ from .model import (
 PROFILES = ("structural", "citable")
 
 _HEX_RE = re.compile(r"[0-9a-f]+")
-_URI_FIELDS = {
-    Software: ("url", "softwareSourceCode", "softwareApplication", "codeRepository"),
-    FileInfo: ("link",),
-    FileRef: ("link",),
-}
 
 
 @dataclass(frozen=True)
@@ -94,10 +83,7 @@ def validate(dataset: EngMetaDataset, profile: str = "structural") -> Validation
         findings.append(Finding("warning", path, message))
 
     for node, path in _walk(dataset, ""):
-        _check_blank_strings(node, path, error)
-        _check_uris(node, path, error)
-        check = _NODE_CHECKS.get(type(node))
-        if check is not None:
+        for check in _checks(type(node)):
             check(node, path, error, warning)
 
     if profile == "citable":
@@ -129,93 +115,103 @@ def _field_path(path: str, element: str) -> str:
     return f"{path}.{element}" if path else element
 
 
-def _check_blank_strings(node, path, error) -> None:
-    for spec in schema(type(node)):
-        value = getattr(node, spec.attr)
-        if spec.kind == SCALAR and isinstance(value, str) and not value.strip():
-            error(_field_path(path, spec.element), "must not be blank")
-        elif spec.kind == SCALAR_LIST:
-            for i, item in enumerate(value):
-                if isinstance(item, str) and not item.strip():
-                    error(f"{_field_path(path, spec.element)}[{i}]", "must not be blank")
+@cache
+def _checks(cls: type) -> tuple:
+    """The checks of one node class, each called as ``check(node, path, error, warning)``."""
+    specs = schema(cls)
+    texts = tuple(
+        (spec.attr, spec.element, spec.kind == SCALAR_LIST) for spec in specs
+        if spec.kind in (SCALAR, SCALAR_LIST) and spec.value_type in (str, TAGGED)
+    )
+    ruled = tuple(
+        (spec.attr, spec.element, spec.rules.required, _rule_tests(spec.rules))
+        for spec in specs if spec.rules is not None
+    )
+    checks = [partial(_check_blank, texts)] if texts else []
+    if cls in _CROSS_FIELD:
+        checks.append(_CROSS_FIELD[cls])
+    if ruled:
+        checks.append(partial(_check_rules, ruled))
+    return tuple(checks)
 
 
-def _is_uri_reference(text: str) -> bool:
-    return bool(text) and not any(ch.isspace() or ord(ch) < 0x20 for ch in text)
-
-
-def _check_uris(node, path, error) -> None:
-    for attr in _URI_FIELDS.get(type(node), ()):
+def _check_blank(texts, node, path, error, warning) -> None:
+    for attr, element, listed in texts:
         value = getattr(node, attr)
-        if value is not None and not _is_uri_reference(value):
-            error(_field_path(path, attr), "not a valid URI reference")
+        if listed:  # scalar lists hold strings only
+            for i, item in enumerate(value):
+                if not item.strip():
+                    error(f"{_field_path(path, element)}[{i}]", "must not be blank")
+        elif isinstance(value, str) and not value.strip():
+            error(_field_path(path, element), "must not be blank")
 
 
-def _check_membership(value, list_name, path, report) -> None:
-    if value is not None and value not in codetables.codes(list_name):
-        report(path, f"{value!r} is not in the {list_name} code list")
+def _check_rules(ruled, node, path, error, warning) -> None:
+    for attr, element, required, tests in ruled:
+        value = getattr(node, attr)
+        if value is None:
+            if required is not None:
+                error(_field_path(path, element), required)
+            continue
+        for test in tests:
+            for severity, suffix, message in test(value):
+                report = error if severity == "error" else warning
+                report(_field_path(path, element) + suffix, message)
 
 
-def _check_title(node: Title, path, error, warning) -> None:
-    _check_membership(node.titleType, "titleTypes", _field_path(path, "titleType"), error)
+def _rule_tests(rules) -> tuple:
+    """One test per declared rule, for a present value.
+
+    ``test(value)`` gives a ``(severity, path suffix, message)`` triple for
+    each problem it finds.
+    """
+    tests = []
+    if rules.codes is not None:
+        template = f"{{!r}} is not in the {rules.codes} code list"
+        tests.append(_member_of(frozenset(codetables.codes(rules.codes)), rules.severity, template))
+    if rules.one_of:
+        template = f"{{!r}} is not one of: {', '.join(rules.one_of)}"
+        tests.append(_member_of(frozenset(rules.one_of), "error", template))
+    if rules.iso_date:
+        tests.append(_iso_date)
+    if rules.uri:
+        tests.append(_uri_reference)
+    if rules.at_least is not None:
+        tests.append(_bound(operator.ge, rules.at_least, f"must be >= {rules.at_least}"))
+    if rules.above is not None:
+        tests.append(_bound(operator.gt, rules.above, f"must be > {rules.above}"))
+    if rules.unique_names:
+        tests.append(_unique_names)
+    return tuple(tests)
 
 
-def _check_description(node: Description, path, error, warning) -> None:
-    _check_membership(
-        node.descriptionType, "descriptionTypes", _field_path(path, "descriptionType"), warning
-    )
+def _member_of(allowed: frozenset, severity: str, template: str):
+    return lambda value: () if value in allowed else ((severity, "", template.format(value)),)
 
 
-def _check_dated_event(node: DatedEvent, path, error, warning) -> None:
-    if node.date is not None and not is_iso_date_or_datetime(node.date):
-        error(_field_path(path, "date"), f"{node.date!r} is not an ISO-8601 date or date-time")
-    _check_membership(node.dateType, "dateTypes", _field_path(path, "dateType"), warning)
+def _bound(holds, limit, message: str):
+    return lambda value: () if holds(value, limit) else (("error", "", message),)
 
 
-def _check_person(node: PersonOrOrganization, path, error, warning) -> None:
-    _check_membership(node.role, "roles", _field_path(path, "role"), error)
+def _iso_date(value: str):
+    if not is_iso_date_or_datetime(value):
+        yield "error", "", f"{value!r} is not an ISO-8601 date or date-time"
 
 
-def _check_funding(node: FundingReference, path, error, warning) -> None:
-    _check_membership(
-        node.funderIdentifierType,
-        "funderIdentifierTypes",
-        _field_path(path, "funderIdentifierType"),
-        warning,
-    )
+def _uri_reference(value: str):
+    if not value or any(ch.isspace() or ord(ch) < 0x20 for ch in value):
+        yield "error", "", "not a valid URI reference"
 
 
-def _check_related_identifier(node: RelatedIdentifier, path, error, warning) -> None:
-    if node.identifier is None:
-        error(_field_path(path, "identifier"), "related identifier needs an identifier")
-    if node.relatedIdentifierType is None:
-        error(_field_path(path, "relatedIdentifierType"), "type code is required")
-    else:
-        _check_membership(
-            node.relatedIdentifierType,
-            "relatedIdentifierTypes",
-            _field_path(path, "relatedIdentifierType"),
-            warning,
-        )
-    if node.relationType is None:
-        error(_field_path(path, "relationType"), "relation type code is required")
-    else:
-        _check_membership(
-            node.relationType, "relationTypes", _field_path(path, "relationType"), warning
-        )
-
-
-def _check_resource_type(node: ResourceType, path, error, warning) -> None:
-    _check_membership(
-        node.resourceTypeGeneral, "resourceTypes", _field_path(path, "resourceTypeGeneral"), warning
-    )
-
-
-def _check_pid(node: PersistentIdentifier, path, error, warning) -> None:
-    if node.value is None:
-        error(_field_path(path, "value"), "persistent identifier needs a value")
-    if node.scheme is None:
-        error(_field_path(path, "scheme"), "persistent identifier needs a scheme")
+def _unique_names(variables: tuple):
+    first: dict[str, int] = {}
+    for i, variable in enumerate(variables):
+        if variable.name in first:
+            yield "error", f"[{i}].name", (
+                f"duplicate variable name {variable.name!r} (first at index {first[variable.name]})"
+            )
+        elif variable.name is not None:
+            first[variable.name] = i
 
 
 def _check_checksum(node: Checksum, path, error, warning) -> None:
@@ -240,80 +236,12 @@ def _check_checksum(node: Checksum, path, error, warning) -> None:
         )
 
 
-def _check_file_info(node: FileInfo, path, error, warning) -> None:
-    if node.sizeBytes is not None and node.sizeBytes < 0:
-        error(_field_path(path, "sizeBytes"), "must be >= 0")
-
-
 def _check_variable(node: Variable, path, error, warning) -> None:
-    if node.uncertainty is not None:
-        if not isinstance(node.value, (int, Decimal)) or isinstance(node.value, bool):
-            error(
-                _field_path(path, "uncertainty"),
-                "uncertainty needs a numeric value to qualify",
-            )
-        if node.uncertainty < 0:
-            error(_field_path(path, "uncertainty"), "must be >= 0")
+    if node.uncertainty is not None and (
+        not isinstance(node.value, (int, Decimal)) or isinstance(node.value, bool)
+    ):
+        error(_field_path(path, "uncertainty"), "uncertainty needs a numeric value to qualify")
 
 
-def _check_temporal(node: TemporalResolution, path, error, warning) -> None:
-    if node.numberOfTimesteps is not None and node.numberOfTimesteps < 0:
-        error(_field_path(path, "numberOfTimesteps"), "must be >= 0")
-    if node.interval is not None and node.interval <= 0:
-        error(_field_path(path, "interval"), "must be > 0")
-
-
-def _check_spatial(node: SpatialResolution, path, error, warning) -> None:
-    if node.numberOfCells is not None and node.numberOfCells < 0:
-        error(_field_path(path, "numberOfCells"), "must be >= 0")
-
-
-def _check_environment(node: Environment, path, error, warning) -> None:
-    for attr in ("nodes", "coresPerNode", "totalCores"):
-        value = getattr(node, attr)
-        if value is not None and value <= 0:
-            error(_field_path(path, attr), "must be > 0")
-
-
-def _check_step(node: ProcessingStep, path, error, warning) -> None:
-    if node.stepType is not None and node.stepType not in codetables.STEP_TYPES:
-        allowed = ", ".join(codetables.STEP_TYPES)
-        error(_field_path(path, "stepType"), f"{node.stepType!r} is not one of: {allowed}")
-    if node.date is not None and not is_iso_date_or_datetime(node.date):
-        error(_field_path(path, "date"), f"{node.date!r} is not an ISO-8601 date or date-time")
-
-
-def _check_system(node: ObservedSystem, path, error, warning) -> None:
-    for attr in ("controlledVariables", "measuredVariables", "parameters"):
-        seen: dict[str, int] = {}
-        for i, variable in enumerate(getattr(node, attr)):
-            if variable.name is None:
-                continue
-            if variable.name in seen:
-                error(
-                    f"{_field_path(path, attr)}[{i}].name",
-                    f"duplicate variable name {variable.name!r} "
-                    f"(first at index {seen[variable.name]})",
-                )
-            else:
-                seen[variable.name] = i
-
-
-_NODE_CHECKS = {
-    Title: _check_title,
-    Description: _check_description,
-    DatedEvent: _check_dated_event,
-    PersonOrOrganization: _check_person,
-    FundingReference: _check_funding,
-    RelatedIdentifier: _check_related_identifier,
-    ResourceType: _check_resource_type,
-    PersistentIdentifier: _check_pid,
-    Checksum: _check_checksum,
-    FileInfo: _check_file_info,
-    Variable: _check_variable,
-    TemporalResolution: _check_temporal,
-    SpatialResolution: _check_spatial,
-    Environment: _check_environment,
-    ProcessingStep: _check_step,
-    ObservedSystem: _check_system,
-}
+# the checks that read more than one field
+_CROSS_FIELD = {Checksum: _check_checksum, Variable: _check_variable}

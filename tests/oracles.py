@@ -1,14 +1,44 @@
 """Small independent helpers used to cross-check module output in tests."""
 
 import os
+import re
 from dataclasses import replace
+from decimal import Decimal
 from pathlib import Path
 
+from engmeta import codes as codetables
 from engmeta.errors import PathIndexGapError
 from engmeta.extract.engine import _AssemblyState
+from engmeta.isodates import is_iso_date_or_datetime
 from engmeta.merging import Conflict
-from engmeta.model import NODE, NODE_LIST, SCALAR, SCALAR_LIST, scalars_equal, schema
+from engmeta.model import (
+    NODE,
+    NODE_LIST,
+    SCALAR,
+    SCALAR_LIST,
+    Checksum,
+    DatedEvent,
+    Description,
+    Environment,
+    FileInfo,
+    FileRef,
+    FundingReference,
+    ObservedSystem,
+    PersistentIdentifier,
+    PersonOrOrganization,
+    ProcessingStep,
+    RelatedIdentifier,
+    ResourceType,
+    Software,
+    SpatialResolution,
+    TemporalResolution,
+    Title,
+    Variable,
+    scalars_equal,
+    schema,
+)
 from engmeta.paths import MetadataPath, PathSegment, append_node, get_path, set_path
+from engmeta.validation import Finding, ValidationReport
 
 
 def leaf_paths(node, prefix: str = "") -> list[str]:
@@ -202,3 +232,255 @@ def walk_files_by_os_walk(root: Path, on_unreadable=None) -> list[tuple[str, Pat
             entries.append((path.relative_to(root).as_posix(), path))
     entries.sort(key=lambda entry: entry[0])
     return entries
+
+
+# --- Reference validation ----------------------------------------------------
+#
+# validation.validate as it was written before the field rules: one
+# hand-written check per node class, a table of URI fields, and the
+# blank-string sweep. The library derives its checks from the rules
+# declared on the model's fields; the differential test compares the two
+# finding for finding.
+
+_HEX_RE = re.compile(r"[0-9a-f]+")
+_URI_FIELDS = {
+    Software: ("url", "softwareSourceCode", "softwareApplication", "codeRepository"),
+    FileInfo: ("link",),
+    FileRef: ("link",),
+}
+
+
+def validate_by_class_checks(dataset, profile: str = "structural") -> ValidationReport:
+    """validation.validate as hand-written per-class checks, before field rules."""
+    findings: list[Finding] = []
+
+    def error(path: str, message: str) -> None:
+        findings.append(Finding("error", path, message))
+
+    def warning(path: str, message: str) -> None:
+        findings.append(Finding("warning", path, message))
+
+    for node, path in _walk_nodes(dataset, ""):
+        _check_blank_strings(node, path, error)
+        _check_uris(node, path, error)
+        check = _NODE_CHECKS.get(type(node))
+        if check is not None:
+            check(node, path, error, warning)
+
+    if profile == "citable":
+        if not dataset.titles:
+            error("title", "citable records need at least one title")
+        if not dataset.descriptions:
+            error("description", "citable records need at least one description")
+        if not dataset.dates:
+            error("date", "citable records need at least one date")
+        if not any(p.role == "author" for p in dataset.persons):
+            error("person", "citable records need at least one person with role 'author'")
+
+    return ValidationReport(profile, tuple(findings))
+
+
+def _walk_nodes(node, path: str):
+    yield node, path
+    for spec in schema(type(node)):
+        value = getattr(node, spec.attr)
+        prefix = f"{path}.{spec.element}" if path else spec.element
+        if spec.kind == NODE and value is not None:
+            yield from _walk_nodes(value, prefix)
+        elif spec.kind == NODE_LIST:
+            for i, item in enumerate(value):
+                yield from _walk_nodes(item, f"{prefix}[{i}]")
+
+
+def _field_path(path: str, element: str) -> str:
+    return f"{path}.{element}" if path else element
+
+
+def _check_blank_strings(node, path, error) -> None:
+    for spec in schema(type(node)):
+        value = getattr(node, spec.attr)
+        if spec.kind == SCALAR and isinstance(value, str) and not value.strip():
+            error(_field_path(path, spec.element), "must not be blank")
+        elif spec.kind == SCALAR_LIST:
+            for i, item in enumerate(value):
+                if isinstance(item, str) and not item.strip():
+                    error(f"{_field_path(path, spec.element)}[{i}]", "must not be blank")
+
+
+def _is_uri_reference(text: str) -> bool:
+    return bool(text) and not any(ch.isspace() or ord(ch) < 0x20 for ch in text)
+
+
+def _check_uris(node, path, error) -> None:
+    for attr in _URI_FIELDS.get(type(node), ()):
+        value = getattr(node, attr)
+        if value is not None and not _is_uri_reference(value):
+            error(_field_path(path, attr), "not a valid URI reference")
+
+
+def _check_membership(value, list_name, path, report) -> None:
+    if value is not None and value not in codetables.codes(list_name):
+        report(path, f"{value!r} is not in the {list_name} code list")
+
+
+def _check_title(node: Title, path, error, warning) -> None:
+    _check_membership(node.titleType, "titleTypes", _field_path(path, "titleType"), error)
+
+
+def _check_description(node: Description, path, error, warning) -> None:
+    _check_membership(
+        node.descriptionType, "descriptionTypes", _field_path(path, "descriptionType"), warning
+    )
+
+
+def _check_dated_event(node: DatedEvent, path, error, warning) -> None:
+    if node.date is not None and not is_iso_date_or_datetime(node.date):
+        error(_field_path(path, "date"), f"{node.date!r} is not an ISO-8601 date or date-time")
+    _check_membership(node.dateType, "dateTypes", _field_path(path, "dateType"), warning)
+
+
+def _check_person(node: PersonOrOrganization, path, error, warning) -> None:
+    _check_membership(node.role, "roles", _field_path(path, "role"), error)
+
+
+def _check_funding(node: FundingReference, path, error, warning) -> None:
+    _check_membership(
+        node.funderIdentifierType,
+        "funderIdentifierTypes",
+        _field_path(path, "funderIdentifierType"),
+        warning,
+    )
+
+
+def _check_related_identifier(node: RelatedIdentifier, path, error, warning) -> None:
+    if node.identifier is None:
+        error(_field_path(path, "identifier"), "related identifier needs an identifier")
+    if node.relatedIdentifierType is None:
+        error(_field_path(path, "relatedIdentifierType"), "type code is required")
+    else:
+        _check_membership(
+            node.relatedIdentifierType,
+            "relatedIdentifierTypes",
+            _field_path(path, "relatedIdentifierType"),
+            warning,
+        )
+    if node.relationType is None:
+        error(_field_path(path, "relationType"), "relation type code is required")
+    else:
+        _check_membership(
+            node.relationType, "relationTypes", _field_path(path, "relationType"), warning
+        )
+
+
+def _check_resource_type(node: ResourceType, path, error, warning) -> None:
+    _check_membership(
+        node.resourceTypeGeneral, "resourceTypes", _field_path(path, "resourceTypeGeneral"), warning
+    )
+
+
+def _check_pid(node: PersistentIdentifier, path, error, warning) -> None:
+    if node.value is None:
+        error(_field_path(path, "value"), "persistent identifier needs a value")
+    if node.scheme is None:
+        error(_field_path(path, "scheme"), "persistent identifier needs a scheme")
+
+
+def _check_checksum(node: Checksum, path, error, warning) -> None:
+    if node.algorithm is None:
+        error(_field_path(path, "algorithm"), "checksum needs an algorithm")
+        return
+    expected_length = codetables.CHECKSUM_ALGORITHMS.get(node.algorithm)
+    if expected_length is None:
+        allowed = ", ".join(sorted(codetables.CHECKSUM_ALGORITHMS))
+        error(_field_path(path, "algorithm"), f"{node.algorithm!r} is not one of: {allowed}")
+        return
+    if node.digest is None:
+        error(_field_path(path, "digest"), "checksum needs a digest")
+        return
+    if not _HEX_RE.fullmatch(node.digest):
+        error(_field_path(path, "digest"), "digest must be lowercase hex")
+    elif len(node.digest) != expected_length:
+        error(
+            _field_path(path, "digest"),
+            f"{node.algorithm} digests have {expected_length} hex chars, "
+            f"got {len(node.digest)}",
+        )
+
+
+def _check_file_info(node: FileInfo, path, error, warning) -> None:
+    if node.sizeBytes is not None and node.sizeBytes < 0:
+        error(_field_path(path, "sizeBytes"), "must be >= 0")
+
+
+def _check_variable(node: Variable, path, error, warning) -> None:
+    if node.uncertainty is not None:
+        if not isinstance(node.value, (int, Decimal)) or isinstance(node.value, bool):
+            error(
+                _field_path(path, "uncertainty"),
+                "uncertainty needs a numeric value to qualify",
+            )
+        if node.uncertainty < 0:
+            error(_field_path(path, "uncertainty"), "must be >= 0")
+
+
+def _check_temporal(node: TemporalResolution, path, error, warning) -> None:
+    if node.numberOfTimesteps is not None and node.numberOfTimesteps < 0:
+        error(_field_path(path, "numberOfTimesteps"), "must be >= 0")
+    if node.interval is not None and node.interval <= 0:
+        error(_field_path(path, "interval"), "must be > 0")
+
+
+def _check_spatial(node: SpatialResolution, path, error, warning) -> None:
+    if node.numberOfCells is not None and node.numberOfCells < 0:
+        error(_field_path(path, "numberOfCells"), "must be >= 0")
+
+
+def _check_environment(node: Environment, path, error, warning) -> None:
+    for attr in ("nodes", "coresPerNode", "totalCores"):
+        value = getattr(node, attr)
+        if value is not None and value <= 0:
+            error(_field_path(path, attr), "must be > 0")
+
+
+def _check_step(node: ProcessingStep, path, error, warning) -> None:
+    if node.stepType is not None and node.stepType not in codetables.STEP_TYPES:
+        allowed = ", ".join(codetables.STEP_TYPES)
+        error(_field_path(path, "stepType"), f"{node.stepType!r} is not one of: {allowed}")
+    if node.date is not None and not is_iso_date_or_datetime(node.date):
+        error(_field_path(path, "date"), f"{node.date!r} is not an ISO-8601 date or date-time")
+
+
+def _check_system(node: ObservedSystem, path, error, warning) -> None:
+    for attr in ("controlledVariables", "measuredVariables", "parameters"):
+        seen: dict[str, int] = {}
+        for i, variable in enumerate(getattr(node, attr)):
+            if variable.name is None:
+                continue
+            if variable.name in seen:
+                error(
+                    f"{_field_path(path, attr)}[{i}].name",
+                    f"duplicate variable name {variable.name!r} "
+                    f"(first at index {seen[variable.name]})",
+                )
+            else:
+                seen[variable.name] = i
+
+
+_NODE_CHECKS = {
+    Title: _check_title,
+    Description: _check_description,
+    DatedEvent: _check_dated_event,
+    PersonOrOrganization: _check_person,
+    FundingReference: _check_funding,
+    RelatedIdentifier: _check_related_identifier,
+    ResourceType: _check_resource_type,
+    PersistentIdentifier: _check_pid,
+    Checksum: _check_checksum,
+    FileInfo: _check_file_info,
+    Variable: _check_variable,
+    TemporalResolution: _check_temporal,
+    SpatialResolution: _check_spatial,
+    Environment: _check_environment,
+    ProcessingStep: _check_step,
+    ObservedSystem: _check_system,
+}

@@ -1,6 +1,8 @@
 """Differential and property tests: the key-based fast paths against the
-list-scan reference implementations in ``oracles``."""
+list-scan reference implementations in ``oracles``, and validation's
+field-rule table against the per-class reference checks."""
 
+import re
 from dataclasses import replace
 from decimal import Decimal
 
@@ -25,8 +27,15 @@ from engmeta.model import (
     schema,
 )
 from engmeta.paths import append_node, get_path, set_path
+from engmeta.validation import validate
 from genmodel import dataset_pool
-from oracles import assemble_by_list_scan, merge_by_list_scan, nodes_equal, renormalised
+from oracles import (
+    assemble_by_list_scan,
+    merge_by_list_scan,
+    nodes_equal,
+    renormalised,
+    validate_by_class_checks,
+)
 
 DOCS = dataset_pool(30, seed=2005)
 # equal content, distinct objects: nothing cached is shared with DOCS
@@ -258,3 +267,116 @@ def test_appending_an_empty_node_is_a_no_op():
             ProcessingStep(method=Method(parameters=(Variable(name="n"),))),
         ))
     )
+
+
+# --- validation: the field-rule table against the per-class reference -------
+#
+# Each entry: the list its first index counts (None for no list), the path
+# with that index as ``{i}``, and hostile values for it.
+HOSTILE_WRITES = [
+    ("title", "title[{i}].titleType", ["catchy", " ", "main"]),
+    ("title", "title[{i}].text", ["  "]),
+    ("description", "description[{i}].descriptionType", ["odd", "abstract"]),
+    ("date", "date[{i}].date", ["24.05.2019", "yesterday", " ", "2019-05-24T10:00:00Z"]),
+    ("date", "date[{i}].dateType", ["whenever"]),
+    ("keyword", "keyword[{i}]", ["\t"]),
+    ("person", "person[{i}].role", ["inventor", "author"]),
+    ("fundingReference", "fundingReference[{i}].funderIdentifierType", ["zzz"]),
+    ("context", "context[{i}].identifier", ["a b", "10.1/x"]),
+    ("context", "context[{i}].relatedIdentifierType", ["xx", "doi"]),
+    ("context", "context[{i}].relationType", ["yy"]),
+    (None, "resourceType.resourceTypeGeneral", ["thing"]),
+    (None, "pid.value", ["p"]),
+    (None, "pid.scheme", ["DOI"]),
+    ("file", "file[{i}].checksum.algorithm", ["SHA-1", "MD5", "SHA-256"]),
+    ("file", "file[{i}].checksum.digest", ["ABC", "a" * 31, "a" * 32, "b" * 64, " "]),
+    ("file", "file[{i}].sizeBytes", [0, -1]),
+    ("file", "file[{i}].link", ["a b", " ", "x\x01y"]),
+    ("processingStep", "processingStep[{i}].input[0].link", ["a b"]),
+    ("processingStep", "processingStep[{i}].software[0].url", ["u v"]),
+    ("processingStep", "processingStep[{i}].software[0].codeRepository", ["c\td"]),
+    ("processingStep", "processingStep[{i}].stepType", ["simulation", " "]),
+    ("processingStep", "processingStep[{i}].date", ["yesterday"]),
+    ("processingStep", "processingStep[{i}].environment.nodes", [0, -1, 1]),
+    ("processingStep", "processingStep[{i}].environment.coresPerNode", [0]),
+    ("processingStep", "processingStep[{i}].environment.totalCores", [-1]),
+    ("processingStep", "processingStep[{i}].method.parameters[0].uncertainty",
+     [Decimal("-1"), Decimal("0.5")]),
+    ("processingStep", "processingStep[{i}].method.parameters[0].value", ["hot", 3]),
+    (None, "system.temporalResolution.numberOfTimesteps", [0, -1]),
+    (None, "system.temporalResolution.interval", [Decimal("0"), Decimal("-1"), 0, 2]),
+    (None, "system.spatialResolution.numberOfCells", [-1]),
+    ("system.controlledVariables", "system.controlledVariables[{i}].name", ["T", "shear"]),
+    ("system.measuredVariables", "system.measuredVariables[{i}].name", ["T", "flow"]),
+    ("system.parameters", "system.parameters[{i}].name", ["T", "energy"]),
+    ("system.parameters", "system.parameters[{i}].value", ["hot", True, Decimal("1")]),
+    ("system.parameters", "system.parameters[{i}].uncertainty", [Decimal("0.5"), Decimal("-2")]),
+]
+
+# every kind of check validation runs, told apart by its message
+RULE_KINDS = {
+    "blank": r"must not be blank",
+    "code list (error)": r"is not in the (titleTypes|roles) code list",
+    "code list (warning)": r"is not in the \w+ code list",
+    "fixed step types": r"is not one of: data generation",
+    "required": r"(needs an identifier|type code is required|needs a value|needs a scheme)$",
+    "ISO date": r"is not an ISO-8601 date",
+    "URI reference": r"not a valid URI reference",
+    ">= 0": r"must be >= 0",
+    "> 0": r"must be > 0",
+    "unique variable names": r"duplicate variable name",
+    "checksum algorithm": r"(checksum needs an algorithm|is not one of: MD5)",
+    "checksum digest": r"(checksum needs a digest|lowercase hex|digests have)",
+    "numeric uncertainty": r"uncertainty needs a numeric value",
+    "citable minimum": r"^citable records need",
+}
+
+
+def _rule_kind(finding) -> str:
+    for kind, pattern in RULE_KINDS.items():
+        if re.search(pattern, finding.message) and (
+            kind != "code list (error)" or finding.severity == "error"
+        ):
+            return kind
+    raise AssertionError(f"unclassified finding {finding}")
+
+
+def _hostile_write(doc, entry, value, index):
+    count_path, template, _ = entry
+    i = 0 if count_path is None else min(index, _count(doc, count_path))
+    return set_path(doc, template.format(i=i), value)
+
+
+def _assert_same_findings(doc) -> list:
+    findings = []
+    for profile in ("structural", "citable"):
+        report = validate(doc, profile)
+        assert report == validate_by_class_checks(doc, profile)
+        findings.extend(report.findings)
+    return findings
+
+
+@st.composite
+def hostile_writes(draw):
+    entry = draw(st.sampled_from(HOSTILE_WRITES))
+    return entry, draw(st.sampled_from(entry[2])), draw(st.integers(0, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=st.integers(0, len(DOCS)), steps=st.lists(hostile_writes(), min_size=1, max_size=8))
+def test_validate_equals_per_class_reference(start, steps):
+    doc = DOCS[start] if start < len(DOCS) else EngMetaDataset()
+    for entry, value, index in steps:
+        doc = _hostile_write(doc, entry, value, index)
+    _assert_same_findings(doc)
+
+
+def test_every_rule_kind_fires_over_the_pool():
+    kinds = set()
+    for k, doc in enumerate(DOCS):
+        for entry in HOSTILE_WRITES:
+            for value in entry[2]:
+                # a fresh entry at the end of the list, or the first one rewritten
+                written = _hostile_write(doc, entry, value, 99 if k % 2 else 0)
+                kinds.update(_rule_kind(f) for f in _assert_same_findings(written))
+    assert kinds == set(RULE_KINDS)

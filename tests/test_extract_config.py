@@ -134,3 +134,29 @@ def test_declaration_order_preserved(rules_path):
     grouped = [rule.id for rule in config.rules if rule.group]
     assert grouped == ["param-name", "param-value", "ctrl-name", "ctrl-value"]
     assert sum(1 for rule in config.rules if rule.occurrence == "all") == 1
+
+
+@pytest.mark.parametrize(
+    "target, value_type, occurrence, accepted",
+    [
+        ("system.parameters.name", "integer", "all", False),
+        ("keyword", "integer", "all", False),
+        ("title[0].text", "integer", "first", False),
+        ("system.temporalResolution.interval", "integer", "first", True),
+        ("system.parameters.value", "boolean", "all", True),
+    ],
+)
+def test_rule_type_must_fill_its_target(target, value_type, occurrence, accepted):
+    text = (
+        f"# a rule whose values must fit its field\n[rule r]\ntarget = {target}\n"
+        f"source = *.log\nkey = K\ntype = {value_type}\noccurrence = {occurrence}\n"
+    )
+    if accepted:
+        assert parse_config(text).rules[0].valueType == value_type
+        return
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text)
+    assert excinfo.value.line == 2
+    assert str(excinfo.value) == (
+        f"line 2: rule 'r': type integer cannot fill target {target}, a string field"
+    )

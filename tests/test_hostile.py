@@ -4,7 +4,8 @@ Inputs are generated close to the real formats, so that most of them get
 past the syntax check and reach the decoders: JSON trees that follow the
 model's schema with hostile values and stray keys, the same trees written
 as XML, and rule files made of plausible field lines. Any exception other
-than an ``EngMetaError`` subclass fails the test.
+than an ``EngMetaError`` subclass fails the test. Rule files that parse
+are also run: assembling hits for them raises nothing else either.
 """
 
 import json
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 
 from engmeta.canon import from_json, from_xml
 from engmeta.errors import EngMetaError
-from engmeta.extract import coerce, parse_config
+from engmeta.extract import VALUE_TYPES, assemble, coerce, parse_config
+from engmeta.extract.engine import RawHit
 from engmeta.model import (
     ATTRIBUTE,
     CONTENT,
@@ -28,6 +30,8 @@ from engmeta.model import (
     SCALAR_LIST,
     TAGGED,
     EngMetaDataset,
+    Variable,
+    decimal_to_text,
     field_by_element,
     schema,
 )
@@ -232,3 +236,93 @@ def rule_files(draw) -> str:
 @example("[rule r0]\ntarget = title[" + "9" * 5000 + "].text\nsource = *\nkey = k")
 def test_parse_config_raises_only_engmeta_errors(text):
     _raises_only_engmeta_errors(parse_config, text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 9), st.integers(-6000, 6000) | st.sampled_from([50000, -50000, 999999999]),
+       st.sampled_from(["xml", "json", "rule value"]))
+@example(1, 50000, "xml")
+@example(1, -50000, "json")
+@example(1, 999999999, "rule value")
+@example(1, 4299, "xml")
+@example(9, -4299, "json")
+def test_decimal_text_is_bounded(digit, exponent, reader):
+    """Plain notation of at most 4300 digits: ``1e4299`` reads, ``1e4300`` does not."""
+    text = f"{digit}e{exponent}"
+    try:
+        read = _read_number(text, "decimal", reader)
+    except EngMetaError:
+        assert not -4299 <= exponent <= 4299, text
+        return
+    assert -4299 <= exponent <= 4299, text
+    value = read if reader == "rule value" else read.dataset.system.temporalResolution.interval
+    assert len(decimal_to_text(value).lstrip("-").replace(".", "")) <= 4300
+
+
+def _scalar_path(draw, cls=EngMetaDataset, depth=0) -> list:
+    """Field specs from ``cls`` down to a scalar field."""
+    scalars = [spec for spec in schema(cls) if spec.kind in (SCALAR, SCALAR_LIST)]
+    nodes = [spec for spec in schema(cls) if spec.kind in (NODE, NODE_LIST)]
+    if nodes and depth < 4 and draw(st.booleans()):
+        spec = draw(st.sampled_from(nodes))
+        return [spec] + _scalar_path(draw, spec.value_type, depth + 1)
+    return [draw(st.sampled_from(scalars))]
+
+
+# the rule types that fill a field of each type, as the config documents them
+_FILLING = {str: ["string", "date"], int: ["integer"], Decimal: ["decimal", "integer"],
+            bool: ["boolean"], TAGGED: list(VALUE_TYPES)}
+
+
+@st.composite
+def rule_files_that_parse(draw) -> str:
+    """Rule files built from schema paths, so that most of them parse."""
+    lines = []
+    for number in range(draw(st.integers(1, 3))):
+        specs = _scalar_path(draw)
+        lists = [i for i, spec in enumerate(specs) if spec.kind in (SCALAR_LIST, NODE_LIST)]
+        occurrence = draw(st.sampled_from(["first", "last"] + (["all"] if lists else [])))
+        grouped = lists[0] < len(specs) - 1 and draw(st.integers(0, 3)) == 0 if lists else False
+        opened = lists[0] if grouped or occurrence == "all" else None
+        target = ".".join(
+            spec.element if i == opened or spec.kind in (SCALAR, NODE)
+            else f"{spec.element}[{draw(st.integers(0, 1))}]"
+            for i, spec in enumerate(specs)
+        )
+        fitting = _FILLING[specs[-1].value_type]
+        value_type = draw(st.sampled_from(fitting * 4 + list(VALUE_TYPES)))
+        lines += [f"[rule r{number}]", f"target = {target}", "source = *", f"key = k{number}",
+                  f"type = {value_type}", f"occurrence = {occurrence}"]
+        lines += ["group = g"] if grouped else []
+        in_variable = len(specs) > 1 and specs[-2].value_type is Variable
+        lines += ["unit = K"] if in_variable and draw(st.booleans()) else []
+    return "\n".join(lines)
+
+
+HIT_FILES = st.sampled_from(["a.log", "b.log"])
+# raw values that coerce to each rule type, and hostile ones
+RAW_VALUES = st.sampled_from(["7", "2.5", "yes", "2019-05-24", "x"]) | TEXTS
+
+
+@settings(max_examples=200, deadline=None)
+@given(rule_files_that_parse(),
+       st.lists(st.tuples(HIT_FILES, st.integers(0, 2), RAW_VALUES), max_size=12))
+@example(
+    "[rule r0]\ntarget = system.parameters.name\nsource = *\nkey = k0\n"
+    "type = integer\noccurrence = all",
+    [("a.log", 0, "5")],
+)
+def test_assembly_for_accepted_rules_raises_only_engmeta_errors(text, picks):
+    try:
+        config = parse_config(text)
+    except EngMetaError:
+        return
+    hits = [
+        RawHit(f"r{number}", source, line, raw.strip())
+        for line, (source, number, raw) in enumerate(picks, start=1)
+        if number < len(config.rules) and raw.strip()
+    ]
+    try:
+        assemble(hits, config)
+    except EngMetaError:
+        pass

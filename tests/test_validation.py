@@ -1,6 +1,9 @@
 import pytest
 
+from engmeta.codes import load_codes
 from engmeta.model import (
+    NODE,
+    NODE_LIST,
     Checksum,
     DatedEvent,
     EngMetaDataset,
@@ -15,6 +18,8 @@ from engmeta.model import (
     TemporalResolution,
     Title,
     Variable,
+    _rules,
+    schema,
 )
 from engmeta.validation import validate
 
@@ -216,3 +221,30 @@ def test_gromacs_fixture_structurally_valid(gromacs_doc):
 
 def test_gromacs_fixture_citable(gromacs_doc):
     assert validate(gromacs_doc, "citable").ok
+
+
+def _node_classes(cls=EngMetaDataset, found=None) -> set:
+    found = set() if found is None else found
+    found.add(cls)
+    for spec in schema(cls):
+        if spec.kind in (NODE, NODE_LIST) and spec.value_type not in found:
+            _node_classes(spec.value_type, found)
+    return found
+
+
+def test_every_code_list_a_field_rule_names_exists():
+    named = {
+        spec.rules.codes
+        for cls in _node_classes()
+        for spec in schema(cls)
+        if spec.rules is not None and spec.rules.codes is not None
+    }
+    assert len(named) == 8
+    assert named <= set(load_codes())
+
+
+def test_a_misspelled_rule_name_fails_where_it_is_declared():
+    with pytest.raises(TypeError):
+        _rules(code="roles")
+    with pytest.raises(TypeError):
+        _rules("roles")
