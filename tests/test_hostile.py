@@ -282,7 +282,8 @@ def rule_files_that_parse(draw) -> str:
         specs = _scalar_path(draw)
         lists = [i for i, spec in enumerate(specs) if spec.kind in (SCALAR_LIST, NODE_LIST)]
         occurrence = draw(st.sampled_from(["first", "last"] + (["all"] if lists else [])))
-        grouped = lists[0] < len(specs) - 1 and draw(st.integers(0, 3)) == 0 if lists else False
+        # a group needs a node list with the target field inside it
+        grouped = bool(lists) and lists[0] < len(specs) - 1 and draw(st.integers(0, 3)) == 0
         opened = lists[0] if grouped or occurrence == "all" else None
         target = ".".join(
             spec.element if i == opened or spec.kind in (SCALAR, NODE)
