@@ -32,6 +32,7 @@ from .model import (
     EngMetaDataset,
     FieldSpec,
     SCALAR_TYPES_BY_NAME,
+    _trusted_node,
     content_field,
     decimal_from_text,
     field_by_element,
@@ -74,7 +75,10 @@ def _scalar_from_text(text: str, value_type, path: str):
             return False
         raise CanonDecodeError(f"{text!r} is not a boolean ('true'/'false')", path)
     if value_type is Decimal:
-        value = decimal_from_text(stripped)
+        try:
+            value = decimal_from_text(stripped)
+        except ValueError as exc:  # too many digits
+            raise CanonDecodeError(f"{text!r} {exc}", path) from None
         if value is None:
             raise CanonDecodeError(f"{text!r} is not a decimal number", path)
         return value
@@ -188,7 +192,7 @@ def from_xml(text: str) -> ReadResult:
         raise CanonDecodeError(
             f"root element must be <{ROOT_ELEMENT}>, got <{root.tag}>", ROOT_ELEMENT
         )
-    dataset = _decode_element(root, EngMetaDataset, "", warnings)
+    dataset = _decode_element(root, EngMetaDataset, "", warnings) or EngMetaDataset()
     return ReadResult(dataset, tuple(warnings))
 
 
@@ -203,6 +207,11 @@ def _local_name(tag: str) -> str | None:
 
 
 def _decode_element(element, cls: type, path: str, warnings: list[str]):
+    """The node the element spells, or None when it sets no field.
+
+    Every value is decoded from text with the number grammar and is
+    canonical already, so the node is built without re-checking it.
+    """
     kwargs: dict[str, object] = {}
     lists: dict[str, list] = {}
     label = path or ROOT_ELEMENT
@@ -256,6 +265,8 @@ def _decode_element(element, cls: type, path: str, warnings: list[str]):
                 lists.setdefault(spec.attr, []).append(value)
         else:
             node = _decode_element(child, spec.value_type, child_path, warnings)
+            if node is None:
+                continue
             if spec.kind == NODE:
                 kwargs[spec.attr] = node
             else:
@@ -263,7 +274,7 @@ def _decode_element(element, cls: type, path: str, warnings: list[str]):
 
     for attr, items in lists.items():
         kwargs[attr] = tuple(items)
-    return cls(**kwargs)
+    return _trusted_node(cls, kwargs) if kwargs else None
 
 
 def _decode_scalar_child(child, spec: FieldSpec, path: str, warnings: list[str]):
@@ -287,8 +298,48 @@ def to_json(dataset: EngMetaDataset) -> str:
     report = validate(dataset, "structural")
     if report.errors:
         raise CanonValidationError(report.errors)
-    obj = _node_to_obj(dataset)
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    return indented_json(_node_to_obj(dataset)) + "\n"
+
+
+_encode_string = json.encoder.encode_basestring  # the escaping json.dumps applies
+
+
+def indented_json(obj) -> str:
+    """``json.dumps(obj, indent=2, ensure_ascii=False)``, byte for byte.
+
+    For dicts with string keys, lists, tuples, strings, ints, bools and
+    None. Each container becomes one joined string, which is both faster
+    and smaller in memory than the stdlib's one token per value.
+    """
+    return _json_text(obj, "\n")
+
+
+def _json_text(value, newline: str) -> str:
+    # ``newline`` is a line break plus the indentation of ``value``'s line
+    if isinstance(value, str):
+        return _encode_string(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + _INDENT
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = (
+            f"{_encode_string(key)}: {_json_text(item, inner)}" for key, item in value.items()
+        )
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = (_json_text(item, inner) for item in value)
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _node_to_obj(node) -> dict:
@@ -329,11 +380,16 @@ def from_json(text: str) -> ReadResult:
     if not isinstance(obj, dict):
         raise CanonDecodeError("document root must be a JSON object", ROOT_ELEMENT)
     warnings: list[str] = []
-    dataset = _decode_obj(obj, EngMetaDataset, "", warnings)
+    dataset = _decode_obj(obj, EngMetaDataset, "", warnings) or EngMetaDataset()
     return ReadResult(dataset, tuple(warnings))
 
 
 def _decode_obj(obj: dict, cls: type, path: str, warnings: list[str]):
+    """The node the object spells, or None when it sets no field.
+
+    As in ``_decode_element``, decoded values are canonical already.
+    Empty strings, arrays and objects leave their field unset.
+    """
     kwargs: dict[str, object] = {}
     label = path or ROOT_ELEMENT
 
@@ -345,24 +401,26 @@ def _decode_obj(obj: dict, cls: type, path: str, warnings: list[str]):
         key_path = f"{path}.{key}" if path else key
         if spec.kind == SCALAR:
             value = _scalar_from_json(raw, spec, key_path, warnings)
-            if value is not None:
-                kwargs[spec.attr] = value
         elif spec.kind == SCALAR_LIST:
             items = _expect_array(raw, key_path)
-            values = [
+            decoded = [
                 _scalar_from_json(item, spec, f"{key_path}[{i}]", warnings)
                 for i, item in enumerate(items)
             ]
-            kwargs[spec.attr] = tuple(value for value in values if value is not None)
+            value = tuple(item for item in decoded if item is not None) or None
         elif spec.kind == NODE:
-            kwargs[spec.attr] = _decode_obj(_expect_object(raw, key_path), spec.value_type, key_path, warnings)
+            value = _decode_obj(_expect_object(raw, key_path), spec.value_type, key_path, warnings)
         else:
             items = _expect_array(raw, key_path)
-            kwargs[spec.attr] = tuple(
-                _decode_obj(_expect_object(item, f"{key_path}[{i}]"), spec.value_type, f"{key_path}[{i}]", warnings)
+            decoded = [
+                _decode_obj(_expect_object(item, f"{key_path}[{i}]"), spec.value_type,
+                            f"{key_path}[{i}]", warnings)
                 for i, item in enumerate(items)
-            )
-    return cls(**kwargs)
+            ]
+            value = tuple(item for item in decoded if item is not None) or None
+        if value is not None:
+            kwargs[spec.attr] = value
+    return _trusted_node(cls, kwargs) if kwargs else None
 
 
 def _expect_array(raw, path: str) -> list:

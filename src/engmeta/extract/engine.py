@@ -143,7 +143,10 @@ def coerce(raw_value: str, value_type: str):
             raise CoercionError(f"{raw_value!r} is not an integer")
         return value
     if value_type == "decimal":
-        value = decimal_from_text(raw_value)
+        try:
+            value = decimal_from_text(raw_value)
+        except ValueError as exc:  # too many digits
+            raise CoercionError(f"{raw_value!r} {exc}") from None
         if value is None:
             raise CoercionError(f"{raw_value!r} is not a decimal number")
         return value

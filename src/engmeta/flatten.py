@@ -15,10 +15,10 @@ into a block field or listed as dropped with that reason.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from decimal import Decimal
 
+from .canon import indented_json
 from .errors import FlattenStructureError
 from .model import (
     EngMetaDataset,
@@ -500,4 +500,4 @@ def serialize_blocks_json(blocks: list[MetadataBlock], report: FlattenReport) ->
         "mapped": [{"path": m.path, "field": m.field} for m in report.mappedPaths],
         "dropped": [{"path": d.path, "reason": d.reason} for d in report.droppedPaths],
     }
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    return indented_json(obj) + "\n"

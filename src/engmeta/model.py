@@ -22,12 +22,22 @@ normal intermediate state of automated extraction. Field-local constraints
 field rules (``_rules``), carried in ``FieldSpec.rules`` and checked by
 ``validation.validate``, not by constructors; the code lists a rule names
 stay editable in codes.json. Constructors do enforce value semantics:
-correct scalar types, no empty strings, only finite decimals, and no empty
-nodes (a node whose fields are all unset collapses to "absent").
+correct scalar types, no empty strings, only finite decimals of at most
+4300 digits in plain notation, and no empty nodes (a node whose fields are
+all unset collapses to "absent").
+
+The node classes are dataclasses only for their field declarations: they
+are declared with ``init=False, repr=False, eq=False`` and not frozen, so
+no per-class method is generated at import. ``_Node`` provides the one
+constructor (positional or keyword arguments, each field checked and
+normalized), the dataclass-style ``repr`` and the ``FrozenInstanceError``
+on assignment and deletion. Code that already holds canonical values
+checks nothing again: the decoders in ``canon`` build nodes through
+``_trusted_node``, and ``_replaced`` copies a node with one field set.
 """
 
 import re
-from dataclasses import dataclass, field, fields as dataclass_fields
+from dataclasses import FrozenInstanceError, dataclass, field, fields as dataclass_fields
 from decimal import Decimal, InvalidOperation
 from typing import NamedTuple, get_args, get_origin
 
@@ -95,25 +105,33 @@ def integer_from_text(text: str) -> int | None:
 # The most digits a number's text may have: int() converts no more, and
 # decimals are written in plain notation, so a decimal's exponent counts too.
 _MAX_DIGITS = 4300
+_DECIMAL_TOO_LONG = f"exceeds {_MAX_DIGITS} digits in plain notation"
+
+
+def _too_long(value: Decimal) -> bool:
+    """True when the decimal's plain notation would have over 4300 digits."""
+    _, digits, exponent = value.as_tuple()
+    # digits of the plain notation: trailing zeros, or a leading "0." and zeros
+    plain = len(digits) + exponent if exponent >= 0 else max(len(digits), 1 - exponent)
+    return plain > _MAX_DIGITS
 
 
 def decimal_from_text(text: str) -> Decimal | None:
     """The decimal that ASCII number text spells (``1.5``, ``-2``, ``1.0e-3``).
 
-    None for any other text, including ``NaN`` and ``Infinity``, and for a
-    number whose plain notation would have more than 4300 digits
-    (``1e50000`` and ``1e-50000``).
+    None for any other text, including ``NaN`` and ``Infinity``. Raises
+    ValueError ("exceeds 4300 digits in plain notation") for a number whose
+    plain notation would have more than that (``1e50000``, ``1e-50000``).
     """
     if _DECIMAL_TEXT.fullmatch(text) is None:
         return None
     try:
         value = Decimal(text)
     except InvalidOperation:  # an exponent beyond the decimal module's range
-        return None
-    _, digits, exponent = value.as_tuple()
-    # digits of the plain notation: trailing zeros, or a leading "0." and zeros
-    plain = len(digits) + exponent if exponent >= 0 else max(len(digits), 1 - exponent)
-    return value if plain <= _MAX_DIGITS else None
+        raise ValueError(_DECIMAL_TOO_LONG) from None
+    if _too_long(value):
+        raise ValueError(_DECIMAL_TOO_LONG)
+    return value
 
 
 def scalar_to_text(value) -> str:
@@ -150,23 +168,55 @@ def scalar_key(value) -> tuple:
 
 
 class _Node:
-    """Shared constructor, equality and hashing for all model dataclasses.
+    """Shared constructor, repr, immutability, equality and hashing of all nodes.
+
+    The constructor takes the fields in declaration order, positionally or
+    by keyword; an omitted field is unset (None, or ``()`` for a list).
+    It checks every field (scalar types, no empty strings, bounded finite
+    decimals only) and normalizes lists to tuples and empty nodes to
+    absent, so each value has exactly one form.
 
     Equality and hashing are type-strict and go through one canonical key
     (``canonical_key``): the node class plus, field by field, type-tagged
     scalars and the keys of child nodes. An integer 300 and a decimal 300
     serialize differently, so they are different values (plain ``==`` on
     Python numbers would conflate them). The key is computed on first use
-    and cached; node classes are declared with ``eq=False`` so dataclasses
-    generate neither ``__eq__`` nor ``__hash__``. Construction checks every
-    field (scalar types, no empty strings, finite decimals only), so each
-    value has exactly one key.
+    and cached.
     """
 
-    def __post_init__(self):
-        for spec in schema(type(self)):
-            value = getattr(self, spec.attr)
-            object.__setattr__(self, spec.attr, _normalize_field(spec, value))
+    def __init__(self, *args, **kwargs):
+        cls = type(self)
+        specs = _SCHEMA[cls]
+        if len(args) > len(specs):
+            raise TypeError(
+                f"{cls.__name__}() takes {len(specs)} positional arguments "
+                f"but {len(args)} were given"
+            )
+        for spec, value in zip(specs, args):
+            if spec.attr in kwargs:
+                raise TypeError(f"{cls.__name__}() got multiple values for argument {spec.attr!r}")
+            kwargs[spec.attr] = value
+        values = [kwargs.pop(spec.attr, None) for spec in specs]
+        if kwargs:
+            raise TypeError(
+                f"{cls.__name__}() got an unexpected keyword argument {next(iter(kwargs))!r}"
+            )
+        set_field = object.__setattr__
+        for spec, value in zip(specs, values):
+            set_field(self, spec.attr, _normalize_field(spec, value))
+
+    def __repr__(self):
+        # the dataclass repr; PROV entity ids hash it, so it must not change
+        fields = ", ".join(
+            f"{spec.attr}={getattr(self, spec.attr)!r}" for spec in _SCHEMA[type(self)]
+        )
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def is_empty(self) -> bool:
         """True when no field of this node is set."""
@@ -189,7 +239,7 @@ class _Node:
             else:
                 parts.append(tuple(item.canonical_key() for item in value))
         key = (type(self), tuple(parts))
-        object.__setattr__(self, "_canonical_key", key)  # not via __dict__: see _replaced
+        object.__setattr__(self, "_canonical_key", key)  # not via __dict__: see _trusted_node
         return key
 
     def __eq__(self, other):
@@ -205,23 +255,47 @@ class _Node:
 
         Only for values already in canonical form: a scalar that passed
         ``_check_scalar``, a non-empty node, or a tuple of those. The other
-        fields are normalized already, so skipping ``__post_init__`` keeps
-        the copy canonical at the cost of one field, not the whole node.
+        fields are normalized already, so the copy stays canonical at the
+        cost of one field, not the whole node.
+
+        The fields are copied as one instance dict, three times faster than
+        setting them one by one; assembly and merging copy every node along
+        each written path. Each copy then carries a dict object of its own
+        (64 bytes), which ``_trusted_node`` avoids for the long-lived nodes
+        the decoders build.
         """
         copy = object.__new__(type(self))
-        # attribute by attribute: touching __dict__ would give every copy a
-        # separate dict instead of CPython's compact instance layout
-        for spec in schema(type(self)):
-            object.__setattr__(copy, spec.attr, getattr(self, spec.attr))
-        object.__setattr__(copy, attr, value)
+        fields = copy.__dict__
+        fields.update(self.__dict__)
+        fields.pop("_canonical_key", None)  # the copy's content differs
+        fields[attr] = value
         return copy
+
+
+def _trusted_node(cls: type, values: dict):
+    """A node of ``cls`` with the given fields set and the others unset.
+
+    Nothing is checked: every value must already be canonical, as the
+    constructor would leave it (a checked scalar, a non-empty node, or a
+    non-empty tuple of those).
+    """
+    node = object.__new__(cls)
+    # attribute by attribute: touching __dict__ would give every node a
+    # dict object of its own besides CPython's compact instance layout
+    set_field = object.__setattr__
+    for attr, unset in _UNSET[cls]:
+        set_field(node, attr, values.get(attr, unset))
+    return node
 
 
 def _check_scalar(spec: "FieldSpec", value):
     if isinstance(value, str) and value == "":
         raise ValueError(f"{spec.attr}: empty strings are not valid values")
-    if isinstance(value, Decimal) and not value.is_finite():
-        raise ValueError(f"{spec.attr}: {value} is not a finite decimal")
+    if isinstance(value, Decimal):
+        if not value.is_finite():
+            raise ValueError(f"{spec.attr}: {value} is not a finite decimal")
+        if _too_long(value):
+            raise ValueError(f"{spec.attr}: the decimal {_DECIMAL_TOO_LONG}")
     if spec.value_type is TAGGED:
         if isinstance(value, (bool, int, str, Decimal)):
             return value
@@ -237,7 +311,7 @@ def _check_scalar(spec: "FieldSpec", value):
         if isinstance(value, Decimal):
             return value
         if isinstance(value, int) and not isinstance(value, bool):
-            return Decimal(value)
+            return _check_scalar(spec, Decimal(value))
     elif expected is str:
         if isinstance(value, str):
             return value
@@ -323,25 +397,33 @@ def _content(**rules):
     return _rules(content=True, **rules)
 
 
-@dataclass(frozen=True, eq=False)
+def _node(cls):
+    """A dataclass for its declared fields only: ``_Node`` provides the one
+    constructor, repr and immutability, so none is generated per class."""
+    if cls.__doc__ is None:  # else dataclass derives one through inspect.signature
+        cls.__doc__ = f"{cls.__name__}({', '.join(cls.__annotations__)})"
+    return dataclass(init=False, repr=False, eq=False)(cls)
+
+
+@_node
 class Title(_Node):
     text: str | None = _content()
     titleType: str | None = _rules(codes="titleTypes", severity="error")
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Description(_Node):
     text: str | None = _content()
     descriptionType: str | None = _rules(codes="descriptionTypes")
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class DatedEvent(_Node):
     date: str | None = _content(iso_date=True)
     dateType: str | None = _rules(codes="dateTypes")
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Identifier(_Node):
     """A scheme-qualified identifier, e.g. an ORCID for a person."""
 
@@ -349,7 +431,7 @@ class Identifier(_Node):
     scheme: str | None = None
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class PersonOrOrganization(_Node):
     name: str | None = None
     identifier: Identifier | None = None
@@ -357,14 +439,14 @@ class PersonOrOrganization(_Node):
     role: str | None = _rules(codes="roles", severity="error")
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class FundingReference(_Node):
     funderName: str | None = None
     awardNumber: str | None = None
     funderIdentifierType: str | None = _rules(codes="funderIdentifierTypes")
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class RelatedIdentifier(_Node):
     """A link to related work or data: identifier plus two type codes."""
 
@@ -377,19 +459,19 @@ class RelatedIdentifier(_Node):
     )
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class ResourceType(_Node):
     text: str | None = _content()
     resourceTypeGeneral: str | None = _rules(codes="resourceTypes")
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class RightsStatement(_Node):
     license: str | None = None
     accessConditions: str | None = None
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class SuccessMarker(_Node):
     """Documents whether a run worked; failed runs are data too."""
 
@@ -397,19 +479,19 @@ class SuccessMarker(_Node):
     note: str | None = _content()
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class PersistentIdentifier(_Node):
     value: str | None = _content(required="persistent identifier needs a value")
     scheme: str | None = _rules(required="persistent identifier needs a scheme")
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Checksum(_Node):
     digest: str | None = _content()
     algorithm: str | None = None
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class FileInfo(_Node):
     filename: str | None = None
     link: str | None = _rules(uri=True)
@@ -419,7 +501,7 @@ class FileInfo(_Node):
     fileType: str | None = None
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class FileRef(_Node):
     """A file locator used by processing-step inputs/outputs."""
 
@@ -432,7 +514,7 @@ class FileRef(_Node):
         return self.pid or self.link or self.name
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Variable(_Node):
     """A named quantity: free name, typed value, unit and uncertainty."""
 
@@ -443,13 +525,13 @@ class Variable(_Node):
     symbol: str | None = None
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class ForceField(_Node):
     name: str | None = None
     parameters: tuple[Variable, ...] = ()
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Component(_Node):
     """One constituent of the observed system, e.g. a molecule species."""
 
@@ -458,21 +540,21 @@ class Component(_Node):
     forceField: ForceField | None = None
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class TemporalResolution(_Node):
     numberOfTimesteps: int | None = _rules(at_least=0)
     interval: Decimal | None = _rules(above=0)
     intervalUnit: str | None = None
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class SpatialResolution(_Node):
     numberOfCells: int | None = _rules(at_least=0)
     scale: Decimal | None = None
     scaleUnit: str | None = None
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class ObservedSystem(_Node):
     """The simulated or observed target system."""
 
@@ -486,19 +568,19 @@ class ObservedSystem(_Node):
     temporalResolution: TemporalResolution | None = None
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Method(_Node):
     name: str | None = None
     parameters: tuple[Variable, ...] = ()
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Compiler(_Node):
     name: str | None = None
     flags: str | None = None
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Environment(_Node):
     """The computing environment a step ran on."""
 
@@ -509,7 +591,7 @@ class Environment(_Node):
     compiler: Compiler | None = None
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Software(_Node):
     name: str | None = None
     softwareVersion: str | None = None
@@ -525,14 +607,14 @@ class Software(_Node):
     license: RightsStatement | None = None
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class Instrument(_Node):
     name: str | None = None
     description: str | None = None
     identifier: str | None = None
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class ProcessingStep(_Node):
     """One stage of the research process."""
 
@@ -549,7 +631,7 @@ class ProcessingStep(_Node):
     executionCommand: str | None = None
 
 
-@dataclass(frozen=True, eq=False)
+@_node
 class EngMetaDataset(_Node):
     """Root document describing one piece of research data."""
 
@@ -581,8 +663,9 @@ class EngMetaDataset(_Node):
 # ``type`` is the evaluated annotation that ``_kind`` reads.
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(NamedTuple):  # a tuple, as FieldRules: no dataclass to build at import
+    """One field of a node class, as serialization, paths and validation see it."""
+
     attr: str
     element: str
     kind: str
@@ -623,6 +706,13 @@ def _derive_schema(cls: type) -> tuple[FieldSpec, ...]:
 
 _SCHEMA: dict[type, tuple[FieldSpec, ...]] = {
     cls: _derive_schema(cls) for cls in _Node.__subclasses__()
+}
+
+# (attribute, unset value) of each field, per node class
+_UNSET: dict[type, tuple[tuple[str, object], ...]] = {
+    cls: tuple((spec.attr, () if spec.kind in (SCALAR_LIST, NODE_LIST) else None)
+               for spec in specs)
+    for cls, specs in _SCHEMA.items()
 }
 
 # element name -> FieldSpec, per node class

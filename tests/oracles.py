@@ -1,17 +1,22 @@
 """Small independent helpers used to cross-check module output in tests."""
 
+import json
 import os
 import re
 from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
+from xml.etree import ElementTree
 
+from engmeta import canon
 from engmeta import codes as codetables
 from engmeta.errors import PathIndexGapError
 from engmeta.extract.engine import _AssemblyState
 from engmeta.isodates import is_iso_date_or_datetime
 from engmeta.merging import Conflict
 from engmeta.model import (
+    ATTRIBUTE,
+    CHILD,
     NODE,
     NODE_LIST,
     SCALAR,
@@ -19,6 +24,7 @@ from engmeta.model import (
     Checksum,
     DatedEvent,
     Description,
+    EngMetaDataset,
     Environment,
     FileInfo,
     FileRef,
@@ -34,6 +40,8 @@ from engmeta.model import (
     TemporalResolution,
     Title,
     Variable,
+    content_field,
+    field_by_element,
     scalars_equal,
     schema,
 )
@@ -232,6 +240,117 @@ def walk_files_by_os_walk(root: Path, on_unreadable=None) -> list[tuple[str, Pat
             entries.append((path.relative_to(root).as_posix(), path))
     entries.sort(key=lambda entry: entry[0])
     return entries
+
+
+# --- Reference decoders --------------------------------------------------------
+
+# canon's readers as they were before the trusted decode: every node is
+# built through its checking constructor, which normalizes each field again
+# and collapses empty child nodes. The scalar decoding and the warnings are
+# canon's own; the differential test compares the nodes the two build.
+
+def from_xml_checked(text: str) -> canon.ReadResult:
+    root = ElementTree.fromstring(text)
+    warnings: list[str] = []
+    dataset = _decode_element_checked(root, EngMetaDataset, "", warnings)
+    return canon.ReadResult(dataset, tuple(warnings))
+
+
+def _decode_element_checked(element, cls: type, path: str, warnings: list[str]):
+    kwargs: dict[str, object] = {}
+    lists: dict[str, list] = {}
+    label = path or "engMeta"
+
+    for name, raw in element.attrib.items():
+        spec = field_by_element(cls, name)
+        if spec is None or spec.placement != ATTRIBUTE:
+            warnings.append(f"{label}: unknown attribute {name!r} skipped")
+            continue
+        if raw == "":
+            warnings.append(f"{label}: empty attribute {name!r} treated as absent")
+            continue
+        kwargs[spec.attr] = canon._scalar_from_text(raw, spec.value_type, f"{label}.{name}")
+
+    content_spec = content_field(cls)
+    text = element.text or ""
+    if content_spec is not None:
+        if text != "":
+            kwargs[content_spec.attr] = canon._scalar_from_text(
+                text, content_spec.value_type, f"{label}.{content_spec.element}"
+            )
+    elif text.strip():
+        warnings.append(f"{label}: stray text {text.strip()!r} skipped")
+
+    counters: dict[str, int] = {}
+    for child in element:
+        if child.tail and child.tail.strip():
+            warnings.append(f"{label}: stray text {child.tail.strip()!r} skipped")
+        name = canon._local_name(child.tag)
+        spec = field_by_element(cls, name) if name is not None else None
+        if spec is None or spec.placement != CHILD:
+            shown = name if name is not None else child.tag
+            warnings.append(f"{label}: unknown element <{shown}> skipped")
+            continue
+        index = counters.get(spec.element, 0)
+        counters[spec.element] = index + 1
+        child_path = f"{path}.{spec.element}" if path else spec.element
+        if spec.kind in (SCALAR_LIST, NODE_LIST):
+            child_path = f"{child_path}[{index}]"
+        elif index > 0:
+            warnings.append(f"{label}: repeated element <{spec.element}> skipped")
+            continue
+        if spec.kind in (SCALAR, SCALAR_LIST):
+            value = canon._decode_scalar_child(child, spec, child_path, warnings)
+            if value is None:
+                continue
+        else:
+            value = _decode_element_checked(child, spec.value_type, child_path, warnings)
+        if spec.kind in (SCALAR, NODE):
+            kwargs[spec.attr] = value
+        else:
+            lists.setdefault(spec.attr, []).append(value)
+
+    for attr, items in lists.items():
+        kwargs[attr] = tuple(items)
+    return cls(**kwargs)
+
+
+def from_json_checked(text: str) -> canon.ReadResult:
+    warnings: list[str] = []
+    dataset = _decode_obj_checked(json.loads(text), EngMetaDataset, "", warnings)
+    return canon.ReadResult(dataset, tuple(warnings))
+
+
+def _decode_obj_checked(obj: dict, cls: type, path: str, warnings: list[str]):
+    kwargs: dict[str, object] = {}
+    label = path or "engMeta"
+    for key, raw in obj.items():
+        spec = field_by_element(cls, key)
+        if spec is None:
+            warnings.append(f"{label}: unknown key {key!r} skipped")
+            continue
+        key_path = f"{path}.{key}" if path else key
+        if spec.kind == SCALAR:
+            value = canon._scalar_from_json(raw, spec, key_path, warnings)
+            if value is not None:
+                kwargs[spec.attr] = value
+        elif spec.kind == SCALAR_LIST:
+            values = [
+                canon._scalar_from_json(item, spec, f"{key_path}[{i}]", warnings)
+                for i, item in enumerate(canon._expect_array(raw, key_path))
+            ]
+            kwargs[spec.attr] = tuple(value for value in values if value is not None)
+        elif spec.kind == NODE:
+            kwargs[spec.attr] = _decode_obj_checked(
+                canon._expect_object(raw, key_path), spec.value_type, key_path, warnings
+            )
+        else:
+            kwargs[spec.attr] = tuple(
+                _decode_obj_checked(canon._expect_object(item, f"{key_path}[{i}]"),
+                                    spec.value_type, f"{key_path}[{i}]", warnings)
+                for i, item in enumerate(canon._expect_array(raw, key_path))
+            )
+    return cls(**kwargs)
 
 
 # --- Reference validation ----------------------------------------------------

@@ -207,6 +207,33 @@ def test_json_documents_accepted(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, golden", [
+    ("to-prov", "golden.provn"),
+    ("to-dataverse", "golden.blocks.json"),
+])
+def test_publish_outputs_match_golden(command, golden, golden_xml_path, tmp_path, capsys):
+    """PROV entity ids hash each node's repr, so this also pins the repr."""
+    out = tmp_path / golden
+    assert main([command, "--in", str(golden_xml_path), "--out", str(out)]) == 0
+    assert out.read_bytes() == (golden_xml_path.parent / golden).read_bytes()
+    capsys.readouterr()
+
+
+def test_decimal_over_digit_limit_names_the_reason(golden_xml_path, tmp_path, capsys):
+    text = golden_xml_path.read_text(encoding="utf-8")
+    assert text.count("<interval>0.002</interval>") == 1
+    path = tmp_path / "long.xml"
+    path.write_text(text.replace("<interval>0.002</interval>", "<interval>1e50000</interval>"),
+                    encoding="utf-8")
+    assert main(["validate", "--in", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: system.temporalResolution.interval: '1e50000' exceeds 4300 digits "
+        "in plain notation\n"
+    )
+
+
 def test_repeated_runs_identical(tmp_path, corpus_dir, rules_path, capsys):
     args = ["extract", "--config", str(rules_path), "--root", str(corpus_dir)]
     assert main(args) == 0

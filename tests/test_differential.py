@@ -1,7 +1,10 @@
 """Differential and property tests: the key-based fast paths against the
-list-scan reference implementations in ``oracles``, and validation's
-field-rule table against the per-class reference checks."""
+list-scan reference implementations in ``oracles``, validation's
+field-rule table against the per-class reference checks, the trusted
+decoders against the checked construction, and the indented-JSON writer
+against ``json.dumps``."""
 
+import json
 import re
 from dataclasses import replace
 from decimal import Decimal
@@ -9,7 +12,7 @@ from decimal import Decimal
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from engmeta.canon import from_xml, to_xml
+from engmeta.canon import from_json, from_xml, indented_json, to_json, to_xml
 from engmeta.extract import assemble, parse_config
 from engmeta.extract.engine import RawHit
 from engmeta.merging import merge
@@ -17,6 +20,7 @@ from engmeta.model import (
     NODE,
     NODE_LIST,
     SCALAR_LIST,
+    TAGGED,
     EngMetaDataset,
     Method,
     ObservedSystem,
@@ -28,9 +32,12 @@ from engmeta.model import (
 )
 from engmeta.paths import append_node, get_path, set_path
 from engmeta.validation import validate
+from everyfield import every_field_dataset
 from genmodel import dataset_pool
 from oracles import (
     assemble_by_list_scan,
+    from_json_checked,
+    from_xml_checked,
     merge_by_list_scan,
     nodes_equal,
     renormalised,
@@ -380,3 +387,136 @@ def test_every_rule_kind_fires_over_the_pool():
                 written = _hostile_write(doc, entry, value, 99 if k % 2 else 0)
                 kinds.update(_rule_kind(f) for f in _assert_same_findings(written))
     assert kinds == set(RULE_KINDS)
+
+
+# --- Trusted decoding against the checked construction ---------------------
+
+
+def _assert_same_read(trusted, checked) -> None:
+    assert trusted.warnings == checked.warnings
+    assert trusted.dataset.canonical_key() == checked.dataset.canonical_key()
+    assert repr(trusted.dataset) == repr(checked.dataset)
+
+
+def test_trusted_decode_equals_checked_construction_on_pool():
+    for doc in [*DOCS, every_field_dataset(), EngMetaDataset()]:
+        xml = to_xml(doc)
+        _assert_same_read(from_xml(xml), from_xml_checked(xml))
+        text = to_json(doc)
+        _assert_same_read(from_json(text), from_json_checked(text))
+
+
+# every element empty, or holding only empty elements and attributes
+EMPTY_XML = (
+    '<engMeta><title/><title titleType=""></title><keyword></keyword><worked/>'
+    "<system><temporalResolution/><parameters><name></name><value/></parameters>"
+    "<components><forceField><parameters/></forceField></components></system>"
+    '<file><checksum algorithm=""/><pid></pid></file><processingStep><input/>'
+    "<software><license/><contributor><identifier/></contributor></software>"
+    "</processingStep></engMeta>"
+)
+
+
+def test_trusted_xml_decode_drops_empty_elements_as_checked_construction():
+    for text in (EMPTY_XML, EMPTY_XML.replace("<worked/>", "<project>p</project>")):
+        trusted = from_xml(text)
+        _assert_same_read(trusted, from_xml_checked(text))
+        assert repr(renormalised(trusted.dataset)) == repr(trusted.dataset)
+    assert from_xml(EMPTY_XML).dataset == EngMetaDataset()
+    assert from_xml(text).dataset == EngMetaDataset(project="p")
+
+
+def _empty_value(draw, spec, depth: int):
+    """A JSON value that decodes to nothing for the field, or None if it has none."""
+    if spec.kind == SCALAR_LIST:
+        return draw(st.sampled_from([[], [""], ["", ""]]))
+    if spec.kind in (NODE, NODE_LIST):
+        entry = _empty_object(draw, spec.value_type, depth + 1)
+        return entry if spec.kind == NODE else draw(st.sampled_from([[], [entry], [entry, {}]]))
+    if spec.value_type is TAGGED:
+        return {"type": draw(st.sampled_from(["string", "integer", "decimal"])), "text": ""}
+    if spec.value_type in (str, Decimal):  # decimals are carried as strings
+        return ""
+    return None  # integers and booleans have no empty spelling
+
+
+def _empty_object(draw, cls, depth: int) -> dict:
+    """An object for ``cls`` whose every entry is empty: the node is absent."""
+    obj = {}
+    if depth < 3:
+        for spec in schema(cls):
+            if draw(st.integers(0, 3)) == 0:
+                value = _empty_value(draw, spec, depth)
+                if value is not None:
+                    obj[spec.element] = value
+    return obj
+
+
+def _sprinkle(draw, obj: dict, cls, depth: int = 0) -> None:
+    """Add empty entries to ``obj`` in place, beside and inside its real ones."""
+    for spec in schema(cls):
+        value = obj.get(spec.element)
+        if spec.kind == NODE and value is not None:
+            _sprinkle(draw, value, spec.value_type, depth + 1)
+        elif spec.kind == NODE_LIST and value is not None:
+            for item in value:
+                _sprinkle(draw, item, spec.value_type, depth + 1)
+        if draw(st.integers(0, 5)) != 0:
+            continue
+        empty = _empty_value(draw, spec, depth)
+        if empty is None:
+            continue
+        if spec.kind in (SCALAR_LIST, NODE_LIST) and value is not None and empty:
+            position = draw(st.integers(0, len(value)))
+            value[position:position] = empty
+        else:
+            obj[spec.element] = empty
+
+
+@st.composite
+def json_with_empty_entries(draw) -> str:
+    start = draw(st.integers(0, len(DOCS)))
+    obj = json.loads(to_json(DOCS[start])) if start < len(DOCS) else {}
+    _sprinkle(draw, obj, EngMetaDataset)
+    return json.dumps(obj, ensure_ascii=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=json_with_empty_entries())
+def test_trusted_json_decode_drops_empty_entries_as_checked_construction(text):
+    trusted = from_json(text)
+    _assert_same_read(trusted, from_json_checked(text))
+    # every node is as the checking constructors leave it: no empty node survives
+    assert repr(renormalised(trusted.dataset)) == repr(trusted.dataset)
+
+
+# --- The indented-JSON writer against json.dumps ------------------------------
+
+JSON_STRINGS = st.text(st.characters(blacklist_categories=())) | st.sampled_from(
+    ["", "\ud800", "a\udfffb", "\x00\x1f\x7f\u2028", "é中😀", '"\\/\n\t\r\b\f']
+)
+JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.integers(-10**30, 10**30) | JSON_STRINGS
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(JSON_STRINGS, inner, max_size=4),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=JSON_VALUES)
+def test_indented_json_equals_json_dumps(value):
+    assert indented_json(value) == json.dumps(value, indent=2, ensure_ascii=False)
+
+
+def test_indented_json_rejects_what_it_does_not_write():
+    for value in (1.5, Decimal("1"), {1: "non-string key"}, {"set": {1}}):
+        try:
+            indented_json(value)
+        except TypeError:
+            continue
+        raise AssertionError(f"{value!r} was written")

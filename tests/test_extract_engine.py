@@ -417,6 +417,22 @@ def test_non_ascii_digits_are_coercion_failures(tmp_path):
     ]
 
 
+def test_decimal_over_digit_limit_is_a_coercion_failure(tmp_path):
+    (tmp_path / "md.log").write_text("dt = 1e50000\ndx = 1e-4300\n", encoding="utf-8")
+    config = parse_config(
+        "[rule dt]\ntarget = system.temporalResolution.interval\nsource = *\n"
+        "key = dt\ntype = decimal\n"
+        "[rule dx]\ntarget = system.spatialResolution.scale\nsource = *\n"
+        "key = dx\ntype = decimal\n"
+    )
+    dataset, report = extract(tmp_path, config)
+    assert dataset == EngMetaDataset()
+    assert [(f.ruleId, f.reason) for f in report.coercionFailures] == [
+        ("dt", "'1e50000' exceeds 4300 digits in plain notation"),
+        ("dx", "'1e-4300' exceeds 4300 digits in plain notation"),
+    ]
+
+
 def test_crlf_lines_handled(tmp_path):
     config = parse_config("[rule p]\ntarget = project\nsource = *\nkey = P\ndelimiter = :\n")
     target = tmp_path / "dos.txt"

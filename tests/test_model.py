@@ -1,9 +1,14 @@
+import dataclasses
 from decimal import Decimal
 
 import pytest
 
+from engmeta.canon import from_json, from_xml, to_json, to_xml
 from engmeta.errors import PathTargetError
 from engmeta.model import (
+    NODE,
+    NODE_LIST,
+    Checksum,
     Component,
     EngMetaDataset,
     Environment,
@@ -15,11 +20,14 @@ from engmeta.model import (
     TemporalResolution,
     Title,
     Variable,
+    _Node,
     decimal_to_text,
     scalar_to_text,
     scalars_equal,
+    schema,
 )
 from engmeta.paths import set_path
+from everyfield import every_field_dataset
 
 
 def test_empty_dataset_is_empty():
@@ -126,3 +134,84 @@ def test_scalars_equal_is_type_strict():
     assert not scalars_equal(True, 1)
     assert not scalars_equal("300", 300)
     assert scalars_equal(Decimal("1.0"), Decimal("1"))  # same numeric value
+
+
+def test_decimals_are_bounded_like_the_readers():
+    """At most 4300 digits in plain notation, so every document set through the API reads back."""
+    path = "system.temporalResolution.interval"
+    for text in ("1e4299", "1e-4299", "9.99e4299"):
+        dataset = set_path(EngMetaDataset(), path, Decimal(text))
+        assert from_xml(to_xml(dataset)).dataset == dataset
+        assert from_json(to_json(dataset)).dataset == dataset
+    for value in (Decimal("1e4300"), Decimal("1e-4300"), Decimal("1e50000"), 10**4300):
+        with pytest.raises(PathTargetError, match="exceeds 4300 digits in plain notation"):
+            set_path(EngMetaDataset(), path, value)
+        with pytest.raises(ValueError, match="exceeds 4300 digits in plain notation"):
+            TemporalResolution(interval=value)
+    with pytest.raises(ValueError, match="exceeds 4300 digits in plain notation"):
+        Variable(name="x", value=Decimal("-1e-4300"))
+
+
+def test_constructor_takes_fields_in_declaration_order():
+    assert Checksum("a" * 64, "MD5") == Checksum(digest="a" * 64, algorithm="MD5")
+    assert Checksum("a" * 64, algorithm="MD5").algorithm == "MD5"
+    assert Checksum() == Checksum(None, None)
+    assert Checksum().digest is None and EngMetaDataset().titles == ()
+    with pytest.raises(TypeError, match="takes 2 positional arguments but 3 were given"):
+        Checksum("a", "MD5", "extra")
+    with pytest.raises(TypeError, match="multiple values for argument 'digest'"):
+        Checksum("a", digest="b")
+    with pytest.raises(TypeError, match="unexpected keyword argument 'colour'"):
+        Checksum(colour="red")
+
+
+def _unset(node) -> list[str]:
+    return [spec.attr for spec in schema(type(node)) if getattr(node, spec.attr) in (None, ())]
+
+
+def _nodes_by_class(node, found: dict) -> dict:
+    """The node with the most fields set, per class, in the tree under ``node``."""
+    best = found.get(type(node))
+    if best is None or len(_unset(node)) < len(_unset(best)):
+        found[type(node)] = node
+    for spec in schema(type(node)):
+        value = getattr(node, spec.attr)
+        if spec.kind == NODE and value is not None:
+            _nodes_by_class(value, found)
+        elif spec.kind == NODE_LIST:
+            for item in value:
+                _nodes_by_class(item, found)
+    return found
+
+
+SAMPLES = _nodes_by_class(every_field_dataset(), {})
+NODE_CLASSES = sorted(_Node.__subclasses__(), key=lambda cls: cls.__name__)
+
+
+@pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda cls: cls.__name__)
+def test_node_classes_share_one_constructor_repr_and_immutability(cls):
+    """No per-class generated method: one frozen dataclass declaration would fail this."""
+    assert not {"__init__", "__repr__", "__setattr__", "__delattr__"} & set(vars(cls))
+    assert dataclasses.is_dataclass(cls)
+    node = SAMPLES[cls]
+    fields = dataclasses.fields(node)
+    assert [f.name for f in fields] == [spec.attr for spec in schema(cls)]
+    assert _unset(node) == []
+
+    reference = f"{cls.__qualname__}(" + ", ".join(
+        f"{f.name}={getattr(node, f.name)!r}" for f in fields
+    ) + ")"
+    assert repr(node) == reference
+
+    copy = dataclasses.replace(node)
+    assert copy == node and copy is not node and repr(copy) == reference
+    first = fields[0].name
+    changed = dataclasses.replace(node, **{first: None})
+    assert getattr(changed, first) in (None, ()) and changed != node
+
+    for name in (first, "unknown"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, name, getattr(node, first))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(node, name)
+    assert repr(node) == reference
