@@ -59,30 +59,30 @@ class ReadResult:
 
 # --- scalar text encoding/decoding ---------------------------------------
 
+_NUMBER_READERS = {
+    int: (integer_from_text, "an integer"),
+    Decimal: (decimal_from_text, "a decimal number"),
+}
+
+
 def _scalar_from_text(text: str, value_type, path: str):
     if value_type is str:
         return text
     stripped = text.strip()
-    if value_type is int:
-        value = integer_from_text(stripped)
-        if value is None:
-            raise CanonDecodeError(f"{text!r} is not an integer", path)
-        return value
     if value_type is bool:
         if stripped == "true":
             return True
         if stripped == "false":
             return False
         raise CanonDecodeError(f"{text!r} is not a boolean ('true'/'false')", path)
-    if value_type is Decimal:
-        try:
-            value = decimal_from_text(stripped)
-        except ValueError as exc:  # too many digits
-            raise CanonDecodeError(f"{text!r} {exc}", path) from None
-        if value is None:
-            raise CanonDecodeError(f"{text!r} is not a decimal number", path)
-        return value
-    raise AssertionError(value_type)
+    read, number = _NUMBER_READERS[value_type]
+    try:
+        value = read(stripped)
+    except ValueError as exc:  # too many digits
+        raise CanonDecodeError(f"{text!r} {exc}", path) from None
+    if value is None:
+        raise CanonDecodeError(f"{text!r} is not {number}", path)
+    return value
 
 
 def _tagged_from_text(text: str, type_name: str, path: str):

@@ -137,18 +137,15 @@ def coerce(raw_value: str, value_type: str):
     """Convert raw text to the rule's value type; raises CoercionError."""
     if value_type == "string":
         return raw_value
-    if value_type == "integer":
-        value = integer_from_text(raw_value)
-        if value is None:
-            raise CoercionError(f"{raw_value!r} is not an integer")
-        return value
-    if value_type == "decimal":
+    if value_type in ("integer", "decimal"):
+        read, number = ((integer_from_text, "an integer") if value_type == "integer"
+                        else (decimal_from_text, "a decimal number"))
         try:
-            value = decimal_from_text(raw_value)
+            value = read(raw_value)
         except ValueError as exc:  # too many digits
             raise CoercionError(f"{raw_value!r} {exc}") from None
         if value is None:
-            raise CoercionError(f"{raw_value!r} is not a decimal number")
+            raise CoercionError(f"{raw_value!r} is not {number}")
         return value
     if value_type == "boolean":
         word = raw_value.lower()

@@ -11,23 +11,59 @@ Flattening is lossy by design: step structure (dates, actors, input/output
 linkage) is preserved by the PROV sidecar instead. The FlattenReport
 accounts for every populated leaf of the input: each one is either mapped
 into a block field or listed as dropped with that reason.
+
+The mapping is derived from the model's schema, so a field added to the
+model lands in a block without an edit here. Only the choices the schema
+cannot show are declared below: the block of each dataset field
+(``_BLOCKS``; citation otherwise), the inline nodes whose fields sit at the
+level above them (``_INLINE``), the step fields handed to PROV
+(``_TO_PROV``), renamed type names (``_TYPE_NAMES``) and sub-field keys
+(``_KEYS``), and sub-field orders other than declaration order
+(``_ORDER``). The rules:
+
+- A field becomes a block field named after its element; a list's entries
+  are named in the singular (``components`` gives ``component``). A scalar
+  is a primitive, a scalar list a multiple primitive, a node a compound
+  and a node list a multiple compound. Exact repeats of a compound entry
+  collapse.
+- Under the processing steps every field is multiple, and scalars are
+  deduplicated primitives (``stepType``, ``executionCommand``).
+- In a compound, a scalar is a sub-field keyed by its name, and a nested
+  node's scalars are keyed prefix+Leaf (``pid.value`` gives ``pidValue``).
+  A list becomes a compound of its own, named owner+Entry
+  (``methodParameter``), whose entries start with the owner's name.
+- Blocks fill citation, process, engMeta, although ``system`` is declared
+  before ``processingSteps``. A compound's own lists become entries after
+  the compound; a nested node's lists become entries where the node is
+  met, before the compound that encloses them, so ``forceFieldParameter``
+  comes before ``component``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import cache
 
 from .canon import indented_json
 from .errors import FlattenStructureError
 from .model import (
+    NODE,
+    NODE_LIST,
+    SCALAR,
+    SCALAR_LIST,
+    Checksum,
     EngMetaDataset,
-    Method,
-    PersonOrOrganization,
-    Software,
-    Variable,
+    FileInfo,
+    ForceField,
+    ObservedSystem,
+    ProcessingStep,
+    RightsStatement,
+    SuccessMarker,
+    _Node,
     scalar_key,
     scalar_to_text,
+    schema,
 )
 
 BLOCK_NAMES = ("citation", "process", "engMeta")
@@ -67,71 +103,34 @@ class FlattenReport:
 
 
 class _BlockBuilder:
-    """Collects fields for one block and records the source of every leaf."""
+    """The fields of one block, in first-use order; reports every leaf it maps."""
 
-    def __init__(self, block_name: str, report: "_ReportBuilder"):
+    def __init__(self, block_name: str, mapped: list[MappedPath], dropped: list[DroppedPath]):
         self.block_name = block_name
-        self.report = report
-        self._primitives: dict[str, list] = {}
-        self._single_primitives: dict[str, object] = {}
-        self._compounds: dict[str, list[dict]] = {}
-        self._single_compounds: dict[str, dict] = {}
-        self._deduplicated: set[str] = set()  # multi-primitive fields without repeats
-        self._order: dict[tuple[str, str], None] = {}  # (typeName, shape), first use order
-
-    def _note_order(self, type_name: str, shape: str) -> None:
-        self._order.setdefault((type_name, shape))
+        self.mapped = mapped
+        self.dropped = dropped
+        self._fields: dict[tuple, list] = {}  # (typeName, multiple, typeClass, dedup) -> values
 
     def claim(self, type_name: str, path: str, value):
-        if value is not None:
-            self.report.mapped(path, f"{self.block_name}.{type_name}")
+        self.mapped.append(MappedPath(path, f"{self.block_name}.{type_name}"))
         return value
 
-    def primitive(self, type_name: str, path: str, value) -> None:
-        if value is None:
-            return
-        self.claim(type_name, path, value)
-        self._single_primitives[type_name] = value
-        self._note_order(type_name, "single-primitive")
+    def add(self, type_name: str, multiple: bool, type_class: str, value, dedup=False) -> None:
+        self._fields.setdefault((type_name, multiple, type_class, dedup), []).append(value)
 
-    def primitive_entry(self, type_name: str, path: str, value, *, dedup: bool = False) -> None:
-        if value is None:
-            return
-        self.claim(type_name, path, value)
-        self._primitives.setdefault(type_name, []).append(value)
-        if dedup:
-            self._deduplicated.add(type_name)
-        self._note_order(type_name, "multi-primitive")
-
-    def compound_entry(self, type_name: str, submap: dict) -> None:
-        """Add one compound instance; exact duplicates collapse in build()."""
-        cleaned = {key: value for key, value in submap.items() if value is not None}
-        if not cleaned:
-            return
-        self._compounds.setdefault(type_name, []).append(cleaned)
-        self._note_order(type_name, "multi-compound")
-
-    def single_compound(self, type_name: str, submap: dict) -> None:
-        cleaned = {key: value for key, value in submap.items() if value is not None}
-        if not cleaned:
-            return
-        self._single_compounds[type_name] = cleaned
-        self._note_order(type_name, "single-compound")
+    def primitive(self, type_name: str, path: str, value, multiple: bool, dedup: bool) -> None:
+        self.add(type_name, multiple, "primitive", self.claim(type_name, path, value), dedup)
 
     def build(self) -> MetadataBlock:
         fields = []
-        for type_name, shape in self._order:
-            if shape == "single-primitive":
-                fields.append(BlockField(type_name, False, "primitive", self._single_primitives[type_name]))
-            elif shape == "multi-primitive":
-                values = self._primitives[type_name]
-                if type_name in self._deduplicated:
-                    values = _unique(values, scalar_key)
-                fields.append(BlockField(type_name, True, "primitive", list(values)))
-            elif shape == "single-compound":
-                fields.append(BlockField(type_name, False, "compound", self._single_compounds[type_name]))
+        for (type_name, multiple, type_class, dedup), values in self._fields.items():
+            if not multiple:
+                value = values[-1]
+            elif type_class == "compound":  # exact repeats collapse
+                value = _unique(values, _compound_key)
             else:
-                fields.append(BlockField(type_name, True, "compound", _unique(self._compounds[type_name], _compound_key)))
+                value = _unique(values, scalar_key) if dedup else values
+            fields.append(BlockField(type_name, multiple, type_class, value))
         return MetadataBlock(self.block_name, tuple(fields))
 
 
@@ -157,300 +156,181 @@ def _compound_key(submap: dict) -> tuple:
     return tuple(sorted((name, scalar_key(value)) for name, value in submap.items()))
 
 
-class _ReportBuilder:
-    def __init__(self) -> None:
-        self._mapped: list[MappedPath] = []
-        self._dropped: list[DroppedPath] = []
+# --- The crosswalk ----------------------------------------------------------
+#
+# What the schema cannot show; see the module docstring for the rules.
 
-    def mapped(self, path: str, field: str) -> None:
-        self._mapped.append(MappedPath(path, field))
+_BLOCKS = {"processingSteps": "process", "system": "engMeta"}
 
-    def dropped(self, path: str, value) -> None:
-        if value is not None:
-            self._dropped.append(DroppedPath(path, DROP_REASON))
+_INLINE = frozenset({
+    (EngMetaDataset, "worked"),
+    (EngMetaDataset, "system"),
+    (EngMetaDataset, "processingSteps"),
+    (ObservedSystem, "spatialResolution"),
+    (ObservedSystem, "temporalResolution"),
+})
 
-    def build(self) -> FlattenReport:
-        return FlattenReport(tuple(self._mapped), tuple(self._dropped))
+# step structure is not searchable in flat blocks; the PROV sidecar keeps it
+_TO_PROV = frozenset((ProcessingStep, attr) for attr in ("date", "actor", "inputs", "outputs"))
+
+_TYPE_NAMES = {
+    (SuccessMarker, "note"): "successNote",
+    (ObservedSystem, "description"): "systemDescription",
+}
+
+_KEYS = {
+    (ForceField, "name"): "forceField",
+    (RightsStatement, "license"): "license",
+    (RightsStatement, "accessConditions"): "accessConditions",
+}
+
+# listed fields first, in this order; the others follow in declaration order
+_ORDER = {
+    FileInfo: ("filename", "link", "sizeBytes", "fileType", "pid", "checksum"),
+    Checksum: ("algorithm", "digest"),
+}
+
+_DROPPED = "dropped"
+_INLINED = "inlined"
 
 
 def flatten(dataset: EngMetaDataset) -> tuple[list[MetadataBlock], FlattenReport]:
     """Break the document into repository blocks plus a loss accounting."""
-    report = _ReportBuilder()
-    citation = _BlockBuilder("citation", report)
-    process = _BlockBuilder("process", report)
-    discipline = _BlockBuilder("engMeta", report)
-
-    _fill_citation(dataset, citation)
-    _fill_process(dataset, process, report)
-    _fill_discipline(dataset, discipline)
-
-    blocks = [citation.build(), process.build(), discipline.build()]
-    return blocks, report.build()
-
-
-def _person_submap(block: _BlockBuilder, type_name: str, path: str,
-                   person: PersonOrOrganization, extra: dict | None = None) -> dict:
-    submap = dict(extra or {})
-    submap["name"] = block.claim(type_name, f"{path}.name", person.name)
-    if person.identifier is not None:
-        submap["identifierValue"] = block.claim(
-            type_name, f"{path}.identifier.value", person.identifier.value
-        )
-        submap["identifierScheme"] = block.claim(
-            type_name, f"{path}.identifier.scheme", person.identifier.scheme
-        )
-    submap["affiliation"] = block.claim(type_name, f"{path}.affiliation", person.affiliation)
-    submap["role"] = block.claim(type_name, f"{path}.role", person.role)
-    return submap
+    mapped: list[MappedPath] = []
+    dropped: list[DroppedPath] = []
+    plan = _plan(EngMetaDataset)
+    blocks = []
+    for name in BLOCK_NAMES:
+        block = _BlockBuilder(name, mapped, dropped)
+        _fill(block, dataset, "", False,
+              [step for step in plan if _BLOCKS.get(step[0].attr, "citation") == name])
+        blocks.append(block.build())
+    return blocks, FlattenReport(tuple(mapped), tuple(dropped))
 
 
-def _variable_submap(block: _BlockBuilder, type_name: str, path: str,
-                     variable: Variable, extra: dict | None = None) -> dict:
-    submap = dict(extra or {})
-    submap["name"] = block.claim(type_name, f"{path}.name", variable.name)
-    submap["value"] = block.claim(type_name, f"{path}.value", variable.value)
-    submap["unit"] = block.claim(type_name, f"{path}.unit", variable.unit)
-    submap["uncertainty"] = block.claim(type_name, f"{path}.uncertainty", variable.uncertainty)
-    submap["symbol"] = block.claim(type_name, f"{path}.symbol", variable.symbol)
-    return submap
+def _specs(cls: type) -> tuple:
+    """The fields of ``cls`` in crosswalk order."""
+    rank = {attr: i for i, attr in enumerate(_ORDER.get(cls, ()))}
+    return tuple(sorted(schema(cls), key=lambda spec: rank.get(spec.attr, len(rank))))
 
 
-def _fill_citation(ds: EngMetaDataset, block: _BlockBuilder) -> None:
-    for i, title in enumerate(ds.titles):
-        block.compound_entry("title", {
-            "text": block.claim("title", f"title[{i}].text", title.text),
-            "titleType": block.claim("title", f"title[{i}].titleType", title.titleType),
-        })
-    for i, description in enumerate(ds.descriptions):
-        block.compound_entry("description", {
-            "text": block.claim("description", f"description[{i}].text", description.text),
-            "descriptionType": block.claim(
-                "description", f"description[{i}].descriptionType", description.descriptionType
-            ),
-        })
-    for i, date in enumerate(ds.dates):
-        block.compound_entry("date", {
-            "date": block.claim("date", f"date[{i}].date", date.date),
-            "dateType": block.claim("date", f"date[{i}].dateType", date.dateType),
-        })
-    for i, keyword in enumerate(ds.keywords):
-        block.primitive_entry("keyword", f"keyword[{i}]", keyword)
-    for i, subject in enumerate(ds.subject):
-        block.primitive_entry("subject", f"subject[{i}]", subject)
-    for i, person in enumerate(ds.persons):
-        block.compound_entry("person", _person_submap(block, "person", f"person[{i}]", person))
-    for i, funding in enumerate(ds.fundingReferences):
-        prefix = f"fundingReference[{i}]"
-        block.compound_entry("fundingReference", {
-            "funderName": block.claim("fundingReference", f"{prefix}.funderName", funding.funderName),
-            "awardNumber": block.claim("fundingReference", f"{prefix}.awardNumber", funding.awardNumber),
-            "funderIdentifierType": block.claim(
-                "fundingReference", f"{prefix}.funderIdentifierType", funding.funderIdentifierType
-            ),
-        })
-    block.primitive("project", "project", ds.project)
-    for i, related in enumerate(ds.context):
-        prefix = f"context[{i}]"
-        block.compound_entry("context", {
-            "identifier": block.claim("context", f"{prefix}.identifier", related.identifier),
-            "relatedIdentifierType": block.claim(
-                "context", f"{prefix}.relatedIdentifierType", related.relatedIdentifierType
-            ),
-            "relationType": block.claim("context", f"{prefix}.relationType", related.relationType),
-        })
-    if ds.resourceType is not None:
-        block.single_compound("resourceType", {
-            "text": block.claim("resourceType", "resourceType.text", ds.resourceType.text),
-            "resourceTypeGeneral": block.claim(
-                "resourceType", "resourceType.resourceTypeGeneral", ds.resourceType.resourceTypeGeneral
-            ),
-        })
-    if ds.rightsStatement is not None:
-        block.single_compound("rightsStatement", {
-            "license": block.claim("rightsStatement", "rightsStatement.license", ds.rightsStatement.license),
-            "accessConditions": block.claim(
-                "rightsStatement", "rightsStatement.accessConditions", ds.rightsStatement.accessConditions
-            ),
-        })
-    if ds.worked is not None:
-        block.primitive("success", "worked.success", ds.worked.success)
-        block.primitive("successNote", "worked.note", ds.worked.note)
-    if ds.pid is not None:
-        block.single_compound("pid", {
-            "value": block.claim("pid", "pid.value", ds.pid.value),
-            "scheme": block.claim("pid", "pid.scheme", ds.pid.scheme),
-        })
-    for i, info in enumerate(ds.files):
-        prefix = f"file[{i}]"
-        submap = {
-            "filename": block.claim("file", f"{prefix}.filename", info.filename),
-            "link": block.claim("file", f"{prefix}.link", info.link),
-            "sizeBytes": block.claim("file", f"{prefix}.sizeBytes", info.sizeBytes),
-            "fileType": block.claim("file", f"{prefix}.fileType", info.fileType),
-        }
-        if info.pid is not None:
-            submap["pidValue"] = block.claim("file", f"{prefix}.pid.value", info.pid.value)
-            submap["pidScheme"] = block.claim("file", f"{prefix}.pid.scheme", info.pid.scheme)
-        if info.checksum is not None:
-            submap["checksumAlgorithm"] = block.claim(
-                "file", f"{prefix}.checksum.algorithm", info.checksum.algorithm
-            )
-            submap["checksumDigest"] = block.claim(
-                "file", f"{prefix}.checksum.digest", info.checksum.digest
-            )
-        block.compound_entry("file", submap)
-    block.primitive("storage", "storage", ds.storage)
-    block.primitive("format", "format", ds.format)
+def _entry_name(element: str) -> str:
+    return element.removesuffix("s")
 
 
-def _software_submap(block: _BlockBuilder, path: str, software: Software) -> dict:
-    scalars = (
-        "name", "softwareVersion", "programmingLanguage", "operatingSystem", "url",
-        "softwareSourceCode", "softwareApplication", "codeRepository", "citation",
-        "referencePublication",
+def _joined(prefix: str, name: str) -> str:
+    """``name`` under ``prefix``: ``pid`` and ``value`` give ``pidValue``."""
+    return prefix + name[0].upper() + name[1:] if prefix else name
+
+
+@cache
+def _plan(cls: type) -> tuple:
+    """(spec, type name, how) for each field of a node whose fields are block fields."""
+    plan = []
+    for spec in _specs(cls):
+        where = (cls, spec.attr)
+        how = _DROPPED if where in _TO_PROV else _INLINED if where in _INLINE else spec.kind
+        name = spec.element if spec.kind in (SCALAR, NODE) else _entry_name(spec.element)
+        plan.append((spec, _TYPE_NAMES.get(where, name), how))
+    return tuple(plan)
+
+
+@cache
+def _sub_plan(cls: type, prefix: str) -> tuple:
+    """(spec, attr, element, kind, key) for each field of a node in a compound.
+
+    A nested node's key prefixes the keys of its own fields.
+    """
+    return tuple(
+        (spec, spec.attr, spec.element, spec.kind,
+         _KEYS.get((cls, spec.attr)) or _joined(prefix, spec.attr))
+        for spec in _specs(cls)
     )
-    submap = {
-        attr: block.claim("software", f"{path}.{attr}", getattr(software, attr))
-        for attr in scalars
-    }
-    if software.license is not None:
-        submap["license"] = block.claim("software", f"{path}.license.license", software.license.license)
-        submap["accessConditions"] = block.claim(
-            "software", f"{path}.license.accessConditions", software.license.accessConditions
-        )
-    return submap
 
 
-def _method_entries(block: _BlockBuilder, path: str, method: Method, family: str) -> None:
-    block.compound_entry(family, {
-        "name": block.claim(family, f"{path}.name", method.name),
-    })
-    parameter_family = f"{family}Parameter"
-    for j, parameter in enumerate(method.parameters):
-        block.compound_entry(parameter_family, _variable_submap(
-            block, parameter_family, f"{path}.parameters[{j}]", parameter,
-            extra={family: method.name},
-        ))
+def _fill(block: _BlockBuilder, node, path: str, repeated: bool, plan) -> None:
+    """Put the fields of a node at block level into the block (``repeated``: under a list)."""
+    for spec, type_name, how in plan:
+        value = getattr(node, spec.attr)
+        if value is None:
+            continue
+        field_path = f"{path}.{spec.element}" if path else spec.element
+        if how is _DROPPED:
+            _drop(block.dropped, value, field_path)
+        elif how is _INLINED:
+            if spec.kind == NODE:
+                _fill(block, value, field_path, repeated, _plan(spec.value_type))
+            else:
+                for i, item in enumerate(value):
+                    _fill(block, item, f"{field_path}[{i}]", True, _plan(spec.value_type))
+        elif how == SCALAR:
+            block.primitive(type_name, field_path, value, multiple=repeated, dedup=repeated)
+        elif how == NODE:
+            _compound(block, type_name, value, field_path, {}, single=not repeated)
+        else:
+            _entries(block, type_name, spec, value, field_path, {})
 
 
-def _fill_process(ds: EngMetaDataset, block: _BlockBuilder, report: _ReportBuilder) -> None:
-    for i, step in enumerate(ds.processingSteps):
-        prefix = f"processingStep[{i}]"
-        block.primitive_entry("stepType", f"{prefix}.stepType", step.stepType, dedup=True)
-
-        # step structure is not searchable in flat blocks; the PROV sidecar
-        # keeps it
-        report.dropped(f"{prefix}.date", step.date)
-        if step.actor is not None:
-            actor_prefix = f"{prefix}.actor"
-            report.dropped(f"{actor_prefix}.name", step.actor.name)
-            if step.actor.identifier is not None:
-                report.dropped(f"{actor_prefix}.identifier.value", step.actor.identifier.value)
-                report.dropped(f"{actor_prefix}.identifier.scheme", step.actor.identifier.scheme)
-            report.dropped(f"{actor_prefix}.affiliation", step.actor.affiliation)
-            report.dropped(f"{actor_prefix}.role", step.actor.role)
-        for element, refs in (("input", step.inputs), ("output", step.outputs)):
-            for j, ref in enumerate(refs):
-                ref_prefix = f"{prefix}.{element}[{j}]"
-                report.dropped(f"{ref_prefix}.name", ref.name)
-                report.dropped(f"{ref_prefix}.link", ref.link)
-                report.dropped(f"{ref_prefix}.pid", ref.pid)
-
-        if step.method is not None:
-            _method_entries(block, f"{prefix}.method", step.method, "method")
-        if step.errorMethod is not None:
-            _method_entries(block, f"{prefix}.errorMethod", step.errorMethod, "errorMethod")
-
-        for j, software in enumerate(step.software):
-            software_prefix = f"{prefix}.software[{j}]"
-            block.compound_entry("software", _software_submap(block, software_prefix, software))
-            for k, contributor in enumerate(software.contributor):
-                block.compound_entry("softwareContributor", _person_submap(
-                    block, "softwareContributor",
-                    f"{software_prefix}.contributor[{k}]", contributor,
-                    extra={"software": software.name},
-                ))
-
-        for j, instrument in enumerate(step.instrument):
-            instrument_prefix = f"{prefix}.instrument[{j}]"
-            block.compound_entry("instrument", {
-                "name": block.claim("instrument", f"{instrument_prefix}.name", instrument.name),
-                "description": block.claim(
-                    "instrument", f"{instrument_prefix}.description", instrument.description
-                ),
-                "identifier": block.claim(
-                    "instrument", f"{instrument_prefix}.identifier", instrument.identifier
-                ),
-            })
-
-        if step.environment is not None:
-            environment_prefix = f"{prefix}.environment"
-            submap = {
-                attr: block.claim("environment", f"{environment_prefix}.{attr}",
-                                  getattr(step.environment, attr))
-                for attr in ("name", "nodes", "coresPerNode", "totalCores")
-            }
-            if step.environment.compiler is not None:
-                submap["compilerName"] = block.claim(
-                    "environment", f"{environment_prefix}.compiler.name",
-                    step.environment.compiler.name,
-                )
-                submap["compilerFlags"] = block.claim(
-                    "environment", f"{environment_prefix}.compiler.flags",
-                    step.environment.compiler.flags,
-                )
-            block.compound_entry("environment", submap)
-
-        block.primitive_entry(
-            "executionCommand", f"{prefix}.executionCommand", step.executionCommand, dedup=True
-        )
+def _entries(block: _BlockBuilder, type_name: str, spec, items, path: str, first: dict) -> None:
+    """One entry per list item: primitives, or compounds whose sub-fields start with ``first``."""
+    for i, item in enumerate(items):
+        if spec.kind == SCALAR_LIST:
+            block.primitive(type_name, f"{path}[{i}]", item, multiple=True, dedup=False)
+        else:
+            _compound(block, type_name, item, f"{path}[{i}]", dict(first))
 
 
-def _fill_discipline(ds: EngMetaDataset, block: _BlockBuilder) -> None:
-    system = ds.system
-    if system is None:
-        return
-    block.primitive("systemDescription", "system.description", system.description)
+def _compound(block: _BlockBuilder, type_name: str, node, path: str, submap: dict,
+              single: bool = False) -> None:
+    """Add the compound entry of ``node``, then the entries of its own lists."""
+    lists: list = []
+    _sub_fields(block, type_name, node, path, "", submap, lists)
+    if submap:
+        block.add(type_name, not single, "compound", submap)
+    for owner, spec, list_path in lists:
+        _sub_entries(block, type_name, owner, spec, list_path)
 
-    for i, component in enumerate(system.components):
-        prefix = f"system.components[{i}]"
-        submap = {
-            "name": block.claim("component", f"{prefix}.name", component.name),
-            "identifier": block.claim("component", f"{prefix}.identifier", component.identifier),
-        }
-        if component.forceField is not None:
-            submap["forceField"] = block.claim(
-                "component", f"{prefix}.forceField.name", component.forceField.name
-            )
-            for j, parameter in enumerate(component.forceField.parameters):
-                block.compound_entry("forceFieldParameter", _variable_submap(
-                    block, "forceFieldParameter",
-                    f"{prefix}.forceField.parameters[{j}]", parameter,
-                    extra={"forceField": component.forceField.name},
-                ))
-        block.compound_entry("component", submap)
 
-    for i, condition in enumerate(system.boundaryConditions):
-        block.primitive_entry("boundaryCondition", f"system.boundaryConditions[{i}]", condition)
+def _sub_fields(block: _BlockBuilder, type_name: str, node, path: str, prefix: str,
+                submap: dict, lists: list | None) -> None:
+    """Claim the scalars under ``node`` into the submap.
 
-    for attr, family in (
-        ("controlledVariables", "controlledVariable"),
-        ("measuredVariables", "measuredVariable"),
-        ("parameters", "parameter"),
-    ):
-        for i, variable in enumerate(getattr(system, attr)):
-            block.compound_entry(family, _variable_submap(
-                block, family, f"system.{attr}[{i}]", variable
-            ))
+    The compound's own lists go to ``lists``, to follow its entry; a nested
+    node's lists (``lists`` is None) become entries at once.
+    """
+    for spec, attr, element, kind, key in _sub_plan(type(node), prefix):
+        value = getattr(node, attr)
+        if value is None:
+            continue
+        field_path = f"{path}.{element}"
+        if kind == SCALAR:
+            submap[key] = block.claim(type_name, field_path, value)
+        elif kind == NODE:
+            _sub_fields(block, type_name, value, field_path, key, submap, None)
+        elif lists is not None:
+            lists.append((node, spec, field_path))
+        else:
+            _sub_entries(block, prefix, node, spec, field_path)
 
-    if system.spatialResolution is not None:
-        for attr in ("numberOfCells", "scale", "scaleUnit"):
-            block.primitive(attr, f"system.spatialResolution.{attr}",
-                            getattr(system.spatialResolution, attr))
-    if system.temporalResolution is not None:
-        for attr in ("numberOfTimesteps", "interval", "intervalUnit"):
-            block.primitive(attr, f"system.temporalResolution.{attr}",
-                            getattr(system.temporalResolution, attr))
+
+def _sub_entries(block: _BlockBuilder, owner_name: str, owner, spec, path: str) -> None:
+    name = getattr(owner, "name", None)
+    _entries(block, _joined(owner_name, _entry_name(spec.element)), spec,
+             getattr(owner, spec.attr), path, {} if name is None else {owner_name: name})
+
+
+def _drop(dropped: list[DroppedPath], value, path: str) -> None:
+    """Report every scalar under a field's value as dropped, in schema order."""
+    if isinstance(value, tuple):
+        for i, item in enumerate(value):
+            _drop(dropped, item, f"{path}[{i}]")
+    elif isinstance(value, _Node):
+        for spec in schema(type(value)):
+            item = getattr(value, spec.attr)
+            if item is not None:
+                _drop(dropped, item, f"{path}.{spec.element}")
+    else:
+        dropped.append(DroppedPath(path, DROP_REASON))
 
 
 # --- JSON serialization ----------------------------------------------------

@@ -22,9 +22,9 @@ normal intermediate state of automated extraction. Field-local constraints
 field rules (``_rules``), carried in ``FieldSpec.rules`` and checked by
 ``validation.validate``, not by constructors; the code lists a rule names
 stay editable in codes.json. Constructors do enforce value semantics:
-correct scalar types, no empty strings, only finite decimals of at most
-4300 digits in plain notation, and no empty nodes (a node whose fields are
-all unset collapses to "absent").
+correct scalar types, no empty strings, only integers and finite decimals
+of at most 4300 digits in plain notation, and no empty nodes (a node whose
+fields are all unset collapses to "absent").
 
 The node classes are dataclasses only for their field declarations: they
 are declared with ``init=False, repr=False, eq=False`` and not frozen, so
@@ -92,20 +92,26 @@ _INTEGER_TEXT = re.compile(r"[+-]?[0-9]+")
 _DECIMAL_TEXT = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
+# The most digits a number's text may have: int() converts no more, and
+# decimals are written in plain notation, so a decimal's exponent counts too.
+_MAX_DIGITS = 4300
+_TOO_LONG = f"exceeds {_MAX_DIGITS} digits in plain notation"
+# the least integer over that many digits: comparing with it counts no digits
+_INTEGER_LIMIT = 10**_MAX_DIGITS
+
+
 def integer_from_text(text: str) -> int | None:
-    """The integer that ``[+-]?[0-9]+`` text spells; None for any other text."""
+    """The integer that ``[+-]?[0-9]+`` text spells; None for any other text.
+
+    Raises ValueError ("exceeds 4300 digits in plain notation") for text
+    with more digits than that, as ``decimal_from_text`` does.
+    """
     if _INTEGER_TEXT.fullmatch(text) is None:
         return None
     try:
         return int(text)
     except ValueError:  # more digits than int() converts
-        return None
-
-
-# The most digits a number's text may have: int() converts no more, and
-# decimals are written in plain notation, so a decimal's exponent counts too.
-_MAX_DIGITS = 4300
-_DECIMAL_TOO_LONG = f"exceeds {_MAX_DIGITS} digits in plain notation"
+        raise ValueError(_TOO_LONG) from None
 
 
 def _too_long(value: Decimal) -> bool:
@@ -128,9 +134,9 @@ def decimal_from_text(text: str) -> Decimal | None:
     try:
         value = Decimal(text)
     except InvalidOperation:  # an exponent beyond the decimal module's range
-        raise ValueError(_DECIMAL_TOO_LONG) from None
+        raise ValueError(_TOO_LONG) from None
     if _too_long(value):
-        raise ValueError(_DECIMAL_TOO_LONG)
+        raise ValueError(_TOO_LONG)
     return value
 
 
@@ -295,7 +301,9 @@ def _check_scalar(spec: "FieldSpec", value):
         if not value.is_finite():
             raise ValueError(f"{spec.attr}: {value} is not a finite decimal")
         if _too_long(value):
-            raise ValueError(f"{spec.attr}: the decimal {_DECIMAL_TOO_LONG}")
+            raise ValueError(f"{spec.attr}: the decimal {_TOO_LONG}")
+    elif isinstance(value, int) and not isinstance(value, bool) and abs(value) >= _INTEGER_LIMIT:
+        raise ValueError(f"{spec.attr}: the integer {_TOO_LONG}")
     if spec.value_type is TAGGED:
         if isinstance(value, (bool, int, str, Decimal)):
             return value
@@ -370,17 +378,13 @@ class FieldRules(NamedTuple):  # a tuple: cheaper to declare at import than a da
     unique_names: bool = False  # the variables of the list have distinct names
 
 
-def _rules(*, content: bool = False, default=None, required: str | None = None,
-           codes: str | None = None, severity: str = "warning", one_of: tuple[str, ...] = (),
-           iso_date: bool = False, uri: bool = False, at_least: int | None = None,
-           above: int | None = None, unique_names: bool = False):
+def _rules(*, content: bool = False, default=None, **rules):
     """A field with the ``FieldRules`` named; keyword-only, so a misspelled rule fails at import.
 
     ``content`` marks the text-content field (see ``_content``); ``default``
     is ``()`` for a list field.
     """
-    rules = FieldRules(required, codes, severity, one_of, iso_date, uri, at_least, above,
-                       unique_names)
+    rules = FieldRules(**rules)
     metadata: dict = {} if rules == FieldRules() else {"rules": rules}
     if content:
         metadata["placement"] = CONTENT

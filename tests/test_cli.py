@@ -210,11 +210,17 @@ def test_json_documents_accepted(tmp_path, capsys):
 @pytest.mark.parametrize("command, golden", [
     ("to-prov", "golden.provn"),
     ("to-dataverse", "golden.blocks.json"),
+    ("to-dataverse", "every_field.blocks.json"),
 ])
 def test_publish_outputs_match_golden(command, golden, golden_xml_path, tmp_path, capsys):
-    """PROV entity ids hash each node's repr, so this also pins the repr."""
+    """PROV entity ids hash each node's repr, so this also pins the repr.
+
+    Each golden output is read from the document named before its first dot;
+    every_field.xml sets every field, so its blocks pin the whole crosswalk.
+    """
+    source = golden_xml_path.parent / f"{golden.split('.')[0]}.xml"
     out = tmp_path / golden
-    assert main([command, "--in", str(golden_xml_path), "--out", str(out)]) == 0
+    assert main([command, "--in", str(source), "--out", str(out)]) == 0
     assert out.read_bytes() == (golden_xml_path.parent / golden).read_bytes()
     capsys.readouterr()
 

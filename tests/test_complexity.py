@@ -4,11 +4,17 @@ Linear work at N and 2N inputs gives a call-count ratio near 2; work that
 rescans or re-normalises whole lists per entry gives a ratio near 4.
 """
 
+import importlib
+
 from engmeta import model, paths
 from engmeta.extract import assemble, parse_config
 from engmeta.extract.engine import RawHit
+from engmeta.flatten import flatten
 from engmeta.merging import merge
 from engmeta.model import EngMetaDataset, FileInfo
+
+# the package attribute ``engmeta.flatten`` is the function, not the module
+crosswalk = importlib.import_module("engmeta.flatten")
 
 N = 200
 MAX_RATIO = 2.2
@@ -68,5 +74,21 @@ def test_merge_tags_each_scalar_a_bounded_number_of_times(monkeypatch):
     patches = [(model, "scalar_type_name")]
     small = _calls(monkeypatch, patches, lambda: _merge_listings(N))
     large = _calls(monkeypatch, patches, lambda: _merge_listings(2 * N))
+    assert small >= N
+    assert large <= MAX_RATIO * small, (small, large)
+
+
+def _flatten_listing(count: int) -> None:
+    # half of the files repeat an earlier one
+    half = _listing("run", 0, count // 2).files
+    blocks, report = flatten(EngMetaDataset(files=half + half))
+    assert len(blocks[0].fields[0].value) == count // 2
+    assert len(report.mappedPaths) == 2 * count
+
+
+def test_flatten_keys_each_scalar_a_bounded_number_of_times(monkeypatch):
+    patches = [(crosswalk, "scalar_key")]
+    small = _calls(monkeypatch, patches, lambda: _flatten_listing(N))
+    large = _calls(monkeypatch, patches, lambda: _flatten_listing(2 * N))
     assert small >= N
     assert large <= MAX_RATIO * small, (small, large)

@@ -1,9 +1,11 @@
 """Differential and property tests: the key-based fast paths against the
 list-scan reference implementations in ``oracles``, validation's
 field-rule table against the per-class reference checks, the trusted
-decoders against the checked construction, and the indented-JSON writer
-against ``json.dumps``."""
+decoders against the checked construction, the indented-JSON writer
+against ``json.dumps``, and the schema-derived crosswalk against the
+hand-written fill functions."""
 
+import importlib
 import json
 import re
 from dataclasses import replace
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from engmeta.canon import from_json, from_xml, indented_json, to_json, to_xml
 from engmeta.extract import assemble, parse_config
 from engmeta.extract.engine import RawHit
+from engmeta.flatten import BLOCK_NAMES, flatten, serialize_blocks_json
 from engmeta.merging import merge
 from engmeta.model import (
     NODE,
@@ -36,6 +39,7 @@ from everyfield import every_field_dataset
 from genmodel import dataset_pool
 from oracles import (
     assemble_by_list_scan,
+    flatten_by_fill_functions,
     from_json_checked,
     from_xml_checked,
     merge_by_list_scan,
@@ -520,3 +524,27 @@ def test_indented_json_rejects_what_it_does_not_write():
         except TypeError:
             continue
         raise AssertionError(f"{value!r} was written")
+
+
+def test_flatten_equals_fill_function_reference(gromacs_doc):
+    for doc in [*dataset_pool(300), every_field_dataset(), gromacs_doc, EngMetaDataset()]:
+        expected = serialize_blocks_json(*flatten_by_fill_functions(doc))
+        assert serialize_blocks_json(*flatten(doc)) == expected
+
+
+def test_crosswalk_declarations_name_declared_fields():
+    """Renaming a model field cannot leave a dead crosswalk entry behind."""
+    crosswalk = importlib.import_module("engmeta.flatten")
+    named = [
+        *((EngMetaDataset, attr) for attr in crosswalk._BLOCKS),
+        *crosswalk._INLINE,
+        *crosswalk._TO_PROV,
+        *crosswalk._TYPE_NAMES,
+        *crosswalk._KEYS,
+        *((cls, attr) for cls, order in crosswalk._ORDER.items() for attr in order),
+    ]
+    for cls, attr in named:
+        assert attr in {spec.attr for spec in schema(cls)}, (cls.__name__, attr)
+    assert set(crosswalk._BLOCKS.values()) <= set(BLOCK_NAMES)
+    for order in crosswalk._ORDER.values():
+        assert len(set(order)) == len(order)

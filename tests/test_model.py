@@ -4,7 +4,8 @@ from decimal import Decimal
 import pytest
 
 from engmeta.canon import from_json, from_xml, to_json, to_xml
-from engmeta.errors import PathTargetError
+from engmeta.errors import CanonDecodeError, CoercionError, PathTargetError
+from engmeta.extract.engine import coerce
 from engmeta.model import (
     NODE,
     NODE_LIST,
@@ -12,6 +13,7 @@ from engmeta.model import (
     Component,
     EngMetaDataset,
     Environment,
+    FileInfo,
     FileRef,
     ObservedSystem,
     ProcessingStep,
@@ -150,6 +152,29 @@ def test_decimals_are_bounded_like_the_readers():
             TemporalResolution(interval=value)
     with pytest.raises(ValueError, match="exceeds 4300 digits in plain notation"):
         Variable(name="x", value=Decimal("-1e-4300"))
+
+
+def test_integers_are_bounded_like_the_readers():
+    """At most 4300 digits, as int() reads them, so every integer set through the API writes."""
+    largest = 10**4300 - 1
+    dataset = set_path(EngMetaDataset(), "file[0].sizeBytes", largest)
+    assert from_xml(to_xml(dataset)).dataset == dataset
+    assert from_json(to_json(dataset)).dataset == dataset
+    assert coerce(str(largest), "integer") == largest
+    for value in (10**4300, -(10**4300), 10**5000):
+        with pytest.raises(PathTargetError, match="the integer exceeds 4300 digits in plain notation"):
+            set_path(EngMetaDataset(), "file[0].sizeBytes", value)
+        with pytest.raises(ValueError, match="the integer exceeds 4300 digits in plain notation"):
+            FileInfo(sizeBytes=value)
+        with pytest.raises(ValueError, match="the integer exceeds 4300 digits in plain notation"):
+            Variable(name="n", value=value)
+    text = "1" + "0" * 4300
+    with pytest.raises(CanonDecodeError) as raised:
+        from_xml(to_xml(dataset).replace(str(largest), text))
+    assert str(raised.value).endswith(f"{text!r} exceeds 4300 digits in plain notation")
+    with pytest.raises(CoercionError) as raised:
+        coerce(text, "integer")
+    assert str(raised.value) == f"{text!r} exceeds 4300 digits in plain notation"
 
 
 def test_constructor_takes_fields_in_declaration_order():
