@@ -370,11 +370,9 @@ def _scalar_to_json(spec: FieldSpec, value):
 def from_json(text: str) -> ReadResult:
     """Parse canonical JSON; unknown keys become warnings, not errors."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_int=_json_integer)
     except json.JSONDecodeError as exc:
         raise CanonSyntaxError(f"not valid JSON: {exc.msg}", exc.lineno, exc.colno) from None
-    except ValueError as exc:  # an integer literal over the digit limit
-        raise CanonDecodeError(f"not decodable: {exc}", ROOT_ELEMENT) from None
     except RecursionError:
         raise CanonDecodeError("not decodable: nested too deeply", ROOT_ELEMENT) from None
     if not isinstance(obj, dict):
@@ -382,6 +380,27 @@ def from_json(text: str) -> ReadResult:
     warnings: list[str] = []
     dataset = _decode_obj(obj, EngMetaDataset, "", warnings) or EngMetaDataset()
     return ReadResult(dataset, tuple(warnings))
+
+
+class _LongInteger:
+    """A JSON integer literal with more digits than ``int()`` converts.
+
+    The field that receives it rejects it, so the error names that field.
+    """
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+def _json_integer(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        return _LongInteger(text)
+
+
+def _json_type(raw) -> str:
+    return "int" if isinstance(raw, _LongInteger) else type(raw).__name__
 
 
 def _decode_obj(obj: dict, cls: type, path: str, warnings: list[str]):
@@ -425,13 +444,13 @@ def _decode_obj(obj: dict, cls: type, path: str, warnings: list[str]):
 
 def _expect_array(raw, path: str) -> list:
     if not isinstance(raw, list):
-        raise CanonDecodeError(f"expected an array, got {type(raw).__name__}", path)
+        raise CanonDecodeError(f"expected an array, got {_json_type(raw)}", path)
     return raw
 
 
 def _expect_object(raw, path: str) -> dict:
     if not isinstance(raw, dict):
-        raise CanonDecodeError(f"expected an object, got {type(raw).__name__}", path)
+        raise CanonDecodeError(f"expected an object, got {_json_type(raw)}", path)
     return raw
 
 
@@ -452,22 +471,24 @@ def _scalar_from_json(raw, spec: FieldSpec, path: str, warnings: list[str]):
         return _tagged_from_text(tagged["text"], type_name, path)
     if spec.value_type is str:
         if not isinstance(raw, str):
-            raise CanonDecodeError(f"expected a string, got {type(raw).__name__}", path)
+            raise CanonDecodeError(f"expected a string, got {_json_type(raw)}", path)
         if raw == "":
             return _absent(path, warnings)
         return raw
     if spec.value_type is bool:
         if not isinstance(raw, bool):
-            raise CanonDecodeError(f"expected a boolean, got {type(raw).__name__}", path)
+            raise CanonDecodeError(f"expected a boolean, got {_json_type(raw)}", path)
         return raw
     if spec.value_type is int:
+        if isinstance(raw, _LongInteger):  # int() refused it, so this raises as from_xml does
+            _scalar_from_text(raw.text, int, path)
         if isinstance(raw, bool) or not isinstance(raw, int):
-            raise CanonDecodeError(f"expected an integer, got {type(raw).__name__}", path)
+            raise CanonDecodeError(f"expected an integer, got {_json_type(raw)}", path)
         return raw
     if spec.value_type is Decimal:
         if not isinstance(raw, str):
             raise CanonDecodeError(
-                f"decimals are carried as strings, got {type(raw).__name__}", path
+                f"decimals are carried as strings, got {_json_type(raw)}", path
             )
         if raw == "":
             return _absent(path, warnings)

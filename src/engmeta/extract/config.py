@@ -33,6 +33,7 @@ from decimal import Decimal
 
 from ..errors import ConfigError, PathError
 from ..model import (
+    NODE,
     NODE_LIST,
     SCALAR,
     SCALAR_LIST,
@@ -97,6 +98,12 @@ def analyze_target(rule_id: str, path: MetadataPath, *, grouped: bool, occurrenc
         resolved = resolve_specs(path)
     except PathError as exc:
         raise ConfigError(f"rule {rule_id!r}: bad target: {exc}", line) from None
+    for segment, spec in resolved:
+        # set_path refuses any other index on a field that is not a list
+        if spec.kind in (SCALAR, NODE) and segment.index not in (None, 0):
+            raise ConfigError(
+                f"rule {rule_id!r}: target {path}: {segment.name} is not a list", line
+            )
 
     open_positions = [
         i

@@ -6,11 +6,19 @@ after spaces or tabs) by the delimiter; the raw value is everything after
 that first delimiter, trimmed. Raw values are coerced to the rule's value
 type; failures are recorded and skipped, never fatal.
 
+Scanning streams each file line by line, so memory grows with the longest
+line, not with the file. Each line is decoded on its own (UTF-8 never puts
+a newline byte inside a character), and only a line that starts with one
+of the file's rule keys reaches the per-rule match. Each distinct
+``source`` pattern is matched once per file.
+
 Assembly is deterministic regardless of scan order: files are processed in
 lexicographic path order, lines in file order, rules in declaration order.
 Scalar targets follow first-wins (later differing values are recorded as
 conflicts); open list targets append, skipping entries the list already
-contains, so scanning duplicated inputs cannot duplicate metadata.
+contains, so scanning duplicated inputs cannot duplicate metadata. A
+file's entries for one list (a group's instances, or the values of an
+``occurrence = all`` scalar-list rule) are appended with one write.
 
 Both modes run this one path, so they produce byte-identical documents.
 "parallel" is kept as an alias of "serial": scanning is pure Python and
@@ -37,14 +45,20 @@ from ..model import (
     integer_from_text,
     scalars_equal,
 )
-from ..paths import MetadataPath, PathSegment, append_node, get_path, set_path
+from ..paths import (
+    MetadataPath,
+    PathSegment,
+    append_nodes,
+    get_path,
+    resolve_specs,
+    set_path,
+)
 from .config import ExtractionConfig, ExtractionRule
 
 MODES = ("serial", "parallel")
 
 _UNREACHABLE_TARGET = "rule {!r} ({}:{}): target {} not reachable"
 _UNREACHABLE_LIST = "append to {} not reachable"
-_UNIT = MetadataPath((PathSegment("unit"),))
 
 _BOOLEAN_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
@@ -172,28 +186,41 @@ def scan_file(
     relative_path: str,
     rules: list[ExtractionRule],
 ) -> tuple[list[RawHit], int, list[str]]:
-    """All hits in one file, plus bytes read and warnings."""
+    """All hits in one file, plus bytes read and warnings.
+
+    The file is read one line at a time. A line reaches ``parse_line`` only
+    when, stripped of leading whitespace, it starts with a rule's key;
+    ``parse_line`` matches no other line.
+    """
+    keys = tuple(dict.fromkeys(rule.key for rule in rules))
+    hits: list[RawHit] = []
+    warnings: list[str] = []
+    nbytes = 0
     try:
-        data = absolute_path.read_bytes()
+        with open(absolute_path, "rb") as handle:
+            for line_number, raw in enumerate(handle, start=1):
+                try:
+                    line = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    line = raw.decode("utf-8", errors="replace")
+                    if not warnings:
+                        warnings.append(
+                            f"{relative_path}: not valid UTF-8 from byte {nbytes + exc.start}; "
+                            "undecodable bytes replaced"
+                        )
+                nbytes += len(raw)
+                if not line.lstrip().startswith(keys):
+                    continue
+                # the line keeps its "\r\n": a match ends before it, and the
+                # value is trimmed
+                for rule in rules:
+                    hit = parse_line(line, rule, source_file=relative_path,
+                                     line_number=line_number)
+                    if hit is not None:
+                        hits.append(hit)
     except OSError as exc:
         return [], 0, [f"{relative_path}: unreadable, skipped ({exc})"]
-    warnings: list[str] = []
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        text = data.decode("utf-8", errors="replace")
-        warnings.append(
-            f"{relative_path}: not valid UTF-8 from byte {exc.start}; "
-            "undecodable bytes replaced"
-        )
-    hits: list[RawHit] = []
-    for line_number, line in enumerate(text.split("\n"), start=1):
-        line = line.rstrip("\r")
-        for rule in rules:
-            hit = parse_line(line, rule, source_file=relative_path, line_number=line_number)
-            if hit is not None:
-                hits.append(hit)
-    return hits, len(data), warnings
+    return hits, nbytes, warnings
 
 
 @dataclass(frozen=True)
@@ -226,11 +253,13 @@ def assemble(hits: list[RawHit], config: ExtractionConfig) -> AssembleResult:
 
 
 class _AssemblyState:
-    """Builds the document hit by hit, files in sorted order.
+    """Builds the document file by file, in sorted order.
 
-    Writes whose list indices are not reachable yet (a later-sorting file
-    holds the earlier steps) are deferred and retried once everything else
-    is in; only writes that stay unplaceable end up as warnings.
+    A file's entries for one list go in as one batch, deduplicated against
+    the list and within the batch, with one write. Writes whose list
+    indices are not reachable yet (a later-sorting file holds the earlier
+    steps) are deferred entry by entry and retried once everything else is
+    in; only writes that stay unplaceable end up as warnings.
     """
 
     def __init__(self, config: ExtractionConfig):
@@ -254,6 +283,18 @@ class _AssemblyState:
             else:
                 groups[rule.group] = [rule]
                 self._steps.append(groups[rule.group])
+        # each node-list rule's field inside the node built per instance:
+        # the (attribute, class) of the child nodes on the way, then the
+        # scalar's attribute (config allows no list there)
+        self._in_node: dict[str, tuple[tuple[tuple[str, type], ...], str]] = {}
+        for rule in config.rules:
+            if rule.shape.node_type is not None:
+                inside = MetadataPath(rule.target.segments[rule.shape.open_segment + 1:])
+                specs = [spec for _, spec in resolve_specs(inside, rule.shape.node_type)]
+                self._in_node[rule.id] = (
+                    tuple((spec.attr, spec.value_type) for spec in specs[:-1]),
+                    specs[-1].attr,
+                )
 
     def take_file(self, source_file: str, per_rule: dict[str, list[RawHit]]) -> None:
         for members in self._steps:
@@ -264,27 +305,19 @@ class _AssemblyState:
             rule_hits = per_rule.get(rule.id)
             if not rule_hits:
                 continue
-            if rule.occurrence == "first":
-                selected = [rule_hits[0]]
-            elif rule.occurrence == "last":
-                selected = [rule_hits[-1]]
-            else:
-                selected = rule_hits
-            for hit in selected:
-                value = self._coerced(rule, hit)
-                if value is None:
-                    continue
-                if rule.shape.open_segment is None:
-                    self._attempt(
-                        partial(_UNREACHABLE_TARGET.format, rule.id, hit.sourceFile,
-                                hit.lineNumber, rule.target),
-                        partial(self._apply_scalar, rule, value),
-                    )
-                else:  # each hit is one entry of a scalar list, e.g. a keyword
-                    self._attempt(
-                        partial(_UNREACHABLE_LIST.format, rule.target),
-                        partial(self._append, rule.target, value),
-                    )
+            if rule.shape.open_segment is not None:
+                # occurrence = all: each hit is one entry of a scalar list, e.g. a keyword
+                values = [self._coerced(rule, hit) for hit in rule_hits]
+                self._take_entries(rule.target, [v for v in values if v is not None])
+                continue
+            hit = rule_hits[0] if rule.occurrence == "first" else rule_hits[-1]
+            value = self._coerced(rule, hit)
+            if value is not None:
+                self._attempt(
+                    partial(_UNREACHABLE_TARGET.format, rule.id, hit.sourceFile,
+                            hit.lineNumber, rule.target),
+                    partial(self._apply_scalar, rule, value),
+                )
 
     def _coerced(self, rule: ExtractionRule, hit: RawHit):
         try:
@@ -343,17 +376,33 @@ class _AssemblyState:
         if not get_path(self.dataset, unit_path):
             self.dataset = set_path(self.dataset, unit_path, rule.unit)
 
-    def _append(self, list_path: MetadataPath, item) -> bool:
-        """Append a scalar or node unless the list holds an equal entry already."""
+    def _take_entries(self, list_path: MetadataPath, items: list) -> None:
+        """Append one file's entries for a list, or defer each while the list is unreachable.
+
+        Reachability does not change within a batch, so a batch that cannot
+        be written is deferred entry by entry: each entry is retried, and
+        warned about if it stays unplaceable, on its own.
+        """
+        if items and not self._append(list_path, items):
+            describe = partial(_UNREACHABLE_LIST.format, list_path)
+            self.deferred.extend(
+                (describe, partial(self._append, list_path, (item,))) for item in items
+            )
+
+    def _append(self, list_path: MetadataPath, items) -> bool:
+        """Append, in order and with one write, the items the list does not hold yet.
+
+        False, with nothing written, while the list is unreachable.
+        """
         seen = self._seen(list_path)
-        if item in seen:
-            return True
-        try:
-            self.dataset = append_node(self.dataset, list_path, item)
-        except PathIndexGapError:
-            return False
-        seen.add(item)
-        self._list_keys[list_path] = (self._stored_list(list_path), seen)
+        fresh = [item for item in dict.fromkeys(items) if item not in seen]
+        if fresh:
+            try:
+                self.dataset = append_nodes(self.dataset, list_path, fresh)
+            except PathIndexGapError:
+                return False
+            seen.update(fresh)
+            self._list_keys[list_path] = (self._stored_list(list_path), seen)
         return True
 
     def _stored_list(self, list_path: MetadataPath) -> tuple:
@@ -395,29 +444,43 @@ class _AssemblyState:
                 f"counts ({detail}); surplus dropped"
             )
         first = present[0]
-        list_path = MetadataPath(first.target.segments[: first.shape.open_segment + 1])
-        describe = partial(_UNREACHABLE_LIST.format, list_path)
-        # each rule's target inside the node built for one instance
-        in_node = {
-            r.id: MetadataPath(r.target.segments[r.shape.open_segment + 1:]) for r in present
-        }
+        columns = [(rule, per_rule[rule.id], *self._in_node[rule.id]) for rule in present]
+        nodes = []
         for instance in range(instance_count):
-            node = first.shape.node_type()
+            fields: dict = {}
             unit: str | None = None
-            for rule in present:
-                value = self._coerced(rule, per_rule[rule.id][instance])
-                if value is not None:
-                    # config checks each rule's type against its field, so
-                    # the write cannot fail
-                    node = set_path(node, in_node[rule.id], value)
-                    unit = unit or rule.unit
-            if node.is_empty():
+            for rule, rule_hits, owners, attr in columns:
+                value = self._coerced(rule, rule_hits[instance])
+                if value is None:
+                    continue
+                target = fields
+                for owner, owner_type in owners:
+                    target = target.setdefault(owner, (owner_type, {}))[1]
+                target[attr] = value
+                unit = unit or rule.unit
+            if not fields:
                 continue
             # config accepts a unit only on a variable field, and variables
             # sit in lists only, so the node is a Variable
-            if unit is not None and node.unit is None:
-                node = set_path(node, _UNIT, unit)
-            self._attempt(describe, partial(self._append, list_path, node))
+            if unit is not None:
+                fields.setdefault("unit", unit)
+            nodes.append(_node_from(first.shape.node_type, fields))
+        self._take_entries(
+            MetadataPath(first.target.segments[: first.shape.open_segment + 1]), nodes
+        )
+
+
+def _node_from(cls: type, fields: dict):
+    """A node built with one checked constructor call per node.
+
+    ``fields`` maps attributes to scalars, or to a (class, fields) pair for
+    a child node. Config checks each rule's type against its field, so the
+    constructor cannot refuse a value.
+    """
+    return cls(**{
+        attr: _node_from(*value) if type(value) is tuple else value
+        for attr, value in fields.items()
+    })
 
 
 def extract(
@@ -447,10 +510,12 @@ def extract(
     hits: list[RawHit] = []
     files_scanned = 0
     bytes_scanned = 0
+    sources = tuple(dict.fromkeys(rule.source for rule in config.rules))
     for relative_path, absolute_path in walk_files(root, unreadable_directory):
-        applicable = [r for r in config.rules if glob_matches(r.source, relative_path)]
-        if not applicable:
+        matched = {source for source in sources if glob_matches(source, relative_path)}
+        if not matched:
             continue
+        applicable = [r for r in config.rules if r.source in matched]
         file_hits, nbytes, file_warnings = scan_file(absolute_path, relative_path, applicable)
         hits.extend(file_hits)
         warnings.extend(file_warnings)

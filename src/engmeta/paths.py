@@ -163,30 +163,44 @@ def set_path(dataset, path: str | MetadataPath, value):
 def append_node(dataset, list_path: str | MetadataPath, item):
     """Append a prebuilt node, or a scalar, to the list the path addresses.
 
+    The one-item case of ``append_nodes``.
+    """
+    return append_nodes(dataset, list_path, (item,))
+
+
+def append_nodes(dataset, list_path: str | MetadataPath, items):
+    """Append prebuilt nodes, or scalars, in order, with one write.
+
     The final segment must name a list, index-less; intermediate segments
-    behave as in set_path. A scalar is checked as set_path checks it.
-    Appending an empty node changes nothing: documents never hold
-    content-free nodes. As with set_path, any node can stand in for the
-    dataset.
+    behave as in set_path. Every item is checked before anything is written:
+    a scalar as set_path checks it, a node against the list's node class.
+    Empty nodes are skipped, since documents never hold content-free nodes;
+    when nothing is left to append the document is returned unchanged. As
+    with set_path, any node can stand in for the dataset.
     """
     parsed = _as_path(list_path)
     resolved = resolve_specs(parsed, type(dataset))
     final_segment, final_spec = resolved[-1]
     if final_spec.kind not in (NODE_LIST, SCALAR_LIST) or final_segment.index is not None:
         raise PathTargetError(f"{parsed}: not an index-less list")
-    if final_spec.kind == SCALAR_LIST:
-        try:
-            item = _check_scalar(final_spec, item)
-        except (TypeError, ValueError) as exc:
-            raise PathTargetError(f"{parsed}: {exc}") from None
-    elif not isinstance(item, final_spec.value_type):
-        raise PathTargetError(
-            f"{parsed}: expected {final_spec.value_type.__name__}, "
-            f"got {type(item).__name__}"
-        )
-    elif item.is_empty():
+    kept = []
+    for item in items:
+        if final_spec.kind == SCALAR_LIST:
+            try:
+                kept.append(_check_scalar(final_spec, item))
+            except (TypeError, ValueError) as exc:
+                raise PathTargetError(f"{parsed}: {exc}") from None
+        elif not isinstance(item, final_spec.value_type):
+            raise PathTargetError(
+                f"{parsed}: expected {final_spec.value_type.__name__}, "
+                f"got {type(item).__name__}"
+            )
+        elif not item.is_empty():
+            kept.append(item)
+    if not kept:
         return dataset
-    return _write(dataset, parsed, resolved, 0, lambda current, _segment, _spec: current + (item,))
+    added = tuple(kept)
+    return _write(dataset, parsed, resolved, 0, lambda current, _segment, _spec: current + added)
 
 
 def _write(node, path: MetadataPath, resolved, pos: int, leaf):

@@ -10,8 +10,8 @@ from xml.etree import ElementTree
 
 from engmeta import canon
 from engmeta import codes as codetables
-from engmeta.errors import PathIndexGapError
-from engmeta.extract.engine import _AssemblyState
+from engmeta.errors import CoercionError, PathIndexGapError
+from engmeta.extract.engine import CoercionFailure, RawHit, coerce, parse_line
 from engmeta.flatten import (
     DROP_REASON,
     BlockField,
@@ -197,8 +197,104 @@ def _merge_node(base, overlay, path: str, policy: str, conflicts: list):
     return replace(base, **updates) if updates else base
 
 
-class ListScanAssembly(_AssemblyState):
-    """Assembly that deduplicates appends by scanning the stored list."""
+class ListScanAssembly:
+    """extract's assembly as it was before batching: hit by hit, deduplicating
+    each append by scanning the stored list.
+
+    Each group instance is built as an empty node plus one ``set_path`` per
+    member and unit, and each list entry is appended on its own, deferred
+    on its own while the list is unreachable.
+    """
+
+    def __init__(self, config):
+        self.dataset = EngMetaDataset()
+        self.conflicts: list = []
+        self.failures: list = []
+        self.warnings: list[str] = []
+        self.deferred: list = []  # (describe, retry)
+        self._steps: list[list] = []
+        groups: dict[str, list] = {}
+        for rule in config.rules:
+            if rule.group is None:
+                self._steps.append([rule])
+            elif rule.group in groups:
+                groups[rule.group].append(rule)
+            else:
+                groups[rule.group] = [rule]
+                self._steps.append(groups[rule.group])
+
+    def take_file(self, source_file: str, per_rule: dict) -> None:
+        for members in self._steps:
+            rule = members[0]
+            if rule.shape.node_type is not None:
+                self._take_group(members, source_file, per_rule)
+                continue
+            rule_hits = per_rule.get(rule.id)
+            if not rule_hits:
+                continue
+            if rule.occurrence == "first":
+                selected = [rule_hits[0]]
+            elif rule.occurrence == "last":
+                selected = [rule_hits[-1]]
+            else:
+                selected = rule_hits
+            for hit in selected:
+                value = self._coerced(rule, hit)
+                if value is None:
+                    continue
+                if rule.shape.open_segment is None:
+                    self._attempt(
+                        lambda rule=rule, hit=hit: (
+                            f"rule {rule.id!r} ({hit.sourceFile}:{hit.lineNumber}): "
+                            f"target {rule.target} not reachable"
+                        ),
+                        lambda rule=rule, value=value: self._apply_scalar(rule, value),
+                    )
+                else:
+                    self._attempt(
+                        lambda rule=rule: f"append to {rule.target} not reachable",
+                        lambda rule=rule, value=value: self._append(rule.target, value),
+                    )
+
+    def _coerced(self, rule, hit):
+        try:
+            return coerce(hit.rawValue, rule.valueType)
+        except CoercionError as exc:
+            self.failures.append(
+                CoercionFailure(rule.id, hit.sourceFile, hit.lineNumber, hit.rawValue, str(exc))
+            )
+            return None
+
+    def _attempt(self, describe, write) -> None:
+        if not write():
+            self.deferred.append((describe, write))
+
+    def _apply_scalar(self, rule, value) -> bool:
+        existing = get_path(self.dataset, rule.target)
+        if existing:
+            if not scalars_equal(existing[0], value):
+                self.conflicts.append(Conflict(str(rule.target), existing[0], value, existing[0]))
+            return True
+        try:
+            self.dataset = set_path(self.dataset, rule.target, value)
+        except PathIndexGapError:
+            return False
+        if rule.unit is not None:
+            unit_path = MetadataPath(rule.target.segments[:-1] + (PathSegment("unit"),))
+            if not get_path(self.dataset, unit_path):
+                self.dataset = set_path(self.dataset, unit_path, rule.unit)
+        return True
+
+    def resolve_deferred(self) -> None:
+        while self.deferred:
+            remaining = [(d, retry) for d, retry in self.deferred if not retry()]
+            progress = len(remaining) < len(self.deferred)
+            self.deferred = remaining
+            if not progress:
+                break
+        for describe, _ in self.deferred:
+            self.warnings.append(f"{describe()}; hit skipped")
+        self.deferred = []
 
     def _append(self, list_path: MetadataPath, item) -> bool:
         current = get_path(self.dataset, list_path)
@@ -207,7 +303,10 @@ class ListScanAssembly(_AssemblyState):
                 return True
             *parents, last = list_path.segments
             indexed = MetadataPath((*parents, PathSegment(last.name, len(current))))
-            self.dataset = set_path(self.dataset, indexed, item)
+            try:
+                self.dataset = set_path(self.dataset, indexed, item)
+            except PathIndexGapError:
+                return False
             return True
         if _already_in(current, item):
             return True
@@ -216,6 +315,40 @@ class ListScanAssembly(_AssemblyState):
         except PathIndexGapError:
             return False
         return True
+
+    def _take_group(self, members: list, source_file: str, per_rule: dict) -> None:
+        present = [r for r in members if per_rule.get(r.id)]
+        if not present:
+            return
+        counts = {r.id: len(per_rule[r.id]) for r in present}
+        instance_count = min(counts.values())
+        if len(set(counts.values())) > 1:
+            detail = ", ".join(f"{rid}={n}" for rid, n in sorted(counts.items()))
+            self.warnings.append(
+                f"group {present[0].group!r} in {source_file}: mismatched instance "
+                f"counts ({detail}); surplus dropped"
+            )
+        first = present[0]
+        list_path = MetadataPath(first.target.segments[: first.shape.open_segment + 1])
+        in_node = {
+            r.id: MetadataPath(r.target.segments[r.shape.open_segment + 1:]) for r in present
+        }
+        for instance in range(instance_count):
+            node = first.shape.node_type()
+            unit = None
+            for rule in present:
+                value = self._coerced(rule, per_rule[rule.id][instance])
+                if value is not None:
+                    node = set_path(node, in_node[rule.id], value)
+                    unit = unit or rule.unit
+            if node.is_empty():
+                continue
+            if unit is not None and node.unit is None:
+                node = set_path(node, "unit", unit)
+            self._attempt(
+                lambda: f"append to {list_path} not reachable",
+                lambda node=node: self._append(list_path, node),
+            )
 
 
 def assemble_by_list_scan(hits, config) -> ListScanAssembly:
@@ -231,6 +364,32 @@ def assemble_by_list_scan(hits, config) -> ListScanAssembly:
         state.take_file(source_file, by_file[source_file])
     state.resolve_deferred()
     return state
+
+
+def scan_file_whole(absolute_path: Path, relative_path: str, rules: list):
+    """Reference for ``extract.scan_file``: the whole file read and decoded at
+    once, split into lines, and every line matched against every rule."""
+    try:
+        data = absolute_path.read_bytes()
+    except OSError as exc:
+        return [], 0, [f"{relative_path}: unreadable, skipped ({exc})"]
+    warnings: list[str] = []
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        text = data.decode("utf-8", errors="replace")
+        warnings.append(
+            f"{relative_path}: not valid UTF-8 from byte {exc.start}; "
+            "undecodable bytes replaced"
+        )
+    hits: list[RawHit] = []
+    for line_number, line in enumerate(text.split("\n"), start=1):
+        line = line.rstrip("\r")
+        for rule in rules:
+            hit = parse_line(line, rule, source_file=relative_path, line_number=line_number)
+            if hit is not None:
+                hits.append(hit)
+    return hits, len(data), warnings
 
 
 def walk_files_by_os_walk(root: Path, on_unreadable=None) -> list[tuple[str, Path]]:

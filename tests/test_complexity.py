@@ -56,6 +56,27 @@ def test_assembly_checks_each_scalar_a_bounded_number_of_times(monkeypatch):
     assert large <= MAX_RATIO * small, (small, large)
 
 
+CONTROLS = parse_config(
+    "[rule vn]\ntarget = system.controlledVariables.name\nsource = *\nkey = VN\ngroup = v\n"
+    "[rule vv]\ntarget = system.controlledVariables.value\nsource = *\nkey = VV\n"
+    "type = decimal\nunit = K\ngroup = v\n"
+)
+
+
+def _assemble_group(count: int) -> None:
+    hits = [RawHit("vn", "run.log", 2 * i + 1, f"T{i}") for i in range(count)]
+    hits += [RawHit("vv", "run.log", 2 * i + 2, str(i)) for i in range(count)]
+    assert len(assemble(hits, CONTROLS).dataset.system.controlledVariables) == count
+
+
+def test_assembly_copies_the_dataset_root_once_per_list_and_file(monkeypatch):
+    # one group's instances in one file are one batch, written with one path write
+    patches = [(EngMetaDataset, "_replaced")]
+    small = _calls(monkeypatch, patches, lambda: _assemble_group(N))
+    large = _calls(monkeypatch, patches, lambda: _assemble_group(2 * N))
+    assert small == large == 1
+
+
 def _listing(prefix: str, first: int, count: int) -> EngMetaDataset:
     return EngMetaDataset(files=tuple(
         FileInfo(filename=f"{prefix}/{i}.dat", sizeBytes=i) for i in range(first, first + count)

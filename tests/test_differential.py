@@ -1,5 +1,6 @@
 """Differential and property tests: the key-based fast paths against the
-list-scan reference implementations in ``oracles``, validation's
+list-scan reference implementations in ``oracles``, the streamed line scan
+against the whole-file scan, validation's
 field-rule table against the per-class reference checks, the trusted
 decoders against the checked construction, the indented-JSON writer
 against ``json.dumps``, and the schema-derived crosswalk against the
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from engmeta.canon import from_json, from_xml, indented_json, to_json, to_xml
 from engmeta.extract import assemble, parse_config
-from engmeta.extract.engine import RawHit
+from engmeta.extract.engine import RawHit, scan_file
 from engmeta.flatten import BLOCK_NAMES, flatten, serialize_blocks_json
 from engmeta.merging import merge
 from engmeta.model import (
@@ -45,6 +46,7 @@ from oracles import (
     merge_by_list_scan,
     nodes_equal,
     renormalised,
+    scan_file_whole,
     validate_by_class_checks,
 )
 
@@ -170,10 +172,16 @@ ASSEMBLY_RULES = parse_config(
     "[rule unit]\ntarget = system.parameters[0].unit\nsource = *\nkey = Unit\n"
     "[rule vn]\ntarget = system.controlledVariables.name\nsource = *\nkey = VN\ngroup = v\n"
     "[rule vv]\ntarget = system.controlledVariables.value\nsource = *\nkey = VV\n"
-    "type = decimal\ngroup = v\n"
+    "type = decimal\nunit = K\ngroup = v\n"
+    # a member's own unit wins over the rule unit
+    "[rule vu]\ntarget = system.controlledVariables.unit\nsource = *\nkey = VU\ngroup = v\n"
+    # two members fill one child node of each instance
+    "[rule fn]\ntarget = file.filename\nsource = *\nkey = FN\ngroup = f\n"
+    "[rule fd]\ntarget = file.checksum.digest\nsource = *\nkey = FD\ngroup = f\n"
+    "[rule fa]\ntarget = file.checksum.algorithm\nsource = *\nkey = FA\ngroup = f\n"
     "[rule step]\ntarget = processingStep[0].stepType\nsource = *\nkey = Step\n"
-    # unreachable until a step exists: deferred, then retried
-    "[rule sp]\ntarget = processingStep[0].method.parameters.name\nsource = *\n"
+    # unreachable until a first step exists: deferred, then retried
+    "[rule sp]\ntarget = processingStep[1].method.parameters.name\nsource = *\n"
     "key = SP\noccurrence = all\n"
 )
 RULE_IDS = [rule.id for rule in ASSEMBLY_RULES.rules]
@@ -190,6 +198,10 @@ def hit_lists(draw) -> list:
         ),
         max_size=60,
     ))
+    # repeated picks: one file then holds a value twice, and a batch for
+    # one list meets its own duplicates
+    if picks:
+        picks += draw(st.lists(st.sampled_from(picks), max_size=20))
     lines: dict[str, int] = {}
     hits = []
     for source_file, rule_id, raw in picks:
@@ -209,6 +221,54 @@ def test_assemble_equals_list_scan_assembly_for_any_hit_order(hits, data):
     assert _conflict_keys(fast.conflicts) == _conflict_keys(slow.conflicts)
     assert list(fast.coercionFailures) == slow.failures
     assert list(fast.warnings) == slow.warnings
+
+
+# keys that prefix one another, one key under two rules, a non-ASCII key
+SCAN_RULES = list(parse_config("".join(
+    f"[rule s{i}]\ntarget = keyword\nsource = *\nkey = {key}\ndelimiter = {delimiter}\n"
+    "occurrence = all\n"
+    for i, (key, delimiter) in enumerate([
+        ("T", "="), ("Temp", "="), ("Temperature", ":"), ("T", ":"), ("ü", "="),
+        ("a b", "=="),
+    ])
+)).rules)
+SCAN_LINES = st.tuples(
+    st.sampled_from(["", " ", "\t", "\u3000", "\xa0", "\x85", "\u2028", "\x1c", "\x0b"]),
+    st.sampled_from(["T", "Temp", "Temperature", "Tem", "ü", "a b", "a", "x", ""]),
+    st.sampled_from(["", " ", "\t ", "\u3000"]),
+    st.sampled_from(["=", ":", "==", ""]),
+    st.sampled_from(["", " ", "v", " 1.5 ", "ü", "a=b", "x\ry"]),
+).map(lambda parts: "".join(parts).encode("utf-8"))
+BAD_BYTES = st.sampled_from([b"", b"", b"\xff", b"\xe2\x82", b"\xc3", b"\xed\xa0\x80"])
+LINE_ENDS = st.sampled_from([b"\n", b"\r\n", b"\r\r\n", b"\r"])
+
+
+@st.composite
+def scanned_files(draw) -> bytes:
+    lines = draw(st.lists(
+        st.tuples(SCAN_LINES | st.binary(max_size=6), BAD_BYTES, LINE_ENDS), max_size=12,
+    ))
+    data = b"".join(line + bad + end for line, bad, end in lines)
+    if draw(st.booleans()):  # no final newline
+        data += draw(SCAN_LINES) + draw(BAD_BYTES)
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=scanned_files())
+def test_streamed_scan_equals_whole_file_scan(tmp_path_factory, data):
+    target = tmp_path_factory.getbasetemp() / "scanned.log"
+    target.write_bytes(data)
+    assert scan_file(target, "run.log", SCAN_RULES) == scan_file_whole(target, "run.log", SCAN_RULES)
+
+
+def test_assembly_warns_about_each_entry_that_stays_unplaceable():
+    # no step is ever written, so no method parameter list is reachable
+    hits = [RawHit("sp", "a.log", line, raw) for line, raw in enumerate("aba", start=1)]
+    fast = assemble(hits, ASSEMBLY_RULES)
+    slow = assemble_by_list_scan(hits, ASSEMBLY_RULES)
+    assert list(fast.warnings) == slow.warnings
+    assert len(slow.warnings) == 3
 
 
 def _count(dataset, list_path: str) -> int:

@@ -62,6 +62,20 @@ def test_non_scalar_target_rejected():
         parse_config(text)
 
 
+@pytest.mark.parametrize("target, extra", [
+    ("project[1]", ""),
+    ("system[1].description", ""),
+    ("system.controlledVariables.name[1]", "group = g\n"),
+])
+def test_index_on_a_field_that_is_not_a_list_rejected(target, extra):
+    # set_path refuses such a target, so no hit could ever be written
+    text = f"[rule broken]\ntarget = {target}\nsource = *.log\nkey = K\n{extra}"
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text)
+    assert "is not a list" in str(excinfo.value)
+    assert excinfo.value.line == 1
+
+
 def test_open_list_needs_all_or_group():
     text = "[rule broken]\ntarget = keyword\nsource = *.txt\nkey = K\n"
     with pytest.raises(ConfigError) as excinfo:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from decimal import Decimal
 
 import pytest
@@ -385,6 +386,28 @@ def test_non_utf8_bytes_are_reported(tmp_path):
     assert [h.rawValue for h in hits] == ["one", "caf\ufffd", "two"]
     assert nbytes == len(data)
     assert warnings == ["x.txt: not valid UTF-8 from byte 7; undecodable bytes replaced"]
+
+
+def test_scan_memory_grows_with_the_longest_line_not_the_file(tmp_path):
+    config = parse_config("[rule p]\ntarget = project\nsource = *\nkey = P\ndelimiter = :\n")
+    longest = 256 * 1024
+    target = tmp_path / "big.log"
+    with target.open("wb") as handle:
+        handle.write(b"P: first\n")
+        block = b"   12345   -4.2e+04   3.1e+04   300.000\n" * 26_215  # 40-byte lines, 1 MiB
+        for _ in range(8):
+            handle.write(block)
+        handle.write(b"x" * longest + b"\nP: last")
+    tracemalloc.start()
+    try:
+        hits, nbytes, warnings = scan_file(target, "big.log", list(config.rules))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [h.rawValue for h in hits] == ["first", "last"]
+    assert (nbytes, warnings) == (target.stat().st_size, [])
+    # the line being read, its decoded copy and the reader's parts of it
+    assert peak < 256 * 1024 + 4 * longest, peak
 
 
 def test_unreadable_directory_is_reported(tmp_path, make_unlistable):

@@ -12,11 +12,12 @@ import json
 from decimal import Decimal
 from xml.sax.saxutils import escape, quoteattr
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from engmeta.canon import from_json, from_xml
-from engmeta.errors import EngMetaError
+from engmeta.errors import CanonDecodeError, EngMetaError
 from engmeta.extract import VALUE_TYPES, assemble, coerce, parse_config
 from engmeta.extract.engine import RawHit
 from engmeta.model import (
@@ -160,6 +161,24 @@ def test_deep_nesting_and_surrogates_raise_only_engmeta_errors():
     _raises_only_engmeta_errors(from_json, "[" * 100_000)
     _raises_only_engmeta_errors(from_xml, "<engMeta>" + "<a>" * 100_000)
     _raises_only_engmeta_errors(from_xml, "<engMeta>\ud800</engMeta>")
+
+
+def test_integer_literal_over_digit_limit_is_reported_at_its_field():
+    digits = "1" * 4301
+    for read, text in (
+        (from_json, '{"file": [{"sizeBytes": ' + digits + "}]}"),
+        (from_xml, f"<engMeta><file><sizeBytes>{digits}</sizeBytes></file></engMeta>"),
+    ):
+        with pytest.raises(CanonDecodeError) as excinfo:
+            read(text)
+        assert str(excinfo.value) == (
+            f"file[0].sizeBytes: {digits!r} exceeds 4300 digits in plain notation"
+        )
+    # in a field of another type the literal is only of the wrong type
+    with pytest.raises(CanonDecodeError, match="^project: expected a string, got int$"):
+        from_json('{"project": ' + digits + "}")
+    read = from_json('{"file": [{"sizeBytes": ' + digits[1:] + "}]}")
+    assert read.dataset.files[0].sizeBytes == int(digits[1:])
 
 
 def _read_number(text: str, type_name: str, reader: str):

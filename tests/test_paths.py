@@ -3,8 +3,8 @@ from decimal import Decimal
 import pytest
 
 from engmeta.errors import PathIndexGapError, PathSyntaxError, PathTargetError
-from engmeta.model import EngMetaDataset, ProcessingStep, Title
-from engmeta.paths import append_node, get_path, parse_path, set_path
+from engmeta.model import EngMetaDataset, ProcessingStep, Software, Title, Variable
+from engmeta.paths import append_node, append_nodes, get_path, parse_path, set_path
 
 
 def test_parse_path_segments():
@@ -95,6 +95,40 @@ def test_append_node_appends_checked_scalars():
     for path, value in (("keyword", 5), ("keyword", ""), ("keyword[0]", "c"), ("project", "c")):
         with pytest.raises(PathTargetError):
             append_node(doc, path, value)
+
+
+def test_append_nodes_keeps_order_and_skips_empty_nodes():
+    doc = append_nodes(EngMetaDataset(keywords=("a",)), "keyword", ["b", "c", "b"])
+    assert doc.keywords == ("a", "b", "c", "b")
+    doc = append_nodes(doc, "system.parameters",
+                       [Variable(name="p"), Variable(), Variable(name="q")])
+    assert [v.name for v in doc.system.parameters] == ["p", "q"]
+    assert append_nodes(doc, "system.parameters", [Variable(), Variable()]) is doc
+    assert append_nodes(doc, "keyword", []) is doc
+
+
+def test_append_nodes_checks_every_item_before_writing():
+    doc = EngMetaDataset(keywords=("a",))
+    for path, items in (
+        ("keyword", ["b", 5]),
+        ("keyword", ["b", ""]),
+        ("system.parameters", [Variable(name="p"), Software(name="s")]),
+        ("system.parameters", [Variable(name="p"), "q"]),
+    ):
+        with pytest.raises(PathTargetError):
+            append_nodes(doc, path, items)
+    assert doc == EngMetaDataset(keywords=("a",))
+
+
+def test_append_nodes_rejects_an_index_gap():
+    with pytest.raises(PathIndexGapError):
+        append_nodes(EngMetaDataset(), "processingStep[1].method.parameters", [Variable(name="n")])
+
+
+def test_append_node_is_the_one_item_append():
+    doc = EngMetaDataset(keywords=("a",))
+    assert append_node(doc, "keyword", "b") == append_nodes(doc, "keyword", ["b"])
+    assert append_node(doc, "system.parameters", Variable()) is doc
 
 
 def test_set_path_does_not_mutate_input():
