@@ -34,9 +34,8 @@ from .model import (
     SCALAR_TYPES_BY_NAME,
     _trusted_node,
     content_field,
-    decimal_from_text,
     field_by_element,
-    integer_from_text,
+    number_from_text,
     scalar_to_text,
     scalar_type_name,
     schema,
@@ -59,12 +58,6 @@ class ReadResult:
 
 # --- scalar text encoding/decoding ---------------------------------------
 
-_NUMBER_READERS = {
-    int: (integer_from_text, "an integer"),
-    Decimal: (decimal_from_text, "a decimal number"),
-}
-
-
 def _scalar_from_text(text: str, value_type, path: str):
     if value_type is str:
         return text
@@ -75,14 +68,10 @@ def _scalar_from_text(text: str, value_type, path: str):
         if stripped == "false":
             return False
         raise CanonDecodeError(f"{text!r} is not a boolean ('true'/'false')", path)
-    read, number = _NUMBER_READERS[value_type]
     try:
-        value = read(stripped)
-    except ValueError as exc:  # too many digits
+        return number_from_text(stripped, value_type)
+    except ValueError as exc:
         raise CanonDecodeError(f"{text!r} {exc}", path) from None
-    if value is None:
-        raise CanonDecodeError(f"{text!r} is not {number}", path)
-    return value
 
 
 def _tagged_from_text(text: str, type_name: str, path: str):

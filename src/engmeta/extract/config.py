@@ -23,6 +23,11 @@ marks where successive instances are appended. Rules sharing a ``group``
 must share that open list segment: their hits are joined index-wise into
 one node per instance (e.g. a variable whose name and value sit on
 different lines).
+
+A rule's plan (its open list, and the field it fills inside each appended
+node) is derived when the rule is built, and a config's application order
+when the config is built, so an ``ExtractionRule`` built by hand is checked
+as a parsed one is.
 """
 
 from __future__ import annotations
@@ -42,7 +47,7 @@ from ..model import (
     EngMetaDataset,
     Variable,
 )
-from ..paths import MetadataPath, PathSegment, parse_path, resolve_specs
+from ..paths import MetadataPath, parse_path, resolve_specs
 
 # rule value type -> the field types its values fill; a TAGGED field
 # (Variable.value) takes every type
@@ -66,10 +71,16 @@ class TargetShape:
 
     open_segment: int | None  # position of the index-less list segment, if any
     node_type: type | None  # node class of the open list, when it is a node list
+    open_list: MetadataPath | None  # the target up to its open segment
+    # for a node list: the (attribute, class) of each child node inside the
+    # appended node, then the scalar's attribute
+    in_node: tuple[tuple[tuple[str, type], ...], str] | None
 
 
 @dataclass(frozen=True)
 class ExtractionRule:
+    """One extraction rule; its target is checked, and its plan derived, when it is built."""
+
     id: str
     target: MetadataPath
     source: str
@@ -80,24 +91,65 @@ class ExtractionRule:
     group: str | None = None
     occurrence: str = "first"
     line: int = 0  # header line in the config file, for diagnostics
-    shape: TargetShape = field(default=TargetShape(None, None), compare=False)
+    shape: TargetShape = field(init=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "shape", analyze_target(self))
 
 
 @dataclass(frozen=True)
 class ExtractionConfig:
+    """Rules in declaration order; ``steps`` is the order they apply in.
+
+    A group's members apply together, at the group's first rule; every other
+    rule applies alone.
+    """
+
     rules: tuple[ExtractionRule, ...] = ()
+    steps: tuple[tuple[ExtractionRule, ...], ...] = field(init=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rules", tuple(self.rules))
+        steps: list[list[ExtractionRule]] = []
+        groups: dict[str, list[ExtractionRule]] = {}
+        for rule in self.rules:
+            members = groups.get(rule.group)  # None for an ungrouped rule
+            if members is None:
+                steps.append([rule])
+                if rule.group is not None:
+                    groups[rule.group] = steps[-1]
+            elif members[0].shape.open_list != rule.shape.open_list:
+                raise ConfigError(
+                    f"group {rule.group!r}: rules {members[0].id!r} and {rule.id!r} "
+                    f"target different lists",
+                    rule.line,
+                )
+            else:
+                members.append(rule)
+        object.__setattr__(self, "steps", tuple(map(tuple, steps)))
 
 
-def analyze_target(rule_id: str, path: MetadataPath, *, grouped: bool, occurrence: str,
-                   unit: str | None, value_type: str, line: int) -> TargetShape:
-    """Check a rule target, and the type of the values it takes, against the schema."""
+def _check_choice(rule_id: str, name: str, value: str, choices: tuple[str, ...],
+                  line: int) -> None:
+    if value not in choices:
+        raise ConfigError(
+            f"rule {rule_id!r}: bad {name} {value!r}; expected one of: {', '.join(choices)}",
+            line,
+        )
+
+
+def analyze_target(rule: ExtractionRule) -> TargetShape:
+    """Check a rule's target, and the type of the values it takes, against the
+    schema, and derive how the rule writes."""
+    rule_id, path, line = rule.id, rule.target, rule.line
+    _check_choice(rule_id, "type", rule.valueType, VALUE_TYPES, line)
+    _check_choice(rule_id, "occurrence", rule.occurrence, OCCURRENCES, line)
     try:
         resolved = resolve_specs(path)
     except PathError as exc:
         raise ConfigError(f"rule {rule_id!r}: bad target: {exc}", line) from None
+    if not resolved:
+        raise ConfigError(f"rule {rule_id!r}: bad target: empty path", line)
     for segment, spec in resolved:
         # set_path refuses any other index on a field that is not a list
         if spec.kind in (SCALAR, NODE) and segment.index not in (None, 0):
@@ -116,16 +168,16 @@ def analyze_target(rule_id: str, path: MetadataPath, *, grouped: bool, occurrenc
             f"rule {rule_id!r}: target {path} does not address a scalar field", line
         )
     field_type = terminal_spec.value_type
-    if field_type is not TAGGED and field_type not in _FILLS[value_type]:
+    if field_type is not TAGGED and field_type not in _FILLS[rule.valueType]:
         raise ConfigError(
-            f"rule {rule_id!r}: type {value_type} cannot fill target {path}, "
+            f"rule {rule_id!r}: type {rule.valueType} cannot fill target {path}, "
             f"a {SCALAR_TYPE_NAMES[field_type]} field",
             line,
         )
 
-    open_segment: int | None = None
-    node_type: type | None = None
-    if grouped or occurrence == "all":
+    grouped = rule.group is not None
+    shape = TargetShape(None, None, None, None)
+    if grouped or rule.occurrence == "all":
         if len(open_positions) != 1:
             raise ConfigError(
                 f"rule {rule_id!r}: target {path} needs exactly one index-less "
@@ -134,8 +186,6 @@ def analyze_target(rule_id: str, path: MetadataPath, *, grouped: bool, occurrenc
             )
         open_segment = open_positions[0]
         open_spec = resolved[open_segment][1]
-        if open_spec.kind == NODE_LIST:
-            node_type = open_spec.value_type
         if grouped:
             if open_spec.kind != NODE_LIST or open_segment == len(resolved) - 1:
                 raise ConfigError(
@@ -146,13 +196,20 @@ def analyze_target(rule_id: str, path: MetadataPath, *, grouped: bool, occurrenc
         # appended instances are built from scalar fields reachable through
         # singular child nodes; list segments after the open one would be
         # ambiguous across instances
-        for _, spec in resolved[open_segment + 1:]:
-            if spec.kind in (NODE_LIST, SCALAR_LIST):
-                raise ConfigError(
-                    f"rule {rule_id!r}: target {path} nests a list inside the "
-                    f"open list segment",
-                    line,
-                )
+        inside = [spec for _, spec in resolved[open_segment + 1:]]
+        if any(spec.kind in (NODE_LIST, SCALAR_LIST) for spec in inside):
+            raise ConfigError(
+                f"rule {rule_id!r}: target {path} nests a list inside the "
+                f"open list segment",
+                line,
+            )
+        open_list = MetadataPath(path.segments[: open_segment + 1])
+        if open_spec.kind == NODE_LIST:
+            in_node = (tuple((spec.attr, spec.value_type) for spec in inside[:-1]),
+                       inside[-1].attr)
+            shape = TargetShape(open_segment, open_spec.value_type, open_list, in_node)
+        else:
+            shape = TargetShape(open_segment, None, open_list, None)
     elif open_positions:
         segment = resolved[open_positions[0]][0]
         raise ConfigError(
@@ -163,14 +220,13 @@ def analyze_target(rule_id: str, path: MetadataPath, *, grouped: bool, occurrenc
 
     # resolve_specs lets only nodes and node lists precede the final segment
     owner_type = resolved[-2][1].value_type if len(resolved) > 1 else EngMetaDataset
-    if unit is not None and owner_type is not Variable:
+    if rule.unit is not None and owner_type is not Variable:
         raise ConfigError(
             f"rule {rule_id!r}: unit only applies when the target is a "
             f"variable field (got {path})",
             line,
         )
-
-    return TargetShape(open_segment, node_type)
+    return shape
 
 
 def parse_config(text: str) -> ExtractionConfig:
@@ -229,7 +285,6 @@ def parse_config(text: str) -> ExtractionConfig:
         field_lines[name] = lineno
 
     finish()
-    _check_groups(rules)
     return ExtractionConfig(tuple(rules))
 
 
@@ -243,21 +298,12 @@ def _build_rule(rule_id: str, header_line: int, fields: dict[str, str],
     if delimiter == "":
         raise ConfigError(f"rule {rule_id!r}: delimiter must not be empty", field_lines["delimiter"])
 
+    # a defaulted field is valid, so a failing check has a line of its own
     value_type = fields.get("type", "string")
-    if value_type not in VALUE_TYPES:
-        raise ConfigError(
-            f"rule {rule_id!r}: bad type {value_type!r}; expected one of: "
-            f"{', '.join(VALUE_TYPES)}",
-            field_lines["type"],
-        )
-
+    _check_choice(rule_id, "type", value_type, VALUE_TYPES, field_lines.get("type", header_line))
     occurrence = fields.get("occurrence", "first")
-    if occurrence not in OCCURRENCES:
-        raise ConfigError(
-            f"rule {rule_id!r}: bad occurrence {occurrence!r}; expected one of: "
-            f"{', '.join(OCCURRENCES)}",
-            field_lines["occurrence"],
-        )
+    _check_choice(rule_id, "occurrence", occurrence, OCCURRENCES,
+                  field_lines.get("occurrence", header_line))
 
     if fields["key"] == "":
         raise ConfigError(f"rule {rule_id!r}: key must not be empty", field_lines["key"])
@@ -269,13 +315,6 @@ def _build_rule(rule_id: str, header_line: int, fields: dict[str, str],
     except PathError as exc:
         raise ConfigError(f"rule {rule_id!r}: bad target: {exc}", field_lines["target"]) from None
 
-    group = fields.get("group") or None
-    unit = fields.get("unit") or None
-    shape = analyze_target(
-        rule_id, target, grouped=group is not None, occurrence=occurrence,
-        unit=unit, value_type=value_type, line=header_line,
-    )
-
     return ExtractionRule(
         id=rule_id,
         target=target,
@@ -283,31 +322,9 @@ def _build_rule(rule_id: str, header_line: int, fields: dict[str, str],
         key=fields["key"],
         delimiter=delimiter,
         valueType=value_type,
-        unit=unit,
-        group=group,
+        unit=fields.get("unit") or None,
+        group=fields.get("group") or None,
         occurrence=occurrence,
         line=header_line,
-        shape=shape,
     )
 
-
-def _open_prefix(rule: ExtractionRule) -> tuple[PathSegment, ...]:
-    assert rule.shape.open_segment is not None
-    return rule.target.segments[: rule.shape.open_segment + 1]
-
-
-def _check_groups(rules: list[ExtractionRule]) -> None:
-    prefixes: dict[str, tuple[tuple[PathSegment, ...], str]] = {}
-    for rule in rules:
-        if rule.group is None:
-            continue
-        prefix = _open_prefix(rule)
-        known = prefixes.get(rule.group)
-        if known is None:
-            prefixes[rule.group] = (prefix, rule.id)
-        elif known[0] != prefix:
-            raise ConfigError(
-                f"group {rule.group!r}: rules {known[1]!r} and {rule.id!r} "
-                f"target different lists",
-                rule.line,
-            )

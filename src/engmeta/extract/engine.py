@@ -12,8 +12,10 @@ a newline byte inside a character), and only a line that starts with one
 of the file's rule keys reaches the per-rule match. Each distinct
 ``source`` pattern is matched once per file.
 
-Assembly is deterministic regardless of scan order: files are processed in
-lexicographic path order, lines in file order, rules in declaration order.
+Each file is assembled as soon as it is scanned, so memory holds one
+file's hits, not the tree's. Assembly, and the report, do not depend on
+the walk's order: files are processed in lexicographic path order, lines
+in file order, rules in declaration order.
 Scalar targets follow first-wins (later differing values are recorded as
 conflicts); open list targets append, skipping entries the list already
 contains, so scanning duplicated inputs cannot duplicate metadata. A
@@ -39,20 +41,13 @@ from ..fswalk import walk_files
 from ..isodates import is_iso_date_or_datetime
 from ..merging import Conflict
 from ..model import (
+    SCALAR_TYPES_BY_NAME,
     EngMetaDataset,
-    decimal_from_text,
     field_by_element,
-    integer_from_text,
+    number_from_text,
     scalars_equal,
 )
-from ..paths import (
-    MetadataPath,
-    PathSegment,
-    append_nodes,
-    get_path,
-    resolve_specs,
-    set_path,
-)
+from ..paths import MetadataPath, PathSegment, append_nodes, get_path, set_path
 from .config import ExtractionConfig, ExtractionRule
 
 MODES = ("serial", "parallel")
@@ -152,15 +147,10 @@ def coerce(raw_value: str, value_type: str):
     if value_type == "string":
         return raw_value
     if value_type in ("integer", "decimal"):
-        read, number = ((integer_from_text, "an integer") if value_type == "integer"
-                        else (decimal_from_text, "a decimal number"))
         try:
-            value = read(raw_value)
-        except ValueError as exc:  # too many digits
+            return number_from_text(raw_value, SCALAR_TYPES_BY_NAME[value_type])
+        except ValueError as exc:
             raise CoercionError(f"{raw_value!r} {exc}") from None
-        if value is None:
-            raise CoercionError(f"{raw_value!r} is not {number}")
-        return value
     if value_type == "boolean":
         word = raw_value.lower()
         if word not in _BOOLEAN_WORDS:
@@ -232,24 +222,18 @@ class AssembleResult:
 
 
 def assemble(hits: list[RawHit], config: ExtractionConfig) -> AssembleResult:
-    """Build a document from raw hits; deterministic for any hit order."""
-    by_file: dict[str, dict[str, list[RawHit]]] = {}
-    for hit in hits:
-        by_file.setdefault(hit.sourceFile, {}).setdefault(hit.ruleId, []).append(hit)
-    for per_rule in by_file.values():
-        for rule_hits in per_rule.values():
-            rule_hits.sort(key=lambda h: h.lineNumber)
+    """Build a document from raw hits; deterministic for any hit order.
 
+    The hits are regrouped by file and put through ``extract``'s per-file
+    assembly, file by file in sorted order.
+    """
+    by_file: dict[str, list[RawHit]] = {}
+    for hit in hits:
+        by_file.setdefault(hit.sourceFile, []).append(hit)
     state = _AssemblyState(config)
     for source_file in sorted(by_file):
-        state.take_file(source_file, by_file[source_file])
-    state.resolve_deferred()
-    return AssembleResult(
-        state.dataset,
-        tuple(state.conflicts),
-        tuple(state.failures),
-        tuple(state.warnings),
-    )
+        state.take_file(source_file, sorted(by_file[source_file], key=lambda h: h.lineNumber))
+    return state.result()
 
 
 class _AssemblyState:
@@ -263,41 +247,24 @@ class _AssemblyState:
     """
 
     def __init__(self, config: ExtractionConfig):
+        self.steps = config.steps
         self.dataset = EngMetaDataset()
         self.conflicts: list[Conflict] = []
         self.failures: list[CoercionFailure] = []
         self.warnings: list[str] = []
         self.deferred: list[tuple[object, object]] = []  # (describe, retry)
+        self.hits_per_rule: dict[str, int] = {}  # in order of each rule's first hit
         # list path -> (stored tuple, its entries as a set); see _seen
         self._list_keys: dict[MetadataPath, tuple[tuple, set]] = {}
-        # the rules in application order: a group's members together at its
-        # first rule; every rule that appends to a node list builds its
-        # nodes as a group, alone if ungrouped
-        self._steps: list[list[ExtractionRule]] = []
-        groups: dict[str, list[ExtractionRule]] = {}
-        for rule in config.rules:
-            if rule.group is None:
-                self._steps.append([rule])
-            elif rule.group in groups:
-                groups[rule.group].append(rule)
-            else:
-                groups[rule.group] = [rule]
-                self._steps.append(groups[rule.group])
-        # each node-list rule's field inside the node built per instance:
-        # the (attribute, class) of the child nodes on the way, then the
-        # scalar's attribute (config allows no list there)
-        self._in_node: dict[str, tuple[tuple[tuple[str, type], ...], str]] = {}
-        for rule in config.rules:
-            if rule.shape.node_type is not None:
-                inside = MetadataPath(rule.target.segments[rule.shape.open_segment + 1:])
-                specs = [spec for _, spec in resolve_specs(inside, rule.shape.node_type)]
-                self._in_node[rule.id] = (
-                    tuple((spec.attr, spec.value_type) for spec in specs[:-1]),
-                    specs[-1].attr,
-                )
 
-    def take_file(self, source_file: str, per_rule: dict[str, list[RawHit]]) -> None:
-        for members in self._steps:
+    def take_file(self, source_file: str, hits: list[RawHit]) -> None:
+        """Assemble one file's hits, given in line order."""
+        per_rule: dict[str, list[RawHit]] = {}
+        for hit in hits:
+            per_rule.setdefault(hit.ruleId, []).append(hit)
+        for rule_id, rule_hits in per_rule.items():
+            self.hits_per_rule[rule_id] = self.hits_per_rule.get(rule_id, 0) + len(rule_hits)
+        for members in self.steps:
             rule = members[0]
             if rule.shape.node_type is not None:
                 self._take_group(members, source_file, per_rule)
@@ -305,19 +272,32 @@ class _AssemblyState:
             rule_hits = per_rule.get(rule.id)
             if not rule_hits:
                 continue
-            if rule.shape.open_segment is not None:
+            if rule.shape.open_list is not None:
                 # occurrence = all: each hit is one entry of a scalar list, e.g. a keyword
                 values = [self._coerced(rule, hit) for hit in rule_hits]
-                self._take_entries(rule.target, [v for v in values if v is not None])
+                self._take_entries(rule.shape.open_list, [v for v in values if v is not None])
                 continue
             hit = rule_hits[0] if rule.occurrence == "first" else rule_hits[-1]
             value = self._coerced(rule, hit)
-            if value is not None:
-                self._attempt(
+            if value is not None and not self._apply_scalar(rule, value):
+                self.deferred.append((
                     partial(_UNREACHABLE_TARGET.format, rule.id, hit.sourceFile,
                             hit.lineNumber, rule.target),
                     partial(self._apply_scalar, rule, value),
-                )
+                ))
+
+    def result(self) -> AssembleResult:
+        """End the pass: retry the deferred writes while any of them succeeds."""
+        pending = self.deferred
+        while pending:
+            remaining = [(describe, retry) for describe, retry in pending if not retry()]
+            if len(remaining) == len(pending):
+                break
+            pending = remaining
+        self.warnings.extend(f"{describe()}; hit skipped" for describe, _ in pending)
+        return AssembleResult(
+            self.dataset, tuple(self.conflicts), tuple(self.failures), tuple(self.warnings)
+        )
 
     def _coerced(self, rule: ExtractionRule, hit: RawHit):
         try:
@@ -327,15 +307,6 @@ class _AssemblyState:
                 CoercionFailure(rule.id, hit.sourceFile, hit.lineNumber, hit.rawValue, str(exc))
             )
             return None
-
-    def _attempt(self, describe, write) -> None:
-        """Run a write now, or defer it while it reports its target unreachable.
-
-        ``describe()`` gives the warning text, needed only for a write that
-        stays unplaceable.
-        """
-        if not write():
-            self.deferred.append((describe, write))
 
     def _apply_scalar(self, rule: ExtractionRule, value) -> bool:
         existing = get_path(self.dataset, rule.target)
@@ -352,22 +323,6 @@ class _AssemblyState:
         self.dataset = updated
         self._attach_unit(rule, rule.target.segments)
         return True
-
-    def resolve_deferred(self) -> None:
-        while self.deferred:
-            remaining = []
-            progress = False
-            for describe, retry in self.deferred:
-                if retry():
-                    progress = True
-                else:
-                    remaining.append((describe, retry))
-            self.deferred = remaining
-            if not progress:
-                break
-        for describe, _ in self.deferred:
-            self.warnings.append(f"{describe()}; hit skipped")
-        self.deferred = []
 
     def _attach_unit(self, rule: ExtractionRule, segments: tuple[PathSegment, ...]) -> None:
         if rule.unit is None:
@@ -444,7 +399,7 @@ class _AssemblyState:
                 f"counts ({detail}); surplus dropped"
             )
         first = present[0]
-        columns = [(rule, per_rule[rule.id], *self._in_node[rule.id]) for rule in present]
+        columns = [(rule, per_rule[rule.id], *rule.shape.in_node) for rule in present]
         nodes = []
         for instance in range(instance_count):
             fields: dict = {}
@@ -465,9 +420,7 @@ class _AssemblyState:
             if unit is not None:
                 fields.setdefault("unit", unit)
             nodes.append(_node_from(first.shape.node_type, fields))
-        self._take_entries(
-            MetadataPath(first.target.segments[: first.shape.open_segment + 1]), nodes
-        )
+        self._take_entries(first.shape.open_list, nodes)
 
 
 def _node_from(cls: type, fields: dict):
@@ -507,26 +460,24 @@ def extract(
     def unreadable_directory(relative_path: str, exc: OSError) -> None:
         warnings.append(f"{relative_path}: unreadable directory, skipped ({exc})")
 
-    hits: list[RawHit] = []
+    state = _AssemblyState(config)
     files_scanned = 0
     bytes_scanned = 0
     sources = tuple(dict.fromkeys(rule.source for rule in config.rules))
-    for relative_path, absolute_path in walk_files(root, unreadable_directory):
+    # files are assembled in path order, whatever order the walk gives
+    for relative_path, absolute_path in sorted(walk_files(root, unreadable_directory)):
         matched = {source for source in sources if glob_matches(source, relative_path)}
         if not matched:
             continue
         applicable = [r for r in config.rules if r.source in matched]
         file_hits, nbytes, file_warnings = scan_file(absolute_path, relative_path, applicable)
-        hits.extend(file_hits)
+        state.take_file(relative_path, file_hits)
         warnings.extend(file_warnings)
         files_scanned += 1
         bytes_scanned += nbytes
+    assembled = state.result()
 
-    assembled = assemble(hits, config)
-
-    hits_per_rule: dict[str, int] = {}
-    for hit in hits:
-        hits_per_rule[hit.ruleId] = hits_per_rule.get(hit.ruleId, 0) + 1
+    hits_per_rule = state.hits_per_rule
     matched = tuple(r.id for r in config.rules if hits_per_rule.get(r.id))
     unmatched = tuple(r.id for r in config.rules if not hits_per_rule.get(r.id))
 

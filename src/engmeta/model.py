@@ -100,20 +100,6 @@ _TOO_LONG = f"exceeds {_MAX_DIGITS} digits in plain notation"
 _INTEGER_LIMIT = 10**_MAX_DIGITS
 
 
-def integer_from_text(text: str) -> int | None:
-    """The integer that ``[+-]?[0-9]+`` text spells; None for any other text.
-
-    Raises ValueError ("exceeds 4300 digits in plain notation") for text
-    with more digits than that, as ``decimal_from_text`` does.
-    """
-    if _INTEGER_TEXT.fullmatch(text) is None:
-        return None
-    try:
-        return int(text)
-    except ValueError:  # more digits than int() converts
-        raise ValueError(_TOO_LONG) from None
-
-
 def _too_long(value: Decimal) -> bool:
     """True when the decimal's plain notation would have over 4300 digits."""
     _, digits, exponent = value.as_tuple()
@@ -122,15 +108,24 @@ def _too_long(value: Decimal) -> bool:
     return plain > _MAX_DIGITS
 
 
-def decimal_from_text(text: str) -> Decimal | None:
-    """The decimal that ASCII number text spells (``1.5``, ``-2``, ``1.0e-3``).
+def number_from_text(text: str, value_type: type) -> int | Decimal:
+    """The ``int`` or ``Decimal`` that ASCII number text spells.
 
-    None for any other text, including ``NaN`` and ``Infinity``. Raises
-    ValueError ("exceeds 4300 digits in plain notation") for a number whose
-    plain notation would have more than that (``1e50000``, ``1e-50000``).
+    An integer is ``[+-]?[0-9]+``; a decimal may add a point and an exponent
+    (``1.5``, ``-2``, ``1.0e-3``). Any other text raises ValueError with the
+    reason: "is not an integer", "is not a decimal number" (``NaN`` and
+    ``Infinity`` included), or "exceeds 4300 digits in plain notation" for a
+    number whose plain notation would have more (``1e50000``, ``1e-50000``).
     """
+    if value_type is int:
+        if _INTEGER_TEXT.fullmatch(text) is None:
+            raise ValueError("is not an integer")
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            raise ValueError(_TOO_LONG) from None
     if _DECIMAL_TEXT.fullmatch(text) is None:
-        return None
+        raise ValueError("is not a decimal number")
     try:
         value = Decimal(text)
     except InvalidOperation:  # an exponent beyond the decimal module's range

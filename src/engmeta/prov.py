@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import ProvError
 from .isodates import parse_iso_datetime
-from .model import EngMetaDataset, FileRef
+from .model import EngMetaDataset, FileRef, ProcessingStep, schema
 
 DEFAULT_BASE_URI = "https://engmeta.example.org/prov#"
 PREFIX = "ex"
@@ -24,6 +24,16 @@ PREFIX = "ex"
 # used(activity, entity), wasGeneratedBy(entity, activity),
 # wasAssociatedWith(activity, agent)
 RELATION_TYPES = ("used", "wasGeneratedBy", "wasAssociatedWith")
+
+# The step fields that become used entities: every field but those with a
+# place of their own (the activity, its agent and its file relations).
+_USED_FIELDS = tuple(
+    spec.attr for spec in schema(ProcessingStep)
+    if spec.attr not in ("stepType", "date", "actor", "inputs", "outputs")
+)
+# a used node's label: the first of these it sets, else its kind
+_LABEL_FIELDS = ("name", "url", "softwareSourceCode")
+_KIND_LABELS = {"errorMethod": "error method"}
 
 
 @dataclass(frozen=True)
@@ -106,6 +116,14 @@ def _file_entity(builder: _Builder, ref: FileRef) -> Entity | None:
     return builder.entity("file", locator, ref.name or locator)
 
 
+def _used_entity(builder: _Builder, kind: str, used) -> Entity:
+    if isinstance(used, str):  # the execution command
+        return builder.entity(kind, used, used)
+    labels = (getattr(used, field, None) for field in _LABEL_FIELDS)
+    label = next((text for text in labels if text), None)
+    return builder.entity(kind, repr(used), label or _KIND_LABELS.get(kind, kind))
+
+
 def to_prov(dataset: EngMetaDataset) -> ProvDocument:
     """Convert the document's processing steps into a provenance graph."""
     builder = _Builder()
@@ -122,31 +140,13 @@ def to_prov(dataset: EngMetaDataset) -> ProvDocument:
             entity = _file_entity(builder, ref)
             if entity is not None:
                 builder.relate("used", activity.id, entity.id)
-        if step.method is not None:
-            entity = builder.entity("method", repr(step.method), step.method.name or "method")
-            builder.relate("used", activity.id, entity.id)
-        if step.errorMethod is not None:
-            entity = builder.entity(
-                "errorMethod", repr(step.errorMethod), step.errorMethod.name or "error method"
-            )
-            builder.relate("used", activity.id, entity.id)
-        for instrument in step.instrument:
-            entity = builder.entity("instrument", repr(instrument), instrument.name or "instrument")
-            builder.relate("used", activity.id, entity.id)
-        for software in step.software:
-            label = software.name or software.url or software.softwareSourceCode or "software"
-            entity = builder.entity("software", repr(software), label)
-            builder.relate("used", activity.id, entity.id)
-        if step.environment is not None:
-            entity = builder.entity(
-                "environment", repr(step.environment), step.environment.name or "environment"
-            )
-            builder.relate("used", activity.id, entity.id)
-        if step.executionCommand is not None:
-            entity = builder.entity(
-                "executionCommand", step.executionCommand, step.executionCommand
-            )
-            builder.relate("used", activity.id, entity.id)
+        for kind in _USED_FIELDS:
+            value = getattr(step, kind)
+            if not isinstance(value, tuple):
+                value = () if value is None else (value,)
+            for used in value:
+                entity = _used_entity(builder, kind, used)
+                builder.relate("used", activity.id, entity.id)
 
         for ref in step.outputs:
             entity = _file_entity(builder, ref)

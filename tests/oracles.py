@@ -8,7 +8,7 @@ from decimal import Decimal
 from pathlib import Path
 from xml.etree import ElementTree
 
-from engmeta import canon
+from engmeta import canon, prov
 from engmeta import codes as codetables
 from engmeta.errors import CoercionError, PathIndexGapError
 from engmeta.extract.engine import CoercionFailure, RawHit, coerce, parse_line
@@ -1165,3 +1165,57 @@ def _fill_discipline(ds: EngMetaDataset, block: _BlockBuilder) -> None:
         for attr in ("numberOfTimesteps", "interval", "intervalUnit"):
             block.primitive(attr, f"system.temporalResolution.{attr}",
                             getattr(system.temporalResolution, attr))
+
+
+def to_prov_by_hand(dataset: EngMetaDataset) -> prov.ProvDocument:
+    """``prov.to_prov`` as it was before its used entities came from the
+    schema: each used step field written out on its own."""
+    builder = prov._Builder()
+    for i, step in enumerate(dataset.processingSteps):
+        activity = prov.Activity(f"act_{i}", step.date, step.stepType)
+        builder.activities.append(activity)
+
+        if step.actor is not None:
+            identifier = step.actor.identifier.value if step.actor.identifier else None
+            agent = builder.agent(step.actor.name, identifier)
+            builder.relate("wasAssociatedWith", activity.id, agent.id)
+
+        for ref in step.inputs:
+            entity = prov._file_entity(builder, ref)
+            if entity is not None:
+                builder.relate("used", activity.id, entity.id)
+        if step.method is not None:
+            entity = builder.entity("method", repr(step.method), step.method.name or "method")
+            builder.relate("used", activity.id, entity.id)
+        if step.errorMethod is not None:
+            entity = builder.entity(
+                "errorMethod", repr(step.errorMethod), step.errorMethod.name or "error method"
+            )
+            builder.relate("used", activity.id, entity.id)
+        for instrument in step.instrument:
+            entity = builder.entity("instrument", repr(instrument), instrument.name or "instrument")
+            builder.relate("used", activity.id, entity.id)
+        for software in step.software:
+            label = software.name or software.url or software.softwareSourceCode or "software"
+            entity = builder.entity("software", repr(software), label)
+            builder.relate("used", activity.id, entity.id)
+        if step.environment is not None:
+            entity = builder.entity(
+                "environment", repr(step.environment), step.environment.name or "environment"
+            )
+            builder.relate("used", activity.id, entity.id)
+        if step.executionCommand is not None:
+            entity = builder.entity("executionCommand", step.executionCommand, step.executionCommand)
+            builder.relate("used", activity.id, entity.id)
+
+        for ref in step.outputs:
+            entity = prov._file_entity(builder, ref)
+            if entity is not None:
+                builder.relate("wasGeneratedBy", entity.id, activity.id)
+
+    return prov.ProvDocument(
+        tuple(builder.activities),
+        tuple(builder.agents.values()),
+        tuple(builder.entities.values()),
+        tuple(builder.relations),
+    )

@@ -78,6 +78,21 @@ def test_extract_report_written(tmp_path, corpus_dir, rules_path, capsys):
     capsys.readouterr()
 
 
+def test_extract_report_matches_golden(tmp_path, corpus_dir, rules_path, capsys):
+    """Byte for byte, key order included, once the one timing is taken out."""
+    report_path = tmp_path / "report.json"
+    code = main([
+        "extract", "--config", str(rules_path), "--root", str(corpus_dir),
+        "--out", str(tmp_path / "doc.xml"), "--report", str(report_path),
+    ])
+    assert code == 0
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    assert isinstance(report.pop("elapsedSeconds"), float)
+    golden = rules_path.parent / "golden.report.json"
+    assert json.dumps(report, indent=2) + "\n" == golden.read_text(encoding="utf-8")
+    capsys.readouterr()
+
+
 def test_pipe_composability(tmp_path, corpus_dir, rules_path, capsys):
     """extract output is accepted unchanged by validate, to-prov, to-dataverse."""
     doc_path = tmp_path / "doc.xml"
@@ -209,6 +224,7 @@ def test_json_documents_accepted(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, golden", [
     ("to-prov", "golden.provn"),
+    ("to-prov", "every_field.provn"),
     ("to-dataverse", "golden.blocks.json"),
     ("to-dataverse", "every_field.blocks.json"),
 ])
@@ -216,7 +232,8 @@ def test_publish_outputs_match_golden(command, golden, golden_xml_path, tmp_path
     """PROV entity ids hash each node's repr, so this also pins the repr.
 
     Each golden output is read from the document named before its first dot;
-    every_field.xml sets every field, so its blocks pin the whole crosswalk.
+    every_field.xml sets every field, so its blocks and PROV-N pin both
+    crosswalks whole.
     """
     source = golden_xml_path.parent / f"{golden.split('.')[0]}.xml"
     out = tmp_path / golden

@@ -3,8 +3,9 @@ list-scan reference implementations in ``oracles``, the streamed line scan
 against the whole-file scan, validation's
 field-rule table against the per-class reference checks, the trusted
 decoders against the checked construction, the indented-JSON writer
-against ``json.dumps``, and the schema-derived crosswalk against the
-hand-written fill functions."""
+against ``json.dumps``, the schema-derived crosswalk against the
+hand-written fill functions, and PROV's schema-derived used entities
+against the hand-written ones."""
 
 import importlib
 import json
@@ -35,6 +36,7 @@ from engmeta.model import (
     schema,
 )
 from engmeta.paths import append_node, get_path, set_path
+from engmeta.prov import serialize_prov_n, to_prov
 from engmeta.validation import validate
 from everyfield import every_field_dataset
 from genmodel import dataset_pool
@@ -47,6 +49,7 @@ from oracles import (
     nodes_equal,
     renormalised,
     scan_file_whole,
+    to_prov_by_hand,
     validate_by_class_checks,
 )
 
@@ -590,6 +593,11 @@ def test_flatten_equals_fill_function_reference(gromacs_doc):
     for doc in [*dataset_pool(300), every_field_dataset(), gromacs_doc, EngMetaDataset()]:
         expected = serialize_blocks_json(*flatten_by_fill_functions(doc))
         assert serialize_blocks_json(*flatten(doc)) == expected
+
+
+def test_prov_equals_hand_written_reference(gromacs_doc):
+    for doc in [*dataset_pool(300), every_field_dataset(), gromacs_doc, EngMetaDataset()]:
+        assert serialize_prov_n(to_prov(doc)) == serialize_prov_n(to_prov_by_hand(doc))
 
 
 def test_crosswalk_declarations_name_declared_fields():

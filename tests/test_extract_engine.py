@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 from decimal import Decimal
@@ -6,7 +7,7 @@ import pytest
 
 from engmeta.canon import to_xml
 from engmeta.extract import engine as engine_module
-from engmeta.errors import CoercionError, ExtractionRootError
+from engmeta.errors import CoercionError, ConfigError, ExtractionRootError
 from engmeta.extract import (
     assemble,
     coerce,
@@ -15,7 +16,7 @@ from engmeta.extract import (
     parse_line,
     scan_file,
 )
-from engmeta.extract.config import ExtractionRule
+from engmeta.extract.config import ExtractionConfig, ExtractionRule
 from engmeta.merging import merge
 from engmeta.model import EngMetaDataset
 from engmeta.paths import get_path, parse_path
@@ -309,10 +310,19 @@ def test_extract_enumeration_order_does_not_matter(corpus_dir, rules_path, monke
         random.Random(1234).shuffle(entries)
         return entries
 
+    expected_report = _report_json(extract(corpus_dir, config)[1])
     monkeypatch.setattr(engine_module, "walk_files", shuffled_walk)
     for mode in ("serial", "parallel"):
-        dataset, _ = extract(corpus_dir, config, mode=mode)
+        dataset, report = extract(corpus_dir, config, mode=mode)
         assert to_xml(dataset) == expected_xml
+        assert _report_json(report) == expected_report
+
+
+def _report_json(report) -> str:
+    """The report as --report writes it, without its one timing."""
+    obj = report.to_obj()
+    del obj["elapsedSeconds"]
+    return json.dumps(obj)
 
 
 def test_extract_empty_directory(tmp_path, rules_path):
@@ -485,3 +495,76 @@ def test_report_hit_accounting_matches_rescan(corpus_dir, rules_path):
                 if parse_line(line.rstrip("\r"), config_rule) is not None:
                     total += 1
     assert total == sum(report.hitsPerRule.values())
+
+
+def test_extract_memory_holds_one_file_of_hits(tmp_path):
+    """Each file is assembled as it is scanned: the tree's hits are never all held."""
+    body = "step = 7\n" * 1000
+    for i in range(100):
+        (tmp_path / f"run{i:03d}.log").write_text(body, encoding="utf-8")
+    config = parse_config(
+        "[rule step]\ntarget = project\nsource = *.log\nkey = step\noccurrence = last\n"
+    )
+    tracemalloc.start()
+    try:
+        dataset, report = extract(tmp_path, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert dataset.project == "7"
+    assert report.hitsPerRule == {"step": 100_000}
+    assert report.conflicts == ()
+    # one file's 1000 hits; the tree's 100 000 took over 13 MiB
+    assert peak < 2 * 1024 * 1024, peak
+
+
+# --- hand-built rules -------------------------------------------------------
+
+def test_hand_built_list_rules_extract(tmp_path):
+    (tmp_path / "notes.txt").write_text("K = alpha\nK = beta\n", encoding="utf-8")
+    (tmp_path / "run.mdp").write_text("N = nsteps\nN = dt\n", encoding="utf-8")
+    keywords = ExtractionRule(id="kw", target=parse_path("keyword"), source="*.txt",
+                              key="K", occurrence="all")
+    names = ExtractionRule(id="name", target=parse_path("system.parameters.name"),
+                           source="*.mdp", key="N", group="g")
+    dataset, report = extract(tmp_path, ExtractionConfig((keywords, names)))
+    assert dataset.keywords == ("alpha", "beta")
+    assert [p.name for p in dataset.system.parameters] == ["nsteps", "dt"]
+    assert report.warnings == ()
+    assert list(report.hitsPerRule.items()) == [("kw", 2), ("name", 2)]
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(target="project", valueType="integer"), "type integer cannot fill target project"),
+    (dict(target="keyword"), "index-less list segment 'keyword'"),
+    (dict(target="system.parameters.name"), "index-less list segment 'parameters'"),
+    (dict(target="project", valueType="float"), "bad type 'float'"),
+    (dict(target="project", occurrence="every"), "bad occurrence 'every'"),
+])
+def test_hand_built_invalid_rules_fail_when_built(fields, message):
+    target = parse_path(fields.pop("target"))
+    with pytest.raises(ConfigError, match=message):
+        ExtractionRule(id="r", target=target, source="*", key="K", line=3, **fields)
+
+
+def test_hand_built_rule_plan_is_derived_not_given():
+    with pytest.raises(TypeError):
+        ExtractionRule(id="r", target=parse_path("project"), source="*", key="K",
+                       shape=None)
+    built = ExtractionRule(id="r", target=parse_path("system.parameters.value"),
+                           source="*", key="K", occurrence="all", line=1)
+    assert built.shape.open_list == parse_path("system.parameters")
+    assert built.shape.in_node == ((), "value")
+    assert built == parse_config(
+        "[rule r]\ntarget = system.parameters.value\nsource = *\nkey = K\noccurrence = all\n"
+    ).rules[0]
+
+
+def test_hand_built_group_on_different_lists_fails():
+    name = ExtractionRule(id="name", target=parse_path("system.controlledVariables.name"),
+                          source="*", key="N", group="g")
+    value = ExtractionRule(id="value", target=parse_path("system.measuredVariables.value"),
+                           source="*", key="V", group="g", line=9)
+    with pytest.raises(ConfigError, match="rules 'name' and 'value' target different lists"):
+        ExtractionConfig((name, value))
+    assert ExtractionConfig((name, name)).steps == ((name, name),)

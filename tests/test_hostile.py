@@ -5,7 +5,8 @@ past the syntax check and reach the decoders: JSON trees that follow the
 model's schema with hostile values and stray keys, the same trees written
 as XML, and rule files made of plausible field lines. Any exception other
 than an ``EngMetaError`` subclass fails the test. Rule files that parse
-are also run: assembling hits for them raises nothing else either.
+are also run: assembling hits for them raises nothing else either, and
+neither does building rules by hand from arbitrary fields.
 """
 
 import json
@@ -18,7 +19,15 @@ from hypothesis import strategies as st
 
 from engmeta.canon import from_json, from_xml
 from engmeta.errors import CanonDecodeError, EngMetaError
-from engmeta.extract import VALUE_TYPES, assemble, coerce, parse_config
+from engmeta.extract import (
+    OCCURRENCES,
+    VALUE_TYPES,
+    ExtractionConfig,
+    ExtractionRule,
+    assemble,
+    coerce,
+    parse_config,
+)
 from engmeta.extract.engine import RawHit
 from engmeta.model import (
     ATTRIBUTE,
@@ -36,6 +45,7 @@ from engmeta.model import (
     field_by_element,
     schema,
 )
+from engmeta.paths import MetadataPath, PathSegment
 
 NAMES = sorted(ELEMENT_VOCABULARY)
 
@@ -344,5 +354,29 @@ def test_assembly_for_accepted_rules_raises_only_engmeta_errors(text, picks):
     ]
     try:
         assemble(hits, config)
+    except EngMetaError:
+        pass
+
+
+PATH_SEGMENTS = st.builds(
+    PathSegment, st.sampled_from(NAMES) | st.text(max_size=3), st.none() | st.integers(-1, 2)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(PATH_SEGMENTS, max_size=4).map(tuple).map(MetadataPath),
+       st.sampled_from([*VALUE_TYPES, "float", ""]),
+       st.sampled_from([*OCCURRENCES, "every", ""]),
+       st.none() | TEXTS,
+       st.none() | st.sampled_from(["g", ""]))
+@example(MetadataPath(()), "string", "first", None, None)
+@example(MetadataPath((PathSegment("project"),)), "float", "first", None, None)
+def test_hand_built_rules_raise_only_engmeta_errors(target, value_type, occurrence, unit, group):
+    """A rule built by hand is checked when it is built, as a parsed one is;
+    one that builds also assembles without any other exception."""
+    try:
+        built = ExtractionRule(id="r", target=target, source="*", key="k", valueType=value_type,
+                               unit=unit, group=group, occurrence=occurrence)
+        assemble([RawHit("r", "a.log", 1, "7")], ExtractionConfig((built,)))
     except EngMetaError:
         pass

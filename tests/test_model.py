@@ -9,6 +9,7 @@ from engmeta.extract.engine import coerce
 from engmeta.model import (
     NODE,
     NODE_LIST,
+    SCALAR_TYPE_NAMES,
     Checksum,
     Component,
     EngMetaDataset,
@@ -24,6 +25,7 @@ from engmeta.model import (
     Variable,
     _Node,
     decimal_to_text,
+    number_from_text,
     scalar_to_text,
     scalars_equal,
     schema,
@@ -152,6 +154,32 @@ def test_decimals_are_bounded_like_the_readers():
             TemporalResolution(interval=value)
     with pytest.raises(ValueError, match="exceeds 4300 digits in plain notation"):
         Variable(name="x", value=Decimal("-1e-4300"))
+
+
+@pytest.mark.parametrize("text, value_type, reason", [
+    ("1.5", int, "is not an integer"),
+    ("١٢", int, "is not an integer"),
+    ("9" * 4301, int, "exceeds 4300 digits in plain notation"),
+    ("NaN", Decimal, "is not a decimal number"),
+    ("1_0", Decimal, "is not a decimal number"),
+    ("1e50000", Decimal, "exceeds 4300 digits in plain notation"),
+    ("1e-999999999999", Decimal, "exceeds 4300 digits in plain notation"),
+])
+def test_number_from_text_gives_one_reason(text, value_type, reason):
+    """Both readers and ``coerce`` prefix this reason with the text's repr."""
+    with pytest.raises(ValueError) as excinfo:
+        number_from_text(text, value_type)
+    assert str(excinfo.value) == reason
+    with pytest.raises(CoercionError) as excinfo:
+        coerce(text, SCALAR_TYPE_NAMES[value_type])
+    assert str(excinfo.value) == f"{text!r} {reason}"
+
+
+def test_number_from_text_reads_ascii_numbers():
+    assert number_from_text("-12", int) == -12
+    assert number_from_text("+0", int) == 0
+    assert number_from_text("1.0e-3", Decimal) == Decimal("0.001")
+    assert number_from_text(".5", Decimal) == Decimal("0.5")
 
 
 def test_integers_are_bounded_like_the_readers():
