@@ -9,6 +9,12 @@ document is byte-identical. Both writers refuse structurally invalid documents.
 Parsing is forgiving about unknown content: unknown elements, attributes
 and object keys are skipped and reported as warnings; only malformed input
 and type-incompatible scalar text are hard errors.
+
+XML is read and written through one cached plan per node class (``_plan``),
+derived from the model's field placements: its attributes, its text-content
+field and its child elements, each keyed by local name. An element in the
+engMeta namespace reads as its plain name; any other namespace, and any
+namespaced attribute, is unknown.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from decimal import Decimal
+from functools import cache
 from xml.etree import ElementTree
 
 from .errors import CanonDecodeError, CanonSyntaxError, CanonValidationError
@@ -32,9 +39,8 @@ from .model import (
     EngMetaDataset,
     FieldSpec,
     SCALAR_TYPES_BY_NAME,
+    _BY_ELEMENT,
     _trusted_node,
-    content_field,
-    field_by_element,
     number_from_text,
     scalar_to_text,
     scalar_type_name,
@@ -44,6 +50,7 @@ from .model import (
 # Documented home of the element vocabulary; not emitted on output, but
 # accepted as a default namespace on input.
 ENGMETA_NAMESPACE = "https://engmeta.example.org/ns/1.0"
+_NAMESPACE_PREFIX = f"{{{ENGMETA_NAMESPACE}}}"  # as ElementTree spells it in a tag
 
 _INDENT = "  "
 
@@ -56,7 +63,7 @@ class ReadResult:
     warnings: tuple[str, ...]
 
 
-# --- scalar text encoding/decoding ---------------------------------------
+# --- shared by both formats ---------------------------------------------
 
 def _scalar_from_text(text: str, value_type, path: str):
     if value_type is str:
@@ -81,6 +88,15 @@ def _tagged_from_text(text: str, type_name: str, path: str):
     return _scalar_from_text(text, value_type, path)
 
 
+def _require_valid(dataset: EngMetaDataset) -> None:
+    """Refuse a structurally invalid document; both writers call this first."""
+    from .validation import validate
+
+    report = validate(dataset, "structural")
+    if report.errors:
+        raise CanonValidationError(report.errors)
+
+
 # --- XML ------------------------------------------------------------------
 
 def _escape_text(text: str) -> str:
@@ -101,13 +117,24 @@ def _escape_attribute(text: str) -> str:
     )
 
 
+@cache
+def _plan(cls: type) -> tuple[dict, FieldSpec | None, dict]:
+    """(attributes, content, children) of a node class, the maps keyed by local name.
+
+    A class with a text-content field carries its other fields as
+    attributes and has no children; any other class has only children.
+    """
+    specs = schema(cls)
+    return (
+        {spec.element: spec for spec in specs if spec.placement == ATTRIBUTE},
+        next((spec for spec in specs if spec.placement == CONTENT), None),
+        {spec.element: spec for spec in specs if spec.placement == CHILD},
+    )
+
+
 def to_xml(dataset: EngMetaDataset) -> str:
     """Serialize to canonical XML; rejects structurally invalid documents."""
-    from .validation import validate
-
-    report = validate(dataset, "structural")
-    if report.errors:
-        raise CanonValidationError(report.errors)
+    _require_valid(dataset)
     lines = ['<?xml version="1.0" encoding="UTF-8"?>']
     _write_element(lines, ROOT_ELEMENT, dataset, 0)
     return "\n".join(lines) + "\n"
@@ -115,31 +142,23 @@ def to_xml(dataset: EngMetaDataset) -> str:
 
 def _write_element(lines: list[str], tag: str, node, depth: int) -> None:
     pad = _INDENT * depth
-    attributes: list[str] = []
-    content: str | None = None
-    children: list[tuple[FieldSpec, object]] = []
-
-    for spec in schema(type(node)):
+    attributes, content, children = _plan(type(node))
+    attr_text = ""
+    for name, spec in attributes.items():
         value = getattr(node, spec.attr)
-        if value is None or value == ():
-            continue
-        if spec.placement == ATTRIBUTE:
-            attributes.append(f' {spec.element}="{_escape_attribute(scalar_to_text(value))}"')
-        elif spec.placement == CONTENT:
-            content = scalar_to_text(value)
-        else:
-            children.append((spec, value))
-
-    attr_text = "".join(attributes)
-    if content is not None:
-        lines.append(f"{pad}<{tag}{attr_text}>{_escape_text(content)}</{tag}>")
-        return
-    if not children:
-        lines.append(f"{pad}<{tag}{attr_text}/>")
+        if value is not None:
+            attr_text += f' {name}="{_escape_attribute(scalar_to_text(value))}"'
+    text = None if content is None else getattr(node, content.attr)
+    if text is not None:
+        lines.append(f"{pad}<{tag}{attr_text}>{_escape_text(scalar_to_text(text))}</{tag}>")
         return
 
     lines.append(f"{pad}<{tag}{attr_text}>")
-    for spec, value in children:
+    opened = len(lines)
+    for spec in children.values():
+        value = getattr(node, spec.attr)
+        if value is None or value == ():
+            continue
         if spec.kind == SCALAR:
             _write_scalar_element(lines, spec, value, depth + 1)
         elif spec.kind == SCALAR_LIST:
@@ -150,7 +169,10 @@ def _write_element(lines: list[str], tag: str, node, depth: int) -> None:
         else:
             for item in value:
                 _write_element(lines, spec.element, item, depth + 1)
-    lines.append(f"{pad}</{tag}>")
+    if len(lines) == opened:  # nothing inside: close the element where it opens
+        lines[-1] = f"{pad}<{tag}{attr_text}/>"
+    else:
+        lines.append(f"{pad}</{tag}>")
 
 
 def _write_scalar_element(lines: list[str], spec: FieldSpec, value, depth: int) -> None:
@@ -177,7 +199,7 @@ def from_xml(text: str) -> ReadResult:
         column = exc.start - text.rfind("\n", 0, exc.start)
         raise CanonSyntaxError("not well-formed XML: lone surrogate", line, column) from None
     warnings: list[str] = []
-    if _local_name(root.tag) != ROOT_ELEMENT:
+    if root.tag.removeprefix(_NAMESPACE_PREFIX) != ROOT_ELEMENT:
         raise CanonDecodeError(
             f"root element must be <{ROOT_ELEMENT}>, got <{root.tag}>", ROOT_ELEMENT
         )
@@ -185,29 +207,19 @@ def from_xml(text: str) -> ReadResult:
     return ReadResult(dataset, tuple(warnings))
 
 
-def _local_name(tag: str) -> str | None:
-    """Strip the namespace; foreign namespaces make the element unknown."""
-    if not tag.startswith("{"):
-        return tag
-    uri, _, local = tag[1:].partition("}")
-    if uri == ENGMETA_NAMESPACE:
-        return local
-    return None
-
-
 def _decode_element(element, cls: type, path: str, warnings: list[str]):
     """The node the element spells, or None when it sets no field.
 
-    Every value is decoded from text with the number grammar and is
-    canonical already, so the node is built without re-checking it.
+    Children are looked up by local name: an engMeta-namespaced element
+    reads as its plain name, and any other namespace leaves it unknown.
     """
+    attributes, content, children = _plan(cls)
     kwargs: dict[str, object] = {}
-    lists: dict[str, list] = {}
     label = path or ROOT_ELEMENT
 
     for name, raw in element.attrib.items():
-        spec = field_by_element(cls, name)
-        if spec is None or spec.placement != ATTRIBUTE:
+        spec = attributes.get(name)
+        if spec is None:
             warnings.append(f"{label}: unknown attribute {name!r} skipped")
             continue
         if raw == "":
@@ -215,12 +227,11 @@ def _decode_element(element, cls: type, path: str, warnings: list[str]):
             continue
         kwargs[spec.attr] = _scalar_from_text(raw, spec.value_type, f"{label}.{name}")
 
-    content_spec = content_field(cls)
     text = element.text or ""
-    if content_spec is not None:
+    if content is not None:
         if text != "":
-            kwargs[content_spec.attr] = _scalar_from_text(
-                text, content_spec.value_type, f"{label}.{content_spec.element}"
+            kwargs[content.attr] = _scalar_from_text(
+                text, content.value_type, f"{label}.{content.element}"
             )
     elif text.strip():
         warnings.append(f"{label}: stray text {text.strip()!r} skipped")
@@ -229,41 +240,31 @@ def _decode_element(element, cls: type, path: str, warnings: list[str]):
     for child in element:
         if child.tail and child.tail.strip():
             warnings.append(f"{label}: stray text {child.tail.strip()!r} skipped")
-        name = _local_name(child.tag)
-        spec = field_by_element(cls, name) if name is not None else None
-        if spec is None or spec.placement != CHILD:
-            shown = name if name is not None else child.tag
-            warnings.append(f"{label}: unknown element <{shown}> skipped")
+        name = child.tag.removeprefix(_NAMESPACE_PREFIX)
+        spec = children.get(name)
+        if spec is None:
+            warnings.append(f"{label}: unknown element <{name}> skipped")
             continue
-        index = counters.get(spec.element, 0)
-        counters[spec.element] = index + 1
-        child_path = f"{path}.{spec.element}" if path else spec.element
-        if spec.kind in (SCALAR_LIST, NODE_LIST):
+        index = counters.get(name, 0)
+        counters[name] = index + 1
+        child_path = f"{path}.{name}" if path else name
+        listed = spec.kind in (SCALAR_LIST, NODE_LIST)
+        if listed:
             child_path = f"{child_path}[{index}]"
         elif index > 0:
-            warnings.append(f"{label}: repeated element <{spec.element}> skipped")
+            warnings.append(f"{label}: repeated element <{name}> skipped")
             continue
-
         if spec.kind in (SCALAR, SCALAR_LIST):
             value = _decode_scalar_child(child, spec, child_path, warnings)
-            if value is None:
-                continue
-            if spec.kind == SCALAR:
-                kwargs[spec.attr] = value
-            else:
-                lists.setdefault(spec.attr, []).append(value)
         else:
-            node = _decode_element(child, spec.value_type, child_path, warnings)
-            if node is None:
-                continue
-            if spec.kind == NODE:
-                kwargs[spec.attr] = node
-            else:
-                lists.setdefault(spec.attr, []).append(node)
-
-    for attr, items in lists.items():
-        kwargs[attr] = tuple(items)
-    return _trusted_node(cls, kwargs) if kwargs else None
+            value = _decode_element(child, spec.value_type, child_path, warnings)
+        if value is None:
+            continue
+        if listed:
+            kwargs.setdefault(spec.attr, []).append(value)
+        else:
+            kwargs[spec.attr] = value
+    return _trusted_node(cls, kwargs)
 
 
 def _decode_scalar_child(child, spec: FieldSpec, path: str, warnings: list[str]):
@@ -282,11 +283,7 @@ def _decode_scalar_child(child, spec: FieldSpec, path: str, warnings: list[str])
 
 def to_json(dataset: EngMetaDataset) -> str:
     """Serialize to canonical JSON (same names and order as the XML form)."""
-    from .validation import validate
-
-    report = validate(dataset, "structural")
-    if report.errors:
-        raise CanonValidationError(report.errors)
+    _require_valid(dataset)
     return indented_json(_node_to_obj(dataset)) + "\n"
 
 
@@ -395,14 +392,14 @@ def _json_type(raw) -> str:
 def _decode_obj(obj: dict, cls: type, path: str, warnings: list[str]):
     """The node the object spells, or None when it sets no field.
 
-    As in ``_decode_element``, decoded values are canonical already.
     Empty strings, arrays and objects leave their field unset.
     """
+    fields = _BY_ELEMENT[cls]
     kwargs: dict[str, object] = {}
     label = path or ROOT_ELEMENT
 
     for key, raw in obj.items():
-        spec = field_by_element(cls, key)
+        spec = fields.get(key)
         if spec is None:
             warnings.append(f"{label}: unknown key {key!r} skipped")
             continue
@@ -415,7 +412,7 @@ def _decode_obj(obj: dict, cls: type, path: str, warnings: list[str]):
                 _scalar_from_json(item, spec, f"{key_path}[{i}]", warnings)
                 for i, item in enumerate(items)
             ]
-            value = tuple(item for item in decoded if item is not None) or None
+            value = [item for item in decoded if item is not None] or None
         elif spec.kind == NODE:
             value = _decode_obj(_expect_object(raw, key_path), spec.value_type, key_path, warnings)
         else:
@@ -425,10 +422,10 @@ def _decode_obj(obj: dict, cls: type, path: str, warnings: list[str]):
                             f"{key_path}[{i}]", warnings)
                 for i, item in enumerate(items)
             ]
-            value = tuple(item for item in decoded if item is not None) or None
+            value = [item for item in decoded if item is not None] or None
         if value is not None:
             kwargs[spec.attr] = value
-    return _trusted_node(cls, kwargs) if kwargs else None
+    return _trusted_node(cls, kwargs)
 
 
 def _expect_array(raw, path: str) -> list:
@@ -445,6 +442,12 @@ def _expect_object(raw, path: str) -> dict:
 
 def _scalar_from_json(raw, spec: FieldSpec, path: str, warnings: list[str]):
     """The field's value, or None for an empty string, which counts as absent."""
+    if spec.value_type is str:
+        if not isinstance(raw, str):
+            raise CanonDecodeError(f"expected a string, got {_json_type(raw)}", path)
+        if raw == "":
+            return _absent(path, warnings)
+        return raw
     if spec.value_type is TAGGED:
         tagged = _expect_object(raw, path)
         unknown = set(tagged) - {"type", "text"}
@@ -458,12 +461,6 @@ def _scalar_from_json(raw, spec: FieldSpec, path: str, warnings: list[str]):
         if tagged["text"] == "":
             return _absent(path, warnings)
         return _tagged_from_text(tagged["text"], type_name, path)
-    if spec.value_type is str:
-        if not isinstance(raw, str):
-            raise CanonDecodeError(f"expected a string, got {_json_type(raw)}", path)
-        if raw == "":
-            return _absent(path, warnings)
-        return raw
     if spec.value_type is bool:
         if not isinstance(raw, bool):
             raise CanonDecodeError(f"expected a boolean, got {_json_type(raw)}", path)

@@ -54,6 +54,7 @@ def _read_document(path: str) -> EngMetaDataset:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise CanonError(_not_utf8(path, exc)) from None
+    text = text.removeprefix("\ufeff")  # a byte-order mark; json.loads refuses one
     result = canon.from_xml(text) if text.lstrip().startswith("<") else canon.from_json(text)
     for warning in result.warnings:
         _info(f"warning: {path}: {warning}")

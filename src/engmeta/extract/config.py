@@ -244,7 +244,8 @@ def parse_config(text: str) -> ExtractionConfig:
             return
         rules.append(_build_rule(current_id, current_line, current_fields, field_lines))
 
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    # a leading byte-order mark is not part of line 1
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -29,6 +29,7 @@ cheap next to assembly, so a thread pool measured no faster.
 
 from __future__ import annotations
 
+import codecs
 import fnmatch
 import os
 import time
@@ -188,6 +189,11 @@ def scan_file(
     nbytes = 0
     try:
         with open(absolute_path, "rb") as handle:
+            # a leading byte-order mark is read but is not part of line 1
+            if handle.read(3) == codecs.BOM_UTF8:
+                nbytes = 3
+            else:
+                handle.seek(0)
             for line_number, raw in enumerate(handle, start=1):
                 try:
                     line = raw.decode("utf-8")

@@ -15,6 +15,8 @@ metadata paths, except that list-valued attributes carry the plural spelling
 and name their canonical (repeated) element in metadata (``_plural``). A
 class with a text-content field (``_content``) carries every other field as
 an XML attribute; all other classes carry their fields as child elements.
+``FieldSpec.placement`` records this; ``canon`` derives its per-class XML
+plan from it.
 
 Construction is deliberately permissive: partially filled documents are the
 normal intermediate state of automated extraction. Field-local constraints
@@ -32,8 +34,9 @@ no per-class method is generated at import. ``_Node`` provides the one
 constructor (positional or keyword arguments, each field checked and
 normalized), the dataclass-style ``repr`` and the ``FrozenInstanceError``
 on assignment and deletion. Code that already holds canonical values
-checks nothing again: the decoders in ``canon`` build nodes through
-``_trusted_node``, and ``_replaced`` copies a node with one field set.
+checks nothing again: both decoders in ``canon`` end in ``_trusted_node``,
+which turns item lists into tuples and reads no field set as absent, and
+``_replaced`` copies a node with one field set.
 """
 
 import re
@@ -274,18 +277,22 @@ class _Node:
 
 
 def _trusted_node(cls: type, values: dict):
-    """A node of ``cls`` with the given fields set and the others unset.
+    """A node of ``cls`` with the given fields set and the others unset,
+    or None when no field is given; the decoders in ``canon`` end here.
 
     Nothing is checked: every value must already be canonical, as the
-    constructor would leave it (a checked scalar, a non-empty node, or a
-    non-empty tuple of those).
+    constructor would leave it (a checked scalar or a non-empty node), and
+    a list field's value is the non-empty list or tuple of its items.
     """
+    if not values:
+        return None
     node = object.__new__(cls)
     # attribute by attribute: touching __dict__ would give every node a
     # dict object of its own besides CPython's compact instance layout
     set_field = object.__setattr__
     for attr, unset in _UNSET[cls]:
-        set_field(node, attr, values.get(attr, unset))
+        value = values.get(attr, unset)
+        set_field(node, attr, value if unset is None else tuple(value))
     return node
 
 
@@ -719,12 +726,6 @@ _BY_ELEMENT: dict[type, dict[str, FieldSpec]] = {
     cls: {spec.element: spec for spec in specs} for cls, specs in _SCHEMA.items()
 }
 
-# the text-content field, per node class (None where fields are all children)
-_CONTENT: dict[type, FieldSpec | None] = {
-    cls: next((spec for spec in specs if spec.placement == CONTENT), None)
-    for cls, specs in _SCHEMA.items()
-}
-
 # every element name that may appear in a metadata path
 ELEMENT_VOCABULARY = frozenset(
     spec.element for specs in _SCHEMA.values() for spec in specs
@@ -739,8 +740,3 @@ def schema(cls: type) -> tuple[FieldSpec, ...]:
 def field_by_element(cls: type, element: str) -> FieldSpec | None:
     """Look up a field of ``cls`` by its canonical element name."""
     return _BY_ELEMENT[cls].get(element)
-
-
-def content_field(cls: type) -> FieldSpec | None:
-    """The field ``cls`` carries as XML text content, if it has one."""
-    return _CONTENT[cls]

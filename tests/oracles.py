@@ -25,6 +25,7 @@ from engmeta.merging import Conflict
 from engmeta.model import (
     ATTRIBUTE,
     CHILD,
+    CONTENT,
     NODE,
     NODE_LIST,
     SCALAR,
@@ -49,7 +50,6 @@ from engmeta.model import (
     TemporalResolution,
     Title,
     Variable,
-    content_field,
     field_by_element,
     scalar_key,
     scalars_equal,
@@ -383,7 +383,8 @@ def scan_file_whole(absolute_path: Path, relative_path: str, rules: list):
             "undecodable bytes replaced"
         )
     hits: list[RawHit] = []
-    for line_number, line in enumerate(text.split("\n"), start=1):
+    # a leading byte-order mark is not part of line 1
+    for line_number, line in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
         line = line.rstrip("\r")
         for rule in rules:
             hit = parse_line(line, rule, source_file=relative_path, line_number=line_number)
@@ -413,10 +414,27 @@ def walk_files_by_os_walk(root: Path, on_unreadable=None) -> list[tuple[str, Pat
 
 # --- Reference decoders --------------------------------------------------------
 
-# canon's readers as they were before the trusted decode: every node is
-# built through its checking constructor, which normalizes each field again
-# and collapses empty child nodes. The scalar decoding and the warnings are
-# canon's own; the differential test compares the nodes the two build.
+# canon's readers as they were before the trusted decode and the per-class
+# XML plan: every node is built through its checking constructor, which
+# normalizes each field again and collapses empty child nodes, and each XML
+# name is resolved through the two helpers below. The scalar decoding and
+# the warnings are canon's own; the differential tests compare the nodes,
+# warnings and errors the two give.
+
+def _local_name(tag: str) -> str | None:
+    """Strip the namespace; foreign namespaces make the element unknown."""
+    if not tag.startswith("{"):
+        return tag
+    uri, _, local = tag[1:].partition("}")
+    if uri == canon.ENGMETA_NAMESPACE:
+        return local
+    return None
+
+
+def content_field(cls: type):
+    """The field ``cls`` carries as XML text content, if it has one."""
+    return next((spec for spec in schema(cls) if spec.placement == CONTENT), None)
+
 
 def from_xml_checked(text: str) -> canon.ReadResult:
     root = ElementTree.fromstring(text)
@@ -454,7 +472,7 @@ def _decode_element_checked(element, cls: type, path: str, warnings: list[str]):
     for child in element:
         if child.tail and child.tail.strip():
             warnings.append(f"{label}: stray text {child.tail.strip()!r} skipped")
-        name = canon._local_name(child.tag)
+        name = _local_name(child.tag)
         spec = field_by_element(cls, name) if name is not None else None
         if spec is None or spec.placement != CHILD:
             shown = name if name is not None else child.tag

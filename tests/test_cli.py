@@ -222,6 +222,28 @@ def test_json_documents_accepted(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("name, text", [
+    ("bom.xml", "<engMeta><project>DiplIng</project></engMeta>\n"),
+    ("bom.json", '{"project": "DiplIng"}\n'),
+], ids=["xml", "json"])
+def test_documents_may_start_with_a_byte_order_mark(name, text, tmp_path, capsys):
+    path = tmp_path / name
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    out = tmp_path / "out.json"
+    assert main(["to-dataverse", "--in", str(path), "--out", str(out)]) == 0
+    assert "DiplIng" in out.read_text(encoding="utf-8")
+    assert capsys.readouterr().err == ""
+
+
+def test_undecodable_byte_after_a_byte_order_mark_keeps_its_file_offset(tmp_path, capsys):
+    bad = tmp_path / "bad.xml"
+    bad.write_bytes(b"\xef\xbb\xbf<engMeta>\xff</engMeta>\n")
+    assert main(["validate", "--in", str(bad)]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: {bad}: not valid UTF-8 from byte 12"
+    )
+
+
 @pytest.mark.parametrize("command, golden", [
     ("to-prov", "golden.provn"),
     ("to-prov", "every_field.provn"),

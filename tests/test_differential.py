@@ -2,28 +2,41 @@
 list-scan reference implementations in ``oracles``, the streamed line scan
 against the whole-file scan, validation's
 field-rule table against the per-class reference checks, the trusted
-decoders against the checked construction, the indented-JSON writer
-against ``json.dumps``, the schema-derived crosswalk against the
+decoders against the checked construction (on hostile documents too), the
+indented-JSON writer against ``json.dumps``, the schema-derived crosswalk against the
 hand-written fill functions, and PROV's schema-derived used entities
 against the hand-written ones."""
 
+import copy
 import importlib
 import json
+import random
 import re
 from dataclasses import replace
 from decimal import Decimal
+from xml.etree import ElementTree
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from engmeta.canon import from_json, from_xml, indented_json, to_json, to_xml
+from engmeta.canon import (
+    ENGMETA_NAMESPACE,
+    from_json,
+    from_xml,
+    indented_json,
+    to_json,
+    to_xml,
+)
+from engmeta.errors import EngMetaError
 from engmeta.extract import assemble, parse_config
 from engmeta.extract.engine import RawHit, scan_file
 from engmeta.flatten import BLOCK_NAMES, flatten, serialize_blocks_json
 from engmeta.merging import merge
 from engmeta.model import (
+    CONTENT,
     NODE,
     NODE_LIST,
+    SCALAR,
     SCALAR_LIST,
     TAGGED,
     EngMetaDataset,
@@ -32,6 +45,7 @@ from engmeta.model import (
     ProcessingStep,
     Software,
     Variable,
+    field_by_element,
     scalar_key,
     schema,
 )
@@ -251,7 +265,9 @@ def scanned_files(draw) -> bytes:
     lines = draw(st.lists(
         st.tuples(SCAN_LINES | st.binary(max_size=6), BAD_BYTES, LINE_ENDS), max_size=12,
     ))
-    data = b"".join(line + bad + end for line, bad, end in lines)
+    # a whole or a cut byte-order mark, or none
+    data = draw(st.sampled_from([b"", b"", b"\xef\xbb\xbf", b"\xef\xbb"]))
+    data += b"".join(line + bad + end for line, bad, end in lines)
     if draw(st.booleans()):  # no final newline
         data += draw(SCAN_LINES) + draw(BAD_BYTES)
     return data
@@ -555,6 +571,133 @@ def test_trusted_json_decode_drops_empty_entries_as_checked_construction(text):
     _assert_same_read(trusted, from_json_checked(text))
     # every node is as the checking constructors leave it: no empty node survives
     assert repr(renormalised(trusted.dataset)) == repr(trusted.dataset)
+
+
+# --- Hostile documents: the readers against the reference readers -------------
+#
+# Each pool document, as written and with seeded damage of every kind the
+# readers skip, warn about or refuse. Both readers must agree on the dataset,
+# the warnings in order, and the error raised, by type and message.
+
+FOREIGN_NAMESPACE = "https://example.org/other"
+
+
+def _hostile_xml(element, cls, rng: random.Random) -> None:
+    """Damage, in place, the element that spells a node of ``cls``."""
+    names = [spec.element for spec in schema(cls)]
+    has_content = any(spec.placement == CONTENT for spec in schema(cls))
+    if rng.random() < 0.15:  # unknown unless a content class declares it
+        element.set(rng.choice([*names, "x"]), rng.choice(["1", ""]))
+    if has_content and rng.random() < 0.15:  # a child naming an attribute or the content
+        ElementTree.SubElement(element, rng.choice(names)).text = rng.choice(["1", ""])
+    if rng.random() < 0.05:  # a namespaced attribute
+        namespace = rng.choice([ENGMETA_NAMESPACE, FOREIGN_NAMESPACE])
+        element.set(f"{{{namespace}}}{rng.choice(names)}", "1")
+    if not has_content and rng.random() < 0.05:
+        element.text = rng.choice(["stray", "\n  "])
+    for position, child in reversed(list(enumerate(element))):
+        spec = field_by_element(cls, child.tag)
+        if spec is None:
+            continue
+        if rng.random() < 0.04:
+            child.tail = rng.choice(["tail", "  "])
+        if rng.random() < 0.04:  # a repeated singular element, or one more list entry
+            element.insert(position + 1, copy.deepcopy(child))
+        if rng.random() < 0.03:
+            element.insert(position, ElementTree.Element(rng.choice(["unknown", "engMeta"])))
+        if spec.kind in (SCALAR, SCALAR_LIST):
+            roll = rng.random()
+            if roll < 0.05:
+                ElementTree.SubElement(child, "inner").text = "x"
+            elif roll < 0.10:
+                child.text = ""
+            elif roll < 0.105:  # text the field may refuse
+                child.text = rng.choice(["x", " 7 ", "1e3", "true"])
+            if spec.value_type is TAGGED and rng.random() < 0.05:
+                child.set("type", rng.choice(["integer", "decimal", "boolean", "date"]))
+        else:
+            _hostile_xml(child, spec.value_type, rng)
+        roll = rng.random()
+        if roll < 0.08:
+            child.tag = f"{{{ENGMETA_NAMESPACE}}}{child.tag}"
+        elif roll < 0.10:
+            child.tag = f"{{{FOREIGN_NAMESPACE}}}{child.tag}"
+
+
+def _in_engmeta_namespace(element) -> None:
+    for node in element.iter():
+        if not node.tag.startswith("{"):
+            node.tag = f"{{{ENGMETA_NAMESPACE}}}{node.tag}"
+
+
+def _hostile_json(obj: dict, cls, rng: random.Random) -> None:
+    """Damage, in place, the object that spells a node of ``cls``."""
+    for key, value in list(obj.items()):
+        spec = field_by_element(cls, key)
+        roll = rng.random()
+        if roll < 0.05:  # an empty value
+            obj[key] = {NODE: {}, NODE_LIST: [{}]}.get(spec.kind, _empty_spelling(spec))
+        elif roll < 0.055:  # a value the field may refuse
+            obj[key] = rng.choice([7, "x", True, None, [], {}])
+        elif spec.kind == NODE:
+            _hostile_json(value, spec.value_type, rng)
+        elif spec.kind == NODE_LIST:
+            for item in value:
+                _hostile_json(item, spec.value_type, rng)
+    if rng.random() < 0.1:  # an unknown key
+        key = rng.choice([spec.element for spec in schema(cls)])
+        obj[rng.choice([f"{{{ENGMETA_NAMESPACE}}}{key}", f"@{key}", "x"])] = "1"
+
+
+def _empty_spelling(spec):
+    if spec.value_type in (int, bool):  # no empty spelling: an empty list, or the value
+        return [] if spec.kind == SCALAR_LIST else 0 if spec.value_type is int else True
+    empty = {"type": "string", "text": ""} if spec.value_type is TAGGED else ""
+    return [empty] if spec.kind == SCALAR_LIST else empty
+
+
+def _read_outcome(read, text: str):
+    try:
+        result = read(text)
+    except EngMetaError as exc:
+        return type(exc), str(exc)
+    return result.warnings, result.dataset.canonical_key(), repr(result.dataset)
+
+
+def _hostile_documents():
+    for i, doc in enumerate(dataset_pool(300)):
+        rng = random.Random(i)
+        xml, text = to_xml(doc), to_json(doc)
+        yield "xml", xml
+        yield "json", text
+        root = ElementTree.fromstring(xml)
+        _hostile_xml(root, EngMetaDataset, rng)
+        if rng.random() < 0.2:
+            _in_engmeta_namespace(root)
+        yield "xml", ElementTree.tostring(root, encoding="unicode")
+        obj = json.loads(text)
+        _hostile_json(obj, EngMetaDataset, rng)
+        yield "json", json.dumps(obj, ensure_ascii=False)
+
+
+def test_readers_equal_reference_readers_on_hostile_documents():
+    readers = {"xml": (from_xml, from_xml_checked), "json": (from_json, from_json_checked)}
+    seen = {"xml": [], "json": []}
+    for syntax, text in _hostile_documents():
+        read, reference = readers[syntax]
+        outcome = _read_outcome(read, text)
+        assert outcome == _read_outcome(reference, text), text
+        seen[syntax].append(outcome)
+    # the damage reaches every branch: each warning kind, and errors in both syntaxes
+    warnings = " ".join(w for outcomes in seen.values() for o in outcomes
+                        if isinstance(o[0], tuple) for w in o[0])
+    for kind in ("unknown attribute", "empty attribute", "unknown element <unknown>",
+                 f"unknown element <{{{FOREIGN_NAMESPACE}}}", "repeated element",
+                 "stray text", "unexpected child elements", "empty element",
+                 "unknown key", "empty value"):
+        assert kind in warnings, kind
+    for outcomes in seen.values():
+        assert sum(isinstance(o[0], type) for o in outcomes) >= 10
 
 
 # --- The indented-JSON writer against json.dumps ------------------------------

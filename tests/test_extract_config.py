@@ -23,6 +23,12 @@ def test_minimal_rule_gets_defaults():
     assert str(rule.target) == "system.temporalResolution.numberOfTimesteps"
 
 
+def test_rule_file_may_start_with_a_byte_order_mark():
+    assert parse_config("\ufeff" + MINIMAL.lstrip()) == parse_config(MINIMAL.lstrip())
+    with pytest.raises(ConfigError, match="line 1: expected 'name = value'"):
+        parse_config("\ufeff\ufeff" + MINIMAL.lstrip())  # only one mark is dropped
+
+
 def test_empty_config_is_valid():
     assert parse_config("").rules == ()
     assert parse_config("# only comments\n\n").rules == ()

@@ -387,6 +387,17 @@ def test_scan_file_counts_and_warnings(tmp_path):
     assert len(missing_warnings) == 1
 
 
+def test_byte_order_mark_is_dropped_from_the_first_line_only(tmp_path):
+    config = parse_config("[rule p]\ntarget = project\nsource = *\nkey = P\ndelimiter = :\n")
+    target = tmp_path / "x.txt"
+    data = b"\xef\xbb\xbfP: one\n\xef\xbb\xbfP: two\n\xff\n"
+    target.write_bytes(data)
+    hits, nbytes, warnings = scan_file(target, "x.txt", list(config.rules))
+    assert [(h.lineNumber, h.rawValue) for h in hits] == [(1, "one")]
+    assert nbytes == len(data)  # the mark is read and counted
+    assert warnings == ["x.txt: not valid UTF-8 from byte 20; undecodable bytes replaced"]
+
+
 def test_non_utf8_bytes_are_reported(tmp_path):
     config = parse_config("[rule p]\ntarget = project\nsource = *\nkey = P\ndelimiter = :\n")
     target = tmp_path / "x.txt"
