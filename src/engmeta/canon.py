@@ -268,13 +268,17 @@ def _decode_element(element, cls: type, path: str, warnings: list[str]):
 
 
 def _decode_scalar_child(child, spec: FieldSpec, path: str, warnings: list[str]):
+    tagged = spec.value_type is TAGGED
+    for name in child.keys():  # only a tagged value's type is an attribute of a scalar
+        if name != "type" or not tagged:
+            warnings.append(f"{path}: unknown attribute {name!r} skipped")
     if len(child):
         warnings.append(f"{path}: unexpected child elements skipped")
     text = child.text or ""
     if text == "":
         warnings.append(f"{path}: empty element treated as absent")
         return None
-    if spec.value_type is TAGGED:
+    if tagged:
         return _tagged_from_text(text, child.get("type", "string"), path)
     return _scalar_from_text(text, spec.value_type, path)
 

@@ -69,7 +69,6 @@ _HEADER_RE = re.compile(r"\[rule\s+([^\s\]]+)\]")
 class TargetShape:
     """How a rule's target writes: fixed scalar or open list appends."""
 
-    open_segment: int | None  # position of the index-less list segment, if any
     node_type: type | None  # node class of the open list, when it is a node list
     open_list: MetadataPath | None  # the target up to its open segment
     # for a node list: the (attribute, class) of each child node inside the
@@ -142,6 +141,9 @@ def analyze_target(rule: ExtractionRule) -> TargetShape:
     """Check a rule's target, and the type of the values it takes, against the
     schema, and derive how the rule writes."""
     rule_id, path, line = rule.id, rule.target, rule.line
+    for name in ("source", "key", "delimiter", "unit", "group"):
+        if getattr(rule, name) == "":
+            raise ConfigError(f"rule {rule_id!r}: {name} must not be empty", line)
     _check_choice(rule_id, "type", rule.valueType, VALUE_TYPES, line)
     _check_choice(rule_id, "occurrence", rule.occurrence, OCCURRENCES, line)
     try:
@@ -176,7 +178,7 @@ def analyze_target(rule: ExtractionRule) -> TargetShape:
         )
 
     grouped = rule.group is not None
-    shape = TargetShape(None, None, None, None)
+    shape = TargetShape(None, None, None)
     if grouped or rule.occurrence == "all":
         if len(open_positions) != 1:
             raise ConfigError(
@@ -207,9 +209,9 @@ def analyze_target(rule: ExtractionRule) -> TargetShape:
         if open_spec.kind == NODE_LIST:
             in_node = (tuple((spec.attr, spec.value_type) for spec in inside[:-1]),
                        inside[-1].attr)
-            shape = TargetShape(open_segment, open_spec.value_type, open_list, in_node)
+            shape = TargetShape(open_spec.value_type, open_list, in_node)
         else:
-            shape = TargetShape(open_segment, None, open_list, None)
+            shape = TargetShape(None, open_list, None)
     elif open_positions:
         segment = resolved[open_positions[0]][0]
         raise ConfigError(

@@ -46,6 +46,7 @@ from ..model import (
     EngMetaDataset,
     field_by_element,
     number_from_text,
+    scalar_to_text,
     scalars_equal,
 )
 from ..paths import MetadataPath, PathSegment, append_nodes, get_path, set_path
@@ -99,9 +100,9 @@ class ExtractionReport:
             "conflicts": [
                 {
                     "path": c.path,
-                    "base": str(c.base),
-                    "overlay": str(c.overlay),
-                    "chosen": str(c.chosen),
+                    "base": scalar_to_text(c.base),
+                    "overlay": scalar_to_text(c.overlay),
+                    "chosen": scalar_to_text(c.chosen),
                 }
                 for c in self.conflicts
             ],

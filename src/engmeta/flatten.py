@@ -28,6 +28,9 @@ level above them (``_INLINE``), the step fields handed to PROV
   collapse.
 - Under the processing steps every field is multiple, and scalars are
   deduplicated primitives (``stepType``, ``executionCommand``).
+- Deduplication keeps the first occurrence. Comparison is type-strict
+  (``True``, ``1`` and ``Decimal(1)`` stay apart), and a compound is
+  compared sub-field by sub-field in its fixed order.
 - In a compound, a scalar is a sub-field keyed by its name, and a nested
   node's scalars are keyed prefix+Leaf (``pid.value`` gives ``pidValue``).
   A list becomes a compound of its own, named owner+Entry
@@ -115,45 +118,36 @@ class _BlockBuilder:
         self.mapped.append(MappedPath(path, f"{self.block_name}.{type_name}"))
         return value
 
-    def add(self, type_name: str, multiple: bool, type_class: str, value, dedup=False) -> None:
+    def add(self, type_name: str, multiple: bool, type_class: str, value, dedup: bool) -> None:
         self._fields.setdefault((type_name, multiple, type_class, dedup), []).append(value)
-
-    def primitive(self, type_name: str, path: str, value, multiple: bool, dedup: bool) -> None:
-        self.add(type_name, multiple, "primitive", self.claim(type_name, path, value), dedup)
 
     def build(self) -> MetadataBlock:
         fields = []
         for (type_name, multiple, type_class, dedup), values in self._fields.items():
             if not multiple:
                 value = values[-1]
-            elif type_class == "compound":  # exact repeats collapse
-                value = _unique(values, _compound_key)
+            elif dedup:  # exact repeats collapse; the first is kept
+                first: dict = {}
+                for entry in values:
+                    first.setdefault(_entry_key(entry), entry)
+                value = list(first.values())
             else:
-                value = _unique(values, scalar_key) if dedup else values
+                value = values
             fields.append(BlockField(type_name, multiple, type_class, value))
         return MetadataBlock(self.block_name, tuple(fields))
 
 
-def _unique(entries: list, key) -> list:
-    """The entries in order, dropping exact duplicates of earlier ones.
+def _entry_key(entry) -> tuple:
+    """Type-strict identity of a block entry, through ``scalar_key``.
 
-    Duplicates are judged type-strictly through ``key``: ``True`` and ``1``
-    (or ``300`` and ``Decimal(300)``) serialize differently, so both are
-    kept. Keys are built once all entries exist and freed on return, rather
-    than held for the whole flattening.
+    ``True`` and ``1`` (or ``300`` and ``Decimal(300)``) serialize
+    differently, so their keys differ. A compound's sub-fields are compared
+    in their order: every entry of one type name is filled in one fixed
+    ``_sub_plan`` order, so equal compounds list equal sub-fields alike.
     """
-    seen = set()
-    kept = []
-    for entry in entries:
-        entry_key = key(entry)
-        if entry_key not in seen:
-            seen.add(entry_key)
-            kept.append(entry)
-    return kept
-
-
-def _compound_key(submap: dict) -> tuple:
-    return tuple(sorted((name, scalar_key(value)) for name, value in submap.items()))
+    if type(entry) is dict:
+        return tuple([(name, scalar_key(value)) for name, value in entry.items()])
+    return scalar_key(entry)
 
 
 # --- The crosswalk ----------------------------------------------------------
@@ -264,7 +258,8 @@ def _fill(block: _BlockBuilder, node, path: str, repeated: bool, plan) -> None:
                 for i, item in enumerate(value):
                     _fill(block, item, f"{field_path}[{i}]", True, _plan(spec.value_type))
         elif how == SCALAR:
-            block.primitive(type_name, field_path, value, multiple=repeated, dedup=repeated)
+            block.add(type_name, repeated, "primitive", block.claim(type_name, field_path, value),
+                      dedup=repeated)
         elif how == NODE:
             _compound(block, type_name, value, field_path, {}, single=not repeated)
         else:
@@ -275,7 +270,8 @@ def _entries(block: _BlockBuilder, type_name: str, spec, items, path: str, first
     """One entry per list item: primitives, or compounds whose sub-fields start with ``first``."""
     for i, item in enumerate(items):
         if spec.kind == SCALAR_LIST:
-            block.primitive(type_name, f"{path}[{i}]", item, multiple=True, dedup=False)
+            block.add(type_name, True, "primitive", block.claim(type_name, f"{path}[{i}]", item),
+                      dedup=False)
         else:
             _compound(block, type_name, item, f"{path}[{i}]", dict(first))
 
@@ -286,7 +282,7 @@ def _compound(block: _BlockBuilder, type_name: str, node, path: str, submap: dic
     lists: list = []
     _sub_fields(block, type_name, node, path, "", submap, lists)
     if submap:
-        block.add(type_name, not single, "compound", submap)
+        block.add(type_name, not single, "compound", submap, dedup=True)
     for owner, spec, list_path in lists:
         _sub_entries(block, type_name, owner, spec, list_path)
 
@@ -345,22 +341,21 @@ def _primitive_to_json(value):
     )
 
 
+def _compound_to_json(submap) -> dict:
+    if not isinstance(submap, dict):
+        raise FlattenStructureError("compound values must be maps of sub-fields")
+    return {key: _primitive_to_json(item) for key, item in submap.items()}
+
+
+_RENDER = {"primitive": _primitive_to_json, "compound": _compound_to_json}
+
+
 def _field_to_obj(field: BlockField) -> dict:
-    if field.typeClass == "primitive":
-        if field.multiple:
-            value = [_primitive_to_json(item) for item in field.value]
-        else:
-            value = _primitive_to_json(field.value)
-    elif field.typeClass == "compound":
-        instances = field.value if field.multiple else [field.value]
-        rendered = []
-        for submap in instances:
-            if not isinstance(submap, dict):
-                raise FlattenStructureError("compound values must be maps of sub-fields")
-            rendered.append({key: _primitive_to_json(item) for key, item in submap.items()})
-        value = rendered if field.multiple else rendered[0]
-    else:
-        raise FlattenStructureError(f"unknown typeClass {field.typeClass!r}")
+    try:
+        render = _RENDER[field.typeClass]
+    except (KeyError, TypeError):  # TypeError: an unhashable typeClass
+        raise FlattenStructureError(f"unknown typeClass {field.typeClass!r}") from None
+    value = [render(entry) for entry in field.value] if field.multiple else render(field.value)
     return {
         "typeName": field.typeName,
         "multiple": field.multiple,

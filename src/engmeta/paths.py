@@ -5,6 +5,8 @@ indices, e.g. ``processingStep[0].software[0].name``. Reads return every
 addressed value (an index-less list segment means "all entries"); writes
 address exactly one scalar location and create missing intermediate nodes on
 demand, with list writes allowed at most one position past the current end.
+Appends (``append_nodes``) add entries to the end of an index-less list and
+check them with the list check the node constructors run.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .model import (
     EngMetaDataset,
     FieldSpec,
     _check_scalar,
+    _normalize_field,
     field_by_element,
 )
 
@@ -160,46 +163,29 @@ def set_path(dataset, path: str | MetadataPath, value):
     return _write(dataset, parsed, resolve_specs(parsed, type(dataset)), 0, write_scalar)
 
 
-def append_node(dataset, list_path: str | MetadataPath, item):
-    """Append a prebuilt node, or a scalar, to the list the path addresses.
-
-    The one-item case of ``append_nodes``.
-    """
-    return append_nodes(dataset, list_path, (item,))
-
-
 def append_nodes(dataset, list_path: str | MetadataPath, items):
     """Append prebuilt nodes, or scalars, in order, with one write.
 
     The final segment must name a list, index-less; intermediate segments
-    behave as in set_path. Every item is checked before anything is written:
-    a scalar as set_path checks it, a node against the list's node class.
-    Empty nodes are skipped, since documents never hold content-free nodes;
-    when nothing is left to append the document is returned unchanged. As
-    with set_path, any node can stand in for the dataset.
+    behave as in set_path. The items pass the list check every node
+    constructor runs, before anything is written: scalars are checked as
+    set_path checks them, nodes against the list's node class, and empty
+    nodes are skipped, since documents never hold content-free nodes. A
+    failed check raises PathTargetError. When nothing is left to append the
+    document is returned unchanged. As with set_path, any node can stand in
+    for the dataset.
     """
     parsed = _as_path(list_path)
     resolved = resolve_specs(parsed, type(dataset))
     final_segment, final_spec = resolved[-1]
     if final_spec.kind not in (NODE_LIST, SCALAR_LIST) or final_segment.index is not None:
         raise PathTargetError(f"{parsed}: not an index-less list")
-    kept = []
-    for item in items:
-        if final_spec.kind == SCALAR_LIST:
-            try:
-                kept.append(_check_scalar(final_spec, item))
-            except (TypeError, ValueError) as exc:
-                raise PathTargetError(f"{parsed}: {exc}") from None
-        elif not isinstance(item, final_spec.value_type):
-            raise PathTargetError(
-                f"{parsed}: expected {final_spec.value_type.__name__}, "
-                f"got {type(item).__name__}"
-            )
-        elif not item.is_empty():
-            kept.append(item)
-    if not kept:
+    try:
+        added = _normalize_field(final_spec, items)
+    except (TypeError, ValueError) as exc:
+        raise PathTargetError(f"{parsed}: {exc}") from None
+    if not added:
         return dataset
-    added = tuple(kept)
     return _write(dataset, parsed, resolved, 0, lambda current, _segment, _spec: current + added)
 
 

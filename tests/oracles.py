@@ -55,7 +55,7 @@ from engmeta.model import (
     scalars_equal,
     schema,
 )
-from engmeta.paths import MetadataPath, PathSegment, append_node, get_path, set_path
+from engmeta.paths import MetadataPath, PathSegment, append_nodes, get_path, set_path
 from engmeta.validation import Finding, ValidationReport
 
 
@@ -242,7 +242,7 @@ class ListScanAssembly:
                 value = self._coerced(rule, hit)
                 if value is None:
                     continue
-                if rule.shape.open_segment is None:
+                if rule.shape.open_list is None:
                     self._attempt(
                         lambda rule=rule, hit=hit: (
                             f"rule {rule.id!r} ({hit.sourceFile}:{hit.lineNumber}): "
@@ -311,7 +311,7 @@ class ListScanAssembly:
         if _already_in(current, item):
             return True
         try:
-            self.dataset = append_node(self.dataset, list_path, item)
+            self.dataset = append_nodes(self.dataset, list_path, (item,))
         except PathIndexGapError:
             return False
         return True
@@ -329,9 +329,10 @@ class ListScanAssembly:
                 f"counts ({detail}); surplus dropped"
             )
         first = present[0]
-        list_path = MetadataPath(first.target.segments[: first.shape.open_segment + 1])
+        list_path = MetadataPath(first.target.segments[: len(first.shape.open_list.segments)])
         in_node = {
-            r.id: MetadataPath(r.target.segments[r.shape.open_segment + 1:]) for r in present
+            r.id: MetadataPath(r.target.segments[len(r.shape.open_list.segments):])
+            for r in present
         }
         for instance in range(instance_count):
             node = first.shape.node_type()

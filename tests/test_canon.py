@@ -55,6 +55,40 @@ def test_unknown_element_is_warning_not_error():
     assert "unknownThing" in result.warnings[0]
 
 
+def test_attributes_of_scalar_elements_are_warned_about():
+    result = from_xml(
+        '<engMeta><project lang="en">p</project><keyword type="integer">k</keyword></engMeta>'
+    )
+    assert result.dataset == EngMetaDataset(project="p", keywords=("k",))
+    assert result.warnings == (
+        "project: unknown attribute 'lang' skipped",
+        "keyword[0]: unknown attribute 'type' skipped",
+    )
+
+
+def test_a_tagged_value_keeps_its_type_and_warns_about_other_attributes():
+    result = from_xml(
+        "<engMeta><system><controlledVariables>"
+        '<value unit="K" type="integer" note="">3<x/></value>'
+        "</controlledVariables></system></engMeta>"
+    )
+    assert result.dataset.system.controlledVariables[0].value == 3
+    assert result.warnings == (
+        "system.controlledVariables[0].value: unknown attribute 'unit' skipped",
+        "system.controlledVariables[0].value: unknown attribute 'note' skipped",
+        "system.controlledVariables[0].value: unexpected child elements skipped",
+    )
+
+
+def test_attribute_warnings_come_before_the_empty_element_warning():
+    result = from_xml('<engMeta><project lang="en"></project></engMeta>')
+    assert result.dataset == EngMetaDataset()
+    assert result.warnings == (
+        "project: unknown attribute 'lang' skipped",
+        "project: empty element treated as absent",
+    )
+
+
 def test_malformed_xml_reports_position():
     with pytest.raises(CanonSyntaxError) as excinfo:
         from_xml("<engMeta><title>unclosed</engMeta>")

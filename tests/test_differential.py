@@ -49,7 +49,7 @@ from engmeta.model import (
     scalar_key,
     schema,
 )
-from engmeta.paths import append_node, get_path, set_path
+from engmeta.paths import append_nodes, get_path, set_path
 from engmeta.prov import serialize_prov_n, to_prov
 from engmeta.validation import validate
 from everyfield import every_field_dataset
@@ -296,7 +296,7 @@ def _count(dataset, list_path: str) -> int:
 
 @st.composite
 def writes(draw):
-    """One set_path or append_node call, with indices inside the writable range."""
+    """One set_path or append_nodes call, with indices inside the writable range."""
     kind = draw(st.sampled_from(
         ["project", "keyword", "subject", "value", "uncertainty", "interval", "software",
          "parameter"]
@@ -308,7 +308,7 @@ def writes(draw):
     if kind == "keyword":
         return lambda doc: set_path(doc, f"keyword[{min(slot, _count(doc, 'keyword'))}]", text)
     if kind == "subject":
-        return lambda doc: append_node(doc, "subject", text)
+        return lambda doc: append_nodes(doc, "subject", (text,))
     if kind == "value":
         value = draw(TRICKY_VALUES.filter(lambda v: v is not None))
         return lambda doc: set_path(
@@ -326,11 +326,11 @@ def writes(draw):
         return lambda doc: set_path(doc, "system.temporalResolution.interval", 2)
     if kind == "software":
         software = draw(st.sampled_from([Software(), Software(name=text)]))
-        return lambda doc: append_node(
-            doc, f"processingStep[{min(slot, _count(doc, 'processingStep'))}].software", software
+        return lambda doc: append_nodes(
+            doc, f"processingStep[{min(slot, _count(doc, 'processingStep'))}].software", (software,)
         )
     variable = draw(VARIABLES)
-    return lambda doc: append_node(doc, "system.parameters", variable)
+    return lambda doc: append_nodes(doc, "system.parameters", (variable,))
 
 
 @settings(max_examples=200, deadline=None)
@@ -351,8 +351,10 @@ def test_appending_an_empty_node_is_a_no_op():
             ("processingStep[0].method.parameters", Variable()),
             (f"processingStep[{len(doc.processingSteps)}].software", Software()),
         ):
-            assert append_node(doc, list_path, empty) is doc
-    assert append_node(EngMetaDataset(), "processingStep[0].method.parameters", Variable(name="n")) == (
+            assert append_nodes(doc, list_path, (empty,)) is doc
+    assert append_nodes(
+        EngMetaDataset(), "processingStep[0].method.parameters", (Variable(name="n"),)
+    ) == (
         EngMetaDataset(processingSteps=(
             ProcessingStep(method=Method(parameters=(Variable(name="n"),))),
         ))
@@ -732,10 +734,93 @@ def test_indented_json_rejects_what_it_does_not_write():
         raise AssertionError(f"{value!r} was written")
 
 
+@st.composite
+def thinned_repeats(draw):
+    """The every-field document with each list entry repeated up to three
+    times, each copy keeping a drawn subset of its fields: repeated
+    compounds that differ only in which sub-fields are set."""
+
+    def thin(node):
+        values = {}
+        for spec in schema(type(node)):
+            value = getattr(node, spec.attr)
+            if spec.kind == NODE_LIST:
+                values[spec.attr] = [
+                    thin(item) for item in value for _ in range(draw(st.integers(1, 3)))
+                ]
+            elif spec.kind == NODE and value is not None:
+                values[spec.attr] = thin(value)
+            elif draw(st.booleans()):
+                values[spec.attr] = value
+        return type(node)(**values)
+
+    return thin(every_field_dataset())
+
+
+def _flatten_documents(gromacs_doc) -> list:
+    return [*dataset_pool(300), every_field_dataset(), gromacs_doc, EngMetaDataset()]
+
+
 def test_flatten_equals_fill_function_reference(gromacs_doc):
-    for doc in [*dataset_pool(300), every_field_dataset(), gromacs_doc, EngMetaDataset()]:
+    for doc in _flatten_documents(gromacs_doc):
         expected = serialize_blocks_json(*flatten_by_fill_functions(doc))
         assert serialize_blocks_json(*flatten(doc)) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=thinned_repeats())
+def test_flatten_equals_fill_function_reference_on_thinned_repeats(doc):
+    """The reference collapses compounds on sorted keys, flatten on keys in
+    sub-field order: equal results show that equal compounds list their
+    sub-fields in one order."""
+    expected = serialize_blocks_json(*flatten_by_fill_functions(doc))
+    assert serialize_blocks_json(*flatten(doc)) == expected
+    _assert_compound_keys_fit_one_order(doc)
+
+
+def _fits_one_order(sequences) -> bool:
+    """True when one total order of the keys lists every sequence in order."""
+    later: dict = {}
+    for keys in sequences:
+        for key in keys:
+            later.setdefault(key, set())
+        for before, after in zip(keys, keys[1:]):
+            later[before].add(after)
+    waiting = dict.fromkeys(later, 0)
+    for successors in later.values():
+        for key in successors:
+            waiting[key] += 1
+    ready = [key for key, count in waiting.items() if count == 0]
+    placed = 0
+    while ready:
+        key = ready.pop()
+        placed += 1
+        for successor in later[key]:
+            waiting[successor] -= 1
+            if waiting[successor] == 0:
+                ready.append(successor)
+    return placed == len(later)
+
+
+def _assert_compound_keys_fit_one_order(doc) -> None:
+    blocks, _ = flatten(doc)
+    for block in blocks:
+        for field in block.fields:
+            if field.typeClass == "compound" and field.multiple:
+                assert _fits_one_order([list(entry) for entry in field.value]), (
+                    block.blockName, field.typeName, [list(entry) for entry in field.value]
+                )
+
+
+def test_fits_one_order_finds_a_cycle():
+    assert _fits_one_order([["a", "b"], ["b", "c"], ["a", "c"], []])
+    assert not _fits_one_order([["a", "b"], ["b", "a"]])
+    assert not _fits_one_order([["a", "b"], ["b", "c"], ["c", "a"]])
+
+
+def test_compound_keys_fit_one_order(gromacs_doc):
+    for doc in _flatten_documents(gromacs_doc):
+        _assert_compound_keys_fit_one_order(doc)
 
 
 def test_prov_equals_hand_written_reference(gromacs_doc):

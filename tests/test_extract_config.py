@@ -2,6 +2,7 @@ import pytest
 
 from engmeta.errors import ConfigError
 from engmeta.extract import parse_config
+from engmeta.paths import parse_path
 
 MINIMAL = """
 [rule nsteps]
@@ -92,7 +93,7 @@ def test_open_list_needs_all_or_group():
 def test_occurrence_all_allows_open_list():
     text = "[rule kw]\ntarget = keyword\nsource = *.txt\nkey = K\noccurrence = all\n"
     config = parse_config(text)
-    assert config.rules[0].shape.open_segment == 0
+    assert config.rules[0].shape.open_list == parse_path("keyword")
 
 
 def test_grouped_rules_must_share_the_open_list():
@@ -132,6 +133,14 @@ def test_empty_delimiter_rejected():
     with pytest.raises(ConfigError) as excinfo:
         parse_config(text)
     assert "delimiter" in str(excinfo.value)
+    assert excinfo.value.line == 5  # the field's own line, not the header's
+
+
+def test_empty_unit_and_group_read_as_unset():
+    text = ("[rule r]\ntarget = system.controlledVariables.value\nsource = *\nkey = K\n"
+            "occurrence = all\nunit =\ngroup =\n")
+    rule = parse_config(text).rules[0]
+    assert (rule.unit, rule.group) == (None, None)
 
 
 def test_value_taken_verbatim_after_first_equals():

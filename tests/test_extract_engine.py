@@ -193,6 +193,24 @@ def test_assemble_cross_file_conflict_first_wins():
     assert result.conflicts[0].chosen == "alpha"
 
 
+def test_report_spells_conflict_values_as_the_document_does(tmp_path):
+    (tmp_path / "a.txt").write_text("dt = 1.50\nok = yes\n", encoding="utf-8")
+    (tmp_path / "b.txt").write_text("dt = 2\nok = no\n", encoding="utf-8")
+    config = parse_config(
+        "[rule dt]\ntarget = system.temporalResolution.interval\nsource = *.txt\nkey = dt\n"
+        "type = decimal\n"
+        "[rule ok]\ntarget = worked.success\nsource = *.txt\nkey = ok\ntype = boolean\n"
+    )
+    dataset, report = extract(tmp_path, config)
+    xml = to_xml(dataset)
+    assert "<interval>1.5</interval>" in xml and 'success="true"' in xml
+    assert report.to_obj()["conflicts"] == [
+        {"path": "system.temporalResolution.interval",
+         "base": "1.5", "overlay": "2", "chosen": "1.5"},
+        {"path": "worked.success", "base": "true", "overlay": "false", "chosen": "true"},
+    ]
+
+
 def test_assemble_identical_values_no_conflict():
     config = parse_config("[rule p]\ntarget = project\nsource = *\nkey = Project\ndelimiter = :\n")
     hits = hits_for(config, {"a.txt": ["Project: same"], "b.txt": ["Project: same"]})
@@ -556,6 +574,16 @@ def test_hand_built_invalid_rules_fail_when_built(fields, message):
     target = parse_path(fields.pop("target"))
     with pytest.raises(ConfigError, match=message):
         ExtractionRule(id="r", target=target, source="*", key="K", line=3, **fields)
+
+
+@pytest.mark.parametrize("name", ["source", "key", "delimiter", "unit", "group"])
+def test_hand_built_rules_reject_empty_text_fields(name):
+    fields = dict(id="r", target=parse_path("system.controlledVariables.value"), source="*",
+                  key="K", occurrence="all", line=3)
+    with pytest.raises(ConfigError) as excinfo:
+        ExtractionRule(**{**fields, name: ""})
+    assert str(excinfo.value) == f"line 3: rule 'r': {name} must not be empty"
+    assert excinfo.value.line == 3
 
 
 def test_hand_built_rule_plan_is_derived_not_given():

@@ -4,7 +4,7 @@ import pytest
 
 from engmeta.errors import PathIndexGapError, PathSyntaxError, PathTargetError
 from engmeta.model import EngMetaDataset, ProcessingStep, Software, Title, Variable
-from engmeta.paths import append_node, append_nodes, get_path, parse_path, set_path
+from engmeta.paths import append_nodes, get_path, parse_path, set_path
 
 
 def test_parse_path_segments():
@@ -90,11 +90,11 @@ def test_set_path_requires_index_for_writing_lists():
 
 
 def test_append_node_appends_checked_scalars():
-    doc = append_node(EngMetaDataset(), "keyword", "a")
-    assert append_node(doc, "keyword", "b").keywords == ("a", "b")
+    doc = append_nodes(EngMetaDataset(), "keyword", ("a",))
+    assert append_nodes(doc, "keyword", ("b",)).keywords == ("a", "b")
     for path, value in (("keyword", 5), ("keyword", ""), ("keyword[0]", "c"), ("project", "c")):
         with pytest.raises(PathTargetError):
-            append_node(doc, path, value)
+            append_nodes(doc, path, (value,))
 
 
 def test_append_nodes_keeps_order_and_skips_empty_nodes():
@@ -125,10 +125,16 @@ def test_append_nodes_rejects_an_index_gap():
         append_nodes(EngMetaDataset(), "processingStep[1].method.parameters", [Variable(name="n")])
 
 
-def test_append_node_is_the_one_item_append():
-    doc = EngMetaDataset(keywords=("a",))
-    assert append_node(doc, "keyword", "b") == append_nodes(doc, "keyword", ["b"])
-    assert append_node(doc, "system.parameters", Variable()) is doc
+def test_append_nodes_reports_a_failed_check_as_the_constructor_words_it():
+    doc = EngMetaDataset()
+    with pytest.raises(PathTargetError) as caught:
+        append_nodes(doc, "system.parameters", [Variable(name="p"), Software(name="s")])
+    assert str(caught.value) == (
+        "system.parameters: parameters: expected Variable entries, got Software"
+    )
+    with pytest.raises(PathTargetError) as caught:
+        append_nodes(doc, "keyword", ["b", ""])
+    assert str(caught.value) == "keyword: keywords: empty strings are not valid values"
 
 
 def test_set_path_does_not_mutate_input():
