@@ -14,7 +14,10 @@ XML is read and written through one cached plan per node class (``_plan``),
 derived from the model's field placements: its attributes, its text-content
 field and its child elements, each keyed by local name. An element in the
 engMeta namespace reads as its plain name; any other namespace, and any
-namespaced attribute, is unknown.
+namespaced attribute, is unknown. The reader takes a string child with no
+attributes and no children as its text; it builds a child's path string
+(``file[3].sizeBytes``) only to decode any other child, whose warnings and
+errors name it.
 """
 
 from __future__ import annotations
@@ -122,13 +125,16 @@ def _plan(cls: type) -> tuple[dict, FieldSpec | None, dict]:
     """(attributes, content, children) of a node class, the maps keyed by local name.
 
     A class with a text-content field carries its other fields as
-    attributes and has no children; any other class has only children.
+    attributes and has no children; any other class has only children,
+    each as (spec, attr, listed, scalar, plain string).
     """
     specs = schema(cls)
     return (
         {spec.element: spec for spec in specs if spec.placement == ATTRIBUTE},
         next((spec for spec in specs if spec.placement == CONTENT), None),
-        {spec.element: spec for spec in specs if spec.placement == CHILD},
+        {spec.element: (spec, spec.attr, spec.kind in (SCALAR_LIST, NODE_LIST),
+                        spec.kind in (SCALAR, SCALAR_LIST), spec.value_type is str)
+         for spec in specs if spec.placement == CHILD},
     )
 
 
@@ -155,7 +161,7 @@ def _write_element(lines: list[str], tag: str, node, depth: int) -> None:
 
     lines.append(f"{pad}<{tag}{attr_text}>")
     opened = len(lines)
-    for spec in children.values():
+    for spec, *_ in children.values():
         value = getattr(node, spec.attr)
         if value is None or value == ():
             continue
@@ -208,16 +214,12 @@ def from_xml(text: str) -> ReadResult:
 
 
 def _decode_element(element, cls: type, path: str, warnings: list[str]):
-    """The node the element spells, or None when it sets no field.
-
-    Children are looked up by local name: an engMeta-namespaced element
-    reads as its plain name, and any other namespace leaves it unknown.
-    """
+    """The node the element spells, or None when it sets no field."""
     attributes, content, children = _plan(cls)
     kwargs: dict[str, object] = {}
     label = path or ROOT_ELEMENT
 
-    for name, raw in element.attrib.items():
+    for name, raw in element.items():
         spec = attributes.get(name)
         if spec is None:
             warnings.append(f"{label}: unknown attribute {name!r} skipped")
@@ -227,43 +229,48 @@ def _decode_element(element, cls: type, path: str, warnings: list[str]):
             continue
         kwargs[spec.attr] = _scalar_from_text(raw, spec.value_type, f"{label}.{name}")
 
-    text = element.text or ""
+    text = element.text
     if content is not None:
-        if text != "":
+        if text:
             kwargs[content.attr] = _scalar_from_text(
                 text, content.value_type, f"{label}.{content.element}"
             )
-    elif text.strip():
+    elif text and not text.isspace():
         warnings.append(f"{label}: stray text {text.strip()!r} skipped")
 
     counters: dict[str, int] = {}
     for child in element:
-        if child.tail and child.tail.strip():
-            warnings.append(f"{label}: stray text {child.tail.strip()!r} skipped")
-        name = child.tag.removeprefix(_NAMESPACE_PREFIX)
-        spec = children.get(name)
-        if spec is None:
-            warnings.append(f"{label}: unknown element <{name}> skipped")
+        tail = child.tail
+        if tail and not tail.isspace():
+            warnings.append(f"{label}: stray text {tail.strip()!r} skipped")
+        entry = children.get(child.tag)
+        if entry is None:  # unknown, or in a namespace
+            name = child.tag.removeprefix(_NAMESPACE_PREFIX)
+            entry = children.get(name)
+            if entry is None:
+                warnings.append(f"{label}: unknown element <{name}> skipped")
+                continue
+        spec, attr, listed, scalar, plain = entry
+        index = counters.get(attr, 0)
+        counters[attr] = index + 1
+        if index and not listed:
+            warnings.append(f"{label}: repeated element <{spec.element}> skipped")
             continue
-        index = counters.get(name, 0)
-        counters[name] = index + 1
-        child_path = f"{path}.{name}" if path else name
-        listed = spec.kind in (SCALAR_LIST, NODE_LIST)
+        value = child.text
+        if not (plain and value and not len(child) and not child.keys()):
+            child_path = f"{path}.{spec.element}" if path else spec.element
+            if listed:
+                child_path = f"{child_path}[{index}]"
+            if scalar:
+                value = _decode_scalar_child(child, spec, child_path, warnings)
+            else:
+                value = _decode_element(child, spec.value_type, child_path, warnings)
+            if value is None:
+                continue
         if listed:
-            child_path = f"{child_path}[{index}]"
-        elif index > 0:
-            warnings.append(f"{label}: repeated element <{name}> skipped")
-            continue
-        if spec.kind in (SCALAR, SCALAR_LIST):
-            value = _decode_scalar_child(child, spec, child_path, warnings)
+            kwargs.setdefault(attr, []).append(value)
         else:
-            value = _decode_element(child, spec.value_type, child_path, warnings)
-        if value is None:
-            continue
-        if listed:
-            kwargs.setdefault(spec.attr, []).append(value)
-        else:
-            kwargs[spec.attr] = value
+            kwargs[attr] = value
     return _trusted_node(cls, kwargs)
 
 
@@ -318,18 +325,20 @@ def _json_text(value, newline: str) -> str:
         return int.__repr__(value)
     inner = newline + _INDENT
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = (
-            f"{_encode_string(key)}: {_json_text(item, inner)}" for key, item in value.items()
-        )
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        return _enclosed([f"{_encode_string(key)}: {_json_text(item, inner)}"
+                          for key, item in value.items()], newline, "{}")
     if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = (_json_text(item, inner) for item in value)
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
+        return _enclosed([_json_text(item, inner) for item in value], newline)
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _enclosed(items: list[str], newline: str, brackets: str = "[]") -> str:
+    """Written JSON values in brackets, one a line, a level deeper than
+    ``newline``: a line break plus the indentation of the line they open on."""
+    if not items:
+        return brackets
+    inner = newline + _INDENT
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
 
 
 def _node_to_obj(node) -> dict:

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from functools import cache
 
-from .canon import indented_json
+from .canon import _enclosed, _encode_string
 from .errors import FlattenStructureError
 from .model import (
     NODE,
@@ -113,9 +113,12 @@ class _BlockBuilder:
         self.mapped = mapped
         self.dropped = dropped
         self._fields: dict[tuple, list] = {}  # (typeName, multiple, typeClass, dedup) -> values
+        self._names: dict[str, str] = {}  # typeName -> "<block>.<typeName>", built once
 
     def claim(self, type_name: str, path: str, value):
-        self.mapped.append(MappedPath(path, f"{self.block_name}.{type_name}"))
+        field = self._names.get(type_name) or self._names.setdefault(
+            type_name, f"{self.block_name}.{type_name}")
+        self.mapped.append(MappedPath(path, field))
         return value
 
     def add(self, type_name: str, multiple: bool, type_class: str, value, dedup: bool) -> None:
@@ -331,48 +334,85 @@ def _drop(dropped: list[DroppedPath], value, path: str) -> None:
 
 # --- JSON serialization ----------------------------------------------------
 
-def _primitive_to_json(value):
-    if isinstance(value, Decimal):
-        return scalar_to_text(value)
-    if isinstance(value, (bool, int, str)):
-        return value
-    raise FlattenStructureError(
-        f"compound fields may contain only primitive sub-fields, got {type(value).__name__}"
-    )
-
-
-def _compound_to_json(submap) -> dict:
-    if not isinstance(submap, dict):
-        raise FlattenStructureError("compound values must be maps of sub-fields")
-    return {key: _primitive_to_json(item) for key, item in submap.items()}
-
-
-_RENDER = {"primitive": _primitive_to_json, "compound": _compound_to_json}
-
-
-def _field_to_obj(field: BlockField) -> dict:
-    try:
-        render = _RENDER[field.typeClass]
-    except (KeyError, TypeError):  # TypeError: an unhashable typeClass
-        raise FlattenStructureError(f"unknown typeClass {field.typeClass!r}") from None
-    value = [render(entry) for entry in field.value] if field.multiple else render(field.value)
-    return {
-        "typeName": field.typeName,
-        "multiple": field.multiple,
-        "typeClass": field.typeClass,
-        "value": value,
-    }
+_PRIMITIVE = "primitive fields may hold only strings, integers, booleans and decimals"
+_SUB_FIELD = "compound fields may contain only primitive sub-fields"
 
 
 def serialize_blocks_json(blocks: list[MetadataBlock], report: FlattenReport) -> str:
-    """Deterministic repository-ingest JSON for the blocks plus the report."""
-    obj: dict[str, object] = {}
+    """Repository-ingest JSON for the blocks plus the report: ``json.dumps(obj,
+    indent=2, ensure_ascii=False)`` of the object README documents, written
+    from its fixed shapes. Input that does not fit them raises
+    FlattenStructureError, naming the block and the field."""
+    text, names = ["{"], []  # joined once, at the end
     for block in blocks:
-        if block.blockName not in BLOCK_NAMES:
-            raise FlattenStructureError(f"unknown block name {block.blockName!r}")
-        obj[block.blockName] = [_field_to_obj(field) for field in block.fields]
-    obj["_flattenReport"] = {
-        "mapped": [{"path": m.path, "field": m.field} for m in report.mappedPaths],
-        "dropped": [{"path": d.path, "reason": d.reason} for d in report.droppedPaths],
-    }
-    return indented_json(obj) + "\n"
+        name = block.blockName
+        if name not in BLOCK_NAMES or name in names:
+            problem = "is given twice" if name in BLOCK_NAMES else "is not a block name"
+            raise FlattenStructureError(f"block {name!r} {problem}")
+        names.append(name)
+        fields = _enclosed([_field_json(name, field) for field in block.fields], "\n  ")
+        text.append(f'\n  "{name}": {fields},')
+    try:
+        mapped = _enclosed([f'{{\n        "path": {_encode_string(m.path)},\n        "field": '
+                            f'{_encode_string(m.field)}\n      }}' for m in report.mappedPaths],
+                           "\n    ")
+        dropped = _enclosed([f'{{\n        "path": {_encode_string(d.path)},\n        "reason": '
+                             f'{_encode_string(d.reason)}\n      }}' for d in report.droppedPaths],
+                            "\n    ")
+    except TypeError:  # some path, field or reason is not a string
+        bad = next(entry for entry in (*report.mappedPaths, *report.droppedPaths)
+                   if not all(isinstance(value, str) for value in vars(entry).values()))
+        raise FlattenStructureError(f"_flattenReport: {bad} must hold strings") from None
+    text += ['\n  "_flattenReport": {\n    "mapped": ', mapped, ',\n    "dropped": ', dropped,
+             "\n  }\n}\n"]
+    return "".join(text)
+
+
+def _field_json(block_name: str, field: BlockField) -> str:
+    type_name, multiple, value = field.typeName, field.multiple, field.value
+    where = f"{block_name}.{type_name}"
+    if not isinstance(type_name, str):
+        raise FlattenStructureError(f"{where}: typeName must be a string")
+    if not isinstance(multiple, bool):
+        raise FlattenStructureError(f"{where}: multiple must be true or false, got {multiple!r}")
+    if multiple and not isinstance(value, (list, tuple)):
+        raise FlattenStructureError(f"{where}: a multiple field's value must be a list, "
+                                    f"got {type(value).__name__}")
+    entries = value if multiple else (value,)
+    if field.typeClass == "primitive":
+        written = [_primitive_json(entry, where, _PRIMITIVE) for entry in entries]
+    elif field.typeClass == "compound":
+        newline = "\n        " if multiple else "\n      "
+        written = [_submap_json(entry, where, newline) for entry in entries]
+    else:
+        raise FlattenStructureError(f"{where}: unknown typeClass {field.typeClass!r}")
+    value_text = _enclosed(written, "\n      ") if multiple else written[0]
+    return (f'{{\n      "typeName": {_encode_string(type_name)},\n      "multiple": '
+            f'{"true" if multiple else "false"},\n      "typeClass": "{field.typeClass}",\n'
+            f'      "value": {value_text}\n    }}')
+
+
+def _submap_json(submap, where: str, newline: str) -> str:
+    try:
+        if isinstance(submap, dict):
+            return _enclosed([
+                f"{_encode_string(key)}: "
+                f"{_encode_string(item) if type(item) is str else _primitive_json(item, where)}"
+                for key, item in submap.items()
+            ], newline, "{}")
+    except TypeError:  # a key that is not a string
+        pass
+    raise FlattenStructureError(
+        f"{where}: compound values must be maps of sub-fields keyed by strings, got {submap!r}")
+
+
+def _primitive_json(value, where: str, unfit: str = _SUB_FIELD) -> str:
+    if isinstance(value, str):
+        return _encode_string(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, Decimal):
+        return _encode_string(scalar_to_text(value))
+    raise FlattenStructureError(f"{where}: {unfit}, got {type(value).__name__}")

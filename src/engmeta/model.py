@@ -282,7 +282,8 @@ def _trusted_node(cls: type, values: dict):
 
     Nothing is checked: every value must already be canonical, as the
     constructor would leave it (a checked scalar or a non-empty node), and
-    a list field's value is the non-empty list or tuple of its items.
+    a list field's value is the non-empty list or tuple of its items. An
+    unset field is not stored: it reads as its class default, None or ``()``.
     """
     if not values:
         return None
@@ -290,9 +291,8 @@ def _trusted_node(cls: type, values: dict):
     # attribute by attribute: touching __dict__ would give every node a
     # dict object of its own besides CPython's compact instance layout
     set_field = object.__setattr__
-    for attr, unset in _UNSET[cls]:
-        value = values.get(attr, unset)
-        set_field(node, attr, value if unset is None else tuple(value))
+    for attr, value in values.items():
+        set_field(node, attr, tuple(value) if type(value) is list else value)
     return node
 
 
@@ -712,13 +712,6 @@ def _derive_schema(cls: type) -> tuple[FieldSpec, ...]:
 
 _SCHEMA: dict[type, tuple[FieldSpec, ...]] = {
     cls: _derive_schema(cls) for cls in _Node.__subclasses__()
-}
-
-# (attribute, unset value) of each field, per node class
-_UNSET: dict[type, tuple[tuple[str, object], ...]] = {
-    cls: tuple((spec.attr, () if spec.kind in (SCALAR_LIST, NODE_LIST) else None)
-               for spec in specs)
-    for cls, specs in _SCHEMA.items()
 }
 
 # element name -> FieldSpec, per node class

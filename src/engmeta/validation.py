@@ -10,8 +10,9 @@ The field-local constraints are the rules declared on the model's fields
 (``FieldSpec.rules``); each node class's table of checks is derived from
 them once. Only the two cross-field checks are code here: a checksum's
 algorithm and digest, and a variable's uncertainty, which needs a numeric
-value. Per node, findings come in table order: blank strings, the
-cross-field check, then the field rules in declaration order.
+value. Nodes are checked in document order, each before its child nodes;
+per node, findings come in table order: blank strings, the cross-field
+check, then the field rules in declaration order.
 
 Violations are findings, not exceptions; a report always enumerates every
 problem found.
@@ -82,9 +83,20 @@ def validate(dataset: EngMetaDataset, profile: str = "structural") -> Validation
     def warning(path: str, message: str) -> None:
         findings.append(Finding("warning", path, message))
 
-    for node, path in _walk(dataset, ""):
-        for check in _checks(type(node)):
+    stack = [(dataset, "")]  # pre-order: a node's checks, then its child nodes in order
+    while stack:
+        node, path = stack.pop()
+        checks, children = _plan(type(node))
+        for check in checks:
             check(node, path, error, warning)
+        for attr, element, listed in children:  # last field first, so the first pops first
+            value = getattr(node, attr)
+            if value:
+                prefix = f"{path}.{element}" if path else element
+                if listed:
+                    stack += reversed([(item, f"{prefix}[{i}]") for i, item in enumerate(value)])
+                else:
+                    stack.append((value, prefix))
 
     if profile == "citable":
         if not dataset.titles:
@@ -99,25 +111,14 @@ def validate(dataset: EngMetaDataset, profile: str = "structural") -> Validation
     return ValidationReport(profile, tuple(findings))
 
 
-def _walk(node, path: str):
-    yield node, path
-    for spec in schema(type(node)):
-        value = getattr(node, spec.attr)
-        prefix = f"{path}.{spec.element}" if path else spec.element
-        if spec.kind == NODE and value is not None:
-            yield from _walk(value, prefix)
-        elif spec.kind == NODE_LIST:
-            for i, item in enumerate(value):
-                yield from _walk(item, f"{prefix}[{i}]")
-
-
 def _field_path(path: str, element: str) -> str:
     return f"{path}.{element}" if path else element
 
 
 @cache
-def _checks(cls: type) -> tuple:
-    """The checks of one node class, each called as ``check(node, path, error, warning)``."""
+def _plan(cls: type) -> tuple[tuple, tuple]:
+    """The checks of one node class, each called as ``check(node, path, error, warning)``,
+    and its node fields as (attr, element, listed), last field first."""
     specs = schema(cls)
     texts = tuple(
         (spec.attr, spec.element, spec.kind == SCALAR_LIST) for spec in specs
@@ -132,7 +133,9 @@ def _checks(cls: type) -> tuple:
         checks.append(_CROSS_FIELD[cls])
     if ruled:
         checks.append(partial(_check_rules, ruled))
-    return tuple(checks)
+    children = tuple((spec.attr, spec.element, spec.kind == NODE_LIST)
+                     for spec in reversed(specs) if spec.kind in (NODE, NODE_LIST))
+    return tuple(checks), children
 
 
 def _check_blank(texts, node, path, error, warning) -> None:

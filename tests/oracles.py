@@ -10,9 +10,10 @@ from xml.etree import ElementTree
 
 from engmeta import canon, prov
 from engmeta import codes as codetables
-from engmeta.errors import CoercionError, PathIndexGapError
+from engmeta.errors import CoercionError, FlattenStructureError, PathIndexGapError
 from engmeta.extract.engine import CoercionFailure, RawHit, coerce, parse_line
 from engmeta.flatten import (
+    BLOCK_NAMES,
     DROP_REASON,
     BlockField,
     DroppedPath,
@@ -52,6 +53,7 @@ from engmeta.model import (
     Variable,
     field_by_element,
     scalar_key,
+    scalar_to_text,
     scalars_equal,
     schema,
 )
@@ -904,6 +906,57 @@ class _ReportBuilder:
 
     def build(self) -> FlattenReport:
         return FlattenReport(tuple(self._mapped), tuple(self._dropped))
+
+
+# The block JSON writer as it was before the templates: one dict per block
+# field, compound entry and report entry, written by ``canon.indented_json``.
+# ``serialize_blocks_json`` writes the same bytes from the fixed shapes.
+
+def _primitive_to_json(value):
+    if isinstance(value, Decimal):
+        return scalar_to_text(value)
+    if isinstance(value, (bool, int, str)):
+        return value
+    raise FlattenStructureError(
+        f"compound fields may contain only primitive sub-fields, got {type(value).__name__}"
+    )
+
+
+def _compound_to_json(submap) -> dict:
+    if not isinstance(submap, dict):
+        raise FlattenStructureError("compound values must be maps of sub-fields")
+    return {key: _primitive_to_json(item) for key, item in submap.items()}
+
+
+_RENDER = {"primitive": _primitive_to_json, "compound": _compound_to_json}
+
+
+def _field_to_obj(field: BlockField) -> dict:
+    try:
+        render = _RENDER[field.typeClass]
+    except (KeyError, TypeError):  # TypeError: an unhashable typeClass
+        raise FlattenStructureError(f"unknown typeClass {field.typeClass!r}") from None
+    value = [render(entry) for entry in field.value] if field.multiple else render(field.value)
+    return {
+        "typeName": field.typeName,
+        "multiple": field.multiple,
+        "typeClass": field.typeClass,
+        "value": value,
+    }
+
+
+def serialize_blocks_json_by_dicts(blocks: list[MetadataBlock], report: FlattenReport) -> str:
+    """``flatten.serialize_blocks_json`` as dicts handed to ``canon.indented_json``."""
+    obj: dict[str, object] = {}
+    for block in blocks:
+        if block.blockName not in BLOCK_NAMES:
+            raise FlattenStructureError(f"unknown block name {block.blockName!r}")
+        obj[block.blockName] = [_field_to_obj(field) for field in block.fields]
+    obj["_flattenReport"] = {
+        "mapped": [{"path": m.path, "field": m.field} for m in report.mappedPaths],
+        "dropped": [{"path": d.path, "reason": d.reason} for d in report.droppedPaths],
+    }
+    return canon.indented_json(obj) + "\n"
 
 
 def flatten_by_fill_functions(dataset: EngMetaDataset) -> tuple[list[MetadataBlock], FlattenReport]:

@@ -305,3 +305,14 @@ def test_non_utf8_input_is_reported_not_raised(command, code, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines()[-1] == f"error: {bad}: not valid UTF-8 from byte 0"
+
+
+def test_validate_findings_order_matches_golden(golden_xml_path, capsys):
+    """Findings at three depths across sibling lists (a file's checksum, a
+    component's force field, a step's software) come in document order."""
+    data = golden_xml_path.parent
+    code = main(["validate", "--profile", "citable", "--in", str(data / "findings.xml")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == (data / "findings.validate.json").read_text(encoding="utf-8")
+    assert captured.err == (data / "findings.validate.err").read_text(encoding="utf-8")

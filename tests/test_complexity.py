@@ -6,10 +6,10 @@ rescans or re-normalises whole lists per entry gives a ratio near 4.
 
 import importlib
 
-from engmeta import model, paths
+from engmeta import canon, model, paths
 from engmeta.extract import assemble, parse_config
 from engmeta.extract.engine import RawHit
-from engmeta.flatten import flatten
+from engmeta.flatten import flatten, serialize_blocks_json
 from engmeta.merging import merge
 from engmeta.model import EngMetaDataset, FileInfo
 
@@ -113,3 +113,17 @@ def test_flatten_keys_each_scalar_a_bounded_number_of_times(monkeypatch):
     large = _calls(monkeypatch, patches, lambda: _flatten_listing(2 * N))
     assert small >= N
     assert large <= MAX_RATIO * small, (small, large)
+
+
+def _serialize_listing(count: int) -> None:
+    blocks, report = flatten(_listing("run", 0, count))
+    assert serialize_blocks_json(blocks, report).count('"path": ') == 2 * count
+
+
+def test_block_json_writes_entries_without_the_generic_writer(monkeypatch):
+    # report and compound entries are written from templates, so the
+    # generic JSON writer's calls do not grow with the entries
+    patches = [(canon, "_json_text")]
+    small = _calls(monkeypatch, patches, lambda: _serialize_listing(N))
+    large = _calls(monkeypatch, patches, lambda: _serialize_listing(2 * N))
+    assert large == small, (small, large)

@@ -4,7 +4,8 @@ against the whole-file scan, validation's
 field-rule table against the per-class reference checks, the trusted
 decoders against the checked construction (on hostile documents too), the
 indented-JSON writer against ``json.dumps``, the schema-derived crosswalk against the
-hand-written fill functions, and PROV's schema-derived used entities
+hand-written fill functions, the block JSON templates against the
+dict-building writer, and PROV's schema-derived used entities
 against the hand-written ones."""
 
 import copy
@@ -14,6 +15,7 @@ import random
 import re
 from dataclasses import replace
 from decimal import Decimal
+from pathlib import Path
 from xml.etree import ElementTree
 
 from hypothesis import given, settings
@@ -30,7 +32,16 @@ from engmeta.canon import (
 from engmeta.errors import EngMetaError
 from engmeta.extract import assemble, parse_config
 from engmeta.extract.engine import RawHit, scan_file
-from engmeta.flatten import BLOCK_NAMES, flatten, serialize_blocks_json
+from engmeta.flatten import (
+    BLOCK_NAMES,
+    BlockField,
+    DroppedPath,
+    FlattenReport,
+    MappedPath,
+    MetadataBlock,
+    flatten,
+    serialize_blocks_json,
+)
 from engmeta.merging import merge
 from engmeta.model import (
     CONTENT,
@@ -63,6 +74,7 @@ from oracles import (
     nodes_equal,
     renormalised,
     scan_file_whole,
+    serialize_blocks_json_by_dicts,
     to_prov_by_hand,
     validate_by_class_checks,
 )
@@ -776,6 +788,61 @@ def test_flatten_equals_fill_function_reference_on_thinned_repeats(doc):
     expected = serialize_blocks_json(*flatten_by_fill_functions(doc))
     assert serialize_blocks_json(*flatten(doc)) == expected
     _assert_compound_keys_fit_one_order(doc)
+
+
+# --- The block JSON templates against the dict-building writer ---------------
+
+def test_block_json_equals_dict_reference(gromacs_doc):
+    data = Path(__file__).parent / "data"
+    goldens = [from_xml((data / "golden.xml").read_text(encoding="utf-8")).dataset,
+               from_xml((data / "every_field.xml").read_text(encoding="utf-8")).dataset,
+               from_json((data / "every_field.json").read_text(encoding="utf-8")).dataset]
+    for doc in [*dataset_pool(300), gromacs_doc, *goldens]:
+        blocks, report = flatten(doc)
+        assert serialize_blocks_json(blocks, report) == serialize_blocks_json_by_dicts(
+            blocks, report)
+
+
+BLOCK_STRINGS = st.text(
+    st.characters(blacklist_categories=("Cs",)) | st.sampled_from('"\\\x00\x1f\x7f\u2028é中😀'),
+    max_size=8,
+)
+PRIMITIVES = (
+    BLOCK_STRINGS | st.booleans() | st.integers() | st.integers(-10**30, 10**30)
+    | st.builds(Decimal.scaleb, st.integers(-10**9, 10**9).map(Decimal), st.integers(-6, 6))
+)
+COMPOUNDS = st.dictionaries(BLOCK_STRINGS, PRIMITIVES, max_size=4)
+
+
+@st.composite
+def block_fields(draw):
+    type_class = draw(st.sampled_from(["primitive", "compound"]))
+    entries = PRIMITIVES if type_class == "primitive" else COMPOUNDS
+    multiple = draw(st.booleans())
+    value = draw(st.lists(entries, max_size=4) if multiple else entries)
+    return BlockField(draw(BLOCK_STRINGS), multiple, type_class, value)
+
+
+HAND_BUILT_BLOCKS = st.lists(st.sampled_from(BLOCK_NAMES), unique=True).flatmap(
+    lambda names: st.tuples(*(
+        st.builds(MetadataBlock, st.just(name), st.lists(block_fields(), max_size=4).map(tuple))
+        for name in names
+    ))
+)
+HAND_BUILT_REPORTS = st.builds(
+    FlattenReport,
+    st.lists(st.builds(MappedPath, BLOCK_STRINGS, BLOCK_STRINGS), max_size=4).map(tuple),
+    st.lists(st.builds(DroppedPath, BLOCK_STRINGS, BLOCK_STRINGS), max_size=4).map(tuple),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(blocks=HAND_BUILT_BLOCKS, report=HAND_BUILT_REPORTS)
+def test_block_json_equals_dict_reference_on_hand_built_blocks(blocks, report):
+    """Empty blocks and report lists, single and multiple primitives and
+    compounds, strings that need escaping, bools, ints and decimals."""
+    blocks = list(blocks)
+    assert serialize_blocks_json(blocks, report) == serialize_blocks_json_by_dicts(blocks, report)
 
 
 def _fits_one_order(sequences) -> bool:

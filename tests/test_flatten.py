@@ -6,7 +6,9 @@ from engmeta.errors import FlattenStructureError
 from engmeta.flatten import (
     BlockField,
     DROP_REASON,
+    DroppedPath,
     FlattenReport,
+    MappedPath,
     MetadataBlock,
     flatten,
     serialize_blocks_json,
@@ -229,4 +231,71 @@ def test_serialization_deterministic(gromacs_doc):
     again_blocks, again_report = flatten(gromacs_doc)
     assert serialize_blocks_json(blocks, report) == serialize_blocks_json(
         again_blocks, again_report
+    )
+
+
+# --- Hand-built input the block JSON cannot hold ------------------------------
+
+def _rejected(blocks, report=FlattenReport()) -> str:
+    with pytest.raises(FlattenStructureError) as raised:
+        serialize_blocks_json(blocks, report)
+    return str(raised.value)
+
+
+def test_repeated_block_rejected():
+    first = MetadataBlock("citation", (BlockField("project", False, "primitive", "P"),))
+    again = MetadataBlock("citation", (BlockField("keyword", True, "primitive", ["k"]),))
+    assert _rejected([first, again]) == "block 'citation' is given twice"
+
+
+def test_multiple_string_value_rejected():
+    block = MetadataBlock("citation", (BlockField("keyword", True, "primitive", "abc"),))
+    assert _rejected([block]) == (
+        "citation.keyword: a multiple field's value must be a list, got str"
+    )
+
+
+def test_multiple_non_list_value_rejected():
+    block = MetadataBlock("process", (BlockField("stepType", True, "primitive", 7),))
+    assert _rejected([block]) == (
+        "process.stepType: a multiple field's value must be a list, got int"
+    )
+
+
+def test_compound_with_non_string_key_rejected():
+    block = MetadataBlock("citation", (BlockField("person", True, "compound", [{1: "J"}]),))
+    assert _rejected([block]) == (
+        "citation.person: compound values must be maps of sub-fields keyed by strings, "
+        "got {1: 'J'}"
+    )
+
+
+def test_non_string_type_name_rejected():
+    block = MetadataBlock("engMeta", (BlockField(5, False, "primitive", "x"),))
+    assert _rejected([block]) == "engMeta.5: typeName must be a string"
+
+
+def test_non_string_report_path_rejected():
+    report = FlattenReport(mappedPaths=(MappedPath(5, "citation.project"),))
+    assert _rejected([], report) == (
+        "_flattenReport: MappedPath(path=5, field='citation.project') must hold strings"
+    )
+    report = FlattenReport(droppedPaths=(DroppedPath(None, DROP_REASON),))
+    assert "DroppedPath(path=None" in _rejected([], report)
+
+
+def test_non_boolean_multiple_rejected():
+    block = MetadataBlock("citation", (BlockField("keyword", 1, "primitive", ["k"]),))
+    assert _rejected([block]) == "citation.keyword: multiple must be true or false, got 1"
+
+
+def test_bad_primitive_named_as_a_primitive():
+    block = MetadataBlock("citation", (BlockField("project", False, "primitive", ["P"]),))
+    assert _rejected([block]) == (
+        "citation.project: primitive fields may hold only strings, integers, booleans "
+        "and decimals, got list"
+    )
+    nested = MetadataBlock("citation", (BlockField("person", False, "compound", {"n": 1.5}),))
+    assert _rejected([nested]) == (
+        "citation.person: compound fields may contain only primitive sub-fields, got float"
     )

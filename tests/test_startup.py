@@ -79,6 +79,8 @@ def test_command_loads_only_its_layers(command, tmp_path, golden_xml_path, rules
     assert {m for m in loaded["modules"] if m.split(".")[0] == "engmeta"} == expected
     # both extract modes run one serial path: no command loads a pool
     assert "concurrent.futures" not in loaded["modules"]
+    # only PROV's entity ids and harvest's checksums hash
+    assert ("hashlib" in loaded["modules"]) == command.startswith(("to-prov", "harvest"))
 
 
 IMPORT_ORDERS = {
