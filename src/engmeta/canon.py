@@ -18,6 +18,11 @@ namespaced attribute, is unknown. The reader takes a string child with no
 attributes and no children as its text; it builds a child's path string
 (``file[3].sizeBytes``) only to decode any other child, whose warnings and
 errors name it.
+
+JSON is written from the schema too, one joined string per object or
+array, byte for byte what ``json.dumps(obj, indent=2, ensure_ascii=False)``
+writes of the documented object. ``_json_primitive`` spells its strings,
+booleans, integers and decimals, and those of the repository blocks.
 """
 
 from __future__ import annotations
@@ -295,41 +300,10 @@ def _decode_scalar_child(child, spec: FieldSpec, path: str, warnings: list[str])
 def to_json(dataset: EngMetaDataset) -> str:
     """Serialize to canonical JSON (same names and order as the XML form)."""
     _require_valid(dataset)
-    return indented_json(_node_to_obj(dataset)) + "\n"
+    return _node_json(dataset, "\n") + "\n"
 
 
 _encode_string = json.encoder.encode_basestring  # the escaping json.dumps applies
-
-
-def indented_json(obj) -> str:
-    """``json.dumps(obj, indent=2, ensure_ascii=False)``, byte for byte.
-
-    For dicts with string keys, lists, tuples, strings, ints, bools and
-    None. Each container becomes one joined string, which is both faster
-    and smaller in memory than the stdlib's one token per value.
-    """
-    return _json_text(obj, "\n")
-
-
-def _json_text(value, newline: str) -> str:
-    # ``newline`` is a line break plus the indentation of ``value``'s line
-    if isinstance(value, str):
-        return _encode_string(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    inner = newline + _INDENT
-    if isinstance(value, dict):
-        return _enclosed([f"{_encode_string(key)}: {_json_text(item, inner)}"
-                          for key, item in value.items()], newline, "{}")
-    if isinstance(value, (list, tuple)):
-        return _enclosed([_json_text(item, inner) for item in value], newline)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _enclosed(items: list[str], newline: str, brackets: str = "[]") -> str:
@@ -341,29 +315,46 @@ def _enclosed(items: list[str], newline: str, brackets: str = "[]") -> str:
     return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
 
 
-def _node_to_obj(node) -> dict:
-    obj: dict[str, object] = {}
+def _json_primitive(value) -> str:
+    """The JSON text of a str, bool, int or Decimal; TypeError for anything else.
+
+    A decimal is carried as a string of its canonical text.
+    """
+    if isinstance(value, str):
+        return _encode_string(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, Decimal):
+        return _encode_string(scalar_to_text(value))
+    raise TypeError(f"not a scalar value: {type(value).__name__}")
+
+
+def _node_json(node, newline: str) -> str:
+    inner = newline + _INDENT  # the line each field opens on
+    items = []
     for spec in schema(type(node)):
         value = getattr(node, spec.attr)
         if value is None or value == ():
             continue
         if spec.kind == SCALAR:
-            obj[spec.element] = _scalar_to_json(spec, value)
+            text = _scalar_json(spec, value, inner)
         elif spec.kind == SCALAR_LIST:
-            obj[spec.element] = [_scalar_to_json(spec, item) for item in value]
+            text = _enclosed([_scalar_json(spec, item, inner + _INDENT) for item in value], inner)
         elif spec.kind == NODE:
-            obj[spec.element] = _node_to_obj(value)
+            text = _node_json(value, inner)
         else:
-            obj[spec.element] = [_node_to_obj(item) for item in value]
-    return obj
+            text = _enclosed([_node_json(item, inner + _INDENT) for item in value], inner)
+        items.append(f'"{spec.element}": {text}')
+    return _enclosed(items, newline, "{}")
 
 
-def _scalar_to_json(spec: FieldSpec, value):
+def _scalar_json(spec: FieldSpec, value, newline: str) -> str:
     if spec.value_type is TAGGED:
-        return {"type": scalar_type_name(value), "text": scalar_to_text(value)}
-    if spec.value_type is Decimal:
-        return scalar_to_text(value)
-    return value
+        return _enclosed([f'"type": "{scalar_type_name(value)}"',
+                          f'"text": {_encode_string(scalar_to_text(value))}'], newline, "{}")
+    return _json_primitive(value)
 
 
 def from_json(text: str) -> ReadResult:

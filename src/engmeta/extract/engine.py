@@ -46,8 +46,8 @@ from ..model import (
     EngMetaDataset,
     field_by_element,
     number_from_text,
+    scalar_key,
     scalar_to_text,
-    scalars_equal,
 )
 from ..paths import MetadataPath, PathSegment, append_nodes, get_path, set_path
 from .config import ExtractionConfig, ExtractionRule
@@ -318,7 +318,7 @@ class _AssemblyState:
     def _apply_scalar(self, rule: ExtractionRule, value) -> bool:
         existing = get_path(self.dataset, rule.target)
         if existing:
-            if not scalars_equal(existing[0], value):
+            if scalar_key(existing[0]) != scalar_key(value):
                 self.conflicts.append(
                     Conflict(str(rule.target), existing[0], value, existing[0])
                 )

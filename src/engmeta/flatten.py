@@ -45,14 +45,14 @@ level above them (``_INLINE``), the step fields handed to PROV
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
 from functools import cache
 
-from .canon import _enclosed, _encode_string
+from .canon import _enclosed, _encode_string, _json_primitive
 from .errors import FlattenStructureError
 from .model import (
     NODE,
     NODE_LIST,
+    PROV_STEP_FIELDS,
     SCALAR,
     SCALAR_LIST,
     Checksum,
@@ -65,7 +65,6 @@ from .model import (
     SuccessMarker,
     _Node,
     scalar_key,
-    scalar_to_text,
     schema,
 )
 
@@ -168,7 +167,7 @@ _INLINE = frozenset({
 })
 
 # step structure is not searchable in flat blocks; the PROV sidecar keeps it
-_TO_PROV = frozenset((ProcessingStep, attr) for attr in ("date", "actor", "inputs", "outputs"))
+_TO_PROV = frozenset((ProcessingStep, attr) for attr in PROV_STEP_FIELDS)
 
 _TYPE_NAMES = {
     (SuccessMarker, "note"): "successNote",
@@ -407,12 +406,7 @@ def _submap_json(submap, where: str, newline: str) -> str:
 
 
 def _primitive_json(value, where: str, unfit: str = _SUB_FIELD) -> str:
-    if isinstance(value, str):
-        return _encode_string(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, Decimal):
-        return _encode_string(scalar_to_text(value))
-    raise FlattenStructureError(f"{where}: {unfit}, got {type(value).__name__}")
+    try:
+        return _json_primitive(value)
+    except TypeError:
+        raise FlattenStructureError(f"{where}: {unfit}, got {type(value).__name__}") from None

@@ -15,7 +15,7 @@ from .model import (
     SCALAR,
     EngMetaDataset,
     Scalar,
-    scalars_equal,
+    scalar_key,
     schema,
 )
 
@@ -53,7 +53,7 @@ def _merge_node(base, overlay, path: str, policy: str, conflicts: list[Conflict]
         if spec.kind == SCALAR:
             if left is None:
                 merged = right
-            elif right is None or scalars_equal(left, right):
+            elif right is None or scalar_key(left) == scalar_key(right):
                 merged = left
             else:
                 chosen = left if policy == "first-wins" else right

@@ -151,22 +151,12 @@ def scalar_to_text(value) -> str:
     raise TypeError(f"not a scalar value: {type(value).__name__}")
 
 
-def scalars_equal(a, b) -> bool:
-    """Strict scalar equality: same type tag and same value.
-
-    Python would happily report ``300 == Decimal("300") == True-ish``
-    comparisons as equal; serialization distinguishes the types, so
-    conflict detection must as well.
-    """
-    return scalar_type_name(a) == scalar_type_name(b) and a == b
-
-
 def scalar_key(value) -> tuple:
     """Hashable, type-strict identity of a scalar value.
 
-    Two scalars have equal keys exactly when ``scalars_equal`` holds, so
-    sets and dicts of keys deduplicate the way serialization distinguishes
-    values (``True``, ``1`` and ``Decimal(1)`` stay apart).
+    Two scalars have equal keys exactly when they have the same type tag
+    and equal values, so keys tell values apart the way serialization
+    does (``True``, ``1`` and ``Decimal(1)`` stay apart).
     """
     return (scalar_type_name(value), value)
 
@@ -364,6 +354,11 @@ def _normalize_field(spec: "FieldSpec", value):
 # Fixed: the four stages of the research process (other behaviour
 # depends on them, so unlike the code lists they are not editable).
 STEP_TYPES = ("data generation", "post processing", "analysis", "visualization")
+
+# The step fields PROV keeps as structure: the activity's date, its agent and
+# its file relations. Flat blocks drop them; PROV's used entities are the
+# step's other fields but stepType.
+PROV_STEP_FIELDS = ("date", "actor", "inputs", "outputs")
 
 
 class FieldRules(NamedTuple):  # a tuple: cheaper to declare at import than a dataclass

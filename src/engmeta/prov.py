@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import ProvError
 from .isodates import parse_iso_datetime
-from .model import EngMetaDataset, FileRef, ProcessingStep, schema
+from .model import PROV_STEP_FIELDS, EngMetaDataset, FileRef, ProcessingStep, schema
 
 DEFAULT_BASE_URI = "https://engmeta.example.org/prov#"
 PREFIX = "ex"
@@ -26,10 +26,10 @@ PREFIX = "ex"
 RELATION_TYPES = ("used", "wasGeneratedBy", "wasAssociatedWith")
 
 # The step fields that become used entities: every field but those with a
-# place of their own (the activity, its agent and its file relations).
+# place of their own (the activity's type and its PROV structure).
 _USED_FIELDS = tuple(
     spec.attr for spec in schema(ProcessingStep)
-    if spec.attr not in ("stepType", "date", "actor", "inputs", "outputs")
+    if spec.attr != "stepType" and spec.attr not in PROV_STEP_FIELDS
 )
 # a used node's label: the first of these it sets, else its kind
 _LABEL_FIELDS = ("name", "url", "softwareSourceCode")

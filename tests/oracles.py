@@ -52,9 +52,10 @@ from engmeta.model import (
     Title,
     Variable,
     field_by_element,
+    TAGGED,
     scalar_key,
     scalar_to_text,
-    scalars_equal,
+    scalar_type_name,
     schema,
 )
 from engmeta.paths import MetadataPath, PathSegment, append_nodes, get_path, set_path
@@ -108,6 +109,16 @@ def step_structural_paths(dataset) -> set[str]:
 # Slow, obviously right versions of the key-based fast paths: deep
 # field-by-field equality, and deduplication by scanning whole lists.
 # Differential tests compare the library against them.
+
+def scalars_equal(a, b) -> bool:
+    """Strict scalar equality: same type tag and same value.
+
+    Python would happily report ``300 == Decimal("300") == True-ish``
+    comparisons as equal; serialization distinguishes the types, so
+    conflict detection must as well.
+    """
+    return scalar_type_name(a) == scalar_type_name(b) and a == b
+
 
 def nodes_equal(a, b) -> bool:
     """Deep, type-strict equality of two nodes, walked field by field."""
@@ -908,9 +919,36 @@ class _ReportBuilder:
         return FlattenReport(tuple(self._mapped), tuple(self._dropped))
 
 
-# The block JSON writer as it was before the templates: one dict per block
-# field, compound entry and report entry, written by ``canon.indented_json``.
-# ``serialize_blocks_json`` writes the same bytes from the fixed shapes.
+# The JSON writers as they were before the templates: one dict per node, or
+# per block field, compound entry and report entry, handed to ``json.dumps``.
+# ``canon.to_json`` and ``serialize_blocks_json`` write the same bytes from
+# the schema and from the blocks' fixed shapes.
+
+def _scalar_to_json(spec, value):
+    if spec.value_type is TAGGED:
+        return {"type": scalar_type_name(value), "text": scalar_to_text(value)}
+    if spec.value_type is Decimal:
+        return scalar_to_text(value)
+    return value
+
+
+def node_to_obj(node) -> dict:
+    """The documented JSON object of a node: ``canon.to_json`` writes ``json.dumps`` of it."""
+    obj: dict[str, object] = {}
+    for spec in schema(type(node)):
+        value = getattr(node, spec.attr)
+        if value is None or value == ():
+            continue
+        if spec.kind == SCALAR:
+            obj[spec.element] = _scalar_to_json(spec, value)
+        elif spec.kind == SCALAR_LIST:
+            obj[spec.element] = [_scalar_to_json(spec, item) for item in value]
+        elif spec.kind == NODE:
+            obj[spec.element] = node_to_obj(value)
+        else:
+            obj[spec.element] = [node_to_obj(item) for item in value]
+    return obj
+
 
 def _primitive_to_json(value):
     if isinstance(value, Decimal):
@@ -946,7 +984,7 @@ def _field_to_obj(field: BlockField) -> dict:
 
 
 def serialize_blocks_json_by_dicts(blocks: list[MetadataBlock], report: FlattenReport) -> str:
-    """``flatten.serialize_blocks_json`` as dicts handed to ``canon.indented_json``."""
+    """``flatten.serialize_blocks_json`` as dicts handed to ``json.dumps``."""
     obj: dict[str, object] = {}
     for block in blocks:
         if block.blockName not in BLOCK_NAMES:
@@ -956,7 +994,7 @@ def serialize_blocks_json_by_dicts(blocks: list[MetadataBlock], report: FlattenR
         "mapped": [{"path": m.path, "field": m.field} for m in report.mappedPaths],
         "dropped": [{"path": d.path, "reason": d.reason} for d in report.droppedPaths],
     }
-    return canon.indented_json(obj) + "\n"
+    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
 
 
 def flatten_by_fill_functions(dataset: EngMetaDataset) -> tuple[list[MetadataBlock], FlattenReport]:

@@ -3,13 +3,15 @@ list-scan reference implementations in ``oracles``, the streamed line scan
 against the whole-file scan, validation's
 field-rule table against the per-class reference checks, the trusted
 decoders against the checked construction (on hostile documents too), the
-indented-JSON writer against ``json.dumps``, the schema-derived crosswalk against the
+schema-written canonical JSON against ``json.dumps`` of the dict reference,
+the schema-derived crosswalk against the
 hand-written fill functions, the block JSON templates against the
 dict-building writer, and PROV's schema-derived used entities
 against the hand-written ones."""
 
 import copy
 import importlib
+import itertools
 import json
 import random
 import re
@@ -25,7 +27,6 @@ from engmeta.canon import (
     ENGMETA_NAMESPACE,
     from_json,
     from_xml,
-    indented_json,
     to_json,
     to_xml,
 )
@@ -50,6 +51,7 @@ from engmeta.model import (
     SCALAR,
     SCALAR_LIST,
     TAGGED,
+    Checksum,
     EngMetaDataset,
     Method,
     ObservedSystem,
@@ -71,6 +73,7 @@ from oracles import (
     from_json_checked,
     from_xml_checked,
     merge_by_list_scan,
+    node_to_obj,
     nodes_equal,
     renormalised,
     scan_file_whole,
@@ -629,6 +632,8 @@ def _hostile_xml(element, cls, rng: random.Random) -> None:
                 child.text = rng.choice(["x", " 7 ", "1e3", "true"])
             if spec.value_type is TAGGED and rng.random() < 0.05:
                 child.set("type", rng.choice(["integer", "decimal", "boolean", "date"]))
+            if rng.random() < 0.03:  # plain strings too; only a tagged value's type is known
+                child.set(rng.choice(["unit", "lang", "type"]), "1")
         else:
             _hostile_xml(child, spec.value_type, rng)
         roll = rng.random()
@@ -714,36 +719,75 @@ def test_readers_equal_reference_readers_on_hostile_documents():
         assert sum(isinstance(o[0], type) for o in outcomes) >= 10
 
 
-# --- The indented-JSON writer against json.dumps ------------------------------
+# --- Canonical JSON against json.dumps of the dict reference -----------------
 
-JSON_STRINGS = st.text(st.characters(blacklist_categories=())) | st.sampled_from(
-    ["", "\ud800", "a\udfffb", "\x00\x1f\x7f\u2028", "é中😀", '"\\/\n\t\r\b\f']
+def _dumps_reference(doc) -> str:
+    return json.dumps(node_to_obj(doc), indent=2, ensure_ascii=False) + "\n"
+
+
+def test_to_json_equals_dict_reference(gromacs_doc):
+    for doc in [*dataset_pool(300), every_field_dataset(), gromacs_doc]:
+        assert to_json(doc) == _dumps_reference(doc)
+
+
+DOC_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",)) | st.sampled_from('"\\\x00\x1f\x7f\u2028é中😀'),
+    max_size=4,
 )
-JSON_SCALARS = (
-    st.none() | st.booleans() | st.integers() | st.integers(-10**30, 10**30) | JSON_STRINGS
-)
-JSON_VALUES = st.recursive(
-    JSON_SCALARS,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.lists(inner, max_size=3).map(tuple)
-    | st.dictionaries(JSON_STRINGS, inner, max_size=4),
-    max_leaves=40,
+# around one character that is not whitespace: blank strings are invalid
+DOC_STRINGS = st.builds("{}{}{}".format, DOC_TEXT,
+                        st.characters(blacklist_categories=("Cs", "Z", "Cc")), DOC_TEXT)
+NUMBERS = (
+    st.integers() | st.integers(-10**30, 10**30)
+    | st.builds(Decimal.scaleb, st.integers(-10**9, 10**9).map(Decimal), st.integers(-6, 6))
 )
 
 
-@settings(max_examples=300, deadline=None)
-@given(value=JSON_VALUES)
-def test_indented_json_equals_json_dumps(value):
-    assert indented_json(value) == json.dumps(value, indent=2, ensure_ascii=False)
+VARIABLE_NAME = field_by_element(Variable, "name")
 
 
-def test_indented_json_rejects_what_it_does_not_write():
-    for value in (1.5, Decimal("1"), {1: "non-string key"}, {"set": {1}}):
-        try:
-            indented_json(value)
-        except TypeError:
-            continue
-        raise AssertionError(f"{value!r} was written")
+@st.composite
+def documents_with_drawn_text(draw):
+    """A pool or every-field document whose strings of fields without
+    validation rules, and whose tagged values, cycle through drawn ones. A
+    checksum keeps its hex digest, a variable its distinct name, and an
+    uncertainty stays only on a number."""
+    strings = itertools.cycle(draw(st.lists(DOC_STRINGS, min_size=1, max_size=8)))
+    tagged = itertools.cycle(draw(st.lists(DOC_STRINGS | st.booleans() | NUMBERS,
+                                           min_size=1, max_size=6)))
+
+    def redraw(node):
+        if type(node) is Checksum:
+            return node
+        values = {}
+        for spec in schema(type(node)):
+            value = getattr(node, spec.attr)
+            if spec.kind == NODE:
+                value = None if value is None else redraw(value)
+            elif spec.kind == NODE_LIST:
+                value = [redraw(item) for item in value]
+            elif spec.value_type is TAGGED and value is not None:
+                value = next(tagged)
+            elif spec.value_type is str and spec.rules is None and spec is not VARIABLE_NAME:
+                if spec.kind == SCALAR_LIST:
+                    value = [next(strings) for _ in value]
+                elif value is not None:
+                    value = next(strings)
+            values[spec.attr] = value
+        if type(node) is Variable and type(values["value"]) not in (int, Decimal):
+            values["uncertainty"] = None
+        return type(node)(**values)
+
+    return redraw(draw(st.sampled_from([every_field_dataset(), *DOCS])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=documents_with_drawn_text())
+def test_to_json_equals_dict_reference_on_drawn_text(doc):
+    """Non-ASCII text, quotes, backslashes, control characters, U+2028, and
+    tagged strings, booleans, integers and decimals."""
+    assert not validate(doc).errors
+    assert to_json(doc) == _dumps_reference(doc)
 
 
 @st.composite

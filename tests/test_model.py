@@ -26,12 +26,13 @@ from engmeta.model import (
     _Node,
     decimal_to_text,
     number_from_text,
+    scalar_key,
     scalar_to_text,
-    scalars_equal,
     schema,
 )
 from engmeta.paths import set_path
 from everyfield import every_field_dataset
+from oracles import scalars_equal
 
 
 def test_empty_dataset_is_empty():
@@ -132,12 +133,16 @@ def test_scalar_text_forms():
     assert scalar_to_text("raw") == "raw"
 
 
-def test_scalars_equal_is_type_strict():
-    assert scalars_equal(300, 300)
-    assert not scalars_equal(300, Decimal("300"))
-    assert not scalars_equal(True, 1)
-    assert not scalars_equal("300", 300)
-    assert scalars_equal(Decimal("1.0"), Decimal("1"))  # same numeric value
+def test_scalar_key_is_type_strict():
+    assert scalar_key(300) == scalar_key(300)
+    assert scalar_key(300) != scalar_key(Decimal("300"))
+    assert scalar_key(True) != scalar_key(1)
+    assert scalar_key("300") != scalar_key(300)
+    assert scalar_key(Decimal("1.0")) == scalar_key(Decimal("1"))  # same numeric value
+    values = [300, Decimal("300"), True, 1, "300", Decimal("1.0"), Decimal("1"), False, 0]
+    for a in values:
+        for b in values:
+            assert (scalar_key(a) == scalar_key(b)) is scalars_equal(a, b), (a, b)
 
 
 def test_decimals_are_bounded_like_the_readers():

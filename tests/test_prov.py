@@ -1,8 +1,13 @@
+import re
+
 import pytest
 
+from engmeta import prov
 from engmeta.errors import ProvError
-from engmeta.model import EngMetaDataset, FileRef, ProcessingStep
+from engmeta.flatten import flatten
+from engmeta.model import PROV_STEP_FIELDS, EngMetaDataset, FileRef, ProcessingStep, schema
 from engmeta.prov import ProvDocument, Relation, serialize_prov_n, to_prov
+from everyfield import every_field_dataset
 
 
 def relations_of(doc, relation_type):
@@ -148,3 +153,14 @@ def test_quotes_escaped_in_labels():
     step = ProcessingStep(executionCommand='run --tag "final"')
     text = serialize_prov_n(to_prov(EngMetaDataset(processingSteps=(step,))))
     assert '\\"final\\"' in text
+
+
+def test_step_fields_are_step_type_prov_structure_or_used_entities():
+    elements = {spec.attr: spec.element for spec in schema(ProcessingStep)}
+    groups = [("stepType",), PROV_STEP_FIELDS, prov._USED_FIELDS]
+    assert sorted(attr for group in groups for attr in group) == sorted(elements)
+    # flatten drops the leaves under the structure fields and nothing else
+    _, report = flatten(every_field_dataset())
+    dropped = {re.fullmatch(r"processingStep\[\d+\]\.(\w+)\b.*", d.path)[1]
+               for d in report.droppedPaths}
+    assert dropped == {elements[attr] for attr in PROV_STEP_FIELDS}

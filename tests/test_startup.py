@@ -45,9 +45,15 @@ COMMANDS = {
     ),
     "extract": (EXTRACT, READERS | EXTRACTION),
     "extract --mode parallel": (EXTRACT + ["--mode", "parallel"], READERS | EXTRACTION),
+    "extract --format json": (EXTRACT + ["--format", "json"], READERS | EXTRACTION),
     "harvest": (["harvest", "--root", "{corpus}", "--out", "{out}"], READERS | HARVEST),
     "harvest --merge-into": (
         ["harvest", "--root", "{corpus}", "--merge-into", "{golden}", "--out", "{out}"],
+        READERS | HARVEST | {"engmeta.merging"},
+    ),
+    "harvest --merge-into --format json": (
+        ["harvest", "--root", "{corpus}", "--merge-into", "{golden}", "--out", "{out}",
+         "--format", "json"],
         READERS | HARVEST | {"engmeta.merging"},
     ),
 }
