@@ -28,9 +28,9 @@ booleans, integers and decimals, and those of the repository blocks.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from decimal import Decimal
 from functools import cache
+from typing import NamedTuple
 from xml.etree import ElementTree
 
 from .errors import CanonDecodeError, CanonSyntaxError, CanonValidationError
@@ -63,8 +63,7 @@ _NAMESPACE_PREFIX = f"{{{ENGMETA_NAMESPACE}}}"  # as ElementTree spells it in a 
 _INDENT = "  "
 
 
-@dataclass(frozen=True)
-class ReadResult:
+class ReadResult(NamedTuple):
     """A parsed document plus non-fatal warnings gathered along the way."""
 
     dataset: EngMetaDataset

@@ -35,6 +35,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
+from typing import NamedTuple
 
 from ..errors import ConfigError, PathError
 from ..model import (
@@ -65,8 +66,7 @@ _FIELD_NAMES = ("target", "source", "key", "delimiter", "type", "unit", "group",
 _HEADER_RE = re.compile(r"\[rule\s+([^\s\]]+)\]")
 
 
-@dataclass(frozen=True)
-class TargetShape:
+class TargetShape(NamedTuple):
     """How a rule's target writes: fixed scalar or open list appends."""
 
     node_type: type | None  # node class of the open list, when it is a node list

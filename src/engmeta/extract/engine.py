@@ -33,9 +33,9 @@ import codecs
 import fnmatch
 import os
 import time
-from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
+from typing import NamedTuple
 
 from ..errors import CoercionError, ExtractionRootError, PathIndexGapError
 from ..fswalk import walk_files
@@ -60,8 +60,7 @@ _UNREACHABLE_LIST = "append to {} not reachable"
 _BOOLEAN_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-@dataclass(frozen=True)
-class RawHit:
+class RawHit(NamedTuple):
     """One matching line, before any type conversion."""
 
     ruleId: str
@@ -70,8 +69,7 @@ class RawHit:
     rawValue: str
 
 
-@dataclass(frozen=True)
-class CoercionFailure:
+class CoercionFailure(NamedTuple):
     ruleId: str
     sourceFile: str
     lineNumber: int
@@ -79,17 +77,16 @@ class CoercionFailure:
     reason: str
 
 
-@dataclass(frozen=True)
-class ExtractionReport:
-    rulesMatched: tuple[str, ...] = ()
-    rulesUnmatched: tuple[str, ...] = ()
-    hitsPerRule: dict[str, int] = field(default_factory=dict)
-    conflicts: tuple[Conflict, ...] = ()
-    coercionFailures: tuple[CoercionFailure, ...] = ()
-    warnings: tuple[str, ...] = ()
-    filesScanned: int = 0
-    bytesScanned: int = 0
-    elapsedSeconds: float = 0.0
+class ExtractionReport(NamedTuple):
+    rulesMatched: tuple[str, ...]
+    rulesUnmatched: tuple[str, ...]
+    hitsPerRule: dict[str, int]
+    conflicts: tuple[Conflict, ...]
+    coercionFailures: tuple[CoercionFailure, ...]
+    warnings: tuple[str, ...]
+    filesScanned: int
+    bytesScanned: int
+    elapsedSeconds: float
 
     def to_obj(self) -> dict:
         """JSON-ready representation (written by the CLI --report flag)."""
@@ -220,8 +217,7 @@ def scan_file(
     return hits, nbytes, warnings
 
 
-@dataclass(frozen=True)
-class AssembleResult:
+class AssembleResult(NamedTuple):
     dataset: EngMetaDataset
     conflicts: tuple[Conflict, ...]
     coercionFailures: tuple[CoercionFailure, ...]

@@ -44,8 +44,8 @@ level above them (``_INLINE``), the step fields handed to PROV
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from .canon import _enclosed, _encode_string, _json_primitive
 from .errors import FlattenStructureError
@@ -72,34 +72,29 @@ BLOCK_NAMES = ("citation", "process", "engMeta")
 DROP_REASON = "preserved via PROV sidecar"
 
 
-@dataclass(frozen=True)
-class BlockField:
+class BlockField(NamedTuple):
     typeName: str
     multiple: bool
     typeClass: str  # "primitive" | "compound"
     value: object
 
 
-@dataclass(frozen=True)
-class MetadataBlock:
+class MetadataBlock(NamedTuple):
     blockName: str
     fields: tuple[BlockField, ...] = ()
 
 
-@dataclass(frozen=True)
-class MappedPath:
+class MappedPath(NamedTuple):
     path: str
     field: str  # "<block>.<typeName>"
 
 
-@dataclass(frozen=True)
-class DroppedPath:
+class DroppedPath(NamedTuple):
     path: str
     reason: str
 
 
-@dataclass(frozen=True)
-class FlattenReport:
+class FlattenReport(NamedTuple):
     mappedPaths: tuple[MappedPath, ...] = ()
     droppedPaths: tuple[DroppedPath, ...] = ()
 
@@ -360,7 +355,7 @@ def serialize_blocks_json(blocks: list[MetadataBlock], report: FlattenReport) ->
                             "\n    ")
     except TypeError:  # some path, field or reason is not a string
         bad = next(entry for entry in (*report.mappedPaths, *report.droppedPaths)
-                   if not all(isinstance(value, str) for value in vars(entry).values()))
+                   if not all(isinstance(value, str) for value in entry))
         raise FlattenStructureError(f"_flattenReport: {bad} must hold strings") from None
     text += ['\n  "_flattenReport": {\n    "mapped": ', mapped, ',\n    "dropped": ', dropped,
              "\n  }\n}\n"]

@@ -11,8 +11,8 @@ identical.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .codes import CHECKSUM_ALGORITHMS
 from .fswalk import walk_files
@@ -22,14 +22,12 @@ _HASHERS = {"MD5": hashlib.md5, "SHA-256": hashlib.sha256}
 _CHUNK_SIZE = 1024 * 1024
 
 
-@dataclass(frozen=True)
-class HarvestError:
+class HarvestError(NamedTuple):
     path: str
     message: str
 
 
-@dataclass(frozen=True)
-class HarvestResult:
+class HarvestResult(NamedTuple):
     algorithm: str
     files: tuple[FileInfo, ...] = ()
     errors: tuple[HarvestError, ...] = ()

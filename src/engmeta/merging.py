@@ -8,7 +8,7 @@ that disagree produce a conflict record resolved by the chosen policy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import (
     NODE,
@@ -22,8 +22,7 @@ from .model import (
 POLICIES = ("first-wins", "overlay-wins")
 
 
-@dataclass(frozen=True)
-class Conflict:
+class Conflict(NamedTuple):
     """A scalar set to different values on both sides."""
 
     path: str

@@ -12,7 +12,7 @@ check them with the list check the node constructors run.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import PathIndexGapError, PathSyntaxError, PathTargetError
 from .model import (
@@ -23,6 +23,7 @@ from .model import (
     SCALAR_LIST,
     EngMetaDataset,
     FieldSpec,
+    _Node,
     _check_scalar,
     _normalize_field,
     field_by_element,
@@ -31,8 +32,7 @@ from .model import (
 _SEGMENT_RE = re.compile(r"([A-Za-z][A-Za-z0-9]*)(?:\[(\d+)\])?")
 
 
-@dataclass(frozen=True)
-class PathSegment:
+class PathSegment(NamedTuple):
     name: str
     index: int | None = None
 
@@ -40,8 +40,7 @@ class PathSegment:
         return self.name if self.index is None else f"{self.name}[{self.index}]"
 
 
-@dataclass(frozen=True)
-class MetadataPath:
+class MetadataPath(NamedTuple):
     segments: tuple[PathSegment, ...]
 
     def __str__(self) -> str:
@@ -89,7 +88,7 @@ def get_path(dataset: EngMetaDataset, path: str | MetadataPath) -> list:
     for segment in _as_path(path).segments:
         gathered = []
         for node in current:
-            if not hasattr(type(node), "__dataclass_fields__"):
+            if not isinstance(node, _Node):
                 continue  # scalar mid-path: nothing below it
             spec = field_by_element(type(node), segment.name)
             if spec is None:

@@ -12,7 +12,7 @@ entity and the chain is visible in the graph.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ProvError
 from .isodates import parse_iso_datetime
@@ -36,36 +36,31 @@ _LABEL_FIELDS = ("name", "url", "softwareSourceCode")
 _KIND_LABELS = {"errorMethod": "error method"}
 
 
-@dataclass(frozen=True)
-class Activity:
+class Activity(NamedTuple):
     id: str
     date: str | None = None
     stepType: str | None = None
 
 
-@dataclass(frozen=True)
-class Agent:
+class Agent(NamedTuple):
     id: str
     name: str | None = None
     identifier: str | None = None
 
 
-@dataclass(frozen=True)
-class Entity:
+class Entity(NamedTuple):
     id: str
     kind: str
     label: str
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(NamedTuple):
     type: str
     subject: str
     object: str
 
 
-@dataclass(frozen=True)
-class ProvDocument:
+class ProvDocument(NamedTuple):
     activities: tuple[Activity, ...] = ()
     agents: tuple[Agent, ...] = ()
     entities: tuple[Entity, ...] = ()

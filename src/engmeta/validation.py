@@ -22,9 +22,9 @@ from __future__ import annotations
 
 import operator
 import re
-from dataclasses import dataclass
 from decimal import Decimal
 from functools import cache, partial
+from typing import NamedTuple
 
 from . import codes as codetables
 from .isodates import is_iso_date_or_datetime
@@ -45,15 +45,13 @@ PROFILES = ("structural", "citable")
 _HEX_RE = re.compile(r"[0-9a-f]+")
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
     severity: str  # "error" | "warning"
     path: str
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     profile: str
     findings: tuple[Finding, ...]
 
