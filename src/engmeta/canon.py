@@ -49,6 +49,7 @@ from .model import (
     SCALAR_TYPES_BY_NAME,
     _BY_ELEMENT,
     _trusted_node,
+    has_lone_surrogate,
     number_from_text,
     scalar_to_text,
     scalar_type_name,
@@ -443,6 +444,13 @@ def _expect_object(raw, path: str) -> dict:
     return raw
 
 
+def _utf8_text(text: str, path: str) -> str:
+    """The JSON string, unless it holds a lone surrogate (say, from a "\\udcff" escape)."""
+    if has_lone_surrogate(text):
+        raise CanonDecodeError(f"{text!r} holds a lone surrogate, not UTF-8 text", path)
+    return text
+
+
 def _scalar_from_json(raw, spec: FieldSpec, path: str, warnings: list[str]):
     """The field's value, or None for an empty string, which counts as absent."""
     if spec.value_type is str:
@@ -450,7 +458,7 @@ def _scalar_from_json(raw, spec: FieldSpec, path: str, warnings: list[str]):
             raise CanonDecodeError(f"expected a string, got {_json_type(raw)}", path)
         if raw == "":
             return _absent(path, warnings)
-        return raw
+        return _utf8_text(raw, path)
     if spec.value_type is TAGGED:
         tagged = _expect_object(raw, path)
         unknown = set(tagged) - {"type", "text"}
@@ -463,7 +471,7 @@ def _scalar_from_json(raw, spec: FieldSpec, path: str, warnings: list[str]):
             raise CanonDecodeError("tagged value 'type' must be a string", path)
         if tagged["text"] == "":
             return _absent(path, warnings)
-        return _tagged_from_text(tagged["text"], type_name, path)
+        return _tagged_from_text(_utf8_text(tagged["text"], path), type_name, path)
     if spec.value_type is bool:
         if not isinstance(raw, bool):
             raise CanonDecodeError(f"expected a boolean, got {_json_type(raw)}", path)

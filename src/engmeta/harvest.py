@@ -3,20 +3,25 @@
 Walks a directory tree and records, per regular file, the relative path,
 size, checksum and an extension-derived format hint. Size and checksum come
 from the same read, so they agree even for a file that changes meanwhile.
-Unreadable files and directories are reported as errors. The listing is
-sorted and deterministic, so repeated harvests of unchanged trees are
-identical.
+Unreadable files and directories are reported as errors. A file whose name
+is not UTF-8 is listed with U+FFFD in place of the bytes that do not
+decode, as extraction reads such bytes in file contents, and reported as
+an error that gives the name's bytes; two names that differ only in those
+bytes are both listed. The listing is sorted by the names as the file
+system gives them and is deterministic, so repeated harvests of unchanged
+trees are identical.
 """
 
 from __future__ import annotations
 
 import hashlib
+import os
 from pathlib import Path
 from typing import NamedTuple
 
 from .codes import CHECKSUM_ALGORITHMS
 from .fswalk import walk_files
-from .model import Checksum, EngMetaDataset, FileInfo
+from .model import Checksum, EngMetaDataset, FileInfo, has_lone_surrogate
 
 _HASHERS = {"MD5": hashlib.md5, "SHA-256": hashlib.sha256}
 _CHUNK_SIZE = 1024 * 1024
@@ -69,6 +74,11 @@ def harvest(root_dir: str | Path, algorithm: str = "SHA-256") -> HarvestResult:
         errors.append(HarvestError(relative_path, f"unreadable directory: {exc}"))
 
     for relative_path, absolute_path in walk_files(root, unreadable_directory):
+        if has_lone_surrogate(relative_path):  # os.fsdecode's stand-ins for non-UTF-8 bytes
+            raw_name = os.fsencode(relative_path)
+            relative_path = raw_name.decode("utf-8", "replace")
+            errors.append(HarvestError(relative_path, f"file name {raw_name!r} is not UTF-8; "
+                                       "listed with U+FFFD for its undecodable bytes"))
         try:
             digest, size = _digest(absolute_path, algorithm)
             checksum = Checksum(digest, algorithm)

@@ -2,7 +2,9 @@
 
 3.11 widened ``fromisoformat`` to most of ISO 8601 (``20200101``,
 ``2020-W01-1``), so a text must match the 3.10 grammar before
-``fromisoformat`` checks its calendar and clock values.
+``fromisoformat`` checks its calendar and clock values. The grammar also
+bounds an offset's minutes and seconds below 60, which ``fromisoformat``
+would otherwise carry into the hours (``+01:99`` read as ``+02:39``).
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import re
 # YYYY-MM-DD[*HH[:MM[:SS[.fff[fff]]]][+HH:MM[:SS[.ffffff]]]], * any one character
 _ISO_RE = re.compile(
     r"[0-9]{4}-[0-9]{2}-[0-9]{2}(?P<time>.[0-9]{2}(?::[0-9]{2}(?::[0-9]{2}"
-    r"(?:\.[0-9]{3}(?:[0-9]{3})?)?)?)?(?:[+-][0-9]{2}:[0-9]{2}(?::[0-9]{2}(?:\.[0-9]{6})?)?)?)?",
+    r"(?:\.[0-9]{3}(?:[0-9]{3})?)?)?)?"
+    r"(?:[+-][0-9]{2}:[0-5][0-9](?::[0-5][0-9](?:\.[0-9]{6})?)?)?)?",
     re.DOTALL,
 )
 

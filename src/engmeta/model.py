@@ -24,9 +24,10 @@ normal intermediate state of automated extraction. Field-local constraints
 field rules (``_rules``), carried in ``FieldSpec.rules`` and checked by
 ``validation.validate``, not by constructors; the code lists a rule names
 stay editable in codes.json. Constructors do enforce value semantics:
-correct scalar types, no empty strings, only integers and finite decimals
-of at most 4300 digits in plain notation, and no empty nodes (a node whose
-fields are all unset collapses to "absent").
+correct scalar types, no empty strings, no text UTF-8 cannot encode (a lone
+surrogate), only integers and finite decimals of at most 4300 digits in
+plain notation, and no empty nodes (a node whose fields are all unset
+collapses to "absent").
 
 The node classes are dataclasses only for their field declarations: they
 are declared with ``init=False, repr=False, eq=False`` and not frozen, so
@@ -109,6 +110,16 @@ def _too_long(value: Decimal) -> bool:
     # digits of the plain notation: trailing zeros, or a leading "0." and zeros
     plain = len(digits) + exponent if exponent >= 0 else max(len(digits), 1 - exponent)
     return plain > _MAX_DIGITS
+
+
+# a surrogate code point, which UTF-8 cannot encode: os.fsdecode leaves one for
+# each byte of a file name that is not UTF-8, and json.loads one for a "\udcff"
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+
+def has_lone_surrogate(text: str) -> bool:
+    """True when the text holds a lone surrogate, so no UTF-8 document can carry it."""
+    return not text.isascii() and _SURROGATE.search(text) is not None
 
 
 def number_from_text(text: str, value_type: type) -> int | Decimal:
@@ -287,8 +298,11 @@ def _trusted_node(cls: type, values: dict):
 
 
 def _check_scalar(spec: "FieldSpec", value):
-    if isinstance(value, str) and value == "":
-        raise ValueError(f"{spec.attr}: empty strings are not valid values")
+    if isinstance(value, str):
+        if value == "":
+            raise ValueError(f"{spec.attr}: empty strings are not valid values")
+        if has_lone_surrogate(value):
+            raise ValueError(f"{spec.attr}: {value!r} holds a lone surrogate, not UTF-8 text")
     if isinstance(value, Decimal):
         if not value.is_finite():
             raise ValueError(f"{spec.attr}: {value} is not a finite decimal")

@@ -77,8 +77,7 @@ class _Builder:
         self.activities: list[Activity] = []
         self.agents: dict[tuple, Agent] = {}
         self.entities: dict[tuple[str, str], Entity] = {}
-        self.relations: list[Relation] = []
-        self._seen_relations: set[tuple[str, str, str]] = set()
+        self.relations: dict[Relation, None] = {}  # insertion-ordered and free of repeats
 
     def entity(self, kind: str, identity: str, label: str) -> Entity:
         key = (kind, identity)
@@ -98,10 +97,7 @@ class _Builder:
         return found
 
     def relate(self, relation_type: str, subject: str, object_id: str) -> None:
-        key = (relation_type, subject, object_id)
-        if key not in self._seen_relations:
-            self._seen_relations.add(key)
-            self.relations.append(Relation(relation_type, subject, object_id))
+        self.relations[Relation(relation_type, subject, object_id)] = None
 
 
 def _file_entity(builder: _Builder, ref: FileRef) -> Entity | None:

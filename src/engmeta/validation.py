@@ -7,12 +7,13 @@ normal output of automated extraction. The citable profile adds the minimum
 a publishable record needs: a title, an author, a description and a date.
 
 The field-local constraints are the rules declared on the model's fields
-(``FieldSpec.rules``); each node class's table of checks is derived from
-them once. Only the two cross-field checks are code here: a checksum's
-algorithm and digest, and a variable's uncertainty, which needs a numeric
-value. Nodes are checked in document order, each before its child nodes;
-per node, findings come in table order: blank strings, the cross-field
-check, then the field rules in declaration order.
+(``FieldSpec.rules``); each present value is checked straight against its
+field's ``FieldRules``, an absent one only for ``required``. Only the two
+cross-field checks are code here: a checksum's algorithm and digest, and a
+variable's uncertainty, which needs a numeric value. Nodes are checked in
+document order, each before its child nodes; per node, findings come as:
+blank strings, the cross-field check, then the ruled fields in declaration
+order, each field's rules in ``FieldRules`` order.
 
 Violations are findings, not exceptions; a report always enumerates every
 problem found.
@@ -20,10 +21,9 @@ problem found.
 
 from __future__ import annotations
 
-import operator
 import re
 from decimal import Decimal
-from functools import cache, partial
+from functools import cache
 from typing import NamedTuple
 
 from . import codes as codetables
@@ -36,6 +36,7 @@ from .model import (
     TAGGED,
     Checksum,
     EngMetaDataset,
+    FieldRules,
     Variable,
     schema,
 )
@@ -84,9 +85,23 @@ def validate(dataset: EngMetaDataset, profile: str = "structural") -> Validation
     stack = [(dataset, "")]  # pre-order: a node's checks, then its child nodes in order
     while stack:
         node, path = stack.pop()
-        checks, children = _plan(type(node))
-        for check in checks:
-            check(node, path, error, warning)
+        texts, cross_field, ruled, children = _plan(type(node))
+        for attr, element, listed in texts:
+            value = getattr(node, attr)
+            if listed:  # scalar lists hold strings only
+                for i, item in enumerate(value):
+                    if not item.strip():
+                        error(f"{_field_path(path, element)}[{i}]", "must not be blank")
+            elif isinstance(value, str) and not value.strip():
+                error(_field_path(path, element), "must not be blank")
+        if cross_field is not None:
+            cross_field(node, path, error, warning)
+        for attr, element, rules, codes in ruled:
+            value = getattr(node, attr)
+            if value is not None:
+                _check_value(value, rules, codes, path, element, error, warning)
+            elif rules.required is not None:
+                error(_field_path(path, element), rules.required)
         for attr, element, listed in children:  # last field first, so the first pops first
             value = getattr(node, attr)
             if value:
@@ -114,105 +129,49 @@ def _field_path(path: str, element: str) -> str:
 
 
 @cache
-def _plan(cls: type) -> tuple[tuple, tuple]:
-    """The checks of one node class, each called as ``check(node, path, error, warning)``,
-    and its node fields as (attr, element, listed), last field first."""
+def _plan(cls: type) -> tuple:
+    """One node class's checks as data: its text fields (attr, element, listed), its
+    cross-field check or None, its ruled fields (attr, element, rules, code set or None;
+    a misnamed code list fails here) and its node fields alike, last field first."""
     specs = schema(cls)
     texts = tuple(
         (spec.attr, spec.element, spec.kind == SCALAR_LIST) for spec in specs
         if spec.kind in (SCALAR, SCALAR_LIST) and spec.value_type in (str, TAGGED)
     )
     ruled = tuple(
-        (spec.attr, spec.element, spec.rules.required, _rule_tests(spec.rules))
+        (spec.attr, spec.element, spec.rules,
+         None if spec.rules.codes is None else frozenset(codetables.codes(spec.rules.codes)))
         for spec in specs if spec.rules is not None
     )
-    checks = [partial(_check_blank, texts)] if texts else []
-    if cls in _CROSS_FIELD:
-        checks.append(_CROSS_FIELD[cls])
-    if ruled:
-        checks.append(partial(_check_rules, ruled))
     children = tuple((spec.attr, spec.element, spec.kind == NODE_LIST)
                      for spec in reversed(specs) if spec.kind in (NODE, NODE_LIST))
-    return tuple(checks), children
+    return texts, _CROSS_FIELD.get(cls), ruled, children
 
 
-def _check_blank(texts, node, path, error, warning) -> None:
-    for attr, element, listed in texts:
-        value = getattr(node, attr)
-        if listed:  # scalar lists hold strings only
-            for i, item in enumerate(value):
-                if not item.strip():
-                    error(f"{_field_path(path, element)}[{i}]", "must not be blank")
-        elif isinstance(value, str) and not value.strip():
-            error(_field_path(path, element), "must not be blank")
-
-
-def _check_rules(ruled, node, path, error, warning) -> None:
-    for attr, element, required, tests in ruled:
-        value = getattr(node, attr)
-        if value is None:
-            if required is not None:
-                error(_field_path(path, element), required)
-            continue
-        for test in tests:
-            for severity, suffix, message in test(value):
-                report = error if severity == "error" else warning
-                report(_field_path(path, element) + suffix, message)
-
-
-def _rule_tests(rules) -> tuple:
-    """One test per declared rule, for a present value.
-
-    ``test(value)`` gives a ``(severity, path suffix, message)`` triple for
-    each problem it finds.
-    """
-    tests = []
-    if rules.codes is not None:
-        template = f"{{!r}} is not in the {rules.codes} code list"
-        tests.append(_member_of(frozenset(codetables.codes(rules.codes)), rules.severity, template))
-    if rules.one_of:
-        template = f"{{!r}} is not one of: {', '.join(rules.one_of)}"
-        tests.append(_member_of(frozenset(rules.one_of), "error", template))
-    if rules.iso_date:
-        tests.append(_iso_date)
-    if rules.uri:
-        tests.append(_uri_reference)
-    if rules.at_least is not None:
-        tests.append(_bound(operator.ge, rules.at_least, f"must be >= {rules.at_least}"))
-    if rules.above is not None:
-        tests.append(_bound(operator.gt, rules.above, f"must be > {rules.above}"))
+def _check_value(value, rules: FieldRules, codes, path: str, element: str, error, warning) -> None:
+    """Check a present value against its field's rules, in declaration order."""
+    if codes is not None and value not in codes:
+        report = error if rules.severity == "error" else warning
+        report(_field_path(path, element), f"{value!r} is not in the {rules.codes} code list")
+    if rules.one_of and value not in rules.one_of:
+        error(_field_path(path, element), f"{value!r} is not one of: {', '.join(rules.one_of)}")
+    if rules.iso_date and not is_iso_date_or_datetime(value):
+        error(_field_path(path, element), f"{value!r} is not an ISO-8601 date or date-time")
+    if rules.uri and (not value or any(ch.isspace() or ord(ch) < 0x20 for ch in value)):
+        error(_field_path(path, element), "not a valid URI reference")
+    if rules.at_least is not None and value < rules.at_least:
+        error(_field_path(path, element), f"must be >= {rules.at_least}")
+    if rules.above is not None and value <= rules.above:
+        error(_field_path(path, element), f"must be > {rules.above}")
     if rules.unique_names:
-        tests.append(_unique_names)
-    return tuple(tests)
-
-
-def _member_of(allowed: frozenset, severity: str, template: str):
-    return lambda value: () if value in allowed else ((severity, "", template.format(value)),)
-
-
-def _bound(holds, limit, message: str):
-    return lambda value: () if holds(value, limit) else (("error", "", message),)
-
-
-def _iso_date(value: str):
-    if not is_iso_date_or_datetime(value):
-        yield "error", "", f"{value!r} is not an ISO-8601 date or date-time"
-
-
-def _uri_reference(value: str):
-    if not value or any(ch.isspace() or ord(ch) < 0x20 for ch in value):
-        yield "error", "", "not a valid URI reference"
-
-
-def _unique_names(variables: tuple):
-    first: dict[str, int] = {}
-    for i, variable in enumerate(variables):
-        if variable.name in first:
-            yield "error", f"[{i}].name", (
-                f"duplicate variable name {variable.name!r} (first at index {first[variable.name]})"
-            )
-        elif variable.name is not None:
-            first[variable.name] = i
+        first: dict[str, int] = {}
+        for i, variable in enumerate(value):
+            name = variable.name
+            if name in first:
+                error(f"{_field_path(path, element)}[{i}].name",
+                      f"duplicate variable name {name!r} (first at index {first[name]})")
+            elif name is not None:
+                first[name] = i
 
 
 def _check_checksum(node: Checksum, path, error, warning) -> None:

@@ -37,6 +37,22 @@ def golden_xml_path() -> Path:
 
 
 @pytest.fixture()
+def non_utf8_tree(tmp_path) -> Path:
+    """A tree of ``good.txt`` and two files with equal content whose names
+    differ only in a byte that is not UTF-8 (0xFE and 0xFF)."""
+    root = tmp_path / "tree"
+    root.mkdir()
+    (root / "good.txt").write_bytes(b"good")
+    for raw in (b"bad\xfename.txt", b"bad\xffname.txt"):
+        try:
+            with open(os.path.join(os.fsencode(root), raw), "wb") as handle:
+                handle.write(b"same")
+        except OSError:
+            pytest.skip("the file system refuses names that are not UTF-8")
+    return root
+
+
+@pytest.fixture()
 def make_unlistable(monkeypatch):
     """Make listing the given directory fail, as an unreadable one would.
 

@@ -106,6 +106,22 @@ def test_type_incompatible_text_reports_path():
     assert excinfo.value.path == "system.temporalResolution.numberOfTimesteps"
 
 
+@pytest.mark.parametrize("doc, path", [
+    ({"project": "a\udcffb"}, "project"),
+    ({"keyword": ["ok", "\ud800"]}, "keyword[1]"),
+    ({"processingStep": [{"method": {"parameters": [
+        {"name": "p", "value": {"type": "string", "text": "x\udfff"}}]}}]},
+     "processingStep[0].method.parameters[0].value"),
+])
+def test_json_text_with_a_lone_surrogate_is_refused(doc, path):
+    # json.loads turns a "\udcff" escape into a lone surrogate, which UTF-8 cannot encode
+    text = json.dumps(doc)
+    assert "\\ud" in text
+    with pytest.raises(CanonDecodeError, match="holds a lone surrogate") as excinfo:
+        from_json(text)
+    assert excinfo.value.path == path
+
+
 @pytest.mark.parametrize("element, text", [("sizeBytes", "١٢"), ("interval", "1_0")])
 def test_numbers_are_read_from_ascii_text_only(element, text):
     # the writer spells numbers in ASCII digits without separators only

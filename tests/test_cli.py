@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from engmeta.canon import from_xml, to_xml
+from engmeta.canon import from_json, from_xml, to_xml
 from engmeta.cli import main
 from corpus_expected import expected_corpus_dataset
 
@@ -180,6 +184,59 @@ def test_harvest_merge_equals_library_merge(tmp_path, empty_xml, capsys):
     captured = capsys.readouterr()
     expected, _ = merge(EngMetaDataset(), harvest(tmp_path).to_dataset(), "first-wins")
     assert from_xml(captured.out).dataset == expected
+
+
+NON_UTF8_HARVEST_ERR = (
+    "warning: bad\ufffdname.txt: file name b'bad\\xfename.txt' is not UTF-8; "
+    "listed with U+FFFD for its undecodable bytes\n"
+    "warning: bad\ufffdname.txt: file name b'bad\\xffname.txt' is not UTF-8; "
+    "listed with U+FFFD for its undecodable bytes\n"
+    "harvest: 3 files, 2 errors\n"
+)
+
+
+@pytest.mark.parametrize("fmt", ["xml", "json"])
+@pytest.mark.parametrize("merge", [False, True])
+def test_harvest_lists_non_utf8_file_names(fmt, merge, non_utf8_tree, empty_xml, tmp_path,
+                                           capsys):
+    out = tmp_path / f"listing.{fmt}"
+    argv = ["harvest", "--root", str(non_utf8_tree), "--format", fmt, "--out", str(out)]
+    if merge:
+        argv += ["--merge-into", str(empty_xml)]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == NON_UTF8_HARVEST_ERR
+    text = out.read_text(encoding="utf-8")
+    listing = (from_xml if fmt == "xml" else from_json)(text).dataset
+    names = [info.filename for info in listing.files]
+    assert names == ["bad\ufffdname.txt", "bad\ufffdname.txt", "good.txt"]
+    assert main(["validate", "--in", str(out)]) == 0
+    capsys.readouterr()
+
+
+def test_harvest_writes_non_utf8_file_names_to_stdout_as_utf8(non_utf8_tree):
+    run = subprocess.run(
+        [sys.executable, "-m", "engmeta", "harvest", "--root", str(non_utf8_tree)],
+        capture_output=True,
+        env={**os.environ, "PYTHONUTF8": "1",  # stdout then writes os.fsdecode's bytes back
+             "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+    )
+    assert run.returncode == 0
+    assert run.stderr.decode("utf-8") == NON_UTF8_HARVEST_ERR
+    listing = from_xml(run.stdout.decode("utf-8")).dataset  # strict: no raw 0xFF byte
+    assert [info.filename for info in listing.files][0] == "bad\ufffdname.txt"
+
+
+@pytest.mark.parametrize("command", ["validate", "to-prov", "to-dataverse"])
+def test_lone_surrogate_escape_in_json_is_reported_not_raised(command, tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    doc.write_text('{"project": "a\\udcffb"}\n', encoding="utf-8")
+    argv = [command, "--in", str(doc)]
+    if command != "validate":
+        argv += ["--out", str(tmp_path / "out.txt")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: project: 'a\\udcffb' holds a lone surrogate, not UTF-8 text\n"
 
 
 def test_unknown_flag_is_usage_error(capsys):

@@ -53,6 +53,7 @@ from engmeta.model import (
     TAGGED,
     Checksum,
     EngMetaDataset,
+    FieldRules,
     Method,
     ObservedSystem,
     ProcessingStep,
@@ -439,6 +440,19 @@ RULE_KINDS = {
 }
 
 
+# the kind of finding each FieldRules rule gives; severity only grades the code list
+RULE_KIND_OF_FIELD = {
+    "required": "required",
+    "codes": "code list (warning)",  # "code list (error)" where severity="error"
+    "one_of": "fixed step types",
+    "iso_date": "ISO date",
+    "uri": "URI reference",
+    "at_least": ">= 0",
+    "above": "> 0",
+    "unique_names": "unique variable names",
+}
+
+
 def _rule_kind(finding) -> str:
     for kind, pattern in RULE_KINDS.items():
         if re.search(pattern, finding.message) and (
@@ -479,6 +493,9 @@ def test_validate_equals_per_class_reference(start, steps):
 
 
 def test_every_rule_kind_fires_over_the_pool():
+    # a rule declared on the model needs a kind here, and so a check that fires
+    assert set(RULE_KIND_OF_FIELD) == set(FieldRules._fields) - {"severity"}
+    assert set(RULE_KIND_OF_FIELD.values()) <= set(RULE_KINDS)
     kinds = set()
     for k, doc in enumerate(DOCS):
         for entry in HOSTILE_WRITES:

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from engmeta.harvest import harvest
+from engmeta.canon import from_xml, to_xml
+from engmeta.harvest import HarvestError, harvest
 from engmeta.validation import validate
 
 SHA256_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
@@ -170,3 +171,17 @@ def test_unreadable_directory_reported(tmp_path, make_unlistable):
     assert [info.filename for info in result.files] == ["ok/a.txt"]
     assert [e.path for e in result.errors] == ["locked"]
     assert result.errors[0].message.startswith("unreadable directory: ")
+
+
+def test_non_utf8_file_names_are_listed_replaced_and_reported(non_utf8_tree):
+    result = harvest(non_utf8_tree)
+    names = [info.filename for info in result.files]
+    assert names == ["bad\ufffdname.txt", "bad\ufffdname.txt", "good.txt"]
+    assert result.errors == tuple(
+        HarvestError("bad\ufffdname.txt", f"file name {raw!r} is not UTF-8; "
+                     "listed with U+FFFD for its undecodable bytes")
+        for raw in (b"bad\xfename.txt", b"bad\xffname.txt")
+    )
+    dataset = result.to_dataset()
+    assert validate(dataset).ok
+    assert from_xml(to_xml(dataset)).dataset == dataset

@@ -25,6 +25,8 @@ DATETIMES = [
     "2020-01-01t12:00z",
     "2020-01-01T12+05:00",
     "2020-01-01T12:00+01:00",
+    "2020-01-01T12:00+01:59",
+    "2020-01-01T12:00:00+01:00:59",
     "2020-01-01T12:00-05:30:15",
     "2020-01-01T12:00:00+01:00:00.000001",
     "2020-01-01 12:00",
@@ -54,6 +56,9 @@ REJECTED = [
     "2020-01-01T24:00",
     "2020-01-01T12:60",
     "2020-01-01T12:00+24:00",
+    "2020-01-01T12:00+01:99",  # offset minutes past 59, which fromisoformat carries over
+    "2020-01-01T12:00:00+01:00:99",  # offset seconds alike
+    "2020-01-01T12:00+01:60",
     "24.05.2019",
     "yesterday",
 ]

@@ -55,6 +55,17 @@ def test_empty_string_rejected():
         EngMetaDataset(keywords=("ok", ""))
 
 
+def test_text_with_a_lone_surrogate_rejected():
+    # as os.fsdecode gives for a file name that is not UTF-8
+    with pytest.raises(ValueError, match=r"^filename: 'bad\\udcffname.txt' holds a lone"):
+        FileInfo(filename="bad\udcffname.txt")
+    with pytest.raises(ValueError, match="^keywords: .* holds a lone surrogate"):
+        EngMetaDataset(keywords=("ok", "\ud800"))
+    with pytest.raises(ValueError, match="^value: "):
+        Variable(name="p", value="x\udfff")
+    assert FileInfo(filename="bäd\ufffdname✓.txt").filename == "bäd\ufffdname✓.txt"
+
+
 def test_wrong_scalar_type_rejected():
     with pytest.raises(TypeError):
         TemporalResolution(numberOfTimesteps="5000000")

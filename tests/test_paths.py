@@ -97,6 +97,13 @@ def test_append_node_appends_checked_scalars():
             append_nodes(doc, path, (value,))
 
 
+def test_writes_refuse_text_with_a_lone_surrogate():
+    with pytest.raises(PathTargetError, match=r"^file\[0\].filename: filename: .* lone surrogate"):
+        set_path(EngMetaDataset(), "file[0].filename", "bad\udcffname.txt")
+    with pytest.raises(PathTargetError, match="^keyword: keywords: .* lone surrogate"):
+        append_nodes(EngMetaDataset(), "keyword", ["ok", "b\udcff"])
+
+
 def test_append_nodes_keeps_order_and_skips_empty_nodes():
     doc = append_nodes(EngMetaDataset(keywords=("a",)), "keyword", ["b", "c", "b"])
     assert doc.keywords == ("a", "b", "c", "b")
