@@ -23,11 +23,12 @@ _EXPORTS = {
     "extract": ("ExtractionConfig", "ExtractionReport", "ExtractionRule", "extract", "parse_config"),
     "flatten": ("BlockField", "FlattenReport", "MetadataBlock", "flatten", "serialize_blocks_json"),
     "harvest": ("HarvestResult", "harvest"),
-    "merging": ("Conflict", "merge"),
+    "merging": ("merge",),
     "model": (
         "Checksum",
         "Compiler",
         "Component",
+        "Conflict",
         "DatedEvent",
         "Description",
         "EngMetaDataset",

@@ -24,10 +24,12 @@ must share that open list segment: their hits are joined index-wise into
 one node per instance (e.g. a variable whose name and value sit on
 different lines).
 
-A rule's plan (its open list, and the field it fills inside each appended
-node) is derived when the rule is built, and a config's application order
-when the config is built, so an ``ExtractionRule`` built by hand is checked
-as a parsed one is.
+One function checks a rule's own fields for parsed and built rules alike:
+the parser calls it so that an error names the faulty field's line, and the
+rule's constructor calls it again. A rule's plan (its open list, and the
+field it fills inside each appended node) is derived when the rule is
+built, and a config's application order when the config is built, so an
+``ExtractionRule`` built by hand is checked as a parsed one is.
 """
 
 from __future__ import annotations
@@ -63,6 +65,10 @@ VALUE_TYPES = tuple(_FILLS)
 OCCURRENCES = ("first", "last", "all")
 
 _FIELD_NAMES = ("target", "source", "key", "delimiter", "type", "unit", "group", "occurrence")
+# a rule's own fields in the order they are checked, each with its choices,
+# or None for text that must not be empty
+_FIELD_CHECKS = (("delimiter", None), ("type", VALUE_TYPES), ("occurrence", OCCURRENCES),
+                 ("key", None), ("source", None), ("unit", None), ("group", None))
 _HEADER_RE = re.compile(r"\[rule\s+([^\s\]]+)\]")
 
 
@@ -128,24 +134,35 @@ class ExtractionConfig:
         object.__setattr__(self, "steps", tuple(map(tuple, steps)))
 
 
-def _check_choice(rule_id: str, name: str, value: str, choices: tuple[str, ...],
-                  line: int) -> None:
-    if value not in choices:
-        raise ConfigError(
-            f"rule {rule_id!r}: bad {name} {value!r}; expected one of: {', '.join(choices)}",
-            line,
-        )
+def _check_fields(rule_id: str, values: dict, lines: dict[str, int], line: int) -> None:
+    """Check a rule's own fields, keyed by config name, in ``_FIELD_CHECKS`` order.
+
+    An absent field is not checked: its default is valid. An error names the
+    field's line from ``lines``, and otherwise ``line``.
+    """
+    for name, choices in _FIELD_CHECKS:
+        if name not in values:
+            continue
+        value = values[name]
+        if choices is None:
+            if value == "":
+                raise ConfigError(f"rule {rule_id!r}: {name} must not be empty",
+                                  lines.get(name, line))
+        elif value not in choices:
+            raise ConfigError(
+                f"rule {rule_id!r}: bad {name} {value!r}; expected one of: {', '.join(choices)}",
+                lines.get(name, line),
+            )
 
 
 def analyze_target(rule: ExtractionRule) -> TargetShape:
-    """Check a rule's target, and the type of the values it takes, against the
-    schema, and derive how the rule writes."""
+    """Check a rule's fields, its target, and the type of the values it takes,
+    against the schema, and derive how the rule writes."""
     rule_id, path, line = rule.id, rule.target, rule.line
-    for name in ("source", "key", "delimiter", "unit", "group"):
-        if getattr(rule, name) == "":
-            raise ConfigError(f"rule {rule_id!r}: {name} must not be empty", line)
-    _check_choice(rule_id, "type", rule.valueType, VALUE_TYPES, line)
-    _check_choice(rule_id, "occurrence", rule.occurrence, OCCURRENCES, line)
+    _check_fields(rule_id, {"delimiter": rule.delimiter, "type": rule.valueType,
+                            "occurrence": rule.occurrence, "key": rule.key,
+                            "source": rule.source, "unit": rule.unit, "group": rule.group},
+                  {}, line)
     try:
         resolved = resolve_specs(path)
     except PathError as exc:
@@ -235,16 +252,8 @@ def parse_config(text: str) -> ExtractionConfig:
     """Parse config text; all errors carry line numbers."""
     rules: list[ExtractionRule] = []
     seen_ids: dict[str, int] = {}
-
-    current_id: str | None = None
-    current_line = 0
-    current_fields: dict[str, str] = {}
-    field_lines: dict[str, int] = {}
-
-    def finish() -> None:
-        if current_id is None:
-            return
-        rules.append(_build_rule(current_id, current_line, current_fields, field_lines))
+    # the open rule: (id, header line, {name: (value, line)})
+    section: tuple[str, int, dict[str, tuple[str, int]]] | None = None
 
     # a leading byte-order mark is not part of line 1
     for lineno, raw in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
@@ -255,7 +264,8 @@ def parse_config(text: str) -> ExtractionConfig:
             match = _HEADER_RE.fullmatch(line)
             if match is None:
                 raise ConfigError(f"bad rule header {line!r}; expected [rule <id>]", lineno)
-            finish()
+            if section is not None:
+                rules.append(_build_rule(*section))
             rule_id = match.group(1)
             if rule_id in seen_ids:
                 raise ConfigError(
@@ -264,70 +274,43 @@ def parse_config(text: str) -> ExtractionConfig:
                     lineno,
                 )
             seen_ids[rule_id] = lineno
-            current_id = rule_id
-            current_line = lineno
-            current_fields = {}
-            field_lines = {}
+            section = (rule_id, lineno, {})
             continue
         name, eq, value = line.partition("=")
         if not eq:
             raise ConfigError(f"expected 'name = value', got {line!r}", lineno)
         name = name.strip()
-        value = value.strip()
-        if current_id is None:
+        if section is None:
             raise ConfigError("field line before any [rule ...] header", lineno)
         if name not in _FIELD_NAMES:
             raise ConfigError(
                 f"unknown field {name!r}; expected one of: {', '.join(_FIELD_NAMES)}", lineno
             )
-        if name in current_fields:
-            raise ConfigError(
-                f"field {name!r} already set on line {field_lines[name]}", lineno
-            )
-        current_fields[name] = value
-        field_lines[name] = lineno
+        fields = section[2]
+        if name in fields:
+            raise ConfigError(f"field {name!r} already set on line {fields[name][1]}", lineno)
+        fields[name] = (value.strip(), lineno)
 
-    finish()
+    if section is not None:
+        rules.append(_build_rule(*section))
     return ExtractionConfig(tuple(rules))
 
 
-def _build_rule(rule_id: str, header_line: int, fields: dict[str, str],
-                field_lines: dict[str, int]) -> ExtractionRule:
+def _build_rule(rule_id: str, header_line: int,
+                fields: dict[str, tuple[str, int]]) -> ExtractionRule:
     for mandatory in ("target", "source", "key"):
         if mandatory not in fields:
             raise ConfigError(f"rule {rule_id!r}: missing mandatory field {mandatory!r}", header_line)
-
-    delimiter = fields.get("delimiter", "=")
-    if delimiter == "":
-        raise ConfigError(f"rule {rule_id!r}: delimiter must not be empty", field_lines["delimiter"])
-
-    # a defaulted field is valid, so a failing check has a line of its own
-    value_type = fields.get("type", "string")
-    _check_choice(rule_id, "type", value_type, VALUE_TYPES, field_lines.get("type", header_line))
-    occurrence = fields.get("occurrence", "first")
-    _check_choice(rule_id, "occurrence", occurrence, OCCURRENCES,
-                  field_lines.get("occurrence", header_line))
-
-    if fields["key"] == "":
-        raise ConfigError(f"rule {rule_id!r}: key must not be empty", field_lines["key"])
-    if fields["source"] == "":
-        raise ConfigError(f"rule {rule_id!r}: source must not be empty", field_lines["source"])
-
+    # only the fields the section gives, so ExtractionRule supplies the
+    # defaults; an empty unit or group reads as unset
+    values = {name: value for name, (value, _) in fields.items()
+              if value or name not in ("unit", "group")}
+    _check_fields(rule_id, values, {name: line for name, (_, line) in fields.items()},
+                  header_line)
     try:
-        target = parse_path(fields["target"])
+        values["target"] = parse_path(values["target"])
     except PathError as exc:
-        raise ConfigError(f"rule {rule_id!r}: bad target: {exc}", field_lines["target"]) from None
-
-    return ExtractionRule(
-        id=rule_id,
-        target=target,
-        source=fields["source"],
-        key=fields["key"],
-        delimiter=delimiter,
-        valueType=value_type,
-        unit=fields.get("unit") or None,
-        group=fields.get("group") or None,
-        occurrence=occurrence,
-        line=header_line,
-    )
-
+        raise ConfigError(f"rule {rule_id!r}: bad target: {exc}", fields["target"][1]) from None
+    if "type" in values:
+        values["valueType"] = values.pop("type")
+    return ExtractionRule(rule_id, line=header_line, **values)

@@ -40,9 +40,9 @@ from typing import NamedTuple
 from ..errors import CoercionError, ExtractionRootError, PathIndexGapError
 from ..fswalk import walk_files
 from ..isodates import is_iso_date_or_datetime
-from ..merging import Conflict
 from ..model import (
     SCALAR_TYPES_BY_NAME,
+    Conflict,
     EngMetaDataset,
     field_by_element,
     number_from_text,

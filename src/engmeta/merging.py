@@ -8,27 +8,16 @@ that disagree produce a conflict record resolved by the chosen policy.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 from .model import (
     NODE,
     SCALAR,
+    Conflict,
     EngMetaDataset,
-    Scalar,
     scalar_key,
     schema,
 )
 
 POLICIES = ("first-wins", "overlay-wins")
-
-
-class Conflict(NamedTuple):
-    """A scalar set to different values on both sides."""
-
-    path: str
-    base: Scalar
-    overlay: Scalar
-    chosen: Scalar
 
 
 def merge(

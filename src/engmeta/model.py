@@ -172,6 +172,15 @@ def scalar_key(value) -> tuple:
     return (scalar_type_name(value), value)
 
 
+class Conflict(NamedTuple):
+    """A scalar set to different values on both sides."""
+
+    path: str
+    base: Scalar
+    overlay: Scalar
+    chosen: Scalar
+
+
 class _Node:
     """Shared constructor, repr, immutability, equality and hashing of all nodes.
 

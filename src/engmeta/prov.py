@@ -100,10 +100,8 @@ class _Builder:
         self.relations[Relation(relation_type, subject, object_id)] = None
 
 
-def _file_entity(builder: _Builder, ref: FileRef) -> Entity | None:
-    locator = ref.locator()
-    if locator is None:
-        return None
+def _file_entity(builder: _Builder, ref: FileRef) -> Entity:
+    locator = ref.locator()  # a stored FileRef is never empty, so it has one
     return builder.entity("file", locator, ref.name or locator)
 
 
@@ -128,9 +126,7 @@ def to_prov(dataset: EngMetaDataset) -> ProvDocument:
             builder.relate("wasAssociatedWith", activity.id, agent.id)
 
         for ref in step.inputs:
-            entity = _file_entity(builder, ref)
-            if entity is not None:
-                builder.relate("used", activity.id, entity.id)
+            builder.relate("used", activity.id, _file_entity(builder, ref).id)
         for kind in _USED_FIELDS:
             value = getattr(step, kind)
             if not isinstance(value, tuple):
@@ -140,9 +136,7 @@ def to_prov(dataset: EngMetaDataset) -> ProvDocument:
                 builder.relate("used", activity.id, entity.id)
 
         for ref in step.outputs:
-            entity = _file_entity(builder, ref)
-            if entity is not None:
-                builder.relate("wasGeneratedBy", entity.id, activity.id)
+            builder.relate("wasGeneratedBy", _file_entity(builder, ref).id, activity.id)
 
     return ProvDocument(
         tuple(builder.activities),

@@ -10,7 +10,19 @@ from xml.etree import ElementTree
 
 from engmeta import canon, prov
 from engmeta import codes as codetables
-from engmeta.errors import CoercionError, FlattenStructureError, PathIndexGapError
+from engmeta.errors import (
+    CoercionError,
+    ConfigError,
+    FlattenStructureError,
+    PathError,
+    PathIndexGapError,
+)
+from engmeta.extract.config import (
+    OCCURRENCES,
+    VALUE_TYPES,
+    ExtractionConfig,
+    ExtractionRule,
+)
 from engmeta.extract.engine import CoercionFailure, RawHit, coerce, parse_line
 from engmeta.flatten import (
     BLOCK_NAMES,
@@ -58,7 +70,7 @@ from engmeta.model import (
     scalar_type_name,
     schema,
 )
-from engmeta.paths import MetadataPath, PathSegment, append_nodes, get_path, set_path
+from engmeta.paths import MetadataPath, PathSegment, append_nodes, get_path, parse_path, set_path
 from engmeta.validation import Finding, ValidationReport
 
 
@@ -378,6 +390,130 @@ def assemble_by_list_scan(hits, config) -> ListScanAssembly:
         state.take_file(source_file, by_file[source_file])
     state.resolve_deferred()
     return state
+
+
+# --- Reference rule-file parser ------------------------------------------------
+
+# ``extract.parse_config`` as it was while the parser checked a rule's
+# delimiter, type, occurrence, key and source itself, at the field's own
+# line, before the rule's constructor checked them again at the header
+# line; the differential tests compare the configs and errors the two give.
+
+_RULE_FIELD_NAMES = ("target", "source", "key", "delimiter", "type", "unit", "group", "occurrence")
+_RULE_HEADER_RE = re.compile(r"\[rule\s+([^\s\]]+)\]")
+
+
+def parse_config_by_field_checks(text: str) -> ExtractionConfig:
+    """Reference for ``extract.parse_config``."""
+    rules: list[ExtractionRule] = []
+    seen_ids: dict[str, int] = {}
+
+    current_id: str | None = None
+    current_line = 0
+    current_fields: dict[str, str] = {}
+    field_lines: dict[str, int] = {}
+
+    def finish() -> None:
+        if current_id is None:
+            return
+        rules.append(_build_rule_by_field_checks(current_id, current_line, current_fields,
+                                                 field_lines))
+
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("["):
+            match = _RULE_HEADER_RE.fullmatch(line)
+            if match is None:
+                raise ConfigError(f"bad rule header {line!r}; expected [rule <id>]", lineno)
+            finish()
+            rule_id = match.group(1)
+            if rule_id in seen_ids:
+                raise ConfigError(
+                    f"duplicate rule id {rule_id!r} (first declared on line "
+                    f"{seen_ids[rule_id]})",
+                    lineno,
+                )
+            seen_ids[rule_id] = lineno
+            current_id = rule_id
+            current_line = lineno
+            current_fields = {}
+            field_lines = {}
+            continue
+        name, eq, value = line.partition("=")
+        if not eq:
+            raise ConfigError(f"expected 'name = value', got {line!r}", lineno)
+        name = name.strip()
+        value = value.strip()
+        if current_id is None:
+            raise ConfigError("field line before any [rule ...] header", lineno)
+        if name not in _RULE_FIELD_NAMES:
+            raise ConfigError(
+                f"unknown field {name!r}; expected one of: {', '.join(_RULE_FIELD_NAMES)}",
+                lineno,
+            )
+        if name in current_fields:
+            raise ConfigError(
+                f"field {name!r} already set on line {field_lines[name]}", lineno
+            )
+        current_fields[name] = value
+        field_lines[name] = lineno
+
+    finish()
+    return ExtractionConfig(tuple(rules))
+
+
+def _check_rule_choice(rule_id: str, name: str, value: str, choices: tuple[str, ...],
+                       line: int) -> None:
+    if value not in choices:
+        raise ConfigError(
+            f"rule {rule_id!r}: bad {name} {value!r}; expected one of: {', '.join(choices)}",
+            line,
+        )
+
+
+def _build_rule_by_field_checks(rule_id: str, header_line: int, fields: dict[str, str],
+                                field_lines: dict[str, int]) -> ExtractionRule:
+    for mandatory in ("target", "source", "key"):
+        if mandatory not in fields:
+            raise ConfigError(f"rule {rule_id!r}: missing mandatory field {mandatory!r}",
+                              header_line)
+
+    delimiter = fields.get("delimiter", "=")
+    if delimiter == "":
+        raise ConfigError(f"rule {rule_id!r}: delimiter must not be empty",
+                          field_lines["delimiter"])
+
+    value_type = fields.get("type", "string")
+    _check_rule_choice(rule_id, "type", value_type, VALUE_TYPES,
+                       field_lines.get("type", header_line))
+    occurrence = fields.get("occurrence", "first")
+    _check_rule_choice(rule_id, "occurrence", occurrence, OCCURRENCES,
+                       field_lines.get("occurrence", header_line))
+
+    if fields["key"] == "":
+        raise ConfigError(f"rule {rule_id!r}: key must not be empty", field_lines["key"])
+    if fields["source"] == "":
+        raise ConfigError(f"rule {rule_id!r}: source must not be empty", field_lines["source"])
+
+    try:
+        target = parse_path(fields["target"])
+    except PathError as exc:
+        raise ConfigError(f"rule {rule_id!r}: bad target: {exc}", field_lines["target"]) from None
+
+    return ExtractionRule(
+        id=rule_id,
+        target=target,
+        source=fields["source"],
+        key=fields["key"],
+        delimiter=delimiter,
+        valueType=value_type,
+        unit=fields.get("unit") or None,
+        group=fields.get("group") or None,
+        occurrence=occurrence,
+        line=header_line,
+    )
 
 
 def scan_file_whole(absolute_path: Path, relative_path: str, rules: list):

@@ -222,9 +222,18 @@ def test_json_syntax_error_has_position():
 
 
 def test_json_type_error_has_path():
-    with pytest.raises(CanonDecodeError) as excinfo:
-        from_json('{"project": 42}')
-    assert excinfo.value.path == "project"
+    for text, message in [
+        ('{"project": 42}', "project: expected a string"),
+        ("[]", "engMeta: document root must be a JSON object"),
+        ('{"system": {"controlledVariables": [{"value": {"type": "decimal", "text": 5}}]}}',
+         "system.controlledVariables[0].value: tagged value 'text' must be a string"),
+        ('{"system": {"controlledVariables": [{"value": {"type": 5, "text": "x"}}]}}',
+         "system.controlledVariables[0].value: tagged value 'type' must be a string"),
+    ]:
+        with pytest.raises(CanonDecodeError) as excinfo:
+            from_json(text)
+        assert str(excinfo.value).startswith(message)
+        assert excinfo.value.path == message.partition(":")[0]
 
 
 def test_json_empty_values_are_absent_as_in_xml():

@@ -6,8 +6,9 @@ decoders against the checked construction (on hostile documents too), the
 schema-written canonical JSON against ``json.dumps`` of the dict reference,
 the schema-derived crosswalk against the
 hand-written fill functions, the block JSON templates against the
-dict-building writer, and PROV's schema-derived used entities
-against the hand-written ones."""
+dict-building writer, PROV's schema-derived used entities
+against the hand-written ones, and the rule-file parser against the one
+that checked a rule's fields itself."""
 
 import copy
 import importlib
@@ -20,7 +21,7 @@ from decimal import Decimal
 from pathlib import Path
 from xml.etree import ElementTree
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from engmeta.canon import (
@@ -30,7 +31,7 @@ from engmeta.canon import (
     to_json,
     to_xml,
 )
-from engmeta.errors import EngMetaError
+from engmeta.errors import ConfigError, EngMetaError
 from engmeta.extract import assemble, parse_config
 from engmeta.extract.engine import RawHit, scan_file
 from engmeta.flatten import (
@@ -76,6 +77,7 @@ from oracles import (
     merge_by_list_scan,
     node_to_obj,
     nodes_equal,
+    parse_config_by_field_checks,
     renormalised,
     scan_file_whole,
     serialize_blocks_json_by_dicts,
@@ -254,6 +256,89 @@ def test_assemble_equals_list_scan_assembly_for_any_hit_order(hits, data):
     assert _conflict_keys(fast.conflicts) == _conflict_keys(slow.conflicts)
     assert list(fast.coercionFailures) == slow.failures
     assert list(fast.warnings) == slow.warnings
+
+
+# valid sections, each given as {field: value}
+VALID_RULES = [
+    {"target": "project", "source": "*", "key": "K"},
+    {"target": "keyword", "source": "*.mdp", "key": "K", "occurrence": "all"},
+    {"target": "system.temporalResolution.numberOfTimesteps", "source": "*", "key": "nsteps",
+     "type": "integer", "delimiter": ":"},
+    {"target": "system.controlledVariables.name", "source": "*", "key": "N", "group": "g"},
+    {"target": "system.controlledVariables.value", "source": "runs/*.log", "key": "V",
+     "type": "decimal", "unit": "K", "group": "g"},
+    {"target": "system.parameters.value", "source": "*", "key": "a b", "type": "boolean",
+     "occurrence": "all", "unit": "", "group": ""},
+    {"target": "title[0].text", "source": "*", "key": "T", "occurrence": "last",
+     "delimiter": "=="},
+]
+# values that break a rule, or fit only some of them
+RULE_FIELD_FAULTS = {
+    "target": ["system[1].description", "system.unknownThing", "system", "keyword",
+               "keyword[x]", "a..b", ""],
+    "source": [""],
+    "key": [""],
+    "delimiter": [""],
+    "type": ["float", "", "integer", "date"],
+    "unit": ["K"],
+    "group": ["g", "h"],
+    "occurrence": ["every", "", "all"],
+    "flavor": ["vanilla"],  # an unknown field
+}
+
+
+@st.composite
+def rule_field_lines(draw) -> list[str]:
+    """One section's field lines in any order: a valid rule with now and then
+    a faulty value, or a field missing, repeated or unknown."""
+    fields = dict(draw(st.sampled_from(VALID_RULES)))
+    for name in draw(st.lists(st.sampled_from(sorted(RULE_FIELD_FAULTS)), max_size=2)):
+        fields[name] = draw(st.sampled_from(RULE_FIELD_FAULTS[name]))
+    if not draw(st.integers(0, 7)):
+        del fields[draw(st.sampled_from(["target", "source", "key"]))]
+    lines = [draw(st.sampled_from(["{} = {}", "{}={}", "  {}  =  {}  "])).format(*item)
+             for item in fields.items()]
+    if not draw(st.integers(0, 7)):
+        name = draw(st.sampled_from(sorted(RULE_FIELD_FAULTS)))
+        lines.append(f"{name} = {draw(st.sampled_from(RULE_FIELD_FAULTS[name]))}")
+    lines = draw(st.permutations(lines))
+    if not draw(st.integers(0, 3)):
+        where = draw(st.integers(0, len(lines)))
+        lines.insert(where, draw(st.sampled_from(["", "# a comment", "# x = y", "no equals"])))
+    return lines
+
+
+@st.composite
+def rule_files(draw) -> str:
+    lines = [draw(st.sampled_from(["", "# rules"] * 4 + ["target = project"]))]
+    for _ in range(draw(st.integers(0, 4))):
+        # ids repeat across sections; a header may be malformed
+        lines.append(draw(st.sampled_from(
+            ["[rule a]", "[rule b]", "[rule c]", "[rule\td]", "[rule  e]"] * 6 + ["[rule]", "[rul e]"]
+        )))
+        lines += draw(rule_field_lines())
+    bom = draw(st.sampled_from(["", "", "\ufeff"]))
+    return bom + draw(st.sampled_from(["\n", "\r\n"])).join(lines)
+
+
+def _parsed_or_error(parse, text: str):
+    try:
+        return parse(text)
+    except ConfigError as exc:
+        return str(exc), exc.line
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=rule_files())
+# two faults in one section, the later field first: each adjacent pair of checks
+@example(text="[rule a]\ntype = float\ndelimiter =\ntarget = project\nsource = *\nkey = K")
+@example(text="[rule a]\noccurrence = every\ntype =\ntarget = project\nsource = *\nkey = K")
+@example(text="[rule a]\ntarget = project\nkey =\noccurrence =\nsource = *")
+@example(text="[rule a]\ntarget = project\nsource =\nkey =")
+@example(text="[rule a]\ntarget = a..b\nsource =\nkey = K\nunit =\ngroup =")
+def test_parse_config_equals_field_checking_reference(text):
+    parsed = _parsed_or_error(parse_config, text)
+    assert parsed == _parsed_or_error(parse_config_by_field_checks, text)
 
 
 # keys that prefix one another, one key under two rules, a non-ASCII key

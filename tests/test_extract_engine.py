@@ -351,6 +351,22 @@ def test_extract_empty_directory(tmp_path, rules_path):
     assert report.rulesMatched == ()
 
 
+@pytest.mark.parametrize("source, project, files", [
+    ("md.log", "a", 2),  # no "/": the file name, in any directory
+    ("b/*.log", "b", 1),  # a "/": the path relative to the root
+    ("*/md.log", "a", 2),
+    ("md*/md.log", None, 0),
+])
+def test_extract_source_with_a_slash_matches_the_relative_path(tmp_path, source, project,
+                                                               files):
+    for run in ("a", "b"):
+        (tmp_path / run).mkdir()
+        (tmp_path / run / "md.log").write_text(f"P = {run}\n", encoding="utf-8")
+    config = parse_config(f"[rule p]\ntarget = project\nsource = {source}\nkey = P\n")
+    dataset, report = extract(tmp_path, config)
+    assert (dataset.project, report.hitsPerRule.get("p", 0)) == (project, files)
+
+
 def test_extract_missing_root_is_fatal(tmp_path, rules_path):
     config = parse_config(rules_path.read_text())
     with pytest.raises(ExtractionRootError):
@@ -569,6 +585,12 @@ def test_hand_built_list_rules_extract(tmp_path):
     (dict(target="system.parameters.name"), "index-less list segment 'parameters'"),
     (dict(target="project", valueType="float"), "bad type 'float'"),
     (dict(target="project", occurrence="every"), "bad occurrence 'every'"),
+    (dict(target="project", occurrence="all"),
+     "target project needs exactly one index-less list segment for occurrence=all"),
+    (dict(target="keyword", group="g"),
+     "grouped rules must target a field inside a node list"),
+    # several faults: the first in the order the parser checks them
+    (dict(target="project", valueType="float", unit=""), "bad type 'float'"),
 ])
 def test_hand_built_invalid_rules_fail_when_built(fields, message):
     target = parse_path(fields.pop("target"))

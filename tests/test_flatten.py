@@ -284,6 +284,11 @@ def test_non_string_report_path_rejected():
     assert "DroppedPath(path=None" in _rejected([], report)
 
 
+def test_unknown_type_class_rejected():
+    block = MetadataBlock("citation", (BlockField("project", False, "scalar", "P"),))
+    assert _rejected([block]) == "citation.project: unknown typeClass 'scalar'"
+
+
 def test_non_boolean_multiple_rejected():
     block = MetadataBlock("citation", (BlockField("keyword", 1, "primitive", ["k"]),))
     assert _rejected([block]) == "citation.keyword: multiple must be true or false, got 1"

@@ -180,6 +180,8 @@ def test_decimals_are_bounded_like_the_readers():
     ("1_0", Decimal, "is not a decimal number"),
     ("1e50000", Decimal, "exceeds 4300 digits in plain notation"),
     ("1e-999999999999", Decimal, "exceeds 4300 digits in plain notation"),
+    # beyond the exponents Decimal itself can hold
+    ("1e99999999999999999999", Decimal, "exceeds 4300 digits in plain notation"),
 ])
 def test_number_from_text_gives_one_reason(text, value_type, reason):
     """Both readers and ``coerce`` prefix this reason with the text's repr."""

@@ -50,6 +50,9 @@ def test_get_path_without_index_returns_all(gromacs_doc):
 def test_get_path_wrong_context_is_empty(gromacs_doc):
     # 'title' exists in the vocabulary but not under system
     assert get_path(gromacs_doc, "system.title") == []
+    # nothing lies below a scalar, and a field that is not a list has only index 0
+    assert get_path(gromacs_doc, "project.title") == []
+    assert get_path(gromacs_doc, "project[1]") == get_path(gromacs_doc, "system[1].name") == []
 
 
 def test_set_path_creates_intermediates():
@@ -85,8 +88,16 @@ def test_set_path_rejects_incompatible_value():
 
 
 def test_set_path_requires_index_for_writing_lists():
-    with pytest.raises(PathTargetError):
-        set_path(EngMetaDataset(), "keyword", "x")
+    for path, message in [
+        ("keyword", "keyword: keyword needs an index for writing"),
+        ("title.text", "title.text: title needs an index for writing"),
+        # and takes none on a field that is not a list
+        ("project[1]", "project[1]: project is not a list"),
+        ("system[1].description", "system[1].description: system is not a list"),
+    ]:
+        with pytest.raises(PathTargetError) as excinfo:
+            set_path(EngMetaDataset(), path, "x")
+        assert str(excinfo.value) == message
 
 
 def test_append_node_appends_checked_scalars():

@@ -147,6 +147,9 @@ def test_dangling_relation_rejected():
     doc = ProvDocument(relations=(Relation("used", "act_0", "file_missing"),))
     with pytest.raises(ProvError):
         serialize_prov_n(doc)
+    doc = ProvDocument(relations=(Relation("wasInformedBy", "act_0", "act_1"),))
+    with pytest.raises(ProvError, match="unknown relation type 'wasInformedBy'"):
+        serialize_prov_n(doc)
 
 
 def test_quotes_escaped_in_labels():

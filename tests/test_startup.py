@@ -28,7 +28,7 @@ READERS = {"engmeta", "engmeta.canon", "engmeta.cli", "engmeta.errors", "engmeta
 VALIDATION = {"engmeta.codes", "engmeta.isodates", "engmeta.validation"}
 EXTRACTION = VALIDATION | {
     "engmeta.extract", "engmeta.extract.config", "engmeta.extract.engine",
-    "engmeta.fswalk", "engmeta.merging", "engmeta.paths",
+    "engmeta.fswalk", "engmeta.paths",
 }
 HARVEST = VALIDATION | {"engmeta.fswalk", "engmeta.harvest"}
 
@@ -138,6 +138,9 @@ def test_star_import_gives_the_public_api():
     assert set(engmeta.__all__) == set(namespace) == API
     assert API <= set(dir(engmeta))
     assert namespace["EngMetaDataset"] is engmeta.model.EngMetaDataset
+    from engmeta.merging import Conflict  # declared in model, beside scalar_key
+
+    assert namespace["Conflict"] is Conflict is engmeta.model.Conflict
     with pytest.raises(AttributeError):
         engmeta.no_such_name
 
