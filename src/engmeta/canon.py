@@ -12,12 +12,15 @@ and type-incompatible scalar text are hard errors.
 
 XML is read and written through one cached plan per node class (``_plan``),
 derived from the model's field placements: its attributes, its text-content
-field and its child elements, each keyed by local name. An element in the
-engMeta namespace reads as its plain name; any other namespace, and any
-namespaced attribute, is unknown. The reader takes a string child with no
-attributes and no children as its text; it builds a child's path string
+field and its child elements, each keyed by local name and carrying its
+pre-built ``<elem>`` and ``</elem>`` tags. An element in the engMeta
+namespace reads as its plain name; any other namespace, and any namespaced
+attribute, is unknown. The reader takes a string child with no attributes
+and no children as its text; it builds a child's path string
 (``file[3].sizeBytes``) only to decode any other child, whose warnings and
-errors name it.
+errors name it. The writer writes each scalar child from its tags in place,
+passes strings through as they are, and escapes only text that holds a
+character to escape.
 
 JSON is written from the schema too, one joined string per object or
 array, byte for byte what ``json.dumps(obj, indent=2, ensure_ascii=False)``
@@ -28,6 +31,7 @@ booleans, integers and decimals, and those of the repository blocks.
 from __future__ import annotations
 
 import json
+import re
 from decimal import Decimal
 from functools import cache
 from typing import NamedTuple
@@ -107,6 +111,11 @@ def _require_valid(dataset: EngMetaDataset) -> None:
 
 # --- XML ------------------------------------------------------------------
 
+# the characters each escape replaces: text without them is written as it is
+_TEXT_SPECIALS = re.compile("[&<>\r]")
+_ATTRIBUTE_SPECIALS = re.compile('[&<>\r"\n\t]')
+
+
 def _escape_text(text: str) -> str:
     return (
         text.replace("&", "&amp;")
@@ -131,14 +140,16 @@ def _plan(cls: type) -> tuple[dict, FieldSpec | None, dict]:
 
     A class with a text-content field carries its other fields as
     attributes and has no children; any other class has only children,
-    each as (spec, attr, listed, scalar, plain string).
+    each as (spec, attr, listed, scalar, plain string, tagged, "<elem>",
+    "</elem>").
     """
     specs = schema(cls)
     return (
         {spec.element: spec for spec in specs if spec.placement == ATTRIBUTE},
         next((spec for spec in specs if spec.placement == CONTENT), None),
         {spec.element: (spec, spec.attr, spec.kind in (SCALAR_LIST, NODE_LIST),
-                        spec.kind in (SCALAR, SCALAR_LIST), spec.value_type is str)
+                        spec.kind in (SCALAR, SCALAR_LIST), spec.value_type is str,
+                        spec.value_type is TAGGED, f"<{spec.element}>", f"</{spec.element}>")
          for spec in specs if spec.placement == CHILD},
     )
 
@@ -147,55 +158,58 @@ def to_xml(dataset: EngMetaDataset) -> str:
     """Serialize to canonical XML; rejects structurally invalid documents."""
     _require_valid(dataset)
     lines = ['<?xml version="1.0" encoding="UTF-8"?>']
-    _write_element(lines, ROOT_ELEMENT, dataset, 0)
+    _write_element(lines, f"<{ROOT_ELEMENT}>", f"</{ROOT_ELEMENT}>", dataset, "")
     return "\n".join(lines) + "\n"
 
 
-def _write_element(lines: list[str], tag: str, node, depth: int) -> None:
-    pad = _INDENT * depth
+def _write_element(lines: list[str], start: str, end: str, node, pad: str) -> None:
+    """Write the node between its tags, its attributes added to the start tag."""
     attributes, content, children = _plan(type(node))
-    attr_text = ""
-    for name, spec in attributes.items():
-        value = getattr(node, spec.attr)
-        if value is not None:
-            attr_text += f' {name}="{_escape_attribute(scalar_to_text(value))}"'
+    if attributes:
+        attr_text = ""
+        for name, spec in attributes.items():
+            value = getattr(node, spec.attr)
+            if value is not None:
+                if not isinstance(value, str):
+                    value = scalar_to_text(value)
+                if _ATTRIBUTE_SPECIALS.search(value):
+                    value = _escape_attribute(value)
+                attr_text += f' {name}="{value}"'
+        start = f"{start[:-1]}{attr_text}>"
     text = None if content is None else getattr(node, content.attr)
     if text is not None:
-        lines.append(f"{pad}<{tag}{attr_text}>{_escape_text(scalar_to_text(text))}</{tag}>")
+        if not isinstance(text, str):
+            text = scalar_to_text(text)
+        if _TEXT_SPECIALS.search(text):
+            text = _escape_text(text)
+        lines.append(f"{pad}{start}{text}{end}")
         return
 
-    lines.append(f"{pad}<{tag}{attr_text}>")
+    lines.append(pad + start)
     opened = len(lines)
-    for spec, *_ in children.values():
-        value = getattr(node, spec.attr)
-        if value is None or value == ():
+    inner = pad + _INDENT
+    for spec, attr, listed, scalar, _, tagged, child_start, child_end in children.values():
+        value = getattr(node, attr)
+        if value is None:
             continue
-        if spec.kind == SCALAR:
-            _write_scalar_element(lines, spec, value, depth + 1)
-        elif spec.kind == SCALAR_LIST:
-            for item in value:
-                _write_scalar_element(lines, spec, item, depth + 1)
-        elif spec.kind == NODE:
-            _write_element(lines, spec.element, value, depth + 1)
-        else:
-            for item in value:
-                _write_element(lines, spec.element, item, depth + 1)
+        for item in value if listed else (value,):  # an unset list is ()
+            if not scalar:
+                _write_element(lines, child_start, child_end, item, inner)
+                continue
+            item_start = child_start
+            if isinstance(item, str):
+                text = item
+            else:
+                text = scalar_to_text(item)
+                if tagged:
+                    item_start = f'<{spec.element} type="{scalar_type_name(item)}">'
+            if _TEXT_SPECIALS.search(text):
+                text = _escape_text(text)
+            lines.append(f"{inner}{item_start}{text}{child_end}")
     if len(lines) == opened:  # nothing inside: close the element where it opens
-        lines[-1] = f"{pad}<{tag}{attr_text}/>"
+        lines[-1] = f"{pad}{start[:-1]}/>"
     else:
-        lines.append(f"{pad}</{tag}>")
-
-
-def _write_scalar_element(lines: list[str], spec: FieldSpec, value, depth: int) -> None:
-    pad = _INDENT * depth
-    attr_text = ""
-    if spec.value_type is TAGGED:
-        type_name = scalar_type_name(value)
-        if type_name != "string":
-            attr_text = f' type="{type_name}"'
-    lines.append(
-        f"{pad}<{spec.element}{attr_text}>{_escape_text(scalar_to_text(value))}</{spec.element}>"
-    )
+        lines.append(pad + end)
 
 
 def from_xml(text: str) -> ReadResult:
@@ -255,7 +269,7 @@ def _decode_element(element, cls: type, path: str, warnings: list[str]):
             if entry is None:
                 warnings.append(f"{label}: unknown element <{name}> skipped")
                 continue
-        spec, attr, listed, scalar, plain = entry
+        spec, attr, listed, scalar, plain, _, _, _ = entry
         index = counters.get(attr, 0)
         counters[attr] = index + 1
         if index and not listed:

@@ -145,6 +145,9 @@ def _check_fields(rule_id: str, values: dict, lines: dict[str, int], line: int) 
             continue
         value = values[name]
         if choices is None:
+            if not isinstance(value, str):
+                raise ConfigError(f"rule {rule_id!r}: {name} must be text, got {value!r}",
+                                  lines.get(name, line))
             if value == "":
                 raise ConfigError(f"rule {rule_id!r}: {name} must not be empty",
                                   lines.get(name, line))
@@ -159,10 +162,12 @@ def analyze_target(rule: ExtractionRule) -> TargetShape:
     """Check a rule's fields, its target, and the type of the values it takes,
     against the schema, and derive how the rule writes."""
     rule_id, path, line = rule.id, rule.target, rule.line
-    _check_fields(rule_id, {"delimiter": rule.delimiter, "type": rule.valueType,
-                            "occurrence": rule.occurrence, "key": rule.key,
-                            "source": rule.source, "unit": rule.unit, "group": rule.group},
-                  {}, line)
+    values = {"delimiter": rule.delimiter, "type": rule.valueType, "occurrence": rule.occurrence,
+              "key": rule.key, "source": rule.source}
+    for name, value in (("unit", rule.unit), ("group", rule.group)):
+        if value is not None:  # None leaves it unset, as a rule file that omits it does
+            values[name] = value
+    _check_fields(rule_id, values, {}, line)
     try:
         resolved = resolve_specs(path)
     except PathError as exc:

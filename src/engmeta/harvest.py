@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .codes import CHECKSUM_ALGORITHMS
 from .fswalk import walk_files
-from .model import Checksum, EngMetaDataset, FileInfo, has_lone_surrogate
+from .model import Checksum, EngMetaDataset, FileInfo, _trusted_node, has_lone_surrogate
 
 _HASHERS = {"MD5": hashlib.md5, "SHA-256": hashlib.sha256}
 _CHUNK_SIZE = 1024 * 1024
@@ -54,12 +54,18 @@ def _digest(path: Path, algorithm: str) -> tuple[str, int]:
 
 
 def _file_type(relative_path: str) -> str | None:
-    suffix = Path(relative_path).suffix
-    return suffix[1:].lower() if len(suffix) > 1 else None
+    name = relative_path.rpartition("/")[2]
+    dot = name.rfind(".")
+    return name[dot + 1:].lower() if 0 < dot < len(name) - 1 else None
 
 
 def harvest(root_dir: str | Path, algorithm: str = "SHA-256") -> HarvestResult:
-    """Collect technical metadata for every regular file under root."""
+    """Collect technical metadata for every regular file under root.
+
+    A file's ``fileType`` is the text after its base name's last dot,
+    lowercased (``x.TAR.GZ`` gives ``gz``); a name with no dot, or whose
+    last dot is its first or last character (``.bashrc``, ``a.``), has none.
+    """
     if algorithm not in CHECKSUM_ALGORITHMS:
         allowed = ", ".join(sorted(CHECKSUM_ALGORITHMS))
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of: {allowed}")
@@ -79,9 +85,11 @@ def harvest(root_dir: str | Path, algorithm: str = "SHA-256") -> HarvestResult:
             relative_path = raw_name.decode("utf-8", "replace")
             errors.append(HarvestError(relative_path, f"file name {raw_name!r} is not UTF-8; "
                                        "listed with U+FFFD for its undecodable bytes"))
+        # from here every value is canonical (a name with no lone surrogate, a
+        # size, a hex digest, a checked algorithm), so the nodes are built unchecked
         try:
             digest, size = _digest(absolute_path, algorithm)
-            checksum = Checksum(digest, algorithm)
+            checksum = _trusted_node(Checksum, {"digest": digest, "algorithm": algorithm})
         except OSError as read_error:
             # unreadable: record the size alone, when the file still has one
             try:
@@ -91,12 +99,7 @@ def harvest(root_dir: str | Path, algorithm: str = "SHA-256") -> HarvestResult:
                 continue
             checksum = None
             errors.append(HarvestError(relative_path, f"unreadable: {read_error}"))
-        files.append(
-            FileInfo(
-                filename=relative_path,
-                checksum=checksum,
-                sizeBytes=size,
-                fileType=_file_type(relative_path),
-            )
-        )
+        values = {"filename": relative_path, "checksum": checksum, "sizeBytes": size,
+                  "fileType": _file_type(relative_path)}
+        files.append(_trusted_node(FileInfo, {k: v for k, v in values.items() if v is not None}))
     return HarvestResult(algorithm, tuple(files), tuple(errors))

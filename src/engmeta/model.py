@@ -35,9 +35,9 @@ no per-class method is generated at import. ``_Node`` provides the one
 constructor (positional or keyword arguments, each field checked and
 normalized), the dataclass-style ``repr`` and the ``FrozenInstanceError``
 on assignment and deletion. Code that already holds canonical values
-checks nothing again: both decoders in ``canon`` end in ``_trusted_node``,
-which turns item lists into tuples and reads no field set as absent, and
-``_replaced`` copies a node with one field set.
+checks nothing again: both decoders in ``canon`` and ``harvest``'s listing
+end in ``_trusted_node``, which turns item lists into tuples and reads no
+field set as absent, and ``_replaced`` copies a node with one field set.
 """
 
 import re
@@ -288,7 +288,8 @@ class _Node:
 
 def _trusted_node(cls: type, values: dict):
     """A node of ``cls`` with the given fields set and the others unset,
-    or None when no field is given; the decoders in ``canon`` end here.
+    or None when no field is given; the decoders in ``canon`` and
+    ``harvest`` end here.
 
     Nothing is checked: every value must already be canonical, as the
     constructor would leave it (a checked scalar or a non-empty node), and

@@ -1,5 +1,6 @@
 """Small independent helpers used to cross-check module output in tests."""
 
+import hashlib
 import json
 import os
 import re
@@ -33,6 +34,8 @@ from engmeta.flatten import (
     MappedPath,
     MetadataBlock,
 )
+from engmeta.fswalk import walk_files
+from engmeta.harvest import HarvestError, HarvestResult
 from engmeta.isodates import is_iso_date_or_datetime
 from engmeta.merging import Conflict
 from engmeta.model import (
@@ -688,6 +691,125 @@ def _decode_obj_checked(obj: dict, cls: type, path: str, warnings: list[str]):
                 for i, item in enumerate(canon._expect_array(raw, key_path))
             )
     return cls(**kwargs)
+
+
+# --- Reference XML writer ------------------------------------------------------
+#
+# canon.to_xml as it was before the per-class tag templates: each child is
+# dispatched on its field kind, every scalar goes through ``scalar_to_text``
+# and every text through its escape, and the tags are formatted per element.
+# It runs canon's structural gate as the writer does; the differential tests
+# compare the bytes the two write, and the message of the error they raise.
+
+def _escape_text(text: str) -> str:
+    return (
+        text.replace("&", "&amp;")
+        .replace("<", "&lt;")
+        .replace(">", "&gt;")
+        .replace("\r", "&#13;")
+    )
+
+
+def _escape_attribute(text: str) -> str:
+    return (
+        _escape_text(text)
+        .replace('"', "&quot;")
+        .replace("\n", "&#10;")
+        .replace("\t", "&#9;")
+    )
+
+
+def to_xml_by_kind_dispatch(dataset: EngMetaDataset) -> str:
+    canon._require_valid(dataset)
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>']
+    _write_element(lines, "engMeta", dataset, 0)
+    return "\n".join(lines) + "\n"
+
+
+def _write_element(lines: list[str], tag: str, node, depth: int) -> None:
+    pad = "  " * depth
+    specs = schema(type(node))
+    attr_text = ""
+    for spec in specs:
+        value = getattr(node, spec.attr)
+        if spec.placement == ATTRIBUTE and value is not None:
+            attr_text += f' {spec.element}="{_escape_attribute(scalar_to_text(value))}"'
+    content = content_field(type(node))
+    text = None if content is None else getattr(node, content.attr)
+    if text is not None:
+        lines.append(f"{pad}<{tag}{attr_text}>{_escape_text(scalar_to_text(text))}</{tag}>")
+        return
+
+    lines.append(f"{pad}<{tag}{attr_text}>")
+    opened = len(lines)
+    for spec in specs:
+        value = getattr(node, spec.attr)
+        if spec.placement != CHILD or value is None or value == ():
+            continue
+        if spec.kind == SCALAR:
+            _write_scalar_element(lines, spec, value, depth + 1)
+        elif spec.kind == SCALAR_LIST:
+            for item in value:
+                _write_scalar_element(lines, spec, item, depth + 1)
+        elif spec.kind == NODE:
+            _write_element(lines, spec.element, value, depth + 1)
+        else:
+            for item in value:
+                _write_element(lines, spec.element, item, depth + 1)
+    if len(lines) == opened:  # nothing inside: close the element where it opens
+        lines[-1] = f"{pad}<{tag}{attr_text}/>"
+    else:
+        lines.append(f"{pad}</{tag}>")
+
+
+def _write_scalar_element(lines: list[str], spec, value, depth: int) -> None:
+    pad = "  " * depth
+    attr_text = ""
+    if spec.value_type is TAGGED:
+        type_name = scalar_type_name(value)
+        if type_name != "string":
+            attr_text = f' type="{type_name}"'
+    lines.append(
+        f"{pad}<{spec.element}{attr_text}>{_escape_text(scalar_to_text(value))}</{spec.element}>"
+    )
+
+
+# --- Reference harvest -----------------------------------------------------------
+
+def harvest_checked(root_dir, algorithm: str = "SHA-256") -> HarvestResult:
+    """harvest.harvest as it was before the trusted listing: each file's whole
+    bytes hashed at once, the nodes built through their checking constructors,
+    and the type read from ``PurePath.suffix``."""
+    root = Path(root_dir)
+    files: list[FileInfo] = []
+    errors: list[HarvestError] = []
+
+    def unreadable_directory(relative_path: str, exc: OSError) -> None:
+        errors.append(HarvestError(relative_path, f"unreadable directory: {exc}"))
+
+    for relative_path, absolute_path in walk_files(root, unreadable_directory):
+        if re.search("[\ud800-\udfff]", relative_path):
+            raw_name = os.fsencode(relative_path)
+            relative_path = raw_name.decode("utf-8", "replace")
+            errors.append(HarvestError(relative_path, f"file name {raw_name!r} is not UTF-8; "
+                                       "listed with U+FFFD for its undecodable bytes"))
+        try:
+            data = absolute_path.read_bytes()
+            size = len(data)
+            checksum = Checksum(hashlib.new(algorithm.replace("-", "").lower(), data).hexdigest(),
+                                algorithm)
+        except OSError as read_error:
+            try:
+                size = absolute_path.stat().st_size
+            except OSError as exc:
+                errors.append(HarvestError(relative_path, f"stat failed: {exc}"))
+                continue
+            checksum = None
+            errors.append(HarvestError(relative_path, f"unreadable: {read_error}"))
+        suffix = Path(relative_path).suffix
+        files.append(FileInfo(filename=relative_path, checksum=checksum, sizeBytes=size,
+                              fileType=suffix[1:].lower() if len(suffix) > 1 else None))
+    return HarvestResult(algorithm, tuple(files), tuple(errors))
 
 
 # --- Reference validation ----------------------------------------------------

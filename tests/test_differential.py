@@ -14,6 +14,7 @@ import copy
 import importlib
 import itertools
 import json
+import os
 import random
 import re
 from dataclasses import replace
@@ -21,6 +22,7 @@ from decimal import Decimal
 from pathlib import Path
 from xml.etree import ElementTree
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -31,7 +33,7 @@ from engmeta.canon import (
     to_json,
     to_xml,
 )
-from engmeta.errors import ConfigError, EngMetaError
+from engmeta.errors import CanonValidationError, ConfigError, EngMetaError
 from engmeta.extract import assemble, parse_config
 from engmeta.extract.engine import RawHit, scan_file
 from engmeta.flatten import (
@@ -44,6 +46,7 @@ from engmeta.flatten import (
     flatten,
     serialize_blocks_json,
 )
+from engmeta.harvest import harvest
 from engmeta.merging import merge
 from engmeta.model import (
     CONTENT,
@@ -55,10 +58,13 @@ from engmeta.model import (
     Checksum,
     EngMetaDataset,
     FieldRules,
+    Identifier,
     Method,
     ObservedSystem,
+    PersonOrOrganization,
     ProcessingStep,
     Software,
+    SuccessMarker,
     Variable,
     field_by_element,
     scalar_key,
@@ -74,6 +80,7 @@ from oracles import (
     flatten_by_fill_functions,
     from_json_checked,
     from_xml_checked,
+    harvest_checked,
     merge_by_list_scan,
     node_to_obj,
     nodes_equal,
@@ -82,6 +89,7 @@ from oracles import (
     scan_file_whole,
     serialize_blocks_json_by_dicts,
     to_prov_by_hand,
+    to_xml_by_kind_dispatch,
     validate_by_class_checks,
 )
 
@@ -849,13 +857,14 @@ VARIABLE_NAME = field_by_element(Variable, "name")
 
 
 @st.composite
-def documents_with_drawn_text(draw):
+def documents_with_drawn_text(draw, texts=DOC_STRINGS):
     """A pool or every-field document whose strings of fields without
-    validation rules, and whose tagged values, cycle through drawn ones. A
-    checksum keeps its hex digest, a variable its distinct name, and an
-    uncertainty stays only on a number."""
-    strings = itertools.cycle(draw(st.lists(DOC_STRINGS, min_size=1, max_size=8)))
-    tagged = itertools.cycle(draw(st.lists(DOC_STRINGS | st.booleans() | NUMBERS,
+    validation rules, and whose tagged values, cycle through drawn ones
+    (``texts``, and booleans and numbers for tagged values). A checksum
+    keeps its hex digest, a variable its distinct name, and an uncertainty
+    stays only on a number."""
+    strings = itertools.cycle(draw(st.lists(texts, min_size=1, max_size=8)))
+    tagged = itertools.cycle(draw(st.lists(texts | st.booleans() | NUMBERS,
                                            min_size=1, max_size=6)))
 
     def redraw(node):
@@ -934,6 +943,70 @@ def test_flatten_equals_fill_function_reference_on_thinned_repeats(doc):
     expected = serialize_blocks_json(*flatten_by_fill_functions(doc))
     assert serialize_blocks_json(*flatten(doc)) == expected
     _assert_compound_keys_fit_one_order(doc)
+
+
+# --- The XML writer's tag templates against the kind-dispatching writer ------
+
+def _assert_same_xml(doc) -> bool:
+    """Both writers write the same bytes, or refuse the document with the same
+    error; True when they refuse it."""
+    try:
+        expected = to_xml_by_kind_dispatch(doc)
+    except CanonValidationError as refused:
+        with pytest.raises(CanonValidationError) as excinfo:
+            to_xml(doc)
+        assert str(excinfo.value) == str(refused)
+        assert excinfo.value.findings == refused.findings
+        return True
+    assert to_xml(doc) == expected
+    return False
+
+
+def test_to_xml_equals_kind_dispatch_reference(gromacs_doc):
+    every_field = (Path(__file__).parent / "data" / "every_field.xml").read_text(encoding="utf-8")
+    for doc in [*dataset_pool(300), from_xml(every_field).dataset, gromacs_doc,
+                EngMetaDataset()]:
+        assert not _assert_same_xml(doc)
+
+
+# each character that one of the two escapes replaces, and non-ASCII text
+XML_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",)) | st.sampled_from('&<>\r"\n\té中😀\u2028'),
+    max_size=4,
+)
+XML_STRINGS = st.builds("{}{}{}".format, XML_TEXT,
+                        st.characters(blacklist_categories=("Cs", "Z", "Cc")), XML_TEXT)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=documents_with_drawn_text(XML_STRINGS))
+@example(doc=EngMetaDataset(
+    persons=(PersonOrOrganization(
+        name="n", identifier=Identifier('&<>\r"\n\t', scheme='a&b<c>d\re"f\ng\th')),),
+    worked=SuccessMarker(success=False, note="x > y & \r"),
+    system=ObservedSystem(parameters=(Variable("a", True), Variable("b", Decimal("-0.50")),
+                                      Variable("c", -3), Variable("d", "<é>"))),
+))
+def test_to_xml_equals_kind_dispatch_reference_on_drawn_text(doc):
+    """Text and attribute values with every character either escape
+    replaces, non-ASCII text, and tagged strings, booleans, integers and
+    decimals."""
+    assert not _assert_same_xml(doc)
+
+
+@settings(max_examples=150, deadline=None)
+@given(start=st.integers(0, len(DOCS)), steps=st.lists(hostile_writes(), min_size=1, max_size=4))
+def test_to_xml_equals_kind_dispatch_reference_on_hostile_writes(start, steps):
+    doc = DOCS[start] if start < len(DOCS) else EngMetaDataset()
+    for entry, value, index in steps:
+        doc = _hostile_write(doc, entry, value, index)
+    _assert_same_xml(doc)
+
+
+def test_both_xml_writers_refuse_invalid_documents_alike():
+    refused = sum(_assert_same_xml(_hostile_write(doc, entry, value, 0))
+                  for doc in DOCS[:3] for entry in HOSTILE_WRITES for value in entry[2])
+    assert refused >= 30
 
 
 # --- The block JSON templates against the dict-building writer ---------------
@@ -1057,3 +1130,56 @@ def test_crosswalk_declarations_name_declared_fields():
     assert set(crosswalk._BLOCKS.values()) <= set(BLOCK_NAMES)
     for order in crosswalk._ORDER.values():
         assert len(set(order)) == len(order)
+
+
+# --- harvest's trusted listing against the checked reference -----------------
+
+# hidden files, and names whose file type the suffix rule decides at an edge
+HARVEST_NAMES = (".bashrc", "a.", "..foo", "x.TAR.GZ", "dir.d/noext", "...", "a.b.", "plain",
+                 ".hidden/inner.Log", "deep/er/É.TXT", "tar.gz/.x.y", "sp ace.t xt")
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_harvest_equals_checked_reference(tmp_path, monkeypatch, make_unlistable, seed):
+    """Every name above with drawn sizes (empty files included), symlinks to a
+    file and to a directory, a name that is not UTF-8, a drawn file that
+    cannot be opened, one that vanishes before its stat and, on odd seeds, a
+    directory that cannot be listed."""
+    rng = random.Random(seed)
+    names = rng.sample(HARVEST_NAMES, len(HARVEST_NAMES))
+    for name in [*names, "real/r.txt", "locked/k.txt"]:
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(rng.randbytes(rng.choice([0, 1, 100, 70000])))
+    os.symlink(tmp_path / names[0], tmp_path / "link.txt")
+    os.symlink(tmp_path / "real", tmp_path / "alias")
+    try:
+        with open(os.path.join(os.fsencode(tmp_path), b"n\xffme.Bin"), "wb") as handle:
+            handle.write(b"bytes")
+    except OSError:  # a file system that refuses names that are not UTF-8
+        pass
+    unopenable, vanished = {Path(names[1]).name, "r.txt"}, {Path(names[2]).name}
+    real_open, real_stat = Path.open, Path.stat
+
+    def guarded_open(self, *args, **kwargs):
+        if self.name in unopenable | vanished:
+            raise PermissionError(13, "Permission denied", str(self))
+        return real_open(self, *args, **kwargs)
+
+    def guarded_stat(self, *args, **kwargs):
+        if self.name in vanished:
+            raise FileNotFoundError(2, "No such file or directory", str(self))
+        return real_stat(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", guarded_open)
+    monkeypatch.setattr(Path, "stat", guarded_stat)
+    if seed % 2:
+        make_unlistable(tmp_path / "locked")
+    algorithm = ("SHA-256", "MD5")[seed % 2]
+
+    result, expected = harvest(tmp_path, algorithm), harvest_checked(tmp_path, algorithm)
+    assert repr(result.files) == repr(expected.files)
+    assert result.files == expected.files
+    assert result.errors == expected.errors
+    assert result.algorithm == expected.algorithm
+    assert {e.message.split(":")[0] for e in result.errors} >= {"unreadable", "stat failed"}

@@ -608,6 +608,21 @@ def test_hand_built_rules_reject_empty_text_fields(name):
     assert excinfo.value.line == 3
 
 
+@pytest.mark.parametrize("name", ["source", "key", "delimiter", "unit", "group"])
+@pytest.mark.parametrize("value", [None, 7, ("K",), b"K"])
+def test_hand_built_rules_reject_text_fields_that_are_not_str(name, value):
+    """Caught when built, not by a TypeError from the line scan of ``extract``."""
+    fields = dict(id="r", target=parse_path("system.controlledVariables.value"), source="*",
+                  key="K", occurrence="all", line=3)
+    if value is None and name in ("unit", "group"):  # None leaves them unset
+        assert getattr(ExtractionRule(**{**fields, name: value}), name) is None
+        return
+    with pytest.raises(ConfigError) as excinfo:
+        ExtractionRule(**{**fields, name: value})
+    assert str(excinfo.value) == f"line 3: rule 'r': {name} must be text, got {value!r}"
+    assert excinfo.value.line == 3
+
+
 def test_hand_built_rule_plan_is_derived_not_given():
     with pytest.raises(TypeError):
         ExtractionRule(id="r", target=parse_path("project"), source="*", key="K",
