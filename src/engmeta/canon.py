@@ -53,6 +53,7 @@ from .model import (
     SCALAR_TYPES_BY_NAME,
     _BY_ELEMENT,
     _trusted_node,
+    decimal_to_text,
     has_lone_surrogate,
     number_from_text,
     scalar_to_text,
@@ -170,7 +171,7 @@ def _write_element(lines: list[str], start: str, end: str, node, pad: str) -> No
         for name, spec in attributes.items():
             value = getattr(node, spec.attr)
             if value is not None:
-                if not isinstance(value, str):
+                if type(value) is not str:
                     value = scalar_to_text(value)
                 if _ATTRIBUTE_SPECIALS.search(value):
                     value = _escape_attribute(value)
@@ -178,7 +179,7 @@ def _write_element(lines: list[str], start: str, end: str, node, pad: str) -> No
         start = f"{start[:-1]}{attr_text}>"
     text = None if content is None else getattr(node, content.attr)
     if text is not None:
-        if not isinstance(text, str):
+        if type(text) is not str:
             text = scalar_to_text(text)
         if _TEXT_SPECIALS.search(text):
             text = _escape_text(text)
@@ -197,7 +198,7 @@ def _write_element(lines: list[str], start: str, end: str, node, pad: str) -> No
                 _write_element(lines, child_start, child_end, item, inner)
                 continue
             item_start = child_start
-            if isinstance(item, str):
+            if type(item) is str:
                 text = item
             else:
                 text = scalar_to_text(item)
@@ -341,7 +342,7 @@ def _json_primitive(value) -> str:
     if isinstance(value, int):
         return int.__repr__(value)
     if isinstance(value, Decimal):
-        return _encode_string(scalar_to_text(value))
+        return _encode_string(decimal_to_text(value))
     raise TypeError(f"not a scalar value: {type(value).__name__}")
 
 

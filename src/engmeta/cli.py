@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import CanonError, ConfigError, EngMetaError, ExtractionRootError
+from .errors import CanonError, ConfigError, EngMetaError
 
 if TYPE_CHECKING:
     from .model import EngMetaDataset
@@ -130,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
     except CanonError as exc:
         _info(f"error: {exc}")
         return EXIT_INVALID
-    except (ExtractionRootError, NotADirectoryError, OSError) as exc:
+    except OSError as exc:  # ExtractionRootError and NotADirectoryError are OSErrors
         _info(f"error: {exc}")
         return EXIT_IO
     except EngMetaError as exc:

@@ -118,6 +118,8 @@ class ExtractionConfig:
         steps: list[list[ExtractionRule]] = []
         groups: dict[str, list[ExtractionRule]] = {}
         for rule in self.rules:
+            if not isinstance(rule, ExtractionRule):
+                raise ConfigError(f"expected ExtractionRule entries, got {type(rule).__name__}", 0)
             members = groups.get(rule.group)  # None for an ungrouped rule
             if members is None:
                 steps.append([rule])
@@ -168,6 +170,9 @@ def analyze_target(rule: ExtractionRule) -> TargetShape:
         if value is not None:  # None leaves it unset, as a rule file that omits it does
             values[name] = value
     _check_fields(rule_id, values, {}, line)
+    if not isinstance(path, MetadataPath):  # the engine reads its segments
+        raise ConfigError(f"rule {rule_id!r}: target must be a MetadataPath, "
+                          f"got {type(path).__name__}", line)
     try:
         resolved = resolve_specs(path)
     except PathError as exc:

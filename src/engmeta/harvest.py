@@ -69,6 +69,7 @@ def harvest(root_dir: str | Path, algorithm: str = "SHA-256") -> HarvestResult:
     if algorithm not in CHECKSUM_ALGORITHMS:
         allowed = ", ".join(sorted(CHECKSUM_ALGORITHMS))
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of: {allowed}")
+    algorithm = Checksum(algorithm=algorithm).algorithm  # a (str, Enum) code as its value
     root = Path(root_dir)
     if not root.is_dir():
         raise NotADirectoryError(f"harvest root {root} is not a readable directory")

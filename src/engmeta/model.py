@@ -27,7 +27,9 @@ stay editable in codes.json. Constructors do enforce value semantics:
 correct scalar types, no empty strings, no text UTF-8 cannot encode (a lone
 surrogate), only integers and finite decimals of at most 4300 digits in
 plain notation, and no empty nodes (a node whose fields are all unset
-collapses to "absent").
+collapses to "absent"). Each scalar is stored as its exact builtin type, an
+instance of a subclass (a ``(str, Enum)`` code, an ``IntEnum``) as the value
+it holds, so every reader of a stored scalar tells its type by ``type()``.
 
 The node classes are dataclasses only for their field declarations: they
 are declared with ``init=False, repr=False, eq=False`` and not frozen, so
@@ -66,16 +68,8 @@ SCALAR_TYPES_BY_NAME = {name: tp for tp, name in SCALAR_TYPE_NAMES.items()}
 
 
 def scalar_type_name(value) -> str:
-    """Canonical type tag of a scalar value ('string', 'integer', ...)."""
-    if isinstance(value, bool):
-        return "boolean"
-    if isinstance(value, int):
-        return "integer"
-    if isinstance(value, Decimal):
-        return "decimal"
-    if isinstance(value, str):
-        return "string"
-    raise TypeError(f"not a scalar value: {type(value).__name__}")
+    """Canonical type tag of a stored scalar ('string', 'integer', ...)."""
+    return SCALAR_TYPE_NAMES[type(value)]
 
 
 def decimal_to_text(value: Decimal) -> str:
@@ -150,26 +144,23 @@ def number_from_text(text: str, value_type: type) -> int | Decimal:
 
 
 def scalar_to_text(value) -> str:
-    """Canonical text form of any scalar value."""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, Decimal):
-        return decimal_to_text(value)
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
+    """Canonical text form of a stored scalar."""
+    kind = type(value)
+    if kind is str:
         return value
-    raise TypeError(f"not a scalar value: {type(value).__name__}")
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return str(value)
+    if kind is Decimal:
+        return decimal_to_text(value)
+    raise TypeError(f"not a scalar value: {kind.__name__}")
 
 
 def scalar_key(value) -> tuple:
-    """Hashable, type-strict identity of a scalar value.
-
-    Two scalars have equal keys exactly when they have the same type tag
-    and equal values, so keys tell values apart the way serialization
-    does (``True``, ``1`` and ``Decimal(1)`` stay apart).
-    """
-    return (scalar_type_name(value), value)
+    """Hashable, type-strict identity of a stored scalar: keys tell values apart
+    as serialization does (``True``, ``1`` and ``Decimal(1)`` stay apart)."""
+    return (type(value), value)
 
 
 class Conflict(NamedTuple):
@@ -267,10 +258,10 @@ class _Node:
     def _replaced(self, attr: str, value):
         """Copy with one field set, sharing the others without re-checking.
 
-        Only for values already in canonical form: a scalar that passed
-        ``_check_scalar``, a non-empty node, or a tuple of those. The other
-        fields are normalized already, so the copy stays canonical at the
-        cost of one field, not the whole node.
+        Only for values already in canonical form: a scalar as
+        ``_check_scalar`` returns it, a non-empty node, or a tuple of
+        those. The other fields are normalized already, so the copy stays
+        canonical at the cost of one field, not the whole node.
 
         The fields are copied as one instance dict, three times faster than
         setting them one by one; assembly and merging copy every node along
@@ -307,41 +298,41 @@ def _trusted_node(cls: type, values: dict):
     return node
 
 
-def _check_scalar(spec: "FieldSpec", value):
-    if isinstance(value, str):
+# How the builtin scalar an instance of a subclass holds is read: through
+# the builtin's own method, never one the subclass overrides.
+_READ_BUILTIN = {str: str.__str__, int: int.__index__, Decimal: Decimal}
+
+
+def _check_scalar(spec: "FieldSpec", given):
+    """``given`` as the field stores it, of its exact builtin type; the value checks
+    come first, and an error names the value and its type as given."""
+    kind = type(given)
+    value = given
+    if kind not in SCALAR_TYPE_NAMES:  # a subclass, or no scalar at all
+        for ancestor in kind.__mro__:
+            if ancestor in _READ_BUILTIN:
+                value = _READ_BUILTIN[ancestor](given)
+                break
+    base = type(value)
+    if base is str:
         if value == "":
             raise ValueError(f"{spec.attr}: empty strings are not valid values")
         if has_lone_surrogate(value):
-            raise ValueError(f"{spec.attr}: {value!r} holds a lone surrogate, not UTF-8 text")
-    if isinstance(value, Decimal):
+            raise ValueError(f"{spec.attr}: {given!r} holds a lone surrogate, not UTF-8 text")
+    elif base is Decimal:
         if not value.is_finite():
-            raise ValueError(f"{spec.attr}: {value} is not a finite decimal")
+            raise ValueError(f"{spec.attr}: {given} is not a finite decimal")
         if _too_long(value):
             raise ValueError(f"{spec.attr}: the decimal {_TOO_LONG}")
-    elif isinstance(value, int) and not isinstance(value, bool) and abs(value) >= _INTEGER_LIMIT:
+    elif base is int and abs(value) >= _INTEGER_LIMIT:
         raise ValueError(f"{spec.attr}: the integer {_TOO_LONG}")
-    if spec.value_type is TAGGED:
-        if isinstance(value, (bool, int, str, Decimal)):
-            return value
-        raise TypeError(f"{spec.attr}: expected a scalar, got {type(value).__name__}")
     expected = spec.value_type
-    if expected is bool:
-        if isinstance(value, bool):
-            return value
-    elif expected is int:
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value
-    elif expected is Decimal:
-        if isinstance(value, Decimal):
-            return value
-        if isinstance(value, int) and not isinstance(value, bool):
-            return _check_scalar(spec, Decimal(value))
-    elif expected is str:
-        if isinstance(value, str):
-            return value
-    raise TypeError(
-        f"{spec.attr}: expected {SCALAR_TYPE_NAMES[expected]}, got {type(value).__name__}"
-    )
+    if base is expected or (expected is TAGGED and base in SCALAR_TYPE_NAMES):
+        return value
+    if expected is Decimal and base is int:  # fewer than 4300 digits: a bounded decimal
+        return Decimal(value)
+    wanted = "a scalar" if expected is TAGGED else SCALAR_TYPE_NAMES[expected]
+    raise TypeError(f"{spec.attr}: expected {wanted}, got {kind.__name__}")
 
 
 def _normalize_field(spec: "FieldSpec", value):

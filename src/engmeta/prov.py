@@ -106,7 +106,7 @@ def _file_entity(builder: _Builder, ref: FileRef) -> Entity:
 
 
 def _used_entity(builder: _Builder, kind: str, used) -> Entity:
-    if isinstance(used, str):  # the execution command
+    if type(used) is str:  # the execution command
         return builder.entity(kind, used, used)
     labels = (getattr(used, field, None) for field in _LABEL_FIELDS)
     label = next((text for text in labels if text), None)

@@ -92,7 +92,7 @@ def validate(dataset: EngMetaDataset, profile: str = "structural") -> Validation
                 for i, item in enumerate(value):
                     if not item.strip():
                         error(f"{_field_path(path, element)}[{i}]", "must not be blank")
-            elif isinstance(value, str) and not value.strip():
+            elif type(value) is str and not value.strip():
                 error(_field_path(path, element), "must not be blank")
         if cross_field is not None:
             cross_field(node, path, error, warning)
@@ -197,9 +197,7 @@ def _check_checksum(node: Checksum, path, error, warning) -> None:
 
 
 def _check_variable(node: Variable, path, error, warning) -> None:
-    if node.uncertainty is not None and (
-        not isinstance(node.value, (int, Decimal)) or isinstance(node.value, bool)
-    ):
+    if node.uncertainty is not None and type(node.value) not in (int, Decimal):
         error(_field_path(path, "uncertainty"), "uncertainty needs a numeric value to qualify")
 
 

@@ -46,6 +46,7 @@ from engmeta.model import (
     NODE_LIST,
     SCALAR,
     SCALAR_LIST,
+    SCALAR_TYPE_NAMES,
     Checksum,
     DatedEvent,
     Description,
@@ -68,6 +69,10 @@ from engmeta.model import (
     Variable,
     field_by_element,
     TAGGED,
+    _INTEGER_LIMIT,
+    _TOO_LONG,
+    _too_long,
+    has_lone_surrogate,
     scalar_key,
     scalar_to_text,
     scalar_type_name,
@@ -164,6 +169,49 @@ def nodes_equal(a, b) -> bool:
         ):
             return False
     return True
+
+
+def check_scalar_by_isinstance(spec, value):
+    """The field check as an isinstance ladder, bool tested apart from int.
+
+    It refuses and accepts what ``model._check_scalar`` does, with the same
+    errors, but stores an instance of a ``str``, ``int`` or ``Decimal``
+    subclass as given, where the model stores the builtin value it holds.
+    """
+    if isinstance(value, str):
+        if value == "":
+            raise ValueError(f"{spec.attr}: empty strings are not valid values")
+        if has_lone_surrogate(value):
+            raise ValueError(f"{spec.attr}: {value!r} holds a lone surrogate, not UTF-8 text")
+    if isinstance(value, Decimal):
+        if not value.is_finite():
+            raise ValueError(f"{spec.attr}: {value} is not a finite decimal")
+        if _too_long(value):
+            raise ValueError(f"{spec.attr}: the decimal {_TOO_LONG}")
+    elif isinstance(value, int) and not isinstance(value, bool) and abs(value) >= _INTEGER_LIMIT:
+        raise ValueError(f"{spec.attr}: the integer {_TOO_LONG}")
+    if spec.value_type is TAGGED:
+        if isinstance(value, (bool, int, str, Decimal)):
+            return value
+        raise TypeError(f"{spec.attr}: expected a scalar, got {type(value).__name__}")
+    expected = spec.value_type
+    if expected is bool:
+        if isinstance(value, bool):
+            return value
+    elif expected is int:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+    elif expected is Decimal:
+        if isinstance(value, Decimal):
+            return value
+        if isinstance(value, int) and not isinstance(value, bool):
+            return check_scalar_by_isinstance(spec, Decimal(value))
+    elif expected is str:
+        if isinstance(value, str):
+            return value
+    raise TypeError(
+        f"{spec.attr}: expected {SCALAR_TYPE_NAMES[expected]}, got {type(value).__name__}"
+    )
 
 
 def _is_node(value) -> bool:

@@ -1,4 +1,5 @@
 import dataclasses
+import enum
 import json
 from decimal import Decimal
 from pathlib import Path
@@ -9,10 +10,18 @@ from engmeta.canon import from_json, from_xml, to_json, to_xml
 from engmeta.errors import CanonDecodeError, CanonSyntaxError, CanonValidationError
 from engmeta.model import (
     EngMetaDataset,
+    FileInfo,
+    ObservedSystem,
+    PersonOrOrganization,
     ProcessingStep,
+    SpatialResolution,
+    SuccessMarker,
+    TemporalResolution,
     Title,
+    Variable,
     _Node,
 )
+from engmeta.paths import append_nodes, set_path
 from everyfield import every_field_dataset
 from genmodel import dataset_pool
 
@@ -186,6 +195,70 @@ def test_tagged_value_round_trip():
     assert "<value>window 7</value>" in xml
     assert '<value type="boolean">true</value>' in xml
     assert from_xml(xml).dataset == doc
+    assert from_json(to_json(doc)).dataset == doc
+
+
+class _Overriding:
+    """Text forms that are not the value's: a subclass's own methods."""
+
+    def __str__(self):
+        return "overridden"
+
+    def __format__(self, spec):
+        return "overridden"
+
+    def __repr__(self):
+        return "overridden"
+
+
+_OVERRIDING = {base: type(f"Overriding{base.__name__}", (_Overriding, base), {})
+               for base in (str, int, Decimal)}
+
+
+def _as_enum_member(value):
+    """A ``(str, Enum)`` or ``IntEnum`` member of the value; a decimal as an overriding one."""
+    if type(value) is str:
+        return enum.Enum("Code", {"MEMBER": value}, type=str).MEMBER
+    if type(value) is int:
+        return enum.IntEnum("Level", {"MEMBER": value}).MEMBER
+    return _OVERRIDING[Decimal](value)
+
+
+def _scalar_document(wrap) -> EngMetaDataset:
+    """Every kind of scalar placement, each value passed through ``wrap``:
+    text content, attributes, children, a scalar list, tagged values, an
+    integer in a decimal field, and values written by set_path and append_nodes."""
+    doc = EngMetaDataset(
+        titles=[Title(text=wrap("Shear flow"), titleType=wrap("main"))],
+        keywords=[wrap("viscosity")],
+        persons=[PersonOrOrganization(name=wrap("Ada"), role=wrap("author"))],
+        worked=SuccessMarker(success=True, note=wrap("converged")),
+        files=[FileInfo(filename=wrap("run.log"), sizeBytes=wrap(2048))],
+        system=ObservedSystem(
+            parameters=[Variable(name=wrap("T"), value=wrap(Decimal("300.5")), unit=wrap("K")),
+                        Variable(name=wrap("n"), value=wrap(7)),
+                        Variable(name=wrap("label"), value=wrap("window 7"))],
+            spatialResolution=SpatialResolution(scale=wrap(3)),
+            temporalResolution=TemporalResolution(numberOfTimesteps=wrap(5000),
+                                                  interval=wrap(Decimal("0.002"))),
+        ),
+    )
+    doc = set_path(doc, "project", wrap("EngMeta"))
+    return append_nodes(doc, "keyword", [wrap("shear")])
+
+
+@pytest.mark.parametrize("wrap", [_as_enum_member, lambda value: _OVERRIDING[type(value)](value)],
+                         ids=["enum-members", "overriding-subclasses"])
+def test_subclass_values_are_stored_written_and_read_as_builtin_values(wrap):
+    builtin = _scalar_document(lambda value: value)
+    doc = _scalar_document(wrap)
+    assert type(doc.persons[0].role) is str and type(doc.files[0].sizeBytes) is int
+    assert type(doc.system.spatialResolution.scale) is Decimal
+    assert to_xml(doc) == to_xml(builtin)
+    assert to_json(doc) == to_json(builtin)
+    assert repr(doc) == repr(builtin)
+    assert doc == builtin
+    assert from_xml(to_xml(doc)).dataset == doc
     assert from_json(to_json(doc)).dataset == doc
 
 

@@ -258,6 +258,11 @@ def test_missing_root_is_io_error(tmp_path, rules_path, capsys):
     capsys.readouterr()
 
 
+def test_missing_harvest_root_is_io_error(tmp_path, capsys):
+    assert main(["harvest", "--root", str(tmp_path / "gone")]) == 3
+    assert "is not a readable directory" in capsys.readouterr().err
+
+
 def test_bad_config_is_usage_error(tmp_path, corpus_dir, capsys):
     bad = tmp_path / "bad.conf"
     bad.write_text("[rule x]\nsource = *\nkey = K\n")  # missing target

@@ -94,7 +94,8 @@ def _merge_listings(count: int) -> None:
 
 
 def test_merge_tags_each_scalar_a_bounded_number_of_times(monkeypatch):
-    patches = [(model, "scalar_type_name")]
+    # merge hashes entries through canonical_key, which keys each scalar once
+    patches = [(model, "scalar_key")]
     small = _calls(monkeypatch, patches, lambda: _merge_listings(N))
     large = _calls(monkeypatch, patches, lambda: _merge_listings(2 * N))
     assert small >= N

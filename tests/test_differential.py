@@ -7,10 +7,12 @@ schema-written canonical JSON against ``json.dumps`` of the dict reference,
 the schema-derived crosswalk against the
 hand-written fill functions, the block JSON templates against the
 dict-building writer, PROV's schema-derived used entities
-against the hand-written ones, and the rule-file parser against the one
-that checked a rule's fields itself."""
+against the hand-written ones, the rule-file parser against the one
+that checked a rule's fields itself, and the scalar check against the
+isinstance ladder that stored subclass instances as given."""
 
 import copy
+import enum
 import importlib
 import itertools
 import json
@@ -19,6 +21,7 @@ import random
 import re
 from dataclasses import replace
 from decimal import Decimal
+from functools import partial
 from pathlib import Path
 from xml.etree import ElementTree
 
@@ -58,6 +61,7 @@ from engmeta.model import (
     Checksum,
     EngMetaDataset,
     FieldRules,
+    FileInfo,
     Identifier,
     Method,
     ObservedSystem,
@@ -65,7 +69,9 @@ from engmeta.model import (
     ProcessingStep,
     Software,
     SuccessMarker,
+    TemporalResolution,
     Variable,
+    _check_scalar,
     field_by_element,
     scalar_key,
     schema,
@@ -77,6 +83,7 @@ from everyfield import every_field_dataset
 from genmodel import dataset_pool
 from oracles import (
     assemble_by_list_scan,
+    check_scalar_by_isinstance,
     flatten_by_fill_functions,
     from_json_checked,
     from_xml_checked,
@@ -1183,3 +1190,88 @@ def test_harvest_equals_checked_reference(tmp_path, monkeypatch, make_unlistable
     assert result.errors == expected.errors
     assert result.algorithm == expected.algorithm
     assert {e.message.split(":")[0] for e in result.errors} >= {"unreadable", "stat failed"}
+
+
+# --- The scalar check against the isinstance ladder ---------------------------
+
+# one field of each value type: string, integer, decimal, boolean, tagged, and
+# a string list
+SCALAR_FIELDS = [(cls, field_by_element(cls, element)) for cls, element in [
+    (FileInfo, "filename"), (FileInfo, "sizeBytes"), (TemporalResolution, "interval"),
+    (SuccessMarker, "success"), (Variable, "value"), (EngMetaDataset, "keyword"),
+]]
+
+
+def _overriding(base: type, method: str) -> type:
+    return type(f"{base.__name__}With{method}", (base,), {method: lambda self, *args: "overridden"})
+
+
+# makers of subclass instances that hold a given builtin value
+SUBCLASS_MAKERS = {
+    base: [type(f"Own{base.__name__}", (base,), {}),
+           *(_overriding(base, method) for method in ("__str__", "__format__", "__repr__"))]
+    for base in (str, int, Decimal)
+}
+SUBCLASS_MAKERS[str].append(lambda value: enum.Enum("Code", {"MEMBER": value}, type=str).MEMBER)
+SUBCLASS_MAKERS[int] += [lambda value: enum.IntEnum("Level", {"MEMBER": value}).MEMBER,
+                         lambda value: enum.Enum("Level", {"MEMBER": value}, type=int).MEMBER]
+
+BUILTIN_SCALARS = st.one_of(
+    st.text(max_size=4),
+    st.text(st.characters(categories=["Cs"]) | st.characters(), min_size=1, max_size=3),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([10**4300 - 1, 10**4300, -(10**4300), 10**5000]),
+    st.decimals(allow_nan=True, allow_infinity=True),
+    st.sampled_from([Decimal(text) for text in (
+        "1e4299", "-9.99e4299", "1e-4299", "1e4300", "1e-4300", "1e50000", "NaN", "-sNaN",
+    )]),
+)
+NOT_SCALARS = st.one_of(st.none(), st.floats(), st.binary(max_size=3),
+                        st.lists(st.integers(), max_size=2))
+
+
+@st.composite
+def scalar_inputs(draw):
+    """(given, held): a drawn input and the builtin value it holds, itself unless
+    it is an instance of a subclass."""
+    held = draw(BUILTIN_SCALARS | NOT_SCALARS)
+    if type(held) in SUBCLASS_MAKERS and draw(st.booleans()):
+        return draw(st.sampled_from(SUBCLASS_MAKERS[type(held)]))(held), held
+    return held, held
+
+
+def _outcome(check, spec, value) -> tuple:
+    try:
+        stored = check(spec, value)
+    except (TypeError, ValueError) as exc:
+        return "raises", type(exc), str(exc)
+    return "stores", type(stored), repr(stored)
+
+
+def _constructed(cls, spec, value):
+    """The value as a node of ``cls`` stores it."""
+    stored = getattr(cls(**{spec.attr: [value] if spec.kind == SCALAR_LIST else value}), spec.attr)
+    return stored[0] if spec.kind == SCALAR_LIST else stored
+
+
+@settings(max_examples=600, deadline=None)
+@given(field=st.sampled_from(SCALAR_FIELDS), drawn=scalar_inputs())
+@example(field=SCALAR_FIELDS[1], drawn=("", ""))
+@example(field=SCALAR_FIELDS[1], drawn=(True, True))
+@example(field=SCALAR_FIELDS[0], drawn=(SUBCLASS_MAKERS[str][-1]("\udcff"), "\udcff"))
+@example(field=SCALAR_FIELDS[2], drawn=(SUBCLASS_MAKERS[Decimal][2](Decimal("NaN")),
+                                        Decimal("NaN")))
+def test_scalar_check_equals_isinstance_reference(field, drawn):
+    """Every input the reference refuses is refused with the same error, its
+    value and type named as given; a builtin input is stored as the reference
+    stores it, and an instance of a subclass as the builtin value it holds."""
+    cls, spec = field
+    value, held = drawn
+    expected = _outcome(check_scalar_by_isinstance, spec, value)
+    if expected[0] == "stores":
+        expected = _outcome(check_scalar_by_isinstance, spec, held)
+        assert expected[1] in (str, int, bool, Decimal)
+    assert _outcome(_check_scalar, spec, value) == expected
+    if value is not None:  # a constructor leaves None unset
+        assert _outcome(partial(_constructed, cls), spec, value) == expected

@@ -1,7 +1,7 @@
 import pytest
 
 from engmeta.errors import ConfigError
-from engmeta.extract import parse_config
+from engmeta.extract import ExtractionConfig, ExtractionRule, parse_config
 from engmeta.paths import parse_path
 
 MINIMAL = """
@@ -189,3 +189,17 @@ def test_rule_type_must_fill_its_target(target, value_type, occurrence, accepted
     assert str(excinfo.value) == (
         f"line 2: rule 'r': type integer cannot fill target {target}, a string field"
     )
+
+
+def test_hand_built_rule_needs_a_parsed_target():
+    # a text target would reach the engine unparsed
+    with pytest.raises(ConfigError) as excinfo:
+        ExtractionRule(id="r", target="project", source="*", key="a")
+    assert str(excinfo.value) == "line 0: rule 'r': target must be a MetadataPath, got str"
+
+
+def test_config_refuses_entries_that_are_not_rules():
+    with pytest.raises(ConfigError) as excinfo:
+        ExtractionConfig(("x",))
+    assert excinfo.value.line == 0
+    assert str(excinfo.value) == "line 0: expected ExtractionRule entries, got str"

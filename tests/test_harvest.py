@@ -1,3 +1,4 @@
+import enum
 import hashlib
 import os
 import random
@@ -100,6 +101,15 @@ def test_result_dataset_is_structurally_valid(tmp_path):
 def test_unknown_algorithm_rejected(tmp_path):
     with pytest.raises(ValueError):
         harvest(tmp_path, "SHA-1")
+
+
+def test_algorithm_given_as_enum_member_is_listed_as_its_value(tmp_path):
+    algorithm = enum.Enum("Algorithm", {"MD5": "MD5"}, type=str).MD5
+    (tmp_path / "a.txt").write_text("hi\n")
+    result, plain = harvest(tmp_path, algorithm), harvest(tmp_path, "MD5")
+    assert type(result.algorithm) is str
+    assert type(result.files[0].checksum.algorithm) is str
+    assert to_xml(result.to_dataset()) == to_xml(plain.to_dataset())
 
 
 def test_missing_root_rejected(tmp_path):
