@@ -341,8 +341,8 @@ def _json_primitive(value) -> str:
         return "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, Decimal):
-        return _encode_string(decimal_to_text(value))
+    if isinstance(value, Decimal):  # a subclass is read as the plain Decimal it holds
+        return _encode_string(decimal_to_text(Decimal(value)))
     raise TypeError(f"not a scalar value: {type(value).__name__}")
 
 

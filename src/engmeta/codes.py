@@ -9,8 +9,8 @@ algorithms are fixed, because other behavior depends on them.
 from __future__ import annotations
 
 import json
+import pkgutil
 from functools import lru_cache
-from importlib import resources
 
 from .model import STEP_TYPES  # noqa: F401  (re-exported)
 
@@ -21,8 +21,8 @@ CHECKSUM_ALGORITHMS = {"MD5": 32, "SHA-256": 64}
 @lru_cache(maxsize=1)
 def load_codes() -> dict[str, tuple[str, ...]]:
     """Return the bundled code lists, keyed by list name."""
-    raw = resources.files(__package__).joinpath("codes.json").read_text("utf-8")
-    data = json.loads(raw)
+    # pkgutil, not importlib.resources, which imports inspect on Python 3.12+
+    data = json.loads(pkgutil.get_data(__package__, "codes.json"))
     return {name: tuple(values) for name, values in data.items()}
 
 

@@ -50,7 +50,7 @@ from ..model import (
     EngMetaDataset,
     Variable,
 )
-from ..paths import MetadataPath, parse_path, resolve_specs
+from ..paths import MetadataPath, PathSegment, parse_path, resolve_specs
 
 # rule value type -> the field types its values fill; a TAGGED field
 # (Variable.value) takes every type
@@ -173,6 +173,12 @@ def analyze_target(rule: ExtractionRule) -> TargetShape:
     if not isinstance(path, MetadataPath):  # the engine reads its segments
         raise ConfigError(f"rule {rule_id!r}: target must be a MetadataPath, "
                           f"got {type(path).__name__}", line)
+    if type(path.segments) is not tuple or not all(
+            isinstance(s, PathSegment) and type(s.name) is str
+            and (s.index is None or type(s.index) is int and s.index >= 0)
+            for s in path.segments):
+        raise ConfigError(f"rule {rule_id!r}: target segments must be PathSegments of a str name "
+                          f"and a non-negative int or None index, got {path.segments!r}", line)
     try:
         resolved = resolve_specs(path)
     except PathError as exc:

@@ -7,12 +7,12 @@ with software, methods and the computing environment) and discipline-specific
 metadata (the observed system with its components, variables, parameters and
 resolutions).
 
-All types are immutable value objects. The dataclass declarations are the
+All types are immutable value objects. The class declarations are the
 schema: declaration order is element order, annotations give each field's
-kind and scalar type, and field metadata adds the rest. Field names equal
-the canonical element names used by the XML/JSON serializations and by
+kind and scalar type, and a ``_Declared`` record adds the rest. Field names
+equal the canonical element names used by the XML/JSON serializations and by
 metadata paths, except that list-valued attributes carry the plural spelling
-and name their canonical (repeated) element in metadata (``_plural``). A
+and name their canonical (repeated) element in the record (``_plural``). A
 class with a text-content field (``_content``) carries every other field as
 an XML attribute; all other classes carry their fields as child elements.
 ``FieldSpec.placement`` records this; ``canon`` derives its per-class XML
@@ -31,19 +31,18 @@ collapses to "absent"). Each scalar is stored as its exact builtin type, an
 instance of a subclass (a ``(str, Enum)`` code, an ``IntEnum``) as the value
 it holds, so every reader of a stored scalar tells its type by ``type()``.
 
-The node classes are dataclasses only for their field declarations: they
-are declared with ``init=False, repr=False, eq=False`` and not frozen, so
-no per-class method is generated at import. ``_Node`` provides the one
-constructor (positional or keyword arguments, each field checked and
-normalized), the dataclass-style ``repr`` and the ``FrozenInstanceError``
-on assignment and deletion. Code that already holds canonical values
+Loading the model imports no ``dataclasses``: ``_derive_schema`` reads the
+declarations, and ``_Node`` provides the one constructor (positional or
+keyword arguments, each field checked and normalized), the dataclass-style
+``repr`` and the ``FrozenInstanceError`` on assignment and deletion;
+``dataclasses.fields``, ``replace`` and ``is_dataclass`` still work on
+nodes (``_DataclassView``). Code that already holds canonical values
 checks nothing again: both decoders in ``canon`` and ``harvest``'s listing
 end in ``_trusted_node``, which turns item lists into tuples and reads no
 field set as absent, and ``_replaced`` copies a node with one field set.
 """
 
 import re
-from dataclasses import FrozenInstanceError, dataclass, field, fields as dataclass_fields
 from decimal import Decimal, InvalidOperation
 from typing import NamedTuple, get_args, get_origin
 
@@ -172,6 +171,18 @@ class Conflict(NamedTuple):
     chosen: Scalar
 
 
+class _DataclassView:
+    """``__dataclass_fields__`` of a node class: the first access makes the class a dataclass
+    that generates no method, and its own attribute then shadows this one."""
+
+    def __get__(self, node, cls):
+        if cls is _Node:  # the base declares no fields: no dataclass
+            raise AttributeError("__dataclass_fields__")
+        from dataclasses import dataclass
+
+        return dataclass(init=False, repr=False, eq=False)(cls).__dataclass_fields__
+
+
 class _Node:
     """Shared constructor, repr, immutability, equality and hashing of all nodes.
 
@@ -217,10 +228,16 @@ class _Node:
         )
         return f"{type(self).__qualname__}({fields})"
 
+    __dataclass_fields__ = _DataclassView()
+
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def is_empty(self) -> bool:
@@ -390,6 +407,15 @@ class FieldRules(NamedTuple):  # a tuple: cheaper to declare at import than a da
     unique_names: bool = False  # the variables of the list have distinct names
 
 
+class _Declared(NamedTuple):
+    """What a field declares beyond its annotation and default, for ``_derive_schema``."""
+
+    default: object = None  # None, or () for a list field
+    element: str | None = None  # the repeated element of a list field, if not its name
+    placement: str | None = None  # CONTENT for the text-content field
+    rules: FieldRules | None = None
+
+
 def _rules(*, content: bool = False, default=None, **rules):
     """A field with the ``FieldRules`` named; keyword-only, so a misspelled rule fails at import.
 
@@ -397,15 +423,13 @@ def _rules(*, content: bool = False, default=None, **rules):
     is ``()`` for a list field.
     """
     rules = FieldRules(**rules)
-    metadata: dict = {} if rules == FieldRules() else {"rules": rules}
-    if content:
-        metadata["placement"] = CONTENT
-    return field(default=default, metadata=metadata)
+    return _Declared(default, placement=CONTENT if content else None,
+                     rules=None if rules == FieldRules() else rules)
 
 
 def _plural(element: str):
     """A list field whose repeated element is named ``element``."""
-    return field(default=(), metadata={"element": element})
+    return _Declared((), element)
 
 
 def _content(**rules):
@@ -413,33 +437,21 @@ def _content(**rules):
     return _rules(content=True, **rules)
 
 
-def _node(cls):
-    """A dataclass for its declared fields only: ``_Node`` provides the one
-    constructor, repr and immutability, so none is generated per class."""
-    if cls.__doc__ is None:  # else dataclass derives one through inspect.signature
-        cls.__doc__ = f"{cls.__name__}({', '.join(cls.__annotations__)})"
-    return dataclass(init=False, repr=False, eq=False)(cls)
-
-
-@_node
 class Title(_Node):
     text: str | None = _content()
     titleType: str | None = _rules(codes="titleTypes", severity="error")
 
 
-@_node
 class Description(_Node):
     text: str | None = _content()
     descriptionType: str | None = _rules(codes="descriptionTypes")
 
 
-@_node
 class DatedEvent(_Node):
     date: str | None = _content(iso_date=True)
     dateType: str | None = _rules(codes="dateTypes")
 
 
-@_node
 class Identifier(_Node):
     """A scheme-qualified identifier, e.g. an ORCID for a person."""
 
@@ -447,7 +459,6 @@ class Identifier(_Node):
     scheme: str | None = None
 
 
-@_node
 class PersonOrOrganization(_Node):
     name: str | None = None
     identifier: Identifier | None = None
@@ -455,14 +466,12 @@ class PersonOrOrganization(_Node):
     role: str | None = _rules(codes="roles", severity="error")
 
 
-@_node
 class FundingReference(_Node):
     funderName: str | None = None
     awardNumber: str | None = None
     funderIdentifierType: str | None = _rules(codes="funderIdentifierTypes")
 
 
-@_node
 class RelatedIdentifier(_Node):
     """A link to related work or data: identifier plus two type codes."""
 
@@ -475,19 +484,16 @@ class RelatedIdentifier(_Node):
     )
 
 
-@_node
 class ResourceType(_Node):
     text: str | None = _content()
     resourceTypeGeneral: str | None = _rules(codes="resourceTypes")
 
 
-@_node
 class RightsStatement(_Node):
     license: str | None = None
     accessConditions: str | None = None
 
 
-@_node
 class SuccessMarker(_Node):
     """Documents whether a run worked; failed runs are data too."""
 
@@ -495,19 +501,16 @@ class SuccessMarker(_Node):
     note: str | None = _content()
 
 
-@_node
 class PersistentIdentifier(_Node):
     value: str | None = _content(required="persistent identifier needs a value")
     scheme: str | None = _rules(required="persistent identifier needs a scheme")
 
 
-@_node
 class Checksum(_Node):
     digest: str | None = _content()
     algorithm: str | None = None
 
 
-@_node
 class FileInfo(_Node):
     filename: str | None = None
     link: str | None = _rules(uri=True)
@@ -517,7 +520,6 @@ class FileInfo(_Node):
     fileType: str | None = None
 
 
-@_node
 class FileRef(_Node):
     """A file locator used by processing-step inputs/outputs."""
 
@@ -530,7 +532,6 @@ class FileRef(_Node):
         return self.pid or self.link or self.name
 
 
-@_node
 class Variable(_Node):
     """A named quantity: free name, typed value, unit and uncertainty."""
 
@@ -541,13 +542,11 @@ class Variable(_Node):
     symbol: str | None = None
 
 
-@_node
 class ForceField(_Node):
     name: str | None = None
     parameters: tuple[Variable, ...] = ()
 
 
-@_node
 class Component(_Node):
     """One constituent of the observed system, e.g. a molecule species."""
 
@@ -556,21 +555,18 @@ class Component(_Node):
     forceField: ForceField | None = None
 
 
-@_node
 class TemporalResolution(_Node):
     numberOfTimesteps: int | None = _rules(at_least=0)
     interval: Decimal | None = _rules(above=0)
     intervalUnit: str | None = None
 
 
-@_node
 class SpatialResolution(_Node):
     numberOfCells: int | None = _rules(at_least=0)
     scale: Decimal | None = None
     scaleUnit: str | None = None
 
 
-@_node
 class ObservedSystem(_Node):
     """The simulated or observed target system."""
 
@@ -584,19 +580,16 @@ class ObservedSystem(_Node):
     temporalResolution: TemporalResolution | None = None
 
 
-@_node
 class Method(_Node):
     name: str | None = None
     parameters: tuple[Variable, ...] = ()
 
 
-@_node
 class Compiler(_Node):
     name: str | None = None
     flags: str | None = None
 
 
-@_node
 class Environment(_Node):
     """The computing environment a step ran on."""
 
@@ -607,7 +600,6 @@ class Environment(_Node):
     compiler: Compiler | None = None
 
 
-@_node
 class Software(_Node):
     name: str | None = None
     softwareVersion: str | None = None
@@ -623,14 +615,12 @@ class Software(_Node):
     license: RightsStatement | None = None
 
 
-@_node
 class Instrument(_Node):
     name: str | None = None
     description: str | None = None
     identifier: str | None = None
 
 
-@_node
 class ProcessingStep(_Node):
     """One stage of the research process."""
 
@@ -647,7 +637,6 @@ class ProcessingStep(_Node):
     executionCommand: str | None = None
 
 
-@_node
 class EngMetaDataset(_Node):
     """Root document describing one piece of research data."""
 
@@ -675,8 +664,8 @@ class EngMetaDataset(_Node):
 #
 # Derived once, at import, from the declarations above. Serialization,
 # paths, validation, merging and flattening all walk these field specs.
-# This module does not postpone annotations, so each dataclass field's
-# ``type`` is the evaluated annotation that ``_kind`` reads.
+# This module does not postpone annotations, so each class's own
+# ``__annotations__`` holds the evaluated types that ``_kind`` reads.
 
 
 class FieldSpec(NamedTuple):  # a tuple, as FieldRules: no dataclass to build at import
@@ -705,19 +694,19 @@ def _kind(hint) -> tuple[str, object]:
 
 
 def _derive_schema(cls: type) -> tuple[FieldSpec, ...]:
-    declared = dataclass_fields(cls)
-    has_content = any(f.metadata.get("placement") == CONTENT for f in declared)
-    default_placement = ATTRIBUTE if has_content else CHILD
-    return tuple(
-        FieldSpec(
-            f.name,
-            f.metadata.get("element", f.name),
-            *_kind(f.type),
-            f.metadata.get("placement", default_placement),
-            f.metadata.get("rules"),
-        )
-        for f in declared
-    )
+    """The specs of a node class's own annotated fields, in declaration order;
+    each class attribute a ``_Declared`` record gave becomes its plain default."""
+    hints = cls.__annotations__
+    if cls.__doc__ is None:  # else the dataclass view derives one through inspect.signature
+        cls.__doc__ = f"{cls.__name__}({', '.join(hints)})"
+    declared = {}
+    for attr in hints:
+        value = vars(cls)[attr]
+        declared[attr] = value if type(value) is _Declared else _Declared(value)
+        setattr(cls, attr, declared[attr].default)
+    placement = ATTRIBUTE if any(d.placement == CONTENT for d in declared.values()) else CHILD
+    return tuple(FieldSpec(attr, d.element or attr, *_kind(hints[attr]), d.placement or placement,
+                           d.rules) for attr, d in declared.items())
 
 
 _SCHEMA: dict[type, tuple[FieldSpec, ...]] = {

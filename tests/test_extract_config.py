@@ -2,7 +2,7 @@ import pytest
 
 from engmeta.errors import ConfigError
 from engmeta.extract import ExtractionConfig, ExtractionRule, parse_config
-from engmeta.paths import parse_path
+from engmeta.paths import MetadataPath, PathSegment, parse_path
 
 MINIMAL = """
 [rule nsteps]
@@ -196,6 +196,24 @@ def test_hand_built_rule_needs_a_parsed_target():
     with pytest.raises(ConfigError) as excinfo:
         ExtractionRule(id="r", target="project", source="*", key="a")
     assert str(excinfo.value) == "line 0: rule 'r': target must be a MetadataPath, got str"
+
+
+@pytest.mark.parametrize("segments", [
+    ("project",),
+    (PathSegment(1),),
+    (PathSegment("keyword", "0"),),
+    (PathSegment("keyword", True),),
+    (PathSegment("keyword", -1),),  # extract raised IndexError on it
+    [PathSegment("project")],
+    None,
+], ids=["str", "int name", "str index", "bool index", "negative index", "list", "none"])
+def test_hand_built_target_needs_path_segments(segments):
+    with pytest.raises(ConfigError) as excinfo:
+        ExtractionRule(id="r", target=MetadataPath(segments), source="*", key="a")
+    assert str(excinfo.value) == (
+        "line 0: rule 'r': target segments must be PathSegments of a str name and a "
+        f"non-negative int or None index, got {segments!r}"
+    )
 
 
 def test_config_refuses_entries_that_are_not_rules():

@@ -1,4 +1,5 @@
 import json
+from decimal import Decimal
 
 import pytest
 
@@ -232,6 +233,29 @@ def test_serialization_deterministic(gromacs_doc):
     assert serialize_blocks_json(blocks, report) == serialize_blocks_json(
         again_blocks, again_report
     )
+
+
+class _SpelledDecimal(Decimal):
+    """A decimal that spells itself its own way, by every method that could write it."""
+
+    def __format__(self, spec):
+        return "overridden"
+
+    __str__ = __repr__ = lambda self: "overridden"
+
+
+@pytest.mark.parametrize("field", [
+    lambda value: BlockField("project", False, "primitive", value),
+    lambda value: BlockField("keyword", True, "primitive", [value, value]),
+    lambda value: BlockField("parameter", True, "compound", [{"name": "dt", "value": value}]),
+], ids=["primitive", "multiple", "compound"])
+def test_decimal_subclass_is_written_as_the_decimal_it_holds(field):
+    def written(value):
+        return serialize_blocks_json([MetadataBlock("engMeta", (field(value),))], FlattenReport())
+
+    text = written(_SpelledDecimal("1.50"))
+    assert text == written(Decimal("1.50"))
+    assert '"1.5"' in text and "overridden" not in text
 
 
 # --- Hand-built input the block JSON cannot hold ------------------------------

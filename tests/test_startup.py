@@ -87,6 +87,51 @@ def test_command_loads_only_its_layers(command, tmp_path, golden_xml_path, rules
     assert "concurrent.futures" not in loaded["modules"]
     # only PROV's entity ids and harvest's checksums hash
     assert ("hashlib" in loaded["modules"]) == command.startswith(("to-prov", "harvest"))
+    # the model declares its nodes itself; only the rule classes are dataclasses
+    for module in ("dataclasses", "inspect"):
+        assert (module in loaded["modules"]) == command.startswith("extract"), module
+
+
+# Makes the node classes dataclasses by one first introspection, then checks
+# every node class against the model's schema.
+_INTROSPECT = """
+import sys
+from engmeta import model
+assert "dataclasses" not in sys.modules
+classes = model._Node.__subclasses__()
+assert not any("__dataclass_fields__" in vars(cls) for cls in classes)
+import dataclasses
+{first}
+assert not dataclasses.is_dataclass(model._Node)
+for cls in classes:
+    assert dataclasses.is_dataclass(cls), cls
+    fields = dataclasses.fields(cls)
+    specs = model.schema(cls)
+    assert [f.name for f in fields] == [spec.attr for spec in specs], cls
+    defaults = [() if spec.kind in (model.SCALAR_LIST, model.NODE_LIST) else None
+                for spec in specs]
+    assert [f.default for f in fields] == [getattr(cls, s.attr) for s in specs] == defaults, cls
+try:
+    model.Title("t").text = "u"
+except Exception as error:
+    assert type(error) is dataclasses.FrozenInstanceError, type(error)
+else:
+    raise AssertionError("a node field was assigned")
+"""
+
+FIRST_INTROSPECTIONS = {
+    "fields on an instance": "assert [f.name for f in dataclasses.fields(model.Title('t'))]"
+                             " == ['text', 'titleType']",
+    "is_dataclass on a class": "assert dataclasses.is_dataclass(model.EngMetaDataset)",
+    "replace on an instance": "assert dataclasses.replace(model.Title('t'), text='u')"
+                              " == model.Title('u')",
+}
+
+
+@pytest.mark.parametrize("first", sorted(FIRST_INTROSPECTIONS))
+def test_node_classes_become_dataclasses_on_first_introspection(first):
+    result = _python(_INTROSPECT.format(first=FIRST_INTROSPECTIONS[first]))
+    assert result.returncode == 0, result.stderr
 
 
 IMPORT_ORDERS = {
