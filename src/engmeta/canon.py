@@ -1,7 +1,7 @@
 """Canonical XML and JSON serialization with lossless round-trip.
 
 Serialization is deterministic: elements appear in the order the model's
-dataclasses declare their fields, absent optional fields are omitted
+node classes declare their fields, absent optional fields are omitted
 entirely (never emitted as empty elements), decimals are rendered in plain
 notation without trailing zeros, and repeated serialization of the same
 document is byte-identical. Both writers refuse structurally invalid documents.

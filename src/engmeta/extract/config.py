@@ -35,7 +35,6 @@ built, and a config's application order when the config is built, so an
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import NamedTuple
 
@@ -50,7 +49,7 @@ from ..model import (
     EngMetaDataset,
     Variable,
 )
-from ..paths import MetadataPath, PathSegment, parse_path, resolve_specs
+from ..paths import MetadataPath, parse_path, resolve_specs
 
 # rule value type -> the field types its values fill; a TAGGED field
 # (Variable.value) takes every type
@@ -82,10 +81,20 @@ class TargetShape(NamedTuple):
     in_node: tuple[tuple[tuple[str, type], ...], str] | None
 
 
-@dataclass(frozen=True)
-class ExtractionRule:
-    """One extraction rule; its target is checked, and its plan derived, when it is built."""
+class _Checked:
+    """Base of a checked named tuple: ``_make``/``_replace`` run its constructor too."""
 
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class _RuleFields(NamedTuple):
     id: str
     target: MetadataPath
     source: str
@@ -96,44 +105,44 @@ class ExtractionRule:
     group: str | None = None
     occurrence: str = "first"
     line: int = 0  # header line in the config file, for diagnostics
-    shape: TargetShape = field(init=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "shape", analyze_target(self))
 
 
-@dataclass(frozen=True)
-class ExtractionConfig:
-    """Rules in declaration order; ``steps`` is the order they apply in.
+class ExtractionRule(_Checked, _RuleFields):
+    """One extraction rule; checked, and its plan ``shape`` derived, when it is built."""
+
+    def __new__(cls, *args, **kwargs):
+        rule = super().__new__(cls, *args, **kwargs)
+        object.__setattr__(rule, "shape", analyze_target(rule))
+        return rule
+
+
+class _ConfigFields(NamedTuple):
+    rules: tuple[ExtractionRule, ...] = ()
+
+
+class ExtractionConfig(_Checked, _ConfigFields):
+    """Rules in declaration order; ``steps``, derived, is the order they apply in.
 
     A group's members apply together, at the group's first rule; every other
     rule applies alone.
     """
 
-    rules: tuple[ExtractionRule, ...] = ()
-    steps: tuple[tuple[ExtractionRule, ...], ...] = field(init=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "rules", tuple(self.rules))
+    def __new__(cls, rules=()):
+        config = super().__new__(cls, tuple(rules))
         steps: list[list[ExtractionRule]] = []
         groups: dict[str, list[ExtractionRule]] = {}
-        for rule in self.rules:
+        for rule in config.rules:
             if not isinstance(rule, ExtractionRule):
                 raise ConfigError(f"expected ExtractionRule entries, got {type(rule).__name__}", 0)
-            members = groups.get(rule.group)  # None for an ungrouped rule
-            if members is None:
-                steps.append([rule])
-                if rule.group is not None:
-                    groups[rule.group] = steps[-1]
+            members = [] if rule.group is None else groups.setdefault(rule.group, [])
+            if not members:
+                steps.append(members)
             elif members[0].shape.open_list != rule.shape.open_list:
-                raise ConfigError(
-                    f"group {rule.group!r}: rules {members[0].id!r} and {rule.id!r} "
-                    f"target different lists",
-                    rule.line,
-                )
-            else:
-                members.append(rule)
-        object.__setattr__(self, "steps", tuple(map(tuple, steps)))
+                raise ConfigError(f"group {rule.group!r}: rules {members[0].id!r} and "
+                                  f"{rule.id!r} target different lists", rule.line)
+            members.append(rule)
+        object.__setattr__(config, "steps", tuple(map(tuple, steps)))
+        return config
 
 
 def _check_fields(rule_id: str, values: dict, lines: dict[str, int], line: int) -> None:
@@ -164,27 +173,18 @@ def analyze_target(rule: ExtractionRule) -> TargetShape:
     """Check a rule's fields, its target, and the type of the values it takes,
     against the schema, and derive how the rule writes."""
     rule_id, path, line = rule.id, rule.target, rule.line
-    values = {"delimiter": rule.delimiter, "type": rule.valueType, "occurrence": rule.occurrence,
-              "key": rule.key, "source": rule.source}
-    for name, value in (("unit", rule.unit), ("group", rule.group)):
-        if value is not None:  # None leaves it unset, as a rule file that omits it does
-            values[name] = value
+    values = {**rule._asdict(), "type": rule.valueType}  # keyed by config name
+    for name in ("unit", "group"):
+        if values[name] is None:  # None leaves it unset, as a rule file that omits it does
+            del values[name]
     _check_fields(rule_id, values, {}, line)
     if not isinstance(path, MetadataPath):  # the engine reads its segments
         raise ConfigError(f"rule {rule_id!r}: target must be a MetadataPath, "
                           f"got {type(path).__name__}", line)
-    if type(path.segments) is not tuple or not all(
-            isinstance(s, PathSegment) and type(s.name) is str
-            and (s.index is None or type(s.index) is int and s.index >= 0)
-            for s in path.segments):
-        raise ConfigError(f"rule {rule_id!r}: target segments must be PathSegments of a str name "
-                          f"and a non-negative int or None index, got {path.segments!r}", line)
     try:
         resolved = resolve_specs(path)
     except PathError as exc:
         raise ConfigError(f"rule {rule_id!r}: bad target: {exc}", line) from None
-    if not resolved:
-        raise ConfigError(f"rule {rule_id!r}: bad target: empty path", line)
     for segment, spec in resolved:
         # set_path refuses any other index on a field that is not a list
         if spec.kind in (SCALAR, NODE) and segment.index not in (None, 0):

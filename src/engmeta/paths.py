@@ -79,7 +79,16 @@ def parse_path(text: str) -> MetadataPath:
 
 
 def _as_path(path: str | MetadataPath) -> MetadataPath:
-    return path if isinstance(path, MetadataPath) else parse_path(path)
+    """Text parsed, which gives valid segments; a built path with its segments checked."""
+    if not isinstance(path, MetadataPath):
+        return parse_path(path)
+    segments = path.segments
+    if type(segments) is not tuple or not segments or not all(
+            isinstance(s, PathSegment) and type(s.name) is str
+            and (s.index is None or type(s.index) is int and s.index >= 0) for s in segments):
+        raise PathTargetError(f"path segments must be a non-empty tuple of PathSegments of a str "
+                              f"name and a non-negative int or None index, got {segments!r}")
+    return path
 
 
 def get_path(dataset: EngMetaDataset, path: str | MetadataPath) -> list:
@@ -118,7 +127,10 @@ def resolve_specs(
     Raises PathTargetError when a segment does not exist in its context or
     when a scalar appears before the final segment.
     """
-    parsed = _as_path(path)
+    return _resolve(_as_path(path), root)
+
+
+def _resolve(parsed: MetadataPath, root: type) -> list[tuple[PathSegment, FieldSpec]]:
     cls: type | None = root
     resolved: list[tuple[PathSegment, FieldSpec]] = []
     for position, segment in enumerate(parsed.segments):
@@ -159,7 +171,7 @@ def set_path(dataset, path: str | MetadataPath, value):
             return checked
         return _place(current, segment, checked, parsed)
 
-    return _write(dataset, parsed, resolve_specs(parsed, type(dataset)), 0, write_scalar)
+    return _write(dataset, parsed, _resolve(parsed, type(dataset)), 0, write_scalar)
 
 
 def append_nodes(dataset, list_path: str | MetadataPath, items):
@@ -175,7 +187,7 @@ def append_nodes(dataset, list_path: str | MetadataPath, items):
     for the dataset.
     """
     parsed = _as_path(list_path)
-    resolved = resolve_specs(parsed, type(dataset))
+    resolved = _resolve(parsed, type(dataset))
     final_segment, final_spec = resolved[-1]
     if final_spec.kind not in (NODE_LIST, SCALAR_LIST) or final_segment.index is not None:
         raise PathTargetError(f"{parsed}: not an index-less list")

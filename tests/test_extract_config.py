@@ -206,13 +206,15 @@ def test_hand_built_rule_needs_a_parsed_target():
     (PathSegment("keyword", -1),),  # extract raised IndexError on it
     [PathSegment("project")],
     None,
-], ids=["str", "int name", "str index", "bool index", "negative index", "list", "none"])
+    (),
+], ids=["str", "int name", "str index", "bool index", "negative index", "list", "none", "empty"])
 def test_hand_built_target_needs_path_segments(segments):
+    # paths checks the segments; the rule's error names the rule and its line
     with pytest.raises(ConfigError) as excinfo:
         ExtractionRule(id="r", target=MetadataPath(segments), source="*", key="a")
     assert str(excinfo.value) == (
-        "line 0: rule 'r': target segments must be PathSegments of a str name and a "
-        f"non-negative int or None index, got {segments!r}"
+        "line 0: rule 'r': bad target: path segments must be a non-empty tuple of PathSegments "
+        f"of a str name and a non-negative int or None index, got {segments!r}"
     )
 
 

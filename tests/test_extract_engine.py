@@ -591,11 +591,15 @@ def test_hand_built_list_rules_extract(tmp_path):
      "grouped rules must target a field inside a node list"),
     # several faults: the first in the order the parser checks them
     (dict(target="project", valueType="float", unit=""), "bad type 'float'"),
+    (dict(target="processingStep.software[0].name", occurrence="all"),
+     r"^line 3: rule 'r': target processingStep\.software\[0\]\.name nests a list inside "
+     r"the open list segment$"),
 ])
 def test_hand_built_invalid_rules_fail_when_built(fields, message):
     target = parse_path(fields.pop("target"))
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ConfigError, match=message) as excinfo:
         ExtractionRule(id="r", target=target, source="*", key="K", line=3, **fields)
+    assert excinfo.value.line == 3
 
 
 @pytest.mark.parametrize("name", ["source", "key", "delimiter", "unit", "group"])

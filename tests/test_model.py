@@ -73,6 +73,8 @@ def test_wrong_scalar_type_rejected():
         TemporalResolution(numberOfTimesteps=True)  # bools are not counts
     with pytest.raises(TypeError):
         Title(text=42)
+    with pytest.raises(TypeError, match="^system: expected ObservedSystem, got str$"):
+        EngMetaDataset(system="x")  # a node field takes its node class only
 
 
 def test_int_promotes_to_decimal_fields():

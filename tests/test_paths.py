@@ -4,7 +4,7 @@ import pytest
 
 from engmeta.errors import PathIndexGapError, PathSyntaxError, PathTargetError
 from engmeta.model import EngMetaDataset, ProcessingStep, Software, Title, Variable
-from engmeta.paths import append_nodes, get_path, parse_path, set_path
+from engmeta.paths import MetadataPath, PathSegment, append_nodes, get_path, parse_path, set_path
 
 
 def test_parse_path_segments():
@@ -153,6 +153,32 @@ def test_append_nodes_reports_a_failed_check_as_the_constructor_words_it():
     with pytest.raises(PathTargetError) as caught:
         append_nodes(doc, "keyword", ["b", ""])
     assert str(caught.value) == "keyword: keywords: empty strings are not valid values"
+
+
+@pytest.mark.parametrize("segments", [
+    (PathSegment("keyword", -1),),  # set_path wrote before the last entry
+    (PathSegment("keyword", -5),),  # get_path raised IndexError
+    (PathSegment("keyword", True),),  # get_path read it as index 1
+    (PathSegment("keyword", "0"),),
+    (PathSegment("keyword", 1.0),),
+    (PathSegment(1),),
+    ("keyword",),
+    [PathSegment("keyword")],
+    "keyword",
+    None,
+    (),
+], ids=["index -1", "index -5", "bool index", "str index", "float index", "int name",
+        "str segment", "list", "str", "none", "empty"])
+def test_built_paths_with_bad_segments_are_refused(segments):
+    doc = EngMetaDataset(keywords=("a", "b"))
+    path = MetadataPath(segments)
+    message = ("path segments must be a non-empty tuple of PathSegments of a str name and a "
+               f"non-negative int or None index, got {segments!r}")
+    for call in (lambda: get_path(doc, path), lambda: set_path(doc, path, "x"),
+                 lambda: append_nodes(doc, path, ["x"])):
+        with pytest.raises(PathTargetError) as excinfo:
+            call()
+        assert str(excinfo.value) == message
 
 
 def test_set_path_does_not_mutate_input():

@@ -1,9 +1,11 @@
-"""Result records are named tuples; dataclasses are the model's nodes and two rule classes.
+"""Records are named tuples; only the model's nodes are dataclasses, and only on introspection.
 
 The field orders, defaults and reprs below are those of the frozen
 dataclasses the records replaced, so output that prints a record (the
 FlattenStructureError messages) and callers that pass fields by position
-keep working.
+keep working. The two rule classes are named tuples whose constructor
+checks them and derives ``shape`` or ``steps``; the derived attribute is
+left out of their repr, equality and hash, which the dataclass repr showed.
 """
 
 import dataclasses
@@ -16,13 +18,14 @@ import pytest
 
 import engmeta
 from engmeta.canon import ReadResult
+from engmeta.errors import ConfigError
 from engmeta.extract.config import ExtractionConfig, ExtractionRule, TargetShape
 from engmeta.extract.engine import AssembleResult, CoercionFailure, ExtractionReport, RawHit
 from engmeta.flatten import BlockField, DroppedPath, FlattenReport, MappedPath, MetadataBlock
 from engmeta.harvest import HarvestError, HarvestResult
 from engmeta.merging import Conflict
 from engmeta.model import FileInfo, _Node
-from engmeta.paths import MetadataPath, PathSegment
+from engmeta.paths import MetadataPath, PathSegment, parse_path
 from engmeta.prov import Activity, Agent, Entity, ProvDocument, Relation
 from engmeta.validation import Finding, ValidationReport
 
@@ -58,9 +61,16 @@ RECORDS = {
     ),
     AssembleResult: (("dataset", "conflicts", "coercionFailures", "warnings"), {}),
     TargetShape: (("node_type", "open_list", "in_node"), {}),
+    ExtractionRule: (
+        ("id", "target", "source", "key", "delimiter", "valueType", "unit", "group",
+         "occurrence", "line"),
+        {"delimiter": "=", "valueType": "string", "unit": None, "group": None,
+         "occurrence": "first", "line": 0},
+    ),
+    ExtractionConfig: (("rules",), {"rules": ()}),
 }
 
-RULE_CLASSES = (ExtractionRule, ExtractionConfig)
+_RULE = ExtractionRule("r", parse_path("project"), "*.log", "k")
 
 
 def _engmeta_classes():
@@ -73,12 +83,10 @@ def _engmeta_classes():
                 yield cls
 
 
-def test_only_nodes_and_rule_classes_are_dataclasses():
+def test_only_nodes_are_dataclasses():
     classes = set(_engmeta_classes())
-    dataclass_types = {cls for cls in classes if dataclasses.is_dataclass(cls)}
-    assert set(RULE_CLASSES) <= dataclass_types
-    assert {cls for cls in dataclass_types
-            if not issubclass(cls, _Node) and cls not in RULE_CLASSES} == set()
+    assert {cls for cls in classes
+            if dataclasses.is_dataclass(cls) and not issubclass(cls, _Node)} == set()
     assert set(RECORDS) <= classes
 
 
@@ -94,6 +102,33 @@ def test_record_values_are_immutable():
     finding = Finding("error", "title", "missing")
     with pytest.raises(AttributeError):
         finding.path = "date"
+    config = ExtractionConfig((_RULE,))
+    for record, name in ((_RULE, "target"), (_RULE, "shape"), (config, "steps"), (config, "x")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+
+
+def test_rule_records_are_checked_however_they_are_built():
+    """``_replace`` and ``_make`` skip a plain named tuple's constructor; these run it."""
+    listed = _RULE._replace(target=parse_path("keyword"), occurrence="all")
+    assert listed == ExtractionRule._make(listed)
+    for rule in (listed, ExtractionRule._make(listed)):
+        assert type(rule) is ExtractionRule
+        assert rule.shape == TargetShape(None, parse_path("keyword"), None)
+    with pytest.raises(ConfigError, match="needs exactly one index-less list segment"):
+        _RULE._replace(occurrence="all")
+    with pytest.raises(ConfigError, match="bad target: path segments"):
+        ExtractionRule._make(("r", MetadataPath((PathSegment("keyword", -1),)), "*", "k"))
+    grouped = ExtractionConfig((_RULE,))._replace(rules=[_RULE, listed])
+    assert grouped.rules == (_RULE, listed)
+    assert grouped.steps == ((_RULE,), (listed,))
+    with pytest.raises(ConfigError, match="expected ExtractionRule entries, got str"):
+        ExtractionConfig._make([("x",)])
+    # equality and hashing see the declared fields only
+    assert listed == ExtractionRule(*listed) and hash(listed) == hash(ExtractionRule(*listed))
+    assert {grouped: 1}[ExtractionConfig([_RULE, listed])] == 1
 
 
 _CONFLICT = Conflict("project", "a", Decimal("1.5"), "a")
@@ -137,6 +172,11 @@ REPRS = [
      "elapsedSeconds=0.5)"),
     (AssembleResult(None, (), (), ()),
      "AssembleResult(dataset=None, conflicts=(), coercionFailures=(), warnings=())"),
+    # the derived shape and steps are not shown
+    (ExtractionConfig((_RULE,)),
+     "ExtractionConfig(rules=(ExtractionRule(id='r', target=MetadataPath(segments="
+     "(PathSegment(name='project', index=None),)), source='*.log', key='k', delimiter='=', "
+     "valueType='string', unit=None, group=None, occurrence='first', line=0),))"),
 ]
 
 

@@ -87,9 +87,24 @@ def test_command_loads_only_its_layers(command, tmp_path, golden_xml_path, rules
     assert "concurrent.futures" not in loaded["modules"]
     # only PROV's entity ids and harvest's checksums hash
     assert ("hashlib" in loaded["modules"]) == command.startswith(("to-prov", "harvest"))
-    # the model declares its nodes itself; only the rule classes are dataclasses
-    for module in ("dataclasses", "inspect"):
-        assert (module in loaded["modules"]) == command.startswith("extract"), module
+    # the model declares its nodes itself, and the rule classes are named tuples
+    assert not {"dataclasses", "inspect"} & set(loaded["modules"])
+
+
+# Parses a rule file as the benchmark's set-up probe does, then prints which
+# of the two modules it loaded.
+_PARSE_RULES = """
+import sys, engmeta
+from pathlib import Path
+engmeta.parse_config(Path(sys.argv[1]).read_text(encoding="utf-8"))
+print(sorted({"dataclasses", "inspect"} & set(sys.modules)))
+"""
+
+
+def test_parsing_rules_loads_no_dataclasses(rules_path):
+    result = _python(_PARSE_RULES, str(rules_path))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 # Makes the node classes dataclasses by one first introspection, then checks
