@@ -15,8 +15,9 @@ derived from the model's field placements: its attributes, its text-content
 field and its child elements, each keyed by local name and carrying its
 pre-built ``<elem>`` and ``</elem>`` tags. An element in the engMeta
 namespace reads as its plain name; any other namespace, and any namespaced
-attribute, is unknown. The reader takes a string child with no attributes
-and no children as its text; it builds a child's path string
+attribute, is unknown. The reader takes an element's text content, which
+the model declares ``str``, and a string child with no attributes and no
+children as the text they hold; it builds a child's path string
 (``file[3].sizeBytes``) only to decode any other child, whose warnings and
 errors name it. The writer writes each scalar child from its tags in place,
 passes strings through as they are, and escapes only text that holds a
@@ -178,9 +179,7 @@ def _write_element(lines: list[str], start: str, end: str, node, pad: str) -> No
                 attr_text += f' {name}="{value}"'
         start = f"{start[:-1]}{attr_text}>"
     text = None if content is None else getattr(node, content.attr)
-    if text is not None:
-        if type(text) is not str:
-            text = scalar_to_text(text)
+    if text is not None:  # a str: the model declares no other content
         if _TEXT_SPECIALS.search(text):
             text = _escape_text(text)
         lines.append(f"{pad}{start}{text}{end}")
@@ -251,10 +250,8 @@ def _decode_element(element, cls: type, path: str, warnings: list[str]):
 
     text = element.text
     if content is not None:
-        if text:
-            kwargs[content.attr] = _scalar_from_text(
-                text, content.value_type, f"{label}.{content.element}"
-            )
+        if text:  # a str field: the text as it is
+            kwargs[content.attr] = text
     elif text and not text.isspace():
         warnings.append(f"{label}: stray text {text.strip()!r} skipped")
 

@@ -82,18 +82,22 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--format", choices=["xml", "json"], default="xml")
     cmd.add_argument("--out", help="write the document here instead of stdout")
     cmd.add_argument("--report", help="write the extraction report (JSON) here")
+    cmd.set_defaults(run=_cmd_extract)
 
     cmd = commands.add_parser("validate", help="validate a metadata document")
     cmd.add_argument("--in", dest="infile", required=True, help="document (XML or JSON)")
     cmd.add_argument("--profile", choices=["structural", "citable"], default="structural")
+    cmd.set_defaults(run=_cmd_validate)
 
     cmd = commands.add_parser("to-prov", help="convert processing steps to PROV-N")
     cmd.add_argument("--in", dest="infile", required=True)
     cmd.add_argument("--out")
+    cmd.set_defaults(run=_cmd_to_prov)
 
     cmd = commands.add_parser("to-dataverse", help="flatten into repository metadata blocks")
     cmd.add_argument("--in", dest="infile", required=True)
     cmd.add_argument("--out")
+    cmd.set_defaults(run=_cmd_to_dataverse)
 
     cmd = commands.add_parser("harvest", help="collect technical metadata from files")
     cmd.add_argument("--root", required=True)
@@ -101,6 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--merge-into", dest="merge_into", help="merge the listing into this document")
     cmd.add_argument("--format", choices=["xml", "json"], default="xml")
     cmd.add_argument("--out")
+    cmd.set_defaults(run=_cmd_harvest)
 
     return parser
 
@@ -113,17 +118,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else EXIT_OK
 
     try:
-        if args.command == "extract":
-            return _cmd_extract(args)
-        if args.command == "validate":
-            return _cmd_validate(args)
-        if args.command == "to-prov":
-            return _cmd_to_prov(args)
-        if args.command == "to-dataverse":
-            return _cmd_to_dataverse(args)
-        if args.command == "harvest":
-            return _cmd_harvest(args)
-        raise AssertionError(args.command)
+        return args.run(args)
     except ConfigError as exc:
         _info(f"error: config: {exc}")
         return EXIT_USAGE
@@ -212,9 +207,7 @@ def _cmd_harvest(args) -> int:
         from .merging import merge
 
         base = _read_document(args.merge_into)
-        dataset, conflicts = merge(base, dataset, "first-wins")
-        for conflict in conflicts:
-            _info(f"conflict: {conflict.path}: kept {conflict.chosen!r}")
+        dataset, _ = merge(base, dataset, "first-wins")  # lists merge without conflicts
     _emit(_serialize(dataset, args.format), args.out)
     _info(f"harvest: {len(result.files)} files, {len(result.errors)} errors")
     return EXIT_OK

@@ -35,32 +35,24 @@ built, and a config's application order when the config is built, so an
 from __future__ import annotations
 
 import re
-from decimal import Decimal
 from typing import NamedTuple
 
 from ..errors import ConfigError, PathError
 from ..model import (
-    NODE,
     NODE_LIST,
     SCALAR,
     SCALAR_LIST,
     SCALAR_TYPE_NAMES,
-    TAGGED,
+    SCALAR_TYPES_BY_NAME,
     EngMetaDataset,
     Variable,
+    fills,
 )
 from ..paths import MetadataPath, parse_path, resolve_specs
 
-# rule value type -> the field types its values fill; a TAGGED field
-# (Variable.value) takes every type
-_FILLS = {
-    "string": (str,),
-    "integer": (int, Decimal),
-    "decimal": (Decimal,),
-    "boolean": (bool,),
-    "date": (str,),
-}
-VALUE_TYPES = tuple(_FILLS)
+# rule value type -> the type of the values ``coerce`` gives for it (date: str)
+_COERCED = {**SCALAR_TYPES_BY_NAME, "date": str}
+VALUE_TYPES = tuple(_COERCED)
 OCCURRENCES = ("first", "last", "all")
 
 _FIELD_NAMES = ("target", "source", "key", "delimiter", "type", "unit", "group", "occurrence")
@@ -185,12 +177,6 @@ def analyze_target(rule: ExtractionRule) -> TargetShape:
         resolved = resolve_specs(path)
     except PathError as exc:
         raise ConfigError(f"rule {rule_id!r}: bad target: {exc}", line) from None
-    for segment, spec in resolved:
-        # set_path refuses any other index on a field that is not a list
-        if spec.kind in (SCALAR, NODE) and segment.index not in (None, 0):
-            raise ConfigError(
-                f"rule {rule_id!r}: target {path}: {segment.name} is not a list", line
-            )
 
     open_positions = [
         i
@@ -203,7 +189,7 @@ def analyze_target(rule: ExtractionRule) -> TargetShape:
             f"rule {rule_id!r}: target {path} does not address a scalar field", line
         )
     field_type = terminal_spec.value_type
-    if field_type is not TAGGED and field_type not in _FILLS[rule.valueType]:
+    if not fills(_COERCED[rule.valueType], field_type):
         raise ConfigError(
             f"rule {rule_id!r}: type {rule.valueType} cannot fill target {path}, "
             f"a {SCALAR_TYPE_NAMES[field_type]} field",

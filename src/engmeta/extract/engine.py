@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from ..errors import CoercionError, ExtractionRootError, PathIndexGapError
-from ..fswalk import walk_files
+from ..fswalk import utf8_name, walk_files
 from ..isodates import is_iso_date_or_datetime
 from ..model import (
     SCALAR_TYPES_BY_NAME,
@@ -376,8 +376,8 @@ class _AssemblyState:
         """The entries of a stored list as a set, rebuilt whenever the tuple changed.
 
         Entries are their own dedup keys: nodes hash and compare by their
-        type-strict canonical key, and scalar lists hold strings only. Any
-        write elsewhere in the list (an indexed rule, a unit) replaces the
+        type-strict canonical key, and the model declares scalar lists str.
+        Any write elsewhere in the list (an indexed rule, a unit) replaces the
         tuple, so a set cached for the old tuple is never trusted for the new.
         """
         stored = self._stored_list(list_path)
@@ -468,10 +468,13 @@ def extract(
     bytes_scanned = 0
     sources = tuple(dict.fromkeys(rule.source for rule in config.rules))
     # files are assembled in path order, whatever order the walk gives
-    for relative_path, absolute_path in sorted(walk_files(root, unreadable_directory)):
+    for fs_name, absolute_path in sorted(walk_files(root, unreadable_directory)):
+        relative_path, note = utf8_name(fs_name)
         matched = {source for source in sources if glob_matches(source, relative_path)}
         if not matched:
             continue
+        if note is not None:
+            warnings.append(f"{relative_path}: {note}")
         applicable = [r for r in config.rules if r.source in matched]
         file_hits, nbytes, file_warnings = scan_file(absolute_path, relative_path, applicable)
         state.take_file(relative_path, file_hits)

@@ -6,6 +6,18 @@ import os
 from pathlib import Path
 from typing import Callable
 
+from .model import has_lone_surrogate
+
+
+def utf8_name(relative_path: str) -> tuple[str, str | None]:
+    """A walked name with U+FFFD for the bytes that are not UTF-8 (``os.fsdecode``
+    left a lone surrogate for each), and a note giving its bytes, or None."""
+    if not has_lone_surrogate(relative_path):
+        return relative_path, None
+    raw_name = os.fsencode(relative_path)
+    return raw_name.decode("utf-8", "replace"), (
+        f"file name {raw_name!r} is not UTF-8; listed with U+FFFD for its undecodable bytes")
+
 
 def walk_files(
     root: Path,
@@ -15,7 +27,7 @@ def walk_files(
 
     Sorted by relative path; symlinks are not followed; hidden files are
     included. A directory that cannot be listed is skipped, and reported to
-    ``on_unreadable`` (with its posix relative path) when that is given.
+    ``on_unreadable`` (its posix relative path named by ``utf8_name``), if given.
     """
 
     entries: list[tuple[str, Path]] = []
@@ -39,7 +51,7 @@ def walk_files(
                         continue  # vanished between the listing and its type check
         except OSError as error:
             if on_unreadable is not None:
-                on_unreadable(prefix[:-1] or ".", error)
+                on_unreadable(utf8_name(prefix[:-1] or ".")[0], error)
             continue
         entries.extend(files)
         pending.extend(subdirectories)

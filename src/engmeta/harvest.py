@@ -5,7 +5,7 @@ size, checksum and an extension-derived format hint. Size and checksum come
 from the same read, so they agree even for a file that changes meanwhile.
 Unreadable files and directories are reported as errors. A file whose name
 is not UTF-8 is listed with U+FFFD in place of the bytes that do not
-decode, as extraction reads such bytes in file contents, and reported as
+decode (``fswalk.utf8_name``, which extraction shares), and reported as
 an error that gives the name's bytes; two names that differ only in those
 bytes are both listed. The listing is sorted by the names as the file
 system gives them and is deterministic, so repeated harvests of unchanged
@@ -15,13 +15,12 @@ trees are identical.
 from __future__ import annotations
 
 import hashlib
-import os
 from pathlib import Path
 from typing import NamedTuple
 
 from .codes import CHECKSUM_ALGORITHMS
-from .fswalk import walk_files
-from .model import Checksum, EngMetaDataset, FileInfo, _trusted_node, has_lone_surrogate
+from .fswalk import utf8_name, walk_files
+from .model import Checksum, EngMetaDataset, FileInfo, _trusted_node
 
 _HASHERS = {"MD5": hashlib.md5, "SHA-256": hashlib.sha256}
 _CHUNK_SIZE = 1024 * 1024
@@ -81,11 +80,9 @@ def harvest(root_dir: str | Path, algorithm: str = "SHA-256") -> HarvestResult:
         errors.append(HarvestError(relative_path, f"unreadable directory: {exc}"))
 
     for relative_path, absolute_path in walk_files(root, unreadable_directory):
-        if has_lone_surrogate(relative_path):  # os.fsdecode's stand-ins for non-UTF-8 bytes
-            raw_name = os.fsencode(relative_path)
-            relative_path = raw_name.decode("utf-8", "replace")
-            errors.append(HarvestError(relative_path, f"file name {raw_name!r} is not UTF-8; "
-                                       "listed with U+FFFD for its undecodable bytes"))
+        relative_path, note = utf8_name(relative_path)
+        if note is not None:
+            errors.append(HarvestError(relative_path, note))
         # from here every value is canonical (a name with no lone surrogate, a
         # size, a hex digest, a checked algorithm), so the nodes are built unchecked
         try:

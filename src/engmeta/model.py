@@ -16,7 +16,8 @@ and name their canonical (repeated) element in the record (``_plural``). A
 class with a text-content field (``_content``) carries every other field as
 an XML attribute; all other classes carry their fields as child elements.
 ``FieldSpec.placement`` records this; ``canon`` derives its per-class XML
-plan from it.
+plan from it. ``_derive_schema`` refuses a text-content field or a scalar
+list that does not hold ``str``, so other modules take those values as text.
 
 Construction is deliberately permissive: partially filled documents are the
 normal intermediate state of automated extraction. Field-local constraints
@@ -30,6 +31,9 @@ plain notation, and no empty nodes (a node whose fields are all unset
 collapses to "absent"). Each scalar is stored as its exact builtin type, an
 instance of a subclass (a ``(str, Enum)`` code, an ``IntEnum``) as the value
 it holds, so every reader of a stored scalar tells its type by ``type()``.
+For constructors and extraction rules alike, ``fills`` decides which values
+a field takes: its own type, any scalar in the tagged ``Variable.value``,
+and an ``int`` in a ``Decimal`` field, which stores it as a ``Decimal``.
 
 Loading the model imports no ``dataclasses``: ``_derive_schema`` reads the
 declarations, and ``_Node`` provides the one constructor (positional or
@@ -315,6 +319,12 @@ def _trusted_node(cls: type, values: dict):
     return node
 
 
+def fills(value_type: type, field_type) -> bool:
+    """True when a value of the builtin ``value_type`` fills a ``field_type`` field."""
+    return (value_type is field_type or field_type is TAGGED and value_type in SCALAR_TYPE_NAMES
+            or value_type is int and field_type is Decimal)
+
+
 # How the builtin scalar an instance of a subclass holds is read: through
 # the builtin's own method, never one the subclass overrides.
 _READ_BUILTIN = {str: str.__str__, int: int.__index__, Decimal: Decimal}
@@ -344,10 +354,8 @@ def _check_scalar(spec: "FieldSpec", given):
     elif base is int and abs(value) >= _INTEGER_LIMIT:
         raise ValueError(f"{spec.attr}: the integer {_TOO_LONG}")
     expected = spec.value_type
-    if base is expected or (expected is TAGGED and base in SCALAR_TYPE_NAMES):
-        return value
-    if expected is Decimal and base is int:  # fewer than 4300 digits: a bounded decimal
-        return Decimal(value)
+    if fills(base, expected):  # an int has fewer than 4300 digits: a bounded decimal
+        return Decimal(value) if base is int and expected is Decimal else value
     wanted = "a scalar" if expected is TAGGED else SCALAR_TYPE_NAMES[expected]
     raise TypeError(f"{spec.attr}: expected {wanted}, got {kind.__name__}")
 
@@ -705,8 +713,12 @@ def _derive_schema(cls: type) -> tuple[FieldSpec, ...]:
         declared[attr] = value if type(value) is _Declared else _Declared(value)
         setattr(cls, attr, declared[attr].default)
     placement = ATTRIBUTE if any(d.placement == CONTENT for d in declared.values()) else CHILD
-    return tuple(FieldSpec(attr, d.element or attr, *_kind(hints[attr]), d.placement or placement,
-                           d.rules) for attr, d in declared.items())
+    specs = tuple(FieldSpec(attr, d.element or attr, *_kind(hints[attr]), d.placement or placement,
+                            d.rules) for attr, d in declared.items())
+    for spec in specs:
+        if (spec.placement == CONTENT or spec.kind == SCALAR_LIST) and spec.value_type is not str:
+            raise TypeError(f"{cls.__name__}.{spec.attr}: text content and scalar lists hold str")
+    return specs
 
 
 _SCHEMA: dict[type, tuple[FieldSpec, ...]] = {

@@ -5,6 +5,8 @@ indices, e.g. ``processingStep[0].software[0].name``. Reads return every
 addressed value (an index-less list segment means "all entries"); writes
 address exactly one scalar location and create missing intermediate nodes on
 demand, with list writes allowed at most one position past the current end.
+A write takes no index but 0 on a field that is not a list (``project[1]``
+raises PathTargetError), while a read of ``project[1]`` returns nothing.
 Appends (``append_nodes``) add entries to the end of an index-less list and
 check them with the list check the node constructors run.
 """
@@ -119,15 +121,14 @@ def get_path(dataset: EngMetaDataset, path: str | MetadataPath) -> list:
     return current
 
 
-def resolve_specs(
-    path: str | MetadataPath, root: type = EngMetaDataset
-) -> list[tuple[PathSegment, FieldSpec]]:
-    """Resolve each segment to its field spec, starting at the ``root`` node class.
+def resolve_specs(path: str | MetadataPath) -> list[tuple[PathSegment, FieldSpec]]:
+    """Resolve each segment to its field spec, starting at ``EngMetaDataset``.
 
-    Raises PathTargetError when a segment does not exist in its context or
-    when a scalar appears before the final segment.
+    Raises PathTargetError when a segment does not exist in its context, when
+    a scalar appears before the final segment, or when a field that is not a
+    list has an index but 0.
     """
-    return _resolve(_as_path(path), root)
+    return _resolve(_as_path(path), EngMetaDataset)
 
 
 def _resolve(parsed: MetadataPath, root: type) -> list[tuple[PathSegment, FieldSpec]]:
@@ -142,6 +143,8 @@ def _resolve(parsed: MetadataPath, root: type) -> list[tuple[PathSegment, FieldS
         spec = field_by_element(cls, segment.name)
         if spec is None:
             raise PathTargetError(f"{parsed}: no element {segment.name!r} in {cls.__name__}")
+        if spec.kind in (SCALAR, NODE) and segment.index not in (None, 0):
+            raise PathTargetError(f"{parsed}: {segment.name} is not a list")
         resolved.append((segment, spec))
         cls = spec.value_type if spec.kind in (NODE, NODE_LIST) else None
     return resolved
@@ -159,8 +162,6 @@ def set_path(dataset, path: str | MetadataPath, value):
     def write_scalar(current, segment: PathSegment, spec: FieldSpec):
         if spec.kind in (NODE, NODE_LIST):
             raise PathTargetError(f"{parsed}: {segment.name} is not a scalar field")
-        if spec.kind == SCALAR and segment.index not in (None, 0):
-            raise PathTargetError(f"{parsed}: {segment.name} is not a list")
         if spec.kind == SCALAR_LIST and segment.index is None:
             raise PathTargetError(f"{parsed}: {segment.name} needs an index for writing")
         try:
@@ -213,10 +214,8 @@ def _write(node, path: MetadataPath, resolved, pos: int, leaf):
     if pos == len(resolved) - 1:
         return node._replaced(spec.attr, leaf(getattr(node, spec.attr), segment, spec))
 
-    # resolve_specs guarantees intermediate segments name nodes or node lists
+    # _resolve guarantees intermediate segments name nodes (index 0 at most) or node lists
     if spec.kind == NODE:
-        if segment.index not in (None, 0):
-            raise PathTargetError(f"{path}: {segment.name} is not a list")
         child = getattr(node, spec.attr) or spec.value_type()
         return node._replaced(spec.attr, _write(child, path, resolved, pos + 1, leaf))
 

@@ -88,7 +88,7 @@ def validate(dataset: EngMetaDataset, profile: str = "structural") -> Validation
         texts, cross_field, ruled, children = _plan(type(node))
         for attr, element, listed in texts:
             value = getattr(node, attr)
-            if listed:  # scalar lists hold strings only
+            if listed:  # the model declares every scalar list str
                 for i, item in enumerate(value):
                     if not item.strip():
                         error(f"{_field_path(path, element)}[{i}]", "must not be blank")

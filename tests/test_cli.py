@@ -186,6 +186,106 @@ def test_harvest_merge_equals_library_merge(tmp_path, empty_xml, capsys):
     assert from_xml(captured.out).dataset == expected
 
 
+def test_harvest_merge_reports_no_conflicts(tmp_path, capsys):
+    from engmeta.harvest import harvest
+    from engmeta.merging import merge
+    from engmeta.model import EngMetaDataset, FileInfo
+
+    data = tmp_path / "data"
+    data.mkdir()
+    (data / "x.bin").write_bytes(b"1234")
+    # the base lists the same name with another size: the listing sets only the
+    # file list, and a list merges without conflicts, keeping both entries
+    base = EngMetaDataset(project="p", files=(FileInfo(filename="x.bin", sizeBytes=9),))
+    merged, conflicts = merge(base, harvest(data).to_dataset(), "first-wins")
+    assert conflicts == []
+    base_path = tmp_path / "base.xml"
+    base_path.write_text(to_xml(base), encoding="utf-8")
+    assert main(["harvest", "--root", str(data), "--merge-into", str(base_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "harvest: 1 files, 0 errors\n"
+    assert from_xml(captured.out).dataset == merged
+    assert [info.sizeBytes for info in merged.files] == [9, 4]
+
+
+def test_reader_warnings_go_to_stderr(tmp_path, capsys):
+    doc = tmp_path / "doc.xml"
+    doc.write_text('<engMeta><project>p</project><foo/><title kind="x">T</title></engMeta>\n',
+                   encoding="utf-8")
+    assert main(["validate", "--in", str(doc)]) == 0
+    assert capsys.readouterr().err == (
+        f"warning: {doc}: engMeta: unknown element <foo> skipped\n"
+        f"warning: {doc}: title[0]: unknown attribute 'kind' skipped\n"
+        "validate: 0 errors, 0 warnings\n"
+    )
+
+
+STEPS_RULES = (
+    "[rule steps]\ntarget = system.temporalResolution.numberOfTimesteps\nsource = *.log\n"
+    "key = steps\ntype = integer\n"
+)
+
+
+def _extract_report(root: Path, tmp_path: Path) -> dict:
+    rules = tmp_path / "rules.ini"
+    rules.write_text(STEPS_RULES, encoding="utf-8")
+    report = tmp_path / "report.json"
+    assert main(["extract", "--config", str(rules), "--root", str(root),
+                 "--out", str(tmp_path / "doc.xml"), "--report", str(report)]) == 0
+    return json.loads(report.read_text(encoding="utf-8"))
+
+
+def test_extract_warnings_and_coercion_failures_reach_stderr_and_report(tmp_path, capsys):
+    root = tmp_path / "tree"
+    root.mkdir()
+    (root / "run.log").write_bytes(b"steps = many\nnote = \xff\nsteps = 12\n")
+    report = _extract_report(root, tmp_path)
+    assert capsys.readouterr().err == (
+        "warning: run.log: not valid UTF-8 from byte 20; undecodable bytes replaced\n"
+        "extract: 1 files, 1 of 1 rules matched, 0 conflicts, 1 coercion failures\n"
+    )
+    assert report["coercionFailures"] == [{
+        "rule": "steps", "file": "run.log", "line": 1, "rawValue": "many",
+        "reason": "'many' is not an integer",
+    }]
+    assert report["warnings"] == [
+        "run.log: not valid UTF-8 from byte 20; undecodable bytes replaced"]
+
+
+def _strings(obj):
+    if isinstance(obj, str):
+        yield obj
+    elif isinstance(obj, dict):
+        for key, value in obj.items():
+            yield key
+            yield from _strings(value)
+    elif isinstance(obj, list):
+        for item in obj:
+            yield from _strings(item)
+
+
+def test_extract_names_non_utf8_files_with_replacement_characters(tmp_path, capsys):
+    root = tmp_path / "tree"
+    root.mkdir()
+    try:
+        with open(os.path.join(os.fsencode(root), b"caf\xe9.log"), "wb") as handle:
+            handle.write(b"steps = many\n")
+    except OSError:
+        pytest.skip("the file system refuses names that are not UTF-8")
+    (root / "cafe.log").write_bytes(b"steps = 7\n")
+    report = _extract_report(root, tmp_path)
+    note = ("caf\ufffd.log: file name b'caf\\xe9.log' is not UTF-8; "
+            "listed with U+FFFD for its undecodable bytes")
+    assert capsys.readouterr().err == (
+        f"warning: {note}\n"
+        "extract: 2 files, 1 of 1 rules matched, 0 conflicts, 1 coercion failures\n"
+    )
+    assert report["warnings"] == [note]
+    assert report["coercionFailures"][0]["file"] == "caf\ufffd.log"
+    for text in _strings(report):
+        text.encode("utf-8")  # no lone surrogate anywhere
+
+
 NON_UTF8_HARVEST_ERR = (
     "warning: bad\ufffdname.txt: file name b'bad\\xfename.txt' is not UTF-8; "
     "listed with U+FFFD for its undecodable bytes\n"
@@ -215,7 +315,8 @@ def test_harvest_lists_non_utf8_file_names(fmt, merge, non_utf8_tree, empty_xml,
 
 def test_harvest_writes_non_utf8_file_names_to_stdout_as_utf8(non_utf8_tree):
     run = subprocess.run(
-        [sys.executable, "-m", "engmeta", "harvest", "--root", str(non_utf8_tree)],
+        [sys.executable, "-W", "error", "-m", "engmeta", "harvest", "--root",
+         str(non_utf8_tree)],
         capture_output=True,
         env={**os.environ, "PYTHONUTF8": "1",  # stdout then writes os.fsdecode's bytes back
              "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},

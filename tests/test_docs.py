@@ -26,7 +26,7 @@ def test_readme_config_examples_parse(block):
 def test_readme_quick_tour_runs():
     (tour,) = _blocks("python")
     result = subprocess.run(
-        [sys.executable, "-c", tour],
+        [sys.executable, "-W", "error", "-c", tour],  # a warning fails, as in this process
         cwd=ROOT,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         capture_output=True,

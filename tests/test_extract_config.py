@@ -75,12 +75,17 @@ def test_non_scalar_target_rejected():
     ("system.controlledVariables.name[1]", "group = g\n"),
 ])
 def test_index_on_a_field_that_is_not_a_list_rejected(target, extra):
-    # set_path refuses such a target, so no hit could ever be written
+    # paths refuses such a target for every write, and the rule passes its message on
     text = f"[rule broken]\ntarget = {target}\nsource = *.log\nkey = K\n{extra}"
+    name = target.partition("[1]")[0].rpartition(".")[2]  # the field indexed
+    message = f"rule 'broken': bad target: {target}: {name} is not a list"
     with pytest.raises(ConfigError) as excinfo:
         parse_config(text)
-    assert "is not a list" in str(excinfo.value)
+    assert str(excinfo.value) == f"line 1: {message}"
     assert excinfo.value.line == 1
+    with pytest.raises(ConfigError) as excinfo:
+        ExtractionRule(id="broken", target=parse_path(target), source="*", key="K")
+    assert str(excinfo.value) == f"line 0: {message}"
 
 
 def test_open_list_needs_all_or_group():

@@ -1,4 +1,5 @@
 import json
+import os
 import random
 import tracemalloc
 from decimal import Decimal
@@ -17,6 +18,7 @@ from engmeta.extract import (
     scan_file,
 )
 from engmeta.extract.config import ExtractionConfig, ExtractionRule
+from engmeta.fswalk import walk_files
 from engmeta.merging import merge
 from engmeta.model import EngMetaDataset
 from engmeta.paths import get_path, parse_path
@@ -648,3 +650,55 @@ def test_hand_built_group_on_different_lists_fails():
     with pytest.raises(ConfigError, match="rules 'name' and 'value' target different lists"):
         ExtractionConfig((name, value))
     assert ExtractionConfig((name, name)).steps == ((name, name),)
+
+
+# --- file names that are not UTF-8 --------------------------------------------
+
+STEPS = parse_config(
+    "[rule steps]\ntarget = system.temporalResolution.numberOfTimesteps\nsource = *.log\n"
+    "key = steps\ntype = integer\n"
+)
+
+
+def _write_raw(root, raw_name: bytes, content: bytes) -> None:
+    try:
+        with open(os.path.join(os.fsencode(root), raw_name), "wb") as handle:
+            handle.write(content)
+    except OSError:
+        pytest.skip("the file system refuses names that are not UTF-8")
+
+
+def test_extraction_sorts_files_by_their_file_system_names(tmp_path):
+    # "a\udcff" (from the byte 0xFF) sorts before "a\ue000", its replacement
+    # "a\ufffd" after: files are assembled in the first order
+    _write_raw(tmp_path, b"a\xff.log", b"steps = 1\n")
+    _write_raw(tmp_path, "a\ue000.log".encode(), b"steps = 2\n")
+    dataset, report = extract(tmp_path, STEPS)
+    assert dataset.system.temporalResolution.numberOfTimesteps == 1
+    assert [(c.base, c.overlay) for c in report.conflicts] == [(1, 2)]
+    assert report.warnings == ("a\ufffd.log: file name b'a\\xff.log' is not UTF-8; "
+                               "listed with U+FFFD for its undecodable bytes",)
+
+
+def test_unreadable_directory_is_named_with_replacement_characters(tmp_path, monkeypatch):
+    unreadable = os.path.join(os.fsencode(tmp_path), b"d\xff")
+    try:
+        os.mkdir(unreadable)
+    except OSError:
+        pytest.skip("the file system refuses names that are not UTF-8")
+    (tmp_path / "x.log").write_text("steps = 3\n")
+    listed = os.scandir
+
+    def scandir(path):
+        if os.fsencode(path) == unreadable:
+            raise PermissionError(13, "Permission denied")
+        return listed(path)
+
+    monkeypatch.setattr(os, "scandir", scandir)
+    reported = []
+    assert [name for name, _ in walk_files(tmp_path, lambda name, _: reported.append(name))] == [
+        "x.log"]
+    assert reported == ["d\ufffd"]
+    _, report = extract(tmp_path, STEPS)
+    assert report.warnings == (
+        "d\ufffd: unreadable directory, skipped ([Errno 13] Permission denied)",)

@@ -4,12 +4,16 @@ from decimal import Decimal
 import pytest
 
 from engmeta.canon import from_json, from_xml, to_json, to_xml
-from engmeta.errors import CanonDecodeError, CoercionError, PathTargetError
+from engmeta.errors import CanonDecodeError, CoercionError, ConfigError, PathTargetError
+from engmeta.extract import VALUE_TYPES, parse_config
 from engmeta.extract.engine import coerce
 from engmeta.model import (
+    ATTRIBUTE,
+    CONTENT,
     NODE,
     NODE_LIST,
     SCALAR_TYPE_NAMES,
+    TAGGED,
     Checksum,
     Component,
     EngMetaDataset,
@@ -24,13 +28,17 @@ from engmeta.model import (
     Title,
     Variable,
     _Node,
+    _check_scalar,
+    _content,
+    _derive_schema,
     decimal_to_text,
+    fills,
     number_from_text,
     scalar_key,
     scalar_to_text,
     schema,
 )
-from engmeta.paths import set_path
+from engmeta.paths import resolve_specs, set_path
 from everyfield import every_field_dataset
 from oracles import scalars_equal
 
@@ -88,6 +96,65 @@ def test_tagged_value_accepts_all_scalar_types():
         assert Variable(name="x", value=value).value == value
     with pytest.raises(TypeError):
         Variable(name="x", value=1.5)  # floats are not exact; use Decimal
+
+
+# a field of each scalar type, a sample value of each, and a raw value for each rule type
+FIELD_OF_TYPE = {str: "project", int: "file[0].sizeBytes",
+                 Decimal: "system.temporalResolution.interval", bool: "worked.success",
+                 TAGGED: "system.parameters[0].value"}
+SAMPLE_OF_TYPE = {str: "a", int: 3, Decimal: Decimal("1.5"), bool: True}
+RAW_OF_RULE_TYPE = {"string": "a", "integer": "3", "decimal": "1.5", "boolean": "yes",
+                    "date": "2020-01-01"}
+FILLED = {(str, str), (int, int), (int, Decimal), (Decimal, Decimal), (bool, bool),
+          *((value_type, TAGGED) for value_type in SAMPLE_OF_TYPE)}
+
+
+@pytest.mark.parametrize("value_type", SAMPLE_OF_TYPE, ids=lambda tp: tp.__name__)
+@pytest.mark.parametrize("field_type", FIELD_OF_TYPE, ids=str)
+def test_one_fill_rule_decides_constructors_and_rules(value_type, field_type):
+    filled = (value_type, field_type) in FILLED
+    assert fills(value_type, field_type) is filled
+    spec = resolve_specs(FIELD_OF_TYPE[field_type])[-1][1]
+    try:
+        _check_scalar(spec, SAMPLE_OF_TYPE[value_type])
+    except TypeError:
+        assert not filled
+    else:
+        assert filled
+    rule_types = [rule_type for rule_type in VALUE_TYPES
+                  if type(coerce(RAW_OF_RULE_TYPE[rule_type], rule_type)) is value_type]
+    assert rule_types
+    for rule_type in rule_types:
+        text = (f"[rule r]\ntarget = {FIELD_OF_TYPE[field_type]}\nsource = *\nkey = k\n"
+                f"type = {rule_type}\n")
+        if filled:
+            parse_config(text)
+        else:
+            with pytest.raises(ConfigError, match=f"type {rule_type} cannot fill target"):
+                parse_config(text)
+
+
+def test_schema_refuses_text_content_or_scalar_lists_that_are_not_str():
+    # plain classes: a _Node subclass would join the model's list of node classes
+    class Counted:
+        count: int | None = _content()
+        unit: str | None = None
+
+    class Counts:
+        counts: tuple[int, ...] = ()
+
+    for cls, attr in ((Counted, "count"), (Counts, "counts")):
+        with pytest.raises(TypeError) as excinfo:
+            _derive_schema(cls)
+        assert str(excinfo.value) == (
+            f"{cls.__name__}.{attr}: text content and scalar lists hold str")
+
+    class Measured:
+        text: str | None = _content()
+        count: int | None = None
+        labels: tuple[str, ...] = ()
+
+    assert [spec.placement for spec in _derive_schema(Measured)] == [CONTENT, ATTRIBUTE, ATTRIBUTE]
 
 
 def test_empty_nodes_collapse():

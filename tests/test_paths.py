@@ -3,8 +3,23 @@ from decimal import Decimal
 import pytest
 
 from engmeta.errors import PathIndexGapError, PathSyntaxError, PathTargetError
-from engmeta.model import EngMetaDataset, ProcessingStep, Software, Title, Variable
-from engmeta.paths import MetadataPath, PathSegment, append_nodes, get_path, parse_path, set_path
+from engmeta.model import (
+    EngMetaDataset,
+    ObservedSystem,
+    ProcessingStep,
+    Software,
+    Title,
+    Variable,
+)
+from engmeta.paths import (
+    MetadataPath,
+    PathSegment,
+    append_nodes,
+    get_path,
+    parse_path,
+    resolve_specs,
+    set_path,
+)
 
 
 def test_parse_path_segments():
@@ -98,6 +113,31 @@ def test_set_path_requires_index_for_writing_lists():
         with pytest.raises(PathTargetError) as excinfo:
             set_path(EngMetaDataset(), path, "x")
         assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("path, name", [
+    ("project[1]", "project"),
+    ("system[1].description", "system"),
+    ("system[1]", "system"),
+    ("system.temporalResolution[2].interval", "temporalResolution"),
+])
+def test_every_write_refuses_an_index_on_a_field_that_is_not_a_list(path, name):
+    # one check, in resolving, serves set_path, append_nodes and resolve_specs
+    doc = EngMetaDataset(project="p", system=ObservedSystem(description="d"))
+    for call in (lambda: set_path(doc, path, "x"), lambda: append_nodes(doc, path, ["x"]),
+                 lambda: resolve_specs(path), lambda: resolve_specs(parse_path(path))):
+        with pytest.raises(PathTargetError) as excinfo:
+            call()
+        assert str(excinfo.value) == f"{path}: {name} is not a list"
+    assert get_path(doc, path) == []  # a read of it finds nothing
+    assert get_path(doc, "system[0].description") == ["d"]
+
+
+def test_resolve_specs_starts_at_the_dataset():
+    assert [spec.attr for _, spec in resolve_specs("system.description")] == [
+        "system", "description"]
+    with pytest.raises(TypeError):
+        resolve_specs("description", root=ObservedSystem)
 
 
 def test_append_node_appends_checked_scalars():

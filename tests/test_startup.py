@@ -61,7 +61,7 @@ COMMANDS = {
 
 def _python(code: str, *args: str) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, "-c", code, *args],
+        [sys.executable, "-W", "error", "-c", code, *args],  # a warning fails it
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
