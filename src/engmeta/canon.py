@@ -55,11 +55,11 @@ from .model import (
     _BY_ELEMENT,
     _trusted_node,
     decimal_to_text,
-    has_lone_surrogate,
     number_from_text,
     scalar_to_text,
     scalar_type_name,
     schema,
+    text_fault,
 )
 
 # Documented home of the element vocabulary; not emitted on output, but
@@ -217,8 +217,11 @@ def from_xml(text: str) -> ReadResult:
     try:
         root = ElementTree.fromstring(text)
     except ElementTree.ParseError as exc:
+        from xml.parsers.expat import ErrorString  # exc.msg ends with the position too
+
         line, column = exc.position
-        raise CanonSyntaxError(f"not well-formed XML: {exc.msg}", line, column) from None
+        raise CanonSyntaxError(f"not well-formed XML: {ErrorString(exc.code)}",
+                               line, column) from None
     except UnicodeEncodeError as exc:  # a lone surrogate cannot reach the parser
         line = text.count("\n", 0, exc.start) + 1
         column = exc.start - text.rfind("\n", 0, exc.start)
@@ -456,10 +459,12 @@ def _expect_object(raw, path: str) -> dict:
     return raw
 
 
-def _utf8_text(text: str, path: str) -> str:
-    """The JSON string, unless it holds a lone surrogate (say, from a "\\udcff" escape)."""
-    if has_lone_surrogate(text):
-        raise CanonDecodeError(f"{text!r} holds a lone surrogate, not UTF-8 text", path)
+def _document_text(text: str, path: str) -> str:
+    """The JSON string, unless no document can carry it (say, from a "\\udcff" or
+    "\\u0001" escape)."""
+    fault = text_fault(text)
+    if fault is not None:
+        raise CanonDecodeError(f"{text!r} {fault}", path)
     return text
 
 
@@ -470,7 +475,7 @@ def _scalar_from_json(raw, spec: FieldSpec, path: str, warnings: list[str]):
             raise CanonDecodeError(f"expected a string, got {_json_type(raw)}", path)
         if raw == "":
             return _absent(path, warnings)
-        return _utf8_text(raw, path)
+        return _document_text(raw, path)
     if spec.value_type is TAGGED:
         tagged = _expect_object(raw, path)
         unknown = set(tagged) - {"type", "text"}
@@ -483,7 +488,7 @@ def _scalar_from_json(raw, spec: FieldSpec, path: str, warnings: list[str]):
             raise CanonDecodeError("tagged value 'type' must be a string", path)
         if tagged["text"] == "":
             return _absent(path, warnings)
-        return _tagged_from_text(_utf8_text(tagged["text"], path), type_name, path)
+        return _tagged_from_text(_document_text(tagged["text"], path), type_name, path)
     if spec.value_type is bool:
         if not isinstance(raw, bool):
             raise CanonDecodeError(f"expected a boolean, got {_json_type(raw)}", path)

@@ -47,6 +47,7 @@ from ..model import (
     EngMetaDataset,
     Variable,
     fills,
+    text_fault,
 )
 from ..paths import MetadataPath, parse_path, resolve_specs
 
@@ -153,6 +154,10 @@ def _check_fields(rule_id: str, values: dict, lines: dict[str, int], line: int) 
                                   lines.get(name, line))
             if value == "":
                 raise ConfigError(f"rule {rule_id!r}: {name} must not be empty",
+                                  lines.get(name, line))
+            fault = text_fault(value) if name == "unit" else None  # written into documents
+            if fault is not None:
+                raise ConfigError(f"rule {rule_id!r}: unit {value!r} {fault}",
                                   lines.get(name, line))
         elif value not in choices:
             raise ConfigError(

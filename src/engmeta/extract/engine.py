@@ -48,6 +48,8 @@ from ..model import (
     number_from_text,
     scalar_key,
     scalar_to_text,
+    text_fault,
+    xml_text,
 )
 from ..paths import MetadataPath, PathSegment, append_nodes, get_path, set_path
 from .config import ExtractionConfig, ExtractionRule
@@ -144,6 +146,9 @@ def parse_line(
 def coerce(raw_value: str, value_type: str):
     """Convert raw text to the rule's value type; raises CoercionError."""
     if value_type == "string":
+        fault = text_fault(raw_value)  # none in a scanned value, which holds U+FFFD instead
+        if fault is not None:
+            raise CoercionError(f"{raw_value!r} {fault}")
         return raw_value
     if value_type in ("integer", "decimal"):
         try:
@@ -179,12 +184,17 @@ def scan_file(
 
     The file is read one line at a time. A line reaches ``parse_line`` only
     when, stripped of leading whitespace, it starts with a rule's key;
-    ``parse_line`` matches no other line.
+    ``parse_line`` matches no other line. U+FFFD stands for each undecodable
+    byte, and for each character of a raw value that XML cannot carry (an
+    ANSI colour code's ESC, say); one warning names the first such byte, and
+    one the first such line.
     """
     keys = tuple(dict.fromkeys(rule.key for rule in rules))
     hits: list[RawHit] = []
-    warnings: list[str] = []
     nbytes = 0
+    # the offset of the first undecodable byte, and the first line of a value
+    # with a character XML cannot carry
+    bad_byte = uncarried_line = None
     try:
         with open(absolute_path, "rb") as handle:
             # a leading byte-order mark is read but is not part of line 1
@@ -197,11 +207,8 @@ def scan_file(
                     line = raw.decode("utf-8")
                 except UnicodeDecodeError as exc:
                     line = raw.decode("utf-8", errors="replace")
-                    if not warnings:
-                        warnings.append(
-                            f"{relative_path}: not valid UTF-8 from byte {nbytes + exc.start}; "
-                            "undecodable bytes replaced"
-                        )
+                    if bad_byte is None:
+                        bad_byte = nbytes + exc.start
                 nbytes += len(raw)
                 if not line.lstrip().startswith(keys):
                     continue
@@ -210,10 +217,22 @@ def scan_file(
                 for rule in rules:
                     hit = parse_line(line, rule, source_file=relative_path,
                                      line_number=line_number)
-                    if hit is not None:
-                        hits.append(hit)
+                    if hit is None:
+                        continue
+                    if text_fault(hit.rawValue) is not None:
+                        hit = hit._replace(rawValue=xml_text(hit.rawValue))
+                        if uncarried_line is None:
+                            uncarried_line = line_number
+                    hits.append(hit)
     except OSError as exc:
         return [], 0, [f"{relative_path}: unreadable, skipped ({exc})"]
+    warnings = []
+    if bad_byte is not None:
+        warnings.append(f"{relative_path}: not valid UTF-8 from byte {bad_byte}; "
+                        "undecodable bytes replaced")
+    if uncarried_line is not None:
+        warnings.append(f"{relative_path}: line {uncarried_line} holds characters XML "
+                        "cannot carry; replaced with U+FFFD")
     return hits, nbytes, warnings
 
 
@@ -467,8 +486,7 @@ def extract(
     files_scanned = 0
     bytes_scanned = 0
     sources = tuple(dict.fromkeys(rule.source for rule in config.rules))
-    # files are assembled in path order, whatever order the walk gives
-    for fs_name, absolute_path in sorted(walk_files(root, unreadable_directory)):
+    for fs_name, absolute_path in walk_files(root, unreadable_directory):
         relative_path, note = utf8_name(fs_name)
         matched = {source for source in sources if glob_matches(source, relative_path)}
         if not matched:

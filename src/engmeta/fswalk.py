@@ -1,4 +1,5 @@
-"""Deterministic file-system enumeration shared by extraction and harvest."""
+"""Deterministic file-system enumeration shared by extraction and harvest, and
+the names of walked files as documents carry them (``utf8_name``)."""
 
 from __future__ import annotations
 
@@ -6,17 +7,23 @@ import os
 from pathlib import Path
 from typing import Callable
 
-from .model import has_lone_surrogate
+from .model import text_fault, xml_text
 
 
 def utf8_name(relative_path: str) -> tuple[str, str | None]:
-    """A walked name with U+FFFD for the bytes that are not UTF-8 (``os.fsdecode``
-    left a lone surrogate for each), and a note giving its bytes, or None."""
-    if not has_lone_surrogate(relative_path):
+    """A walked name as documents carry it, and a note giving its bytes when that
+    differs, or None: U+FFFD stands for each byte that is not UTF-8 (``os.fsdecode``
+    left a lone surrogate for each) and for each character XML cannot carry."""
+    if text_fault(relative_path) is None:
         return relative_path, None
     raw_name = os.fsencode(relative_path)
-    return raw_name.decode("utf-8", "replace"), (
-        f"file name {raw_name!r} is not UTF-8; listed with U+FFFD for its undecodable bytes")
+    name = raw_name.decode("utf-8", "replace")
+    carried = xml_text(name)
+    if carried == name:
+        return name, (f"file name {raw_name!r} is not UTF-8; "
+                      "listed with U+FFFD for its undecodable bytes")
+    return carried, (f"file name {raw_name!r} holds characters XML cannot carry; "
+                     "listed with U+FFFD for each")
 
 
 def walk_files(

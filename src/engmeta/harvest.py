@@ -4,12 +4,13 @@ Walks a directory tree and records, per regular file, the relative path,
 size, checksum and an extension-derived format hint. Size and checksum come
 from the same read, so they agree even for a file that changes meanwhile.
 Unreadable files and directories are reported as errors. A file whose name
-is not UTF-8 is listed with U+FFFD in place of the bytes that do not
-decode (``fswalk.utf8_name``, which extraction shares), and reported as
-an error that gives the name's bytes; two names that differ only in those
-bytes are both listed. The listing is sorted by the names as the file
-system gives them and is deterministic, so repeated harvests of unchanged
-trees are identical.
+is not UTF-8, or holds a character XML cannot carry (a control character),
+is listed with U+FFFD in place of each byte that does not decode and each
+such character (``fswalk.utf8_name``, which extraction shares), and
+reported as an error that gives the name's bytes; two names that differ
+only in those bytes are both listed. The listing is sorted by the names as
+the file system gives them and is deterministic, so repeated harvests of
+unchanged trees are identical.
 """
 
 from __future__ import annotations
@@ -18,9 +19,8 @@ import hashlib
 from pathlib import Path
 from typing import NamedTuple
 
-from .codes import CHECKSUM_ALGORITHMS
 from .fswalk import utf8_name, walk_files
-from .model import Checksum, EngMetaDataset, FileInfo, _trusted_node
+from .model import CHECKSUM_ALGORITHMS, Checksum, EngMetaDataset, FileInfo, _trusted_node
 
 _HASHERS = {"MD5": hashlib.md5, "SHA-256": hashlib.sha256}
 _CHUNK_SIZE = 1024 * 1024
@@ -83,8 +83,8 @@ def harvest(root_dir: str | Path, algorithm: str = "SHA-256") -> HarvestResult:
         relative_path, note = utf8_name(relative_path)
         if note is not None:
             errors.append(HarvestError(relative_path, note))
-        # from here every value is canonical (a name with no lone surrogate, a
-        # size, a hex digest, a checked algorithm), so the nodes are built unchecked
+        # from here every value is canonical (a name XML can carry, a size, a
+        # hex digest, a checked algorithm), so the nodes are built unchecked
         try:
             digest, size = _digest(absolute_path, algorithm)
             checksum = _trusted_node(Checksum, {"digest": digest, "algorithm": algorithm})

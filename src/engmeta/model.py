@@ -25,12 +25,14 @@ normal intermediate state of automated extraction. Field-local constraints
 field rules (``_rules``), carried in ``FieldSpec.rules`` and checked by
 ``validation.validate``, not by constructors; the code lists a rule names
 stay editable in codes.json. Constructors do enforce value semantics:
-correct scalar types, no empty strings, no text UTF-8 cannot encode (a lone
-surrogate), only integers and finite decimals of at most 4300 digits in
-plain notation, and no empty nodes (a node whose fields are all unset
-collapses to "absent"). Each scalar is stored as its exact builtin type, an
-instance of a subclass (a ``(str, Enum)`` code, an ``IntEnum``) as the value
-it holds, so every reader of a stored scalar tells its type by ``type()``.
+correct scalar types, no empty strings, only text XML 1.0 can carry (no C0
+control but tab, LF and CR, no U+FFFE or U+FFFF, and no lone surrogate,
+which UTF-8 cannot encode either), only integers and finite decimals of at
+most 4300 digits in plain notation, and no empty nodes (a node whose fields
+are all unset collapses to "absent"). Each scalar is stored as its exact
+builtin type, an instance of a subclass (a ``(str, Enum)`` code, an
+``IntEnum``) as the value it holds, so every reader of a stored scalar
+tells its type by ``type()``.
 For constructors and extraction rules alike, ``fills`` decides which values
 a field takes: its own type, any scalar in the tagged ``Variable.value``,
 and an ``int`` in a ``Decimal`` field, which stores it as a ``Decimal``.
@@ -109,14 +111,32 @@ def _too_long(value: Decimal) -> bool:
     return plain > _MAX_DIGITS
 
 
-# a surrogate code point, which UTF-8 cannot encode: os.fsdecode leaves one for
-# each byte of a file name that is not UTF-8, and json.loads one for a "\udcff"
-_SURROGATE = re.compile(r"[\ud800-\udfff]")
+# A character XML 1.0 cannot carry: a C0 control but tab, LF and CR, U+FFFE,
+# U+FFFF, or a surrogate, which UTF-8 cannot encode either (os.fsdecode leaves
+# one for each byte of a file name that is not UTF-8, json.loads one for "\udcff").
+# Listed, not as the complement of what XML carries, which is 20 times dearer to
+# compile; ``re`` compiles it on first use, as most text never reaches it.
+_NOT_XML_CHAR = r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]"
 
 
-def has_lone_surrogate(text: str) -> bool:
-    """True when the text holds a lone surrogate, so no UTF-8 document can carry it."""
-    return not text.isascii() and _SURROGATE.search(text) is not None
+def text_fault(text: str) -> str | None:
+    """None when every document can carry the text, else why none can: it "holds
+    a lone surrogate, not UTF-8 text", or it "holds U+001B, which XML cannot carry"
+    (naming the first such character)."""
+    if text.isascii() and text.isprintable():  # most text, without the regex
+        return None
+    found = re.search(_NOT_XML_CHAR, text)
+    if found is None:
+        return None
+    code = ord(found.group())
+    if 0xD800 <= code <= 0xDFFF:
+        return "holds a lone surrogate, not UTF-8 text"
+    return f"holds U+{code:04X}, which XML cannot carry"
+
+
+def xml_text(text: str) -> str:
+    """The text with U+FFFD for each character that ``text_fault`` refuses."""
+    return re.sub(_NOT_XML_CHAR, "\ufffd", text)
 
 
 def number_from_text(text: str, value_type: type) -> int | Decimal:
@@ -344,8 +364,9 @@ def _check_scalar(spec: "FieldSpec", given):
     if base is str:
         if value == "":
             raise ValueError(f"{spec.attr}: empty strings are not valid values")
-        if has_lone_surrogate(value):
-            raise ValueError(f"{spec.attr}: {given!r} holds a lone surrogate, not UTF-8 text")
+        fault = text_fault(value)
+        if fault is not None:
+            raise ValueError(f"{spec.attr}: {given!r} {fault}")
     elif base is Decimal:
         if not value.is_finite():
             raise ValueError(f"{spec.attr}: {given} is not a finite decimal")
@@ -391,9 +412,11 @@ def _normalize_field(spec: "FieldSpec", value):
     return tuple(kept)
 
 
-# Fixed: the four stages of the research process (other behaviour
-# depends on them, so unlike the code lists they are not editable).
+# Fixed, because other behaviour depends on them, so unlike the code lists
+# they are not editable: the four stages of the research process, and each
+# checksum algorithm with the hex length of its digests.
 STEP_TYPES = ("data generation", "post processing", "analysis", "visualization")
+CHECKSUM_ALGORITHMS = {"MD5": 32, "SHA-256": 64}
 
 # The step fields PROV keeps as structure: the activity's date, its agent and
 # its file relations. Flat blocks drop them; PROV's used entities are the

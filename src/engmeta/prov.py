@@ -12,6 +12,7 @@ entity and the chain is visible in the graph.
 from __future__ import annotations
 
 import hashlib
+import re
 from typing import NamedTuple
 
 from .errors import ProvError
@@ -146,8 +147,25 @@ def to_prov(dataset: EngMetaDataset) -> ProvDocument:
     )
 
 
+# an xsd:dateTime, which PROV-N writes unquoted: YYYY-MM-DDThh:mm:ss[.s+][Z|(+|-)hh:mm]
+_XSD_DATETIME = re.compile(
+    r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}(?:\.[0-9]+)?"
+    r"(?:Z|[+-](?:(?:0[0-9]|1[0-3]):[0-5][0-9]|14:00))?"
+)
+
+
 def _quote(text: str) -> str:
-    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    """A PROV-N string literal, which may hold no raw LF or CR."""
+    escaped = text.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+    return '"' + escaped.replace("\r", "\\r") + '"'
+
+
+def _end_time(date: str | None) -> str:
+    """The activity's end-time slot: the date when it is an ISO date-time in
+    xsd:dateTime form, else "-"."""
+    if date is None or not _XSD_DATETIME.fullmatch(date) or not parse_iso_datetime(date):
+        return "-"
+    return date
 
 
 def _attr_list(pairs: list[tuple[str, str]]) -> str:
@@ -164,15 +182,13 @@ def serialize_prov_n(doc: ProvDocument, base_uri: str = DEFAULT_BASE_URI) -> str
 
     statements: list[str] = []
     for activity in sorted(doc.activities, key=lambda a: a.id):
-        end_time = "-"
-        if activity.date is not None and parse_iso_datetime(activity.date) is not None:
-            end_time = activity.date
         attrs = []
         if activity.stepType is not None:
             attrs.append((f"{PREFIX}:stepType", activity.stepType))
         if activity.date is not None:
             attrs.append((f"{PREFIX}:date", activity.date))
         suffix = f", {_attr_list(attrs)}" if attrs else ""
+        end_time = _end_time(activity.date)
         statements.append(f"activity({PREFIX}:{activity.id}, -, {end_time}{suffix})")
 
     for agent in sorted(doc.agents, key=lambda a: a.id):

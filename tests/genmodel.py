@@ -9,8 +9,8 @@ import random
 import string
 from decimal import Decimal
 
-from engmeta.codes import STEP_TYPES, codes
 from engmeta.model import (
+    STEP_TYPES,
     Checksum,
     Compiler,
     Component,
@@ -39,6 +39,12 @@ from engmeta.model import (
     Title,
     Variable,
 )
+from engmeta.validation import load_codes
+
+
+def codes(list_name: str) -> tuple[str, ...]:
+    return load_codes()[list_name]
+
 
 _WORDS = (
     "shear", "viscosity", "binding", "energy", "droplet", "turbulent", "flow",

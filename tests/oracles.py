@@ -10,7 +10,6 @@ from pathlib import Path
 from xml.etree import ElementTree
 
 from engmeta import canon, prov
-from engmeta import codes as codetables
 from engmeta.errors import (
     CoercionError,
     ConfigError,
@@ -40,6 +39,7 @@ from engmeta.isodates import is_iso_date_or_datetime
 from engmeta.merging import Conflict
 from engmeta.model import (
     ATTRIBUTE,
+    CHECKSUM_ALGORITHMS,
     CHILD,
     CONTENT,
     NODE,
@@ -47,6 +47,7 @@ from engmeta.model import (
     SCALAR,
     SCALAR_LIST,
     SCALAR_TYPE_NAMES,
+    STEP_TYPES,
     Checksum,
     DatedEvent,
     Description,
@@ -72,14 +73,13 @@ from engmeta.model import (
     _INTEGER_LIMIT,
     _TOO_LONG,
     _too_long,
-    has_lone_surrogate,
     scalar_key,
     scalar_to_text,
     scalar_type_name,
     schema,
 )
 from engmeta.paths import MetadataPath, PathSegment, append_nodes, get_path, parse_path, set_path
-from engmeta.validation import Finding, ValidationReport
+from engmeta.validation import Finding, ValidationReport, load_codes
 
 
 def leaf_paths(node, prefix: str = "") -> list[str]:
@@ -181,8 +181,13 @@ def check_scalar_by_isinstance(spec, value):
     if isinstance(value, str):
         if value == "":
             raise ValueError(f"{spec.attr}: empty strings are not valid values")
-        if has_lone_surrogate(value):
-            raise ValueError(f"{spec.attr}: {value!r} holds a lone surrogate, not UTF-8 text")
+        for char in value:  # the first character XML 1.0 cannot carry, if any
+            code = ord(char)
+            if 0xD800 <= code <= 0xDFFF:
+                raise ValueError(f"{spec.attr}: {value!r} holds a lone surrogate, not UTF-8 text")
+            if code < 0x20 and char not in "\t\n\r" or code in (0xFFFE, 0xFFFF):
+                raise ValueError(f"{spec.attr}: {value!r} holds U+{code:04X}, "
+                                 "which XML cannot carry")
     if isinstance(value, Decimal):
         if not value.is_finite():
             raise ValueError(f"{spec.attr}: {value} is not a finite decimal")
@@ -567,6 +572,10 @@ def _build_rule_by_field_checks(rule_id: str, header_line: int, fields: dict[str
     )
 
 
+# what XML 1.0 cannot carry but the surrogates, which no decoded file holds
+_NOT_XML = frozenset(map(chr, [*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), 0xFFFE, 0xFFFF]))
+
+
 def scan_file_whole(absolute_path: Path, relative_path: str, rules: list):
     """Reference for ``extract.scan_file``: the whole file read and decoded at
     once, split into lines, and every line matched against every rule."""
@@ -584,13 +593,20 @@ def scan_file_whole(absolute_path: Path, relative_path: str, rules: list):
             "undecodable bytes replaced"
         )
     hits: list[RawHit] = []
+    uncarried: list[int] = []  # the lines of raw values with characters XML cannot carry
     # a leading byte-order mark is not part of line 1
     for line_number, line in enumerate(text.removeprefix("\ufeff").split("\n"), start=1):
         line = line.rstrip("\r")
         for rule in rules:
             hit = parse_line(line, rule, source_file=relative_path, line_number=line_number)
             if hit is not None:
-                hits.append(hit)
+                value = "".join("\ufffd" if char in _NOT_XML else char for char in hit.rawValue)
+                if value != hit.rawValue:
+                    uncarried.append(line_number)
+                hits.append(hit._replace(rawValue=value))
+    if uncarried:
+        warnings.append(f"{relative_path}: line {uncarried[0]} holds characters XML "
+                        "cannot carry; replaced with U+FFFD")
     return hits, len(data), warnings
 
 
@@ -945,7 +961,7 @@ def _check_uris(node, path, error) -> None:
 
 
 def _check_membership(value, list_name, path, report) -> None:
-    if value is not None and value not in codetables.codes(list_name):
+    if value is not None and value not in load_codes()[list_name]:
         report(path, f"{value!r} is not in the {list_name} code list")
 
 
@@ -1015,9 +1031,9 @@ def _check_checksum(node: Checksum, path, error, warning) -> None:
     if node.algorithm is None:
         error(_field_path(path, "algorithm"), "checksum needs an algorithm")
         return
-    expected_length = codetables.CHECKSUM_ALGORITHMS.get(node.algorithm)
+    expected_length = CHECKSUM_ALGORITHMS.get(node.algorithm)
     if expected_length is None:
-        allowed = ", ".join(sorted(codetables.CHECKSUM_ALGORITHMS))
+        allowed = ", ".join(sorted(CHECKSUM_ALGORITHMS))
         error(_field_path(path, "algorithm"), f"{node.algorithm!r} is not one of: {allowed}")
         return
     if node.digest is None:
@@ -1069,8 +1085,8 @@ def _check_environment(node: Environment, path, error, warning) -> None:
 
 
 def _check_step(node: ProcessingStep, path, error, warning) -> None:
-    if node.stepType is not None and node.stepType not in codetables.STEP_TYPES:
-        allowed = ", ".join(codetables.STEP_TYPES)
+    if node.stepType is not None and node.stepType not in STEP_TYPES:
+        allowed = ", ".join(STEP_TYPES)
         error(_field_path(path, "stepType"), f"{node.stepType!r} is not one of: {allowed}")
     if node.date is not None and not is_iso_date_or_datetime(node.date):
         error(_field_path(path, "date"), f"{node.date!r} is not an ISO-8601 date or date-time")

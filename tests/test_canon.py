@@ -131,6 +131,28 @@ def test_json_text_with_a_lone_surrogate_is_refused(doc, path):
     assert excinfo.value.path == path
 
 
+@pytest.mark.parametrize("doc, path", [
+    ({"project": "a\u0001b"}, "project"),
+    ({"keyword": ["ok", "\x1b[1m"]}, "keyword[1]"),
+    ({"processingStep": [{"method": {"parameters": [
+        {"name": "p", "value": {"type": "string", "text": "x\uffff"}}]}}]},
+     "processingStep[0].method.parameters[0].value"),
+])
+def test_json_text_xml_cannot_carry_is_refused(doc, path):
+    # a "\u0001" escape reads as a character no XML document can carry
+    with pytest.raises(CanonDecodeError, match="which XML cannot carry") as excinfo:
+        from_json(json.dumps(doc))
+    assert excinfo.value.path == path
+
+
+def test_xml_syntax_error_names_its_position_once():
+    with pytest.raises(CanonSyntaxError) as excinfo:
+        from_xml("<engMeta>\n<project>\n  <x>a\x01</x></project></engMeta>")
+    assert str(excinfo.value) == ("not well-formed XML: not well-formed (invalid token) "
+                                  "(line 3, column 6)")
+    assert (excinfo.value.line, excinfo.value.column) == (3, 6)
+
+
 @pytest.mark.parametrize("element, text", [("sizeBytes", "١٢"), ("interval", "1_0")])
 def test_numbers_are_read_from_ascii_text_only(element, text):
     # the writer spells numbers in ASCII digits without separators only

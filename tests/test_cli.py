@@ -340,6 +340,53 @@ def test_lone_surrogate_escape_in_json_is_reported_not_raised(command, tmp_path,
     assert captured.err == "error: project: 'a\\udcffb' holds a lone surrogate, not UTF-8 text\n"
 
 
+@pytest.mark.parametrize("command", ["validate", "to-prov", "to-dataverse"])
+def test_control_character_escape_in_json_is_reported_not_raised(command, tmp_path, capsys):
+    doc = tmp_path / "doc.json"
+    doc.write_text('{"project": "a\\u0001b"}\n', encoding="utf-8")
+    argv = [command, "--in", str(doc)]
+    if command != "validate":
+        argv += ["--out", str(tmp_path / "out.txt")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: project: 'a\\x01b' holds U+0001, which XML cannot carry\n"
+
+
+def test_extract_of_an_ansi_coloured_log_validates(tmp_path, capsys):
+    root = tmp_path / "run"
+    root.mkdir()
+    (root / "README.txt").write_bytes(b"Title: run \x1b[1mseven\x1b[0m\n")
+    rules = tmp_path / "rules.conf"
+    rules.write_text("[rule title]\ntarget = title[0].text\nsource = README.txt\n"
+                     "key = Title\ndelimiter = :\n")
+    out = tmp_path / "out.xml"
+    assert main(["extract", "--config", str(rules), "--root", str(root), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: README.txt: line 1 holds characters XML cannot carry; replaced with U+FFFD\n"
+        "extract: 1 files, 1 of 1 rules matched, 0 conflicts, 0 coercion failures\n"
+    )
+    assert main(["validate", "--in", str(out)]) == 0
+    titles = from_xml(out.read_text(encoding="utf-8")).dataset.titles
+    assert titles[0].text == "run \ufffd[1mseven\ufffd[0m"
+
+
+@pytest.mark.parametrize("fmt", ["xml", "json"])
+def test_harvest_lists_file_names_xml_cannot_carry(fmt, tmp_path, capsys):
+    root = tmp_path / "tree"
+    root.mkdir()
+    (root / "a\x01b.log").write_text("x")
+    out = tmp_path / f"listing.{fmt}"
+    assert main(["harvest", "--root", str(root), "--format", fmt, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == (
+        "warning: a\ufffdb.log: file name b'a\\x01b.log' holds characters XML cannot carry; "
+        "listed with U+FFFD for each\nharvest: 1 files, 1 errors\n"
+    )
+    listing = (from_xml if fmt == "xml" else from_json)(out.read_text(encoding="utf-8")).dataset
+    assert [info.filename for info in listing.files] == ["a\ufffdb.log"]
+    assert main(["validate", "--in", str(out)]) == 0
+
+
 def test_unknown_flag_is_usage_error(capsys):
     assert main(["extract", "--nope"]) == 2
     assert main(["no-such-command"]) == 2

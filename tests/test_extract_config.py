@@ -127,6 +127,17 @@ def test_unit_requires_variable_target():
     assert "unit" in str(excinfo.value)
 
 
+def test_unit_xml_cannot_carry_rejected_on_its_line():
+    # the unit is the one rule field written into documents
+    text = ("[rule r]\ntarget = system.controlledVariables.value\nsource = *\nkey = K\n"
+            "occurrence = all\nunit = K\x01\n")
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text)
+    assert str(excinfo.value) == ("line 6: rule 'r': unit 'K\\x01' holds U+0001, "
+                                  "which XML cannot carry")
+    assert excinfo.value.line == 6
+
+
 def test_duplicate_field_rejected():
     text = MINIMAL + "key = again\n"
     with pytest.raises(ConfigError):

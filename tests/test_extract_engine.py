@@ -100,6 +100,11 @@ def test_coerce_date():
     assert coerce("2019-05-24", "date") == "2019-05-24"
     with pytest.raises(CoercionError):
         coerce("24.05.2019", "date")
+    with pytest.raises(CoercionError, match="^unknown value type 'bogus'$"):
+        coerce("2019-05-24", "bogus")
+    # a hand-built hit may hold text no document carries; a scanned one holds U+FFFD
+    with pytest.raises(CoercionError, match=r"^'a\\x01b' holds U\+0001, which XML cannot carry$"):
+        coerce("a\x01b", "string")
 
 
 def test_coerce_integer_rejects_floats():
@@ -323,15 +328,24 @@ def test_parallel_mode_keeps_its_call_shape(corpus_dir, rules_path, golden_xml_p
 def test_extract_enumeration_order_does_not_matter(corpus_dir, rules_path, monkeypatch):
     config = parse_config(rules_path.read_text())
     expected_xml = to_xml(expected_corpus_dataset())
-    true_walk = engine_module.walk_files
+    true_scandir = os.scandir
 
-    def shuffled_walk(root, on_unreadable=None):
-        entries = true_walk(root, on_unreadable)
-        random.Random(1234).shuffle(entries)
-        return entries
+    class ShuffledListing:
+        """A directory listing in an order of its own, as a file system may give it."""
+
+        def __init__(self, path):
+            with true_scandir(path) as listing:
+                self.entries = list(listing)
+            random.Random(1234).shuffle(self.entries)
+
+        def __enter__(self):
+            return iter(self.entries)
+
+        def __exit__(self, *exc_info):
+            return False
 
     expected_report = _report_json(extract(corpus_dir, config)[1])
-    monkeypatch.setattr(engine_module, "walk_files", shuffled_walk)
+    monkeypatch.setattr(os, "scandir", ShuffledListing)
     for mode in ("serial", "parallel"):
         dataset, report = extract(corpus_dir, config, mode=mode)
         assert to_xml(dataset) == expected_xml
@@ -443,6 +457,17 @@ def test_non_utf8_bytes_are_reported(tmp_path):
     assert [h.rawValue for h in hits] == ["one", "caf\ufffd", "two"]
     assert nbytes == len(data)
     assert warnings == ["x.txt: not valid UTF-8 from byte 7; undecodable bytes replaced"]
+
+
+def test_characters_xml_cannot_carry_are_replaced_and_reported(tmp_path):
+    # ANSI colour codes, as simulation logs hold them; each warning names the first place
+    config = parse_config("[rule p]\ntarget = project\nsource = *\nkey = P\ndelimiter = :\n")
+    target = tmp_path / "x.txt"
+    target.write_bytes(b"P: one\nP: \x1b[1mseven\x1b[0m\n\xff\nP: a\x01\tb\xef\xbf\xbe\n")
+    hits, _, warnings = scan_file(target, "x.txt", list(config.rules))
+    assert [h.rawValue for h in hits] == ["one", "\ufffd[1mseven\ufffd[0m", "a\ufffd\tb\ufffd"]
+    assert warnings == ["x.txt: not valid UTF-8 from byte 24; undecodable bytes replaced",
+                        "x.txt: line 2 holds characters XML cannot carry; replaced with U+FFFD"]
 
 
 def test_scan_memory_grows_with_the_longest_line_not_the_file(tmp_path):

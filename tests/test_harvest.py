@@ -195,3 +195,23 @@ def test_non_utf8_file_names_are_listed_replaced_and_reported(non_utf8_tree):
     dataset = result.to_dataset()
     assert validate(dataset).ok
     assert from_xml(to_xml(dataset)).dataset == dataset
+
+
+def test_file_names_xml_cannot_carry_are_listed_replaced_and_reported(tmp_path):
+    for name in ("a\x01b.log", "c\x1b[0m.log", "ok.log"):
+        (tmp_path / name).write_text("x")
+    try:
+        with open(os.path.join(os.fsencode(tmp_path), b"d\x02\xff.log"), "wb") as handle:
+            handle.write(b"x")
+    except OSError:
+        pytest.skip("the file system refuses names that are not UTF-8")
+    result = harvest(tmp_path)
+    names = [info.filename for info in result.files]
+    assert names == ["a\ufffdb.log", "c\ufffd[0m.log", "d\ufffd\ufffd.log", "ok.log"]
+    assert result.errors == tuple(
+        HarvestError(name, f"file name {raw!r} holds characters XML cannot carry; "
+                     "listed with U+FFFD for each")
+        for name, raw in zip(names, (b"a\x01b.log", b"c\x1b[0m.log", b"d\x02\xff.log"))
+    )
+    dataset = result.to_dataset()
+    assert from_xml(to_xml(dataset)).dataset == dataset

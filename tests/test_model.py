@@ -74,6 +74,22 @@ def test_text_with_a_lone_surrogate_rejected():
     assert FileInfo(filename="bäd\ufffdname✓.txt").filename == "bäd\ufffdname✓.txt"
 
 
+@pytest.mark.parametrize("text, code", [("run \x1b[1mseven", "001B"), ("a\x00", "0000"),
+                                        ("\x0bx", "000B"), ("x\ufffe", "FFFE"),
+                                        ("x\uffff", "FFFF"), ("\x01\udcff", "0001")])
+def test_text_xml_cannot_carry_rejected(text, code):
+    # XML 1.0 carries no C0 control but tab, LF and CR, nor U+FFFE or U+FFFF
+    with pytest.raises(ValueError, match=rf"^text: .* holds U\+{code}, which XML cannot carry$"):
+        Title(text=text)
+    with pytest.raises(ValueError, match=rf"^keywords: .* holds U\+{code}"):
+        EngMetaDataset(keywords=("ok", text))
+
+
+def test_text_xml_carries_accepted():
+    for text in ("tab\tLF\nCR\r", "\x7f\x85\u2028", "\ufffd\ue000\U0010ffff", "中😀"):
+        assert Title(text=text).text == text
+
+
 def test_wrong_scalar_type_rejected():
     with pytest.raises(TypeError):
         TemporalResolution(numberOfTimesteps="5000000")
@@ -211,6 +227,8 @@ def test_scalar_text_forms():
     assert scalar_to_text(False) == "false"
     assert scalar_to_text(12) == "12"
     assert scalar_to_text("raw") == "raw"
+    with pytest.raises(TypeError, match="^not a scalar value: object$"):
+        scalar_to_text(object())
 
 
 def test_scalar_key_is_type_strict():

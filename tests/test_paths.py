@@ -155,6 +155,13 @@ def test_writes_refuse_text_with_a_lone_surrogate():
         append_nodes(EngMetaDataset(), "keyword", ["ok", "b\udcff"])
 
 
+def test_writes_refuse_text_xml_cannot_carry():
+    with pytest.raises(PathTargetError, match=r"^title\[0\]\.text: text: .* U\+001B, which XML"):
+        set_path(EngMetaDataset(), "title[0].text", "run \x1b[1mseven")
+    with pytest.raises(PathTargetError, match=r"^keyword: keywords: .* U\+FFFF, which XML"):
+        append_nodes(EngMetaDataset(), "keyword", ["ok", "b\uffff"])
+
+
 def test_append_nodes_keeps_order_and_skips_empty_nodes():
     doc = append_nodes(EngMetaDataset(keywords=("a",)), "keyword", ["b", "c", "b"])
     assert doc.keywords == ("a", "b", "c", "b")

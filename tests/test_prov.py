@@ -5,7 +5,14 @@ import pytest
 from engmeta import prov
 from engmeta.errors import ProvError
 from engmeta.flatten import flatten
-from engmeta.model import PROV_STEP_FIELDS, EngMetaDataset, FileRef, ProcessingStep, schema
+from engmeta.model import (
+    PROV_STEP_FIELDS,
+    EngMetaDataset,
+    FileRef,
+    ProcessingStep,
+    Software,
+    schema,
+)
 from engmeta.prov import ProvDocument, Relation, serialize_prov_n, to_prov
 from everyfield import every_field_dataset
 
@@ -136,6 +143,26 @@ def test_date_only_attribute_when_not_datetime():
     assert 'ex:date="2019-05-24"' in text
 
 
+@pytest.mark.parametrize("date, end_time", [
+    ("2019-05-24T18:30:00", "2019-05-24T18:30:00"),
+    ("2019-05-24T18:30:00.250Z", "2019-05-24T18:30:00.250Z"),
+    ("2019-05-24T18:30:00-14:00", "2019-05-24T18:30:00-14:00"),
+    # read as ISO dates, but no xsd:dateTime, which PROV-N writes unquoted
+    ("2020-01-01 10:00:00", "-"),
+    ("2020-01-01X10:00:00", "-"),
+    ("2020-01-01T10", "-"),
+    ("2020-01-01T10:00", "-"),
+    ("2020-01-01T10:00:00+14:30", "-"),
+    ("2020-01-01T10:00:00.25", "-"),  # an xsd:dateTime, but no ISO date
+    ("2020-02-30T10:00:00", "-"),
+])
+def test_end_time_slot_holds_only_an_xsd_date_time(date, end_time):
+    step = ProcessingStep(stepType="analysis", date=date)
+    text = serialize_prov_n(to_prov(EngMetaDataset(processingSteps=(step,))))
+    assert f"activity(ex:act_0, -, {end_time}, [" in text
+    assert f'ex:date="{date}"' in text  # the date itself stays an attribute
+
+
 def test_dates_reproduce_step_order(gromacs_doc):
     doc = to_prov(gromacs_doc)
     dated = [(a.date, a.id) for a in doc.activities]
@@ -156,6 +183,15 @@ def test_quotes_escaped_in_labels():
     step = ProcessingStep(executionCommand='run --tag "final"')
     text = serialize_prov_n(to_prov(EngMetaDataset(processingSteps=(step,))))
     assert '\\"final\\"' in text
+
+
+def test_line_breaks_escaped_in_labels():
+    # a PROV-N string literal may hold no raw LF or CR
+    step = ProcessingStep(executionCommand="make \\\r\n  all", software=(Software(name="a\nb"),))
+    text = serialize_prov_n(to_prov(EngMetaDataset(processingSteps=(step,))))
+    assert 'prov:label="make \\\\\\r\\n  all"' in text
+    assert 'prov:label="a\\nb"' in text
+    assert all(line.count('"') % 2 == 0 for line in text.splitlines())
 
 
 def test_step_fields_are_step_type_prov_structure_or_used_entities():

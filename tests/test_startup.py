@@ -25,7 +25,7 @@ with open(sys.argv[1], "w") as out:
 """
 
 READERS = {"engmeta", "engmeta.canon", "engmeta.cli", "engmeta.errors", "engmeta.model"}
-VALIDATION = {"engmeta.codes", "engmeta.isodates", "engmeta.validation"}
+VALIDATION = {"engmeta.isodates", "engmeta.validation"}
 EXTRACTION = VALIDATION | {
     "engmeta.extract", "engmeta.extract.config", "engmeta.extract.engine",
     "engmeta.fswalk", "engmeta.paths",

@@ -1,6 +1,5 @@
 import pytest
 
-from engmeta.codes import load_codes
 from engmeta.model import (
     NODE,
     NODE_LIST,
@@ -21,7 +20,7 @@ from engmeta.model import (
     _rules,
     schema,
 )
-from engmeta.validation import validate
+from engmeta.validation import load_codes, validate
 
 
 def error_paths(report):
