@@ -21,7 +21,9 @@ children as the text they hold; it builds a child's path string
 (``file[3].sizeBytes``) only to decode any other child, whose warnings and
 errors name it. The writer writes each scalar child from its tags in place,
 passes strings through as they are, and escapes only text that holds a
-character to escape.
+character to escape. Each context, text and attribute value, declares one
+table of the characters it escapes; the pre-check and the escape are both
+read from it.
 
 JSON is written from the schema too, one joined string per object or
 array, byte for byte what ``json.dumps(obj, indent=2, ensure_ascii=False)``
@@ -113,27 +115,18 @@ def _require_valid(dataset: EngMetaDataset) -> None:
 
 # --- XML ------------------------------------------------------------------
 
-# the characters each escape replaces: text without them is written as it is
-_TEXT_SPECIALS = re.compile("[&<>\r]")
-_ATTRIBUTE_SPECIALS = re.compile('[&<>\r"\n\t]')
+# each character an escape replaces, '&' first so no escape is escaped again;
+# text holding none of them is written as it is
+_TEXT_ESCAPES = {"&": "&amp;", "<": "&lt;", ">": "&gt;", "\r": "&#13;"}
+_ATTRIBUTE_ESCAPES = {**_TEXT_ESCAPES, '"': "&quot;", "\n": "&#10;", "\t": "&#9;"}
+_TEXT_SPECIALS = re.compile(f"[{re.escape(''.join(_TEXT_ESCAPES))}]")
+_ATTRIBUTE_SPECIALS = re.compile(f"[{re.escape(''.join(_ATTRIBUTE_ESCAPES))}]")
 
 
-def _escape_text(text: str) -> str:
-    return (
-        text.replace("&", "&amp;")
-        .replace("<", "&lt;")
-        .replace(">", "&gt;")
-        .replace("\r", "&#13;")
-    )
-
-
-def _escape_attribute(text: str) -> str:
-    return (
-        _escape_text(text)
-        .replace('"', "&quot;")
-        .replace("\n", "&#10;")
-        .replace("\t", "&#9;")
-    )
+def _escape(text: str, table: dict[str, str]) -> str:
+    for char, escape in table.items():
+        text = text.replace(char, escape)
+    return text
 
 
 @cache
@@ -175,13 +168,13 @@ def _write_element(lines: list[str], start: str, end: str, node, pad: str) -> No
                 if type(value) is not str:
                     value = scalar_to_text(value)
                 if _ATTRIBUTE_SPECIALS.search(value):
-                    value = _escape_attribute(value)
+                    value = _escape(value, _ATTRIBUTE_ESCAPES)
                 attr_text += f' {name}="{value}"'
         start = f"{start[:-1]}{attr_text}>"
     text = None if content is None else getattr(node, content.attr)
     if text is not None:  # a str: the model declares no other content
         if _TEXT_SPECIALS.search(text):
-            text = _escape_text(text)
+            text = _escape(text, _TEXT_ESCAPES)
         lines.append(f"{pad}{start}{text}{end}")
         return
 
@@ -204,7 +197,7 @@ def _write_element(lines: list[str], start: str, end: str, node, pad: str) -> No
                 if tagged:
                     item_start = f'<{spec.element} type="{scalar_type_name(item)}">'
             if _TEXT_SPECIALS.search(text):
-                text = _escape_text(text)
+                text = _escape(text, _TEXT_ESCAPES)
             lines.append(f"{inner}{item_start}{text}{child_end}")
     if len(lines) == opened:  # nothing inside: close the element where it opens
         lines[-1] = f"{pad}{start[:-1]}/>"

@@ -213,7 +213,7 @@ def analyze_target(rule: ExtractionRule) -> TargetShape:
         open_segment = open_positions[0]
         open_spec = resolved[open_segment][1]
         if grouped:
-            if open_spec.kind != NODE_LIST or open_segment == len(resolved) - 1:
+            if open_spec.kind != NODE_LIST:
                 raise ConfigError(
                     f"rule {rule_id!r}: grouped rules must target a field inside "
                     f"a node list (got {path})",

@@ -51,7 +51,6 @@ from .canon import _enclosed, _encode_string, _json_primitive
 from .errors import FlattenStructureError
 from .model import (
     NODE,
-    NODE_LIST,
     PROV_STEP_FIELDS,
     SCALAR,
     SCALAR_LIST,

@@ -1,5 +1,9 @@
 """ISO-8601 dates in Python 3.10's ``fromisoformat`` grammar on every version.
 
+One predicate, ``is_iso_date_or_datetime``, serves every caller: the
+``iso_date`` field rule, ``type = date`` coercion and PROV-N's end time,
+which first requires the xsd:dateTime form and so a time part.
+
 3.11 widened ``fromisoformat`` to most of ISO 8601 (``20200101``,
 ``2020-W01-1``), so a text must match the 3.10 grammar before
 ``fromisoformat`` checks its calendar and clock values. The grammar also
@@ -21,29 +25,16 @@ _ISO_RE = re.compile(
 )
 
 
-def _parse(text: str) -> _dt.date | None:
-    """The date or date-time the text spells; None if it spells neither."""
+def is_iso_date_or_datetime(text: str) -> bool:
+    """True when the text spells an ISO-8601 date or date-time."""
     candidate = text.strip()
     if candidate.endswith(("Z", "z")):  # which fromisoformat only learned in 3.11
         candidate = candidate[:-1] + "+00:00"
     match = _ISO_RE.fullmatch(candidate)
     if match is None:
-        return None
+        return False
     try:
-        return (_dt.date if match["time"] is None else _dt.datetime).fromisoformat(candidate)
+        (_dt.date if match["time"] is None else _dt.datetime).fromisoformat(candidate)
     except ValueError:
-        return None
-
-
-def parse_iso_datetime(text: str) -> _dt.datetime | None:
-    """Parse an ISO-8601 date-time; returns None if the text is not one.
-
-    Date-only strings are not date-times.
-    """
-    value = _parse(text)
-    return value if isinstance(value, _dt.datetime) else None
-
-
-def is_iso_date_or_datetime(text: str) -> bool:
-    """True when the text parses as an ISO-8601 date or date-time."""
-    return _parse(text) is not None
+        return False
+    return True

@@ -394,14 +394,16 @@ def _normalize_field(spec: "FieldSpec", value):
                 f"{spec.attr}: expected {spec.value_type.__name__}, got {type(value).__name__}"
             )
         return None if value.is_empty() else value
+    if value is None:
+        return ()
+    if not isinstance(value, (list, tuple)):  # a str or a dict would read as its items
+        raise TypeError(f"{spec.attr}: expected a list or tuple, got {type(value).__name__}")
     if spec.kind == SCALAR_LIST:
-        items = tuple(value or ())
-        return tuple(_check_scalar(spec, item) for item in items)
+        return tuple(_check_scalar(spec, item) for item in value)
     # NODE_LIST: empty entries are dropped, keeping the no-empty-elements
     # canonical form (documents never contain content-free nodes).
-    items = tuple(value or ())
     kept = []
-    for item in items:
+    for item in value:
         if not isinstance(item, spec.value_type):
             raise TypeError(
                 f"{spec.attr}: expected {spec.value_type.__name__} entries, "

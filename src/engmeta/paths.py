@@ -5,8 +5,9 @@ indices, e.g. ``processingStep[0].software[0].name``. Reads return every
 addressed value (an index-less list segment means "all entries"); writes
 address exactly one scalar location and create missing intermediate nodes on
 demand, with list writes allowed at most one position past the current end.
-A write takes no index but 0 on a field that is not a list (``project[1]``
-raises PathTargetError), while a read of ``project[1]`` returns nothing.
+Reads and writes resolve a path by one rule (``_resolve``): where a write
+raises PathTargetError (``project[1]``, a segment below a scalar, a document
+that is not a node), a read returns nothing.
 Appends (``append_nodes``) add entries to the end of an index-less list and
 check them with the list check the node constructors run.
 """
@@ -94,30 +95,25 @@ def _as_path(path: str | MetadataPath) -> MetadataPath:
 
 
 def get_path(dataset: EngMetaDataset, path: str | MetadataPath) -> list:
-    """All values the path addresses; missing elements/indices give []."""
+    """All values the path addresses; a path that resolves nowhere gives []."""
+    parsed = _as_path(path)
+    try:
+        resolved = _resolve(parsed, type(dataset))
+    except PathTargetError:
+        return []
     current = [dataset]
-    for segment in _as_path(path).segments:
+    for segment, spec in resolved:
         gathered = []
         for node in current:
-            if not isinstance(node, _Node):
-                continue  # scalar mid-path: nothing below it
-            spec = field_by_element(type(node), segment.name)
-            if spec is None:
-                continue
             value = getattr(node, spec.attr)
             if spec.kind in (SCALAR, NODE):
-                if segment.index not in (None, 0):
-                    continue
                 if value is not None:
                     gathered.append(value)
-            else:
-                if segment.index is None:
-                    gathered.extend(value)
-                elif segment.index < len(value):
-                    gathered.append(value[segment.index])
+            elif segment.index is None:
+                gathered.extend(value)
+            elif segment.index < len(value):
+                gathered.append(value[segment.index])
         current = gathered
-        if not current:
-            return []
     return current
 
 
@@ -132,6 +128,8 @@ def resolve_specs(path: str | MetadataPath) -> list[tuple[PathSegment, FieldSpec
 
 
 def _resolve(parsed: MetadataPath, root: type) -> list[tuple[PathSegment, FieldSpec]]:
+    if not issubclass(root, _Node):
+        raise PathTargetError(f"{parsed}: a {root.__name__} is not a document node")
     cls: type | None = root
     resolved: list[tuple[PathSegment, FieldSpec]] = []
     for position, segment in enumerate(parsed.segments):

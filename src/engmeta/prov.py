@@ -16,7 +16,7 @@ import re
 from typing import NamedTuple
 
 from .errors import ProvError
-from .isodates import parse_iso_datetime
+from .isodates import is_iso_date_or_datetime
 from .model import PROV_STEP_FIELDS, EngMetaDataset, FileRef, ProcessingStep, schema
 
 DEFAULT_BASE_URI = "https://engmeta.example.org/prov#"
@@ -163,7 +163,7 @@ def _quote(text: str) -> str:
 def _end_time(date: str | None) -> str:
     """The activity's end-time slot: the date when it is an ISO date-time in
     xsd:dateTime form, else "-"."""
-    if date is None or not _XSD_DATETIME.fullmatch(date) or not parse_iso_datetime(date):
+    if date is None or not _XSD_DATETIME.fullmatch(date) or not is_iso_date_or_datetime(date):
         return "-"
     return date
 

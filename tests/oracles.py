@@ -1,5 +1,6 @@
 """Small independent helpers used to cross-check module output in tests."""
 
+import datetime
 import hashlib
 import json
 import os
@@ -35,7 +36,7 @@ from engmeta.flatten import (
 )
 from engmeta.fswalk import walk_files
 from engmeta.harvest import HarvestError, HarvestResult
-from engmeta.isodates import is_iso_date_or_datetime
+from engmeta.isodates import _ISO_RE, is_iso_date_or_datetime
 from engmeta.merging import Conflict
 from engmeta.model import (
     ATTRIBUTE,
@@ -70,6 +71,7 @@ from engmeta.model import (
     Variable,
     field_by_element,
     TAGGED,
+    _Node,
     _INTEGER_LIMIT,
     _TOO_LONG,
     _too_long,
@@ -78,7 +80,15 @@ from engmeta.model import (
     scalar_type_name,
     schema,
 )
-from engmeta.paths import MetadataPath, PathSegment, append_nodes, get_path, parse_path, set_path
+from engmeta.paths import (
+    MetadataPath,
+    PathSegment,
+    _as_path,
+    append_nodes,
+    get_path,
+    parse_path,
+    set_path,
+)
 from engmeta.validation import Finding, ValidationReport, load_codes
 
 
@@ -1651,3 +1661,62 @@ def to_prov_by_hand(dataset: EngMetaDataset) -> prov.ProvDocument:
         tuple(builder.entities.values()),
         tuple(builder.relations),
     )
+
+
+# --- Path reads that look each segment up themselves ----------------------
+
+def get_path_by_node_checks(dataset, path) -> list:
+    """``get_path`` as it read before it resolved paths through the writers'
+    rule: each segment is looked up on each node it reaches, skipping
+    anything that is not a node, an unknown element and an index on a
+    field that is not a list."""
+    current = [dataset]
+    for segment in _as_path(path).segments:
+        gathered = []
+        for node in current:
+            if not isinstance(node, _Node):
+                continue  # scalar mid-path: nothing below it
+            spec = field_by_element(type(node), segment.name)
+            if spec is None:
+                continue
+            value = getattr(node, spec.attr)
+            if spec.kind in (SCALAR, NODE):
+                if segment.index not in (None, 0):
+                    continue
+                if value is not None:
+                    gathered.append(value)
+            else:
+                if segment.index is None:
+                    gathered.extend(value)
+                elif segment.index < len(value):
+                    gathered.append(value[segment.index])
+        current = gathered
+        if not current:
+            return []
+    return current
+
+
+# --- PROV's end time through a parsed date-time -----------------------------
+
+def _parse_iso(text: str):
+    """The date or date-time the text spells in the ISO grammar; None if neither."""
+    candidate = text.strip()
+    if candidate.endswith(("Z", "z")):
+        candidate = candidate[:-1] + "+00:00"
+    match = _ISO_RE.fullmatch(candidate)
+    if match is None:
+        return None
+    try:
+        kind = datetime.date if match["time"] is None else datetime.datetime
+        return kind.fromisoformat(candidate)
+    except ValueError:
+        return None
+
+
+def end_time_by_datetime_parse(date) -> str:
+    """PROV-N's end-time slot as it was chosen when the date-time was parsed
+    and kept: the date when it is in xsd:dateTime form and parses as a
+    date-time (a date alone is not one), else "-"."""
+    if date is None or not prov._XSD_DATETIME.fullmatch(date):
+        return "-"
+    return date if isinstance(_parse_iso(date), datetime.datetime) else "-"

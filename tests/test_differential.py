@@ -8,8 +8,10 @@ the schema-derived crosswalk against the
 hand-written fill functions, the block JSON templates against the
 dict-building writer, PROV's schema-derived used entities
 against the hand-written ones, the rule-file parser against the one
-that checked a rule's fields itself, and the scalar check against the
-isinstance ladder that stored subclass instances as given."""
+that checked a rule's fields itself, the scalar check against the
+isinstance ladder that stored subclass instances as given, path reads
+against the lookup on each reached node, and PROV's end time against the
+parsed date-time."""
 
 import copy
 import enum
@@ -53,6 +55,7 @@ from engmeta.harvest import harvest
 from engmeta.merging import merge
 from engmeta.model import (
     CONTENT,
+    ELEMENT_VOCABULARY,
     NODE,
     NODE_LIST,
     SCALAR,
@@ -73,21 +76,24 @@ from engmeta.model import (
     Title,
     Variable,
     _check_scalar,
+    _Node,
     field_by_element,
     scalar_key,
     schema,
 )
-from engmeta.paths import append_nodes, get_path, set_path
-from engmeta.prov import serialize_prov_n, to_prov
+from engmeta.paths import MetadataPath, PathSegment, append_nodes, get_path, set_path
+from engmeta.prov import _end_time, serialize_prov_n, to_prov
 from engmeta.validation import validate
 from everyfield import every_field_dataset
 from genmodel import dataset_pool
 from oracles import (
     assemble_by_list_scan,
     check_scalar_by_isinstance,
+    end_time_by_datetime_parse,
     flatten_by_fill_functions,
     from_json_checked,
     from_xml_checked,
+    get_path_by_node_checks,
     harvest_checked,
     merge_by_list_scan,
     node_to_obj,
@@ -476,6 +482,109 @@ def test_appending_an_empty_node_is_a_no_op():
             ProcessingStep(method=Method(parameters=(Variable(name="n"),))),
         ))
     )
+
+
+# --- path reads: one resolution rule against the per-node lookup -------------
+
+UNKNOWN_ELEMENT = "notAnElement"
+ELEMENT_NAMES = sorted(ELEMENT_VOCABULARY) + [UNKNOWN_ELEMENT]
+READ_ROOTS = st.one_of(
+    st.sampled_from([None, "doc", EngMetaDataset, ProcessingStep, EngMetaDataset()]),
+    st.sampled_from(DOCS),
+    st.sampled_from(NODES),  # non-root nodes as well as documents
+)
+READ_INDEXES = st.sampled_from([None, None, None, 0, 0, 0, 1, 2, 10**6])
+
+
+@st.composite
+def read_paths(draw, root):
+    """A path from the root: mostly a field set on the node reached, so that
+    reads go deep and find values, else any field of its class, any
+    vocabulary name or an unknown one; each segment with no index, index
+    0, 1, 2 or one far past any list. A segment below a scalar and an index
+    on a field that is not a list both occur."""
+    node = root if isinstance(root, _Node) else None
+    cls = type(node) if node is not None else None
+    segments = []
+    # one more segment: likely below a node, unlikely below a scalar
+    while not segments or draw(st.sampled_from([0, 1, 1, 1] if cls else [0, 0, 0, 1])):
+        specs = schema(cls) if cls is not None else ()
+        filled = [spec for spec in specs
+                  if node is not None and getattr(node, spec.attr) not in (None, ())]
+        choice = draw(st.sampled_from(range(8)))  # uniform, unlike st.integers
+        if filled and choice > 1:
+            name = draw(st.sampled_from(filled)).element
+        elif specs and choice:
+            name = draw(st.sampled_from(specs)).element
+        else:
+            name = draw(st.sampled_from(ELEMENT_NAMES))
+        index = draw(READ_INDEXES)
+        segments.append(PathSegment(name, index))
+        spec = field_by_element(cls, name) if cls is not None else None
+        if spec is None or spec.kind in (SCALAR, SCALAR_LIST):
+            node = cls = None
+            continue
+        cls = spec.value_type
+        value = getattr(node, spec.attr) if node is not None else None
+        if spec.kind == NODE_LIST:  # follow the entry read, or the first of all
+            position = index or 0
+            value = value[position] if value and position < len(value) else None
+        node = value
+    path = MetadataPath(tuple(segments))
+    if UNKNOWN_ELEMENT not in (segment.name for segment in segments) and draw(st.booleans()):
+        return str(path)  # text paths too, when they parse
+    return path
+
+
+def _identified(values: list) -> list:
+    return [(id(value), value) for value in values]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), root=READ_ROOTS)
+@example(data=None, root=None)
+def test_get_path_equals_per_node_lookup(data, root):
+    """Reading through the writers' resolution reads what the lookup on each
+    reached node read: the same values, as the same objects."""
+    path = "project" if data is None else data.draw(read_paths(root))
+    assert _identified(get_path(root, path)) == _identified(get_path_by_node_checks(root, path))
+
+
+# --- PROV's end time: the date predicate against the parsed date-time -------
+
+def _two(low: int, high: int):
+    return st.integers(low, high).map("{:02d}".format)
+
+
+@st.composite
+def xsd_form_dates(draw) -> str:
+    """Text in or near xsd:dateTime form, each part drawn a little past its
+    range: month 13, day 32, hour 24, minute and second 60, offsets to
+    +15:60; a date alone, another separator, a fraction of one to seven
+    digits and a lower-case 'z' occur too."""
+    year = draw(st.sampled_from(["0000", "0001", "1999", "2020", "2100", "9999"]))
+    date = f"{year}-{draw(_two(0, 13))}-{draw(_two(0, 32))}"
+    if draw(st.sampled_from(range(10))) == 0:
+        return date
+    separator = draw(st.sampled_from("TTTTt "))
+    text = f"{date}{separator}{draw(_two(0, 24))}:{draw(_two(0, 60))}:{draw(_two(0, 60))}"
+    if draw(st.booleans()):
+        text += "." + draw(st.text("0123456789", min_size=1, max_size=7))
+    zone = draw(st.sampled_from(["", "Z", "z", "+", "-"]))
+    if zone in ("+", "-"):
+        zone += f"{draw(_two(0, 15))}:{draw(_two(0, 60))}"
+    return text + zone
+
+
+@settings(max_examples=1000, deadline=None)
+@given(date=xsd_form_dates() | st.text(max_size=30) | st.none())
+@example(date="2020-01-01T12:00:00")
+@example(date="2020-01-01")
+@example(date="2020-02-30T12:00:00")
+@example(date="2020-01-01T12:00:00+14:00")
+@example(date="2020-01-01T12:00:00.1234567")
+def test_end_time_equals_parsed_datetime_reference(date):
+    assert _end_time(date) == end_time_by_datetime_parse(date)
 
 
 # --- validation: the field-rule table against the per-class reference -------

@@ -56,6 +56,21 @@ def test_lists_become_tuples():
     assert dataset.keywords == ("x", "y")
 
 
+@pytest.mark.parametrize("cls, attr, value, got", [
+    (EngMetaDataset, "keywords", "shear", "str"),
+    (ObservedSystem, "boundaryConditions", "periodic", "str"),
+    (EngMetaDataset, "keywords", {"a": 1}, "dict"),
+    (EngMetaDataset, "keywords", iter(["a"]), "list_iterator"),
+    (EngMetaDataset, "titles", Title("x"), "Title"),
+])
+def test_list_fields_take_only_a_list_or_tuple(cls, attr, value, got):
+    """A str or a dict is not read as its items: the JSON reader refuses a
+    string for an array too."""
+    with pytest.raises(TypeError, match=f"^{attr}: expected a list or tuple, got {got}$"):
+        cls(**{attr: value})
+    assert cls(**{attr: None}) == cls(**{attr: []}) == cls(**{attr: ()}) == cls()
+
+
 def test_empty_string_rejected():
     with pytest.raises(ValueError):
         Title(text="")

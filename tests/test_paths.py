@@ -162,6 +162,27 @@ def test_writes_refuse_text_xml_cannot_carry():
         append_nodes(EngMetaDataset(), "keyword", ["ok", "b\uffff"])
 
 
+def test_writes_refuse_a_list_field_value_that_is_not_a_list_or_tuple():
+    doc = EngMetaDataset(keywords=("a",))
+    for items, got in (("ab", "str"), ({"b": 1}, "dict")):
+        with pytest.raises(PathTargetError,
+                           match=f"^keyword: keywords: expected a list or tuple, got {got}$"):
+            append_nodes(doc, "keyword", items)
+    with pytest.raises(PathTargetError, match="^title: titles: expected a list or tuple, got Title$"):
+        append_nodes(doc, "title", Title("x"))
+    assert append_nodes(doc, "keyword", ["b"]) == append_nodes(doc, "keyword", ("b",))
+
+
+@pytest.mark.parametrize("root", [None, "doc", EngMetaDataset])
+def test_a_document_that_is_not_a_node_reads_nothing_and_refuses_writes(root):
+    assert get_path(root, "project") == get_path(root, "keyword") == []
+    name = type(root).__name__
+    with pytest.raises(PathTargetError, match=f"^project: a {name} is not a document node$"):
+        set_path(root, "project", "x")
+    with pytest.raises(PathTargetError, match=f"^keyword: a {name} is not a document node$"):
+        append_nodes(root, "keyword", ["a"])
+
+
 def test_append_nodes_keeps_order_and_skips_empty_nodes():
     doc = append_nodes(EngMetaDataset(keywords=("a",)), "keyword", ["b", "c", "b"])
     assert doc.keywords == ("a", "b", "c", "b")

@@ -1,10 +1,12 @@
-"""Start-up regression tests: what each command imports, and the lazy API.
+"""Start-up regression tests: what each command imports, the lazy API, and
+that engmeta imports nothing outside the standard library.
 
 Each case runs in a fresh interpreter, because this test process has
 imported most of engmeta already. Nothing here is timed: the assertions
 are on ``sys.modules`` and on attribute identity only.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -211,3 +213,27 @@ def test_import_engmeta_loads_no_layer():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "['engmeta']"
+
+
+def _imported_modules(tree) -> list[str]:
+    """The top-level module of every import and absolute from-import."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.extend(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append(node.module.split(".")[0])
+    return names
+
+
+def test_engmeta_imports_only_the_standard_library():
+    """README's promise: engmeta needs nothing but Python itself."""
+    outside = {
+        (str(source.relative_to(SRC)), name)
+        for source in sorted((SRC / "engmeta").rglob("*.py"))
+        for name in _imported_modules(ast.parse(source.read_text(encoding="utf-8")))
+        if name != "engmeta" and name not in sys.stdlib_module_names
+    }
+    assert not outside
+    assert _imported_modules(ast.parse("import os.path, engmeta\nfrom xml.etree import E\n"
+                                       "from . import model\n")) == ["os", "engmeta", "xml"]
