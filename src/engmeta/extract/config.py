@@ -64,6 +64,27 @@ _FIELD_CHECKS = (("delimiter", None), ("type", VALUE_TYPES), ("occurrence", OCCU
 _HEADER_RE = re.compile(r"\[rule\s+([^\s\]]+)\]")
 
 
+def _field_fault(name: str, value: str) -> str | None:
+    """Why a rule's non-empty text field is refused, or None: a unit that
+    XML cannot carry, or a key or delimiter that can match no line.
+
+    A matched line is stripped of leading whitespace, its key of the spaces
+    and tabs that follow, and it ends at its "\n". Field values in a rule
+    file are stripped, so only a rule built by hand can hold such a value.
+    """
+    if name == "unit":  # written into documents
+        return text_fault(value)
+    if name == "key" and value[0].isspace():
+        reason = "starts with whitespace"
+    elif name == "delimiter" and value[0] in " \t":
+        reason = "starts with a space or tab"
+    elif name in ("key", "delimiter") and "\n" in value:
+        reason = "holds a line break"
+    else:
+        return None
+    return f"{reason}, so it can match no line"
+
+
 class TargetShape(NamedTuple):
     """How a rule's target writes: fixed scalar or open list appends."""
 
@@ -155,9 +176,9 @@ def _check_fields(rule_id: str, values: dict, lines: dict[str, int], line: int) 
             if value == "":
                 raise ConfigError(f"rule {rule_id!r}: {name} must not be empty",
                                   lines.get(name, line))
-            fault = text_fault(value) if name == "unit" else None  # written into documents
+            fault = _field_fault(name, value)
             if fault is not None:
-                raise ConfigError(f"rule {rule_id!r}: unit {value!r} {fault}",
+                raise ConfigError(f"rule {rule_id!r}: {name} {value!r} {fault}",
                                   lines.get(name, line))
         elif value not in choices:
             raise ConfigError(

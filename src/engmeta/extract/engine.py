@@ -8,19 +8,26 @@ type; failures are recorded and skipped, never fatal.
 
 Scanning streams each file line by line, so memory grows with the longest
 line, not with the file. Each line is decoded on its own (UTF-8 never puts
-a newline byte inside a character), and only a line that starts with one
-of the file's rule keys reaches the per-rule match. Each distinct
-``source`` pattern is matched once per file.
+a newline byte inside a character), and a line is matched only against the
+rules whose key it starts with: the rules of the longest such key, which
+include those of every key that prefixes it, in declaration order. A rule
+source without wildcard characters is looked up by name, and only real
+patterns go through ``fnmatch``; either way each distinct source is matched
+once per file.
 
 Each file is assembled as soon as it is scanned, so memory holds one
-file's hits, not the tree's. Assembly, and the report, do not depend on
-the walk's order: files are processed in lexicographic path order, lines
-in file order, rules in declaration order.
+file's hits, not the tree's, and only the steps with hits in the file are
+visited. Assembly, and the report, do not depend on the walk's order: files
+are processed in lexicographic path order, lines in file order, rules in
+declaration order.
 Scalar targets follow first-wins (later differing values are recorded as
 conflicts); open list targets append, skipping entries the list already
 contains, so scanning duplicated inputs cannot duplicate metadata. A
 file's entries for one list (a group's instances, or the values of an
-``occurrence = all`` scalar-list rule) are appended with one write.
+``occurrence = all`` scalar-list rule) are appended with one write. Group
+instances are built from the coerced values without a second check:
+``coerce`` gives each value as the model stores it, except that a decimal
+field stores an integer as a ``Decimal``.
 
 Both modes run this one path, so they produce byte-identical documents.
 "parallel" is kept as an alias of "serial": scanning is pure Python and
@@ -33,6 +40,7 @@ import codecs
 import fnmatch
 import os
 import time
+from decimal import Decimal
 from functools import partial
 from pathlib import Path
 from typing import NamedTuple
@@ -44,6 +52,7 @@ from ..model import (
     SCALAR_TYPES_BY_NAME,
     Conflict,
     EngMetaDataset,
+    _trusted_node,
     field_by_element,
     number_from_text,
     scalar_key,
@@ -58,6 +67,9 @@ MODES = ("serial", "parallel")
 
 _UNREACHABLE_TARGET = "rule {!r} ({}:{}): target {} not reachable"
 _UNREACHABLE_LIST = "append to {} not reachable"
+
+# the characters that make a source a pattern for fnmatch
+_WILDCARDS = frozenset("*?[")
 
 _BOOLEAN_WORDS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
@@ -144,8 +156,15 @@ def parse_line(
 
 
 def coerce(raw_value: str, value_type: str):
-    """Convert raw text to the rule's value type; raises CoercionError."""
+    """Convert raw text to the rule's value type; raises CoercionError.
+
+    Each value comes out as the model stores it, except that a decimal field
+    stores an integer as a ``Decimal``; assembly builds group instances from
+    these values unchecked.
+    """
     if value_type == "string":
+        if raw_value == "":  # no scanned value: parse_line gives none
+            raise CoercionError("'' is empty")
         fault = text_fault(raw_value)  # none in a scanned value, which holds U+FFFD instead
         if fault is not None:
             raise CoercionError(f"{raw_value!r} {fault}")
@@ -175,6 +194,15 @@ def glob_matches(pattern: str, relative_path: str) -> bool:
     return fnmatch.fnmatchcase(os.path.basename(relative_path), pattern)
 
 
+def _line_rules(rules: list[ExtractionRule]) -> tuple:
+    """A file's rules keyed for line lookup: every distinct key, the distinct key
+    lengths longest first, and for each key the rules whose key prefixes it
+    (itself included), in declaration order."""
+    keys = tuple(dict.fromkeys(rule.key for rule in rules))
+    return (keys, tuple(sorted({len(key) for key in keys}, reverse=True)),
+            {key: tuple(rule for rule in rules if key.startswith(rule.key)) for key in keys})
+
+
 def scan_file(
     absolute_path: Path,
     relative_path: str,
@@ -182,14 +210,21 @@ def scan_file(
 ) -> tuple[list[RawHit], int, list[str]]:
     """All hits in one file, plus bytes read and warnings.
 
-    The file is read one line at a time. A line reaches ``parse_line`` only
-    when, stripped of leading whitespace, it starts with a rule's key;
-    ``parse_line`` matches no other line. U+FFFD stands for each undecodable
+    The file is read one line at a time. A line, stripped of leading
+    whitespace, reaches ``parse_line`` only for the rules whose key it starts
+    with: every key that prefixes the line prefixes the longest such key, so
+    that key's rules are the line's candidates. Hits keep line order, and
+    declaration order within a line. U+FFFD stands for each undecodable
     byte, and for each character of a raw value that XML cannot carry (an
     ANSI colour code's ESC, say); one warning names the first such byte, and
     one the first such line.
     """
-    keys = tuple(dict.fromkeys(rule.key for rule in rules))
+    return _scan(absolute_path, relative_path, _line_rules(rules))
+
+
+def _scan(absolute_path: Path, relative_path: str,
+          line_rules: tuple) -> tuple[list[RawHit], int, list[str]]:
+    keys, lengths, by_key = line_rules
     hits: list[RawHit] = []
     nbytes = 0
     # the offset of the first undecodable byte, and the first line of a value
@@ -210,12 +245,17 @@ def scan_file(
                     if bad_byte is None:
                         bad_byte = nbytes + exc.start
                 nbytes += len(raw)
-                if not line.lstrip().startswith(keys):
-                    continue
                 # the line keeps its "\r\n": a match ends before it, and the
                 # value is trimmed
-                for rule in rules:
-                    hit = parse_line(line, rule, source_file=relative_path,
+                stripped = line.lstrip()
+                if not stripped.startswith(keys):
+                    continue
+                for length in lengths:
+                    candidates = by_key.get(stripped[:length])
+                    if candidates is not None:
+                        break
+                for rule in candidates:
+                    hit = parse_line(stripped, rule, source_file=relative_path,
                                      line_number=line_number)
                     if hit is None:
                         continue
@@ -278,6 +318,15 @@ class _AssemblyState:
         self.hits_per_rule: dict[str, int] = {}  # in order of each rule's first hit
         # list path -> (stored tuple, its entries as a set); see _seen
         self._list_keys: dict[MetadataPath, tuple[tuple, set]] = {}
+        # rule id -> the steps it applies in (an id repeats only in a hand-built config)
+        self._steps_of: dict[str, list[int]] = {}
+        for index, members in enumerate(self.steps):
+            for rule in members:
+                self._steps_of.setdefault(rule.id, []).append(index)
+        # step index -> how each member of a group fills its instances
+        self._columns = {index: tuple(map(_column, members))
+                         for index, members in enumerate(self.steps)
+                         if members[0].shape.node_type is not None}
 
     def take_file(self, source_file: str, hits: list[RawHit]) -> None:
         """Assemble one file's hits, given in line order."""
@@ -286,14 +335,13 @@ class _AssemblyState:
             per_rule.setdefault(hit.ruleId, []).append(hit)
         for rule_id, rule_hits in per_rule.items():
             self.hits_per_rule[rule_id] = self.hits_per_rule.get(rule_id, 0) + len(rule_hits)
-        for members in self.steps:
-            rule = members[0]
-            if rule.shape.node_type is not None:
-                self._take_group(members, source_file, per_rule)
+        steps_of = self._steps_of
+        for index in sorted({i for rule_id in per_rule for i in steps_of.get(rule_id, ())}):
+            if index in self._columns:
+                self._take_group(self._columns[index], source_file, per_rule)
                 continue
-            rule_hits = per_rule.get(rule.id)
-            if not rule_hits:
-                continue
+            rule = self.steps[index][0]
+            rule_hits = per_rule[rule.id]
             if rule.shape.open_list is not None:
                 # occurrence = all: each hit is one entry of a scalar list, e.g. a keyword
                 values = [self._coerced(rule, hit) for hit in rule_hits]
@@ -407,52 +455,63 @@ class _AssemblyState:
         self._list_keys[list_path] = (stored, seen)
         return seen
 
-    def _take_group(self, members: list[ExtractionRule], source_file: str,
+    def _take_group(self, columns: tuple[tuple, ...], source_file: str,
                     per_rule: dict[str, list[RawHit]]) -> None:
-        present = [r for r in members if per_rule.get(r.id)]
-        if not present:
-            return
-        counts = {r.id: len(per_rule[r.id]) for r in present}
+        present = [column for column in columns if column[0].id in per_rule]
+        counts = {column[0].id: len(per_rule[column[0].id]) for column in present}
         instance_count = min(counts.values())
         if len(set(counts.values())) > 1:
             detail = ", ".join(f"{rid}={n}" for rid, n in sorted(counts.items()))
             self.warnings.append(
-                f"group {present[0].group!r} in {source_file}: mismatched instance "
+                f"group {present[0][0].group!r} in {source_file}: mismatched instance "
                 f"counts ({detail}); surplus dropped"
             )
-        first = present[0]
-        columns = [(rule, per_rule[rule.id], *rule.shape.in_node) for rule in present]
+        shape = present[0][0].shape
         nodes = []
         for instance in range(instance_count):
             fields: dict = {}
             unit: str | None = None
-            for rule, rule_hits, owners, attr in columns:
-                value = self._coerced(rule, rule_hits[instance])
+            for rule, owners, attr, widen, rule_unit in present:
+                value = self._coerced(rule, per_rule[rule.id][instance])
                 if value is None:
                     continue
                 target = fields
                 for owner, owner_type in owners:
                     target = target.setdefault(owner, (owner_type, {}))[1]
-                target[attr] = value
-                unit = unit or rule.unit
+                target[attr] = Decimal(value) if widen else value
+                unit = unit or rule_unit
             if not fields:
                 continue
             # config accepts a unit only on a variable field, and variables
             # sit in lists only, so the node is a Variable
             if unit is not None:
                 fields.setdefault("unit", unit)
-            nodes.append(_node_from(first.shape.node_type, fields))
-        self._take_entries(first.shape.open_list, nodes)
+            nodes.append(_node_from(shape.node_type, fields))
+        self._take_entries(shape.open_list, nodes)
+
+
+def _column(rule: ExtractionRule) -> tuple:
+    """How a group member fills each instance: (rule, owners, attr, widen, unit).
+
+    The value goes through the child nodes ``owners``, each an (attribute,
+    class) pair, into the field ``attr``; ``widen`` when an integer fills a
+    decimal field, which stores a ``Decimal``. ``unit`` is the rule's unit
+    as a plain ``str``, as the model stores it.
+    """
+    owners, attr = rule.shape.in_node
+    owner = owners[-1][1] if owners else rule.shape.node_type
+    field = field_by_element(owner, rule.target.segments[-1].name)
+    widen = rule.valueType == "integer" and field.value_type is Decimal
+    return rule, owners, attr, widen, None if rule.unit is None else str.__str__(rule.unit)
 
 
 def _node_from(cls: type, fields: dict):
-    """A node built with one checked constructor call per node.
+    """A node built unchecked from canonical values.
 
-    ``fields`` maps attributes to scalars, or to a (class, fields) pair for
-    a child node. Config checks each rule's type against its field, so the
-    constructor cannot refuse a value.
+    ``fields`` maps attributes to scalars as the model stores them, or to a
+    (class, fields) pair for a child node; no field set is empty.
     """
-    return cls(**{
+    return _trusted_node(cls, {
         attr: _node_from(*value) if type(value) is tuple else value
         for attr, value in fields.items()
     })
@@ -485,16 +544,25 @@ def extract(
     state = _AssemblyState(config)
     files_scanned = 0
     bytes_scanned = 0
-    sources = tuple(dict.fromkeys(rule.source for rule in config.rules))
+    sources = dict.fromkeys(rule.source for rule in config.rules)
+    # a source without wildcard characters matches only the path or name it spells
+    patterns = tuple(source for source in sources if _WILDCARDS.intersection(source))
+    names = sources.keys() - patterns
+    # the matched sources -> their rules, keyed for line lookup
+    line_rules: dict[frozenset[str], tuple] = {}
     for fs_name, absolute_path in walk_files(root, unreadable_directory):
         relative_path, note = utf8_name(fs_name)
-        matched = {source for source in sources if glob_matches(source, relative_path)}
+        matched = frozenset(
+            names & {relative_path, os.path.basename(relative_path)}
+        ).union(source for source in patterns if glob_matches(source, relative_path))
         if not matched:
             continue
         if note is not None:
             warnings.append(f"{relative_path}: {note}")
-        applicable = [r for r in config.rules if r.source in matched]
-        file_hits, nbytes, file_warnings = scan_file(absolute_path, relative_path, applicable)
+        if matched not in line_rules:
+            line_rules[matched] = _line_rules([r for r in config.rules if r.source in matched])
+        file_hits, nbytes, file_warnings = _scan(absolute_path, relative_path,
+                                                 line_rules[matched])
         state.take_file(relative_path, file_hits)
         warnings.extend(file_warnings)
         files_scanned += 1

@@ -152,9 +152,12 @@ def number_from_text(text: str, value_type: type) -> int | Decimal:
         if _INTEGER_TEXT.fullmatch(text) is None:
             raise ValueError("is not an integer")
         try:
-            return int(text)
+            value = int(text)
         except ValueError:  # more digits than int() converts
             raise ValueError(_TOO_LONG) from None
+        if abs(value) >= _INTEGER_LIMIT:  # int() converts more under a raised str-digits limit
+            raise ValueError(_TOO_LONG)
+        return value
     if _DECIMAL_TEXT.fullmatch(text) is None:
         raise ValueError("is not a decimal number")
     try:

@@ -9,8 +9,8 @@ import json
 
 from engmeta import model, paths
 from engmeta.canon import to_json
-from engmeta.extract import assemble, parse_config
-from engmeta.extract.engine import RawHit
+from engmeta.extract import assemble, engine, parse_config
+from engmeta.extract.engine import RawHit, scan_file
 from engmeta.flatten import flatten, serialize_blocks_json
 from engmeta.merging import merge
 from engmeta.model import EngMetaDataset, FileInfo
@@ -56,6 +56,26 @@ def test_assembly_checks_each_scalar_a_bounded_number_of_times(monkeypatch):
     large = _calls(monkeypatch, patches, lambda: _assemble_keywords(2 * N))
     assert small >= N
     assert large <= MAX_RATIO * small, (small, large)
+
+
+def _scan_with_distinct_keys(tmp_path, rule_count: int) -> None:
+    """Scan N lines, each matching one of ``rule_count`` rules with distinct keys."""
+    config = parse_config("".join(
+        f"[rule r{i}]\ntarget = keyword\nsource = *\nkey = k{i:02d}\noccurrence = all\n"
+        for i in range(rule_count)
+    ))
+    target = tmp_path / f"keys{rule_count}.log"
+    target.write_text("".join(f"k{line % rule_count:02d} = v{line}\n" for line in range(N)),
+                      encoding="utf-8")
+    hits, _, _ = scan_file(target, "keys.log", list(config.rules))
+    assert len(hits) == N
+
+
+def test_scan_matches_each_line_only_against_the_rules_keyed_for_it(monkeypatch, tmp_path):
+    patches = [(engine, "parse_line")]
+    few = _calls(monkeypatch, patches, lambda: _scan_with_distinct_keys(tmp_path, 8))
+    many = _calls(monkeypatch, patches, lambda: _scan_with_distinct_keys(tmp_path, 32))
+    assert few == many == N
 
 
 CONTROLS = parse_config(

@@ -21,6 +21,7 @@ import json
 import os
 import random
 import re
+import sys
 from dataclasses import replace
 from decimal import Decimal
 from functools import partial
@@ -39,7 +40,7 @@ from engmeta.canon import (
     to_xml,
 )
 from engmeta.errors import CanonValidationError, ConfigError, EngMetaError
-from engmeta.extract import assemble, parse_config
+from engmeta.extract import assemble, extract, glob_matches, parse_config
 from engmeta.extract.engine import RawHit, scan_file
 from engmeta.flatten import (
     BLOCK_NAMES,
@@ -105,6 +106,7 @@ from oracles import (
     to_prov_by_hand,
     to_xml_by_kind_dispatch,
     validate_by_class_checks,
+    walk_files_by_os_walk,
 )
 
 DOCS = dataset_pool(30, seed=2005)
@@ -232,6 +234,9 @@ ASSEMBLY_RULES = parse_config(
     "type = decimal\nunit = K\ngroup = v\n"
     # a member's own unit wins over the rule unit
     "[rule vu]\ntarget = system.controlledVariables.unit\nsource = *\nkey = VU\ngroup = v\n"
+    # an integer in a decimal field is stored as a Decimal
+    "[rule vc]\ntarget = system.controlledVariables.uncertainty\nsource = *\nkey = VC\n"
+    "type = integer\ngroup = v\n"
     # two members fill one child node of each instance
     "[rule fn]\ntarget = file.filename\nsource = *\nkey = FN\ngroup = f\n"
     "[rule fd]\ntarget = file.checksum.digest\nsource = *\nkey = FD\ngroup = f\n"
@@ -363,20 +368,22 @@ def test_parse_config_equals_field_checking_reference(text):
     assert parsed == _parsed_or_error(parse_config_by_field_checks, text)
 
 
-# keys that prefix one another, one key under two rules, a non-ASCII key
+# keys that prefix one another, one key under two rules, a non-ASCII key; a
+# longer key declared before a shorter one whose delimiter makes "Te=" match
+# both; two rules with the same key and delimiter
 SCAN_RULES = list(parse_config("".join(
     f"[rule s{i}]\ntarget = keyword\nsource = *\nkey = {key}\ndelimiter = {delimiter}\n"
     "occurrence = all\n"
     for i, (key, delimiter) in enumerate([
-        ("T", "="), ("Temp", "="), ("Temperature", ":"), ("T", ":"), ("ü", "="),
-        ("a b", "=="),
+        ("T", "="), ("Te", "="), ("Temp", "="), ("Temperature", ":"), ("T", ":"), ("ü", "="),
+        ("a b", "=="), ("T", "e="), ("Temp", "="),
     ])
 )).rules)
 SCAN_LINES = st.tuples(
     st.sampled_from(["", " ", "\t", "\u3000", "\xa0", "\x85", "\u2028", "\x1c", "\x0b"]),
-    st.sampled_from(["T", "Temp", "Temperature", "Tem", "ü", "a b", "a", "x", ""]),
+    st.sampled_from(["T", "Te", "Temp", "Temperature", "Tem", "ü", "a b", "a", "x", ""]),
     st.sampled_from(["", " ", "\t ", "\u3000"]),
-    st.sampled_from(["=", ":", "==", ""]),
+    st.sampled_from(["=", ":", "==", "e=", ""]),
     st.sampled_from(["", " ", "v", " 1.5 ", "ü", "a=b", "x\ry"]),
 ).map(lambda parts: "".join(parts).encode("utf-8"))
 BAD_BYTES = st.sampled_from([b"", b"", b"\xff", b"\xe2\x82", b"\xc3", b"\xed\xa0\x80"])
@@ -402,6 +409,35 @@ def test_streamed_scan_equals_whole_file_scan(tmp_path_factory, data):
     target = tmp_path_factory.getbasetemp() / "scanned.log"
     target.write_bytes(data)
     assert scan_file(target, "run.log", SCAN_RULES) == scan_file_whole(target, "run.log", SCAN_RULES)
+
+
+@pytest.mark.parametrize("workload", ["dense-hits", "file-catalogue"])
+def test_extract_equals_whole_file_scan_and_list_scan_assembly_on_benchmark_corpora(
+        workload, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ as it is
+    import corpus
+
+    corpus.generate(workload, 3, tmp_path, scale=0.25)
+    config = parse_config((tmp_path / "rules.conf").read_text(encoding="utf-8"))
+    root = tmp_path / "corpus"
+    document, report = extract(root, config)
+    hits, scan_warnings = [], []
+    for relative, absolute in walk_files_by_os_walk(root):
+        rules = [rule for rule in config.rules if glob_matches(rule.source, relative)]
+        if rules:
+            file_hits, _, warnings = scan_file_whole(absolute, relative, rules)
+            hits += file_hits
+            scan_warnings += warnings
+    slow = assemble_by_list_scan(hits, config)
+    assert len(hits) > 100
+    assert nodes_equal(document, slow.dataset)
+    assert _conflict_keys(report.conflicts) == _conflict_keys(slow.conflicts)
+    assert list(report.coercionFailures) == slow.failures
+    assert list(report.warnings) == scan_warnings + slow.warnings
+    # files in path order, lines in file order, rules in declaration order
+    first_hits = dict.fromkeys(hit.ruleId for hit in hits)
+    assert list(report.hitsPerRule) == list(first_hits)
 
 
 def test_assembly_warns_about_each_entry_that_stays_unplaceable():

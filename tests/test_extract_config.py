@@ -1,7 +1,7 @@
 import pytest
 
 from engmeta.errors import ConfigError
-from engmeta.extract import ExtractionConfig, ExtractionRule, parse_config
+from engmeta.extract import ExtractionConfig, ExtractionRule, parse_config, parse_line
 from engmeta.paths import MetadataPath, PathSegment, parse_path
 
 MINIMAL = """
@@ -239,3 +239,34 @@ def test_config_refuses_entries_that_are_not_rules():
         ExtractionConfig(("x",))
     assert excinfo.value.line == 0
     assert str(excinfo.value) == "line 0: expected ExtractionRule entries, got str"
+
+
+@pytest.mark.parametrize(("name", "value", "fault"), [
+    ("key", " a", "starts with whitespace"),
+    ("key", "\u3000a", "starts with whitespace"),
+    ("key", "\na", "starts with whitespace"),
+    ("key", "a\nb", "holds a line break"),
+    ("delimiter", " =", "starts with a space or tab"),
+    ("delimiter", "\t=", "starts with a space or tab"),
+    ("delimiter", "=\n", "holds a line break"),
+])
+def test_hand_built_key_or_delimiter_that_can_match_no_line_rejected(name, value, fault):
+    # a line is matched stripped, its key of the spaces and tabs after it, and ends at "\n"
+    fields = dict(id="r", target=parse_path("project"), source="*", key="a", line=3)
+    with pytest.raises(ConfigError) as excinfo:
+        ExtractionRule(**{**fields, name: value})
+    assert str(excinfo.value) == (
+        f"line 3: rule 'r': {name} {value!r} {fault}, so it can match no line"
+    )
+
+
+def test_rule_file_strips_key_and_delimiter_and_other_whitespace_still_matches():
+    parsed = parse_config(
+        "[rule r]\ntarget = project\nsource = *\nkey = \u3000a b\t\ndelimiter = \t=\n"
+    ).rules[0]
+    assert (parsed.key, parsed.delimiter) == ("a b", "=")
+    assert parse_line("  a b = 1", parsed).rawValue == "1"
+    # whitespace inside or after a key, and before a delimiter but a space or tab
+    built = ExtractionRule(id="r", target=parse_path("project"), source="*", key="a ",
+                           delimiter="\u3000=")
+    assert parse_line("a \u3000= 1", built).rawValue == "1"

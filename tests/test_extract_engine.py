@@ -1,3 +1,4 @@
+import enum
 import json
 import os
 import random
@@ -18,9 +19,10 @@ from engmeta.extract import (
     scan_file,
 )
 from engmeta.extract.config import ExtractionConfig, ExtractionRule
+from engmeta.extract.engine import RawHit
 from engmeta.fswalk import walk_files
 from engmeta.merging import merge
-from engmeta.model import EngMetaDataset
+from engmeta.model import EngMetaDataset, Variable
 from engmeta.paths import get_path, parse_path
 from corpus_expected import expected_corpus_dataset
 
@@ -105,6 +107,21 @@ def test_coerce_date():
     # a hand-built hit may hold text no document carries; a scanned one holds U+FFFD
     with pytest.raises(CoercionError, match=r"^'a\\x01b' holds U\+0001, which XML cannot carry$"):
         coerce("a\x01b", "string")
+
+
+def test_empty_raw_text_is_a_coercion_failure_not_an_empty_field():
+    # parse_line gives no empty value; a hand-built hit may hold one
+    with pytest.raises(CoercionError, match="^'' is empty$"):
+        coerce("", "string")
+    config = parse_config(
+        "[rule vn]\ntarget = system.controlledVariables.name\nsource = *\nkey = VN\ngroup = v\n"
+        "[rule p]\ntarget = project\nsource = *\nkey = P\n"
+    )
+    result = assemble([RawHit("vn", "a.log", 1, ""), RawHit("p", "a.log", 2, "")], config)
+    assert result.dataset == EngMetaDataset()
+    assert [(f.ruleId, f.reason) for f in result.coercionFailures] == [
+        ("vn", "'' is empty"), ("p", "'' is empty"),
+    ]
 
 
 def test_coerce_integer_rejects_floats():
@@ -372,6 +389,8 @@ def test_extract_empty_directory(tmp_path, rules_path):
     ("b/*.log", "b", 1),  # a "/": the path relative to the root
     ("*/md.log", "a", 2),
     ("md*/md.log", None, 0),
+    ("b/md.log", "b", 1),  # no wildcard: looked up as the relative path
+    ("md.lo", None, 0),  # or as the file name, whole
 ])
 def test_extract_source_with_a_slash_matches_the_relative_path(tmp_path, source, project,
                                                                files):
@@ -652,6 +671,48 @@ def test_hand_built_rules_reject_text_fields_that_are_not_str(name, value):
         ExtractionRule(**{**fields, name: value})
     assert str(excinfo.value) == f"line 3: rule 'r': {name} must be text, got {value!r}"
     assert excinfo.value.line == 3
+
+
+def test_hits_per_rule_lists_rules_in_order_of_their_first_hit(tmp_path):
+    # "Te=1" matches te and t, the longer key declared first, and tt, te's twin
+    (tmp_path / "run.log").write_text("X = 0\nTe=1\nT = 2\n", encoding="utf-8")
+    config = parse_config(
+        "[rule te]\ntarget = keyword\nsource = *\nkey = Te\noccurrence = all\n"
+        "[rule x]\ntarget = project\nsource = *\nkey = X\n"
+        "[rule t]\ntarget = keyword\nsource = *\nkey = T\ndelimiter = e=\noccurrence = all\n"
+        "[rule tt]\ntarget = keyword\nsource = *\nkey = Te\noccurrence = all\n"
+    )
+    hits, _, _ = scan_file(tmp_path / "run.log", "run.log", list(config.rules))
+    assert [(hit.ruleId, hit.lineNumber) for hit in hits] == [
+        ("x", 1), ("te", 2), ("t", 2), ("tt", 2),
+    ]
+    dataset, report = extract(tmp_path, config)
+    assert list(report.hitsPerRule.items()) == [("x", 1), ("te", 1), ("t", 1), ("tt", 1)]
+    assert (dataset.project, dataset.keywords) == ("0", ("1",))
+
+
+def test_group_instances_hold_the_values_a_checked_node_holds(tmp_path):
+    class Unit(str, enum.Enum):
+        KELVIN = "K"
+
+    (tmp_path / "run.log").write_text("V = 300\nE = 3\nV = 310\nE = 01\n", encoding="utf-8")
+    target = "system.controlledVariables.{}"
+    rules = (
+        ExtractionRule(id="v", target=parse_path(target.format("value")), source="*", key="V",
+                       valueType="integer", group="v", unit=Unit.KELVIN),
+        ExtractionRule(id="e", target=parse_path(target.format("uncertainty")), source="*",
+                       key="E", valueType="integer", group="v"),
+    )
+    dataset, _ = extract(tmp_path, ExtractionConfig(rules))
+    variables = dataset.system.controlledVariables
+    # an integer stays one in the tagged value and becomes a Decimal in a decimal field
+    assert [(v.value, type(v.unit), v.unit, v.uncertainty) for v in variables] == [
+        (300, str, "K", Decimal(3)), (310, str, "K", Decimal(1)),
+    ]
+    assert [type(v.uncertainty) for v in variables] == [Decimal, Decimal]
+    assert variables == tuple(Variable(value=v.value, unit=Unit.KELVIN, uncertainty=v.uncertainty)
+                              for v in variables)
+    assert "<unit>K</unit>" in to_xml(dataset)
 
 
 def test_hand_built_rule_plan_is_derived_not_given():

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 from decimal import Decimal
 
 import pytest
@@ -300,6 +301,24 @@ def test_number_from_text_reads_ascii_numbers():
     assert number_from_text("+0", int) == 0
     assert number_from_text("1.0e-3", Decimal) == Decimal("0.001")
     assert number_from_text(".5", Decimal) == Decimal("0.5")
+
+
+def test_number_from_text_bounds_integers_whatever_int_converts():
+    """A raised ``sys.set_int_max_str_digits`` lets int() read more digits; the readers
+    and ``coerce`` still refuse what the model refuses, so their values need no check."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # no limit
+    try:
+        for text in ("9" * 4301, "-1" + "0" * 4300):
+            with pytest.raises(ValueError, match="^exceeds 4300 digits in plain notation$"):
+                number_from_text(text, int)
+        assert number_from_text("0" * 4301 + "7", int) == 7
+        big = to_xml(set_path(EngMetaDataset(), "file[0].sizeBytes", 1)).replace(
+            ">1<", f">{'9' * 4301}<")
+        with pytest.raises(CanonDecodeError, match="exceeds 4300 digits"):
+            from_xml(big)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_integers_are_bounded_like_the_readers():
