@@ -26,15 +26,18 @@ different lines).
 
 One function checks a rule's own fields for parsed and built rules alike:
 the parser calls it so that an error names the faulty field's line, and the
-rule's constructor calls it again. A rule's plan (its open list, and the
-field it fills inside each appended node) is derived when the rule is
-built, and a config's application order when the config is built, so an
-``ExtractionRule`` built by hand is checked as a parsed one is.
+rule's constructor calls it again. A rule's plan, its ``shape``, is derived
+when the rule is built: its open list, and inside each appended node the
+child nodes and the field its value fills, and whether that field stores
+the value as a ``Decimal``. A config's application order is derived, and
+its rule ids checked unique, when the config is built, so hand-built rules
+and configs are checked as parsed ones are, and extraction runs their plan.
 """
 
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from typing import NamedTuple
 
 from ..errors import ConfigError, PathError
@@ -62,6 +65,7 @@ _FIELD_NAMES = ("target", "source", "key", "delimiter", "type", "unit", "group",
 _FIELD_CHECKS = (("delimiter", None), ("type", VALUE_TYPES), ("occurrence", OCCURRENCES),
                  ("key", None), ("source", None), ("unit", None), ("group", None))
 _HEADER_RE = re.compile(r"\[rule\s+([^\s\]]+)\]")
+_DUPLICATE_ID = "duplicate rule id {!r} (first declared on line {})"
 
 
 def _field_fault(name: str, value: str) -> str | None:
@@ -91,8 +95,9 @@ class TargetShape(NamedTuple):
     node_type: type | None  # node class of the open list, when it is a node list
     open_list: MetadataPath | None  # the target up to its open segment
     # for a node list: the (attribute, class) of each child node inside the
-    # appended node, then the scalar's attribute
-    in_node: tuple[tuple[tuple[str, type], ...], str] | None
+    # appended node, the scalar's attribute, and whether the value widens to
+    # a Decimal (an integer rule on a decimal field)
+    in_node: tuple[tuple[tuple[str, type], ...], str, bool] | None
 
 
 class _Checked:
@@ -138,16 +143,20 @@ class ExtractionConfig(_Checked, _ConfigFields):
     """Rules in declaration order; ``steps``, derived, is the order they apply in.
 
     A group's members apply together, at the group's first rule; every other
-    rule applies alone.
+    rule applies alone. Rule ids are unique, as in a rule file.
     """
 
     def __new__(cls, rules=()):
         config = super().__new__(cls, tuple(rules))
         steps: list[list[ExtractionRule]] = []
         groups: dict[str, list[ExtractionRule]] = {}
+        lines: dict[str, int] = {}  # rule id -> its rule's line
         for rule in config.rules:
             if not isinstance(rule, ExtractionRule):
                 raise ConfigError(f"expected ExtractionRule entries, got {type(rule).__name__}", 0)
+            if rule.id in lines:
+                raise ConfigError(_DUPLICATE_ID.format(rule.id, lines[rule.id]), rule.line)
+            lines[rule.id] = rule.line
             members = [] if rule.group is None else groups.setdefault(rule.group, [])
             if not members:
                 steps.append(members)
@@ -253,7 +262,7 @@ def analyze_target(rule: ExtractionRule) -> TargetShape:
         open_list = MetadataPath(path.segments[: open_segment + 1])
         if open_spec.kind == NODE_LIST:
             in_node = (tuple((spec.attr, spec.value_type) for spec in inside[:-1]),
-                       inside[-1].attr)
+                       inside[-1].attr, rule.valueType == "integer" and field_type is Decimal)
             shape = TargetShape(open_spec.value_type, open_list, in_node)
         else:
             shape = TargetShape(None, open_list, None)
@@ -296,11 +305,7 @@ def parse_config(text: str) -> ExtractionConfig:
                 rules.append(_build_rule(*section))
             rule_id = match.group(1)
             if rule_id in seen_ids:
-                raise ConfigError(
-                    f"duplicate rule id {rule_id!r} (first declared on line "
-                    f"{seen_ids[rule_id]})",
-                    lineno,
-                )
+                raise ConfigError(_DUPLICATE_ID.format(rule_id, seen_ids[rule_id]), lineno)
             seen_ids[rule_id] = lineno
             section = (rule_id, lineno, {})
             continue

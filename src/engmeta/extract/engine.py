@@ -26,8 +26,10 @@ contains, so scanning duplicated inputs cannot duplicate metadata. A
 file's entries for one list (a group's instances, or the values of an
 ``occurrence = all`` scalar-list rule) are appended with one write. Group
 instances are built from the coerced values without a second check:
-``coerce`` gives each value as the model stores it, except that a decimal
-field stores an integer as a ``Decimal``.
+``coerce`` gives each value as the model stores it, and each rule's
+``shape`` says where in the node its value goes and whether it widens to a
+``Decimal`` (an integer in a decimal field). Extraction runs the plan the
+config derived (its steps, each rule's shape) and derives none of it again.
 
 Both modes run this one path, so they produce byte-identical documents.
 "parallel" is kept as an alias of "serial": scanning is pure Python and
@@ -162,7 +164,9 @@ def coerce(raw_value: str, value_type: str):
     stores an integer as a ``Decimal``; assembly builds group instances from
     these values unchecked.
     """
-    if value_type == "string":
+    if value_type in ("string", "date"):
+        if value_type == "date" and not is_iso_date_or_datetime(raw_value):
+            raise CoercionError(f"{raw_value!r} is not an ISO-8601 date or date-time")
         if raw_value == "":  # no scanned value: parse_line gives none
             raise CoercionError("'' is empty")
         fault = text_fault(raw_value)  # none in a scanned value, which holds U+FFFD instead
@@ -180,10 +184,6 @@ def coerce(raw_value: str, value_type: str):
             accepted = ", ".join(sorted(_BOOLEAN_WORDS))
             raise CoercionError(f"{raw_value!r} is not a boolean (accepted: {accepted})")
         return _BOOLEAN_WORDS[word]
-    if value_type == "date":
-        if not is_iso_date_or_datetime(raw_value):
-            raise CoercionError(f"{raw_value!r} is not an ISO-8601 date or date-time")
-        return raw_value
     raise CoercionError(f"unknown value type {value_type!r}")
 
 
@@ -318,15 +318,9 @@ class _AssemblyState:
         self.hits_per_rule: dict[str, int] = {}  # in order of each rule's first hit
         # list path -> (stored tuple, its entries as a set); see _seen
         self._list_keys: dict[MetadataPath, tuple[tuple, set]] = {}
-        # rule id -> the steps it applies in (an id repeats only in a hand-built config)
-        self._steps_of: dict[str, list[int]] = {}
-        for index, members in enumerate(self.steps):
-            for rule in members:
-                self._steps_of.setdefault(rule.id, []).append(index)
-        # step index -> how each member of a group fills its instances
-        self._columns = {index: tuple(map(_column, members))
-                         for index, members in enumerate(self.steps)
-                         if members[0].shape.node_type is not None}
+        # rule id -> the index of the step it applies in
+        self._step_of = {rule.id: index for index, members in enumerate(self.steps)
+                         for rule in members}
 
     def take_file(self, source_file: str, hits: list[RawHit]) -> None:
         """Assemble one file's hits, given in line order."""
@@ -335,12 +329,13 @@ class _AssemblyState:
             per_rule.setdefault(hit.ruleId, []).append(hit)
         for rule_id, rule_hits in per_rule.items():
             self.hits_per_rule[rule_id] = self.hits_per_rule.get(rule_id, 0) + len(rule_hits)
-        steps_of = self._steps_of
-        for index in sorted({i for rule_id in per_rule for i in steps_of.get(rule_id, ())}):
-            if index in self._columns:
-                self._take_group(self._columns[index], source_file, per_rule)
+        step_of = self._step_of
+        for index in sorted({step_of[rule_id] for rule_id in per_rule if rule_id in step_of}):
+            members = self.steps[index]
+            rule = members[0]
+            if rule.shape.node_type is not None:
+                self._take_group(members, source_file, per_rule)
                 continue
-            rule = self.steps[index][0]
             rule_hits = per_rule[rule.id]
             if rule.shape.open_list is not None:
                 # occurrence = all: each hit is one entry of a scalar list, e.g. a keyword
@@ -455,54 +450,43 @@ class _AssemblyState:
         self._list_keys[list_path] = (stored, seen)
         return seen
 
-    def _take_group(self, columns: tuple[tuple, ...], source_file: str,
+    def _take_group(self, members: tuple[ExtractionRule, ...], source_file: str,
                     per_rule: dict[str, list[RawHit]]) -> None:
-        present = [column for column in columns if column[0].id in per_rule]
-        counts = {column[0].id: len(per_rule[column[0].id]) for column in present}
+        """Join the members' hits index-wise into one node each, as each rule's
+        ``shape.in_node`` places its value."""
+        present = [rule for rule in members if rule.id in per_rule]
+        counts = {rule.id: len(per_rule[rule.id]) for rule in present}
         instance_count = min(counts.values())
         if len(set(counts.values())) > 1:
             detail = ", ".join(f"{rid}={n}" for rid, n in sorted(counts.items()))
             self.warnings.append(
-                f"group {present[0][0].group!r} in {source_file}: mismatched instance "
+                f"group {present[0].group!r} in {source_file}: mismatched instance "
                 f"counts ({detail}); surplus dropped"
             )
-        shape = present[0][0].shape
+        shape = present[0].shape
         nodes = []
         for instance in range(instance_count):
             fields: dict = {}
-            unit: str | None = None
-            for rule, owners, attr, widen, rule_unit in present:
+            unit = None
+            for rule in present:
                 value = self._coerced(rule, per_rule[rule.id][instance])
                 if value is None:
                     continue
+                owners, attr, widen = rule.shape.in_node
                 target = fields
                 for owner, owner_type in owners:
                     target = target.setdefault(owner, (owner_type, {}))[1]
                 target[attr] = Decimal(value) if widen else value
-                unit = unit or rule_unit
+                unit = unit or rule.unit
             if not fields:
                 continue
             # config accepts a unit only on a variable field, and variables
-            # sit in lists only, so the node is a Variable
+            # sit in lists only, so the node is a Variable; the model stores
+            # the unit as a plain str
             if unit is not None:
-                fields.setdefault("unit", unit)
+                fields.setdefault("unit", str.__str__(unit))
             nodes.append(_node_from(shape.node_type, fields))
         self._take_entries(shape.open_list, nodes)
-
-
-def _column(rule: ExtractionRule) -> tuple:
-    """How a group member fills each instance: (rule, owners, attr, widen, unit).
-
-    The value goes through the child nodes ``owners``, each an (attribute,
-    class) pair, into the field ``attr``; ``widen`` when an integer fills a
-    decimal field, which stores a ``Decimal``. ``unit`` is the rule's unit
-    as a plain ``str``, as the model stores it.
-    """
-    owners, attr = rule.shape.in_node
-    owner = owners[-1][1] if owners else rule.shape.node_type
-    field = field_by_element(owner, rule.target.segments[-1].name)
-    widen = rule.valueType == "integer" and field.value_type is Decimal
-    return rule, owners, attr, widen, None if rule.unit is None else str.__str__(rule.unit)
 
 
 def _node_from(cls: type, fields: dict):

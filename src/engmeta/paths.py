@@ -1,7 +1,7 @@
 """Metadata paths: dotted addresses into the document tree.
 
 A path is a dot-separated chain of element names with optional zero-based
-indices, e.g. ``processingStep[0].software[0].name``. Reads return every
+indices in ASCII digits, e.g. ``processingStep[0].software[0].name``. Reads return every
 addressed value (an index-less list segment means "all entries"); writes
 address exactly one scalar location and create missing intermediate nodes on
 demand, with list writes allowed at most one position past the current end.
@@ -32,7 +32,7 @@ from .model import (
     field_by_element,
 )
 
-_SEGMENT_RE = re.compile(r"([A-Za-z][A-Za-z0-9]*)(?:\[(\d+)\])?")
+_SEGMENT_RE = re.compile(r"([A-Za-z][A-Za-z0-9]*)(?:\[([0-9]+)\])?")
 
 
 class PathSegment(NamedTuple):

@@ -13,9 +13,9 @@ cross-field checks are code here: a checksum's algorithm and digest, and a
 variable's uncertainty, which needs a numeric value. Nodes are checked in
 document order, each before its child nodes; per node, findings come as:
 blank strings, the cross-field check, then the ruled fields in declaration
-order, each field's rules in ``FieldRules`` order. The code lists the rules
-name are read from the bundled ``codes.json``, which stays editable, once,
-on first use.
+order, each field's rules in ``FieldRules`` order. The code lists that the
+rules name are read once, on first use, from the bundled ``codes.json``,
+which stays editable.
 
 Violations are findings, not exceptions; a report always enumerates every
 problem found.

@@ -43,6 +43,26 @@ def test_duplicate_rule_id_names_both_lines():
     assert excinfo.value.line == 8
 
 
+def test_hand_built_config_refuses_a_repeated_rule_id():
+    # as a rule file does: two rules under one id would share their report counts
+    project = ExtractionRule(id="r", target=parse_path("project"), source="*", key="N", line=2)
+    keyword = ExtractionRule(id="r", target=parse_path("keyword"), source="*", key="N",
+                             occurrence="all", line=7)
+    for rules, line in (((project, keyword), 7), ((project, project), 2)):
+        with pytest.raises(ConfigError) as excinfo:
+            ExtractionConfig(rules)
+        assert str(excinfo.value) == (
+            f"line {line}: duplicate rule id 'r' (first declared on line 2)"
+        )
+        assert excinfo.value.line == line
+
+
+def test_target_index_in_non_ascii_digits_rejected():
+    for target in ("keyword[\u0661]", "processingStep[\uff10].date"):
+        with pytest.raises(ConfigError, match="line 3: rule 'r': bad target"):
+            parse_config(f"[rule r]\nsource = *\ntarget = {target}\nkey = K\n")
+
+
 def test_unknown_field_rejected_with_line():
     text = MINIMAL + "flavor = vanilla\n"
     with pytest.raises(ConfigError) as excinfo:

@@ -2,6 +2,7 @@ import enum
 import json
 import os
 import random
+import re
 import tracemalloc
 from decimal import Decimal
 
@@ -122,6 +123,24 @@ def test_empty_raw_text_is_a_coercion_failure_not_an_empty_field():
     assert [(f.ruleId, f.reason) for f in result.coercionFailures] == [
         ("vn", "'' is empty"), ("p", "'' is empty"),
     ]
+
+
+def test_date_text_xml_cannot_carry_is_a_coercion_failure():
+    # the date-time rule takes any one character between date and time
+    for raw, fault in (("2020-01-01\x0812", r"holds U\+0008, which XML cannot carry"),
+                       ("2019-05-24\ud80012", "holds a lone surrogate, not UTF-8 text")):
+        with pytest.raises(CoercionError, match=f"^{re.escape(repr(raw))} {fault}$"):
+            coerce(raw, "date")
+    # a value the ISO check refuses keeps that message, empty text included
+    with pytest.raises(CoercionError, match="^'' is not an ISO-8601 date or date-time$"):
+        coerce("", "date")
+    for target in ("date.date\noccurrence = all", "processingStep[0].date"):
+        config = parse_config(f"[rule d]\ntarget = {target}\nsource = *\nkey = D\ntype = date\n")
+        result = assemble([RawHit("d", "a.log", 1, "2020-01-01\x0812")], config)
+        assert result.dataset == EngMetaDataset()
+        assert [f.reason for f in result.coercionFailures] == [
+            r"'2020-01-01\x0812' holds U+0008, which XML cannot carry"
+        ]
 
 
 def test_coerce_integer_rejects_floats():
@@ -722,7 +741,7 @@ def test_hand_built_rule_plan_is_derived_not_given():
     built = ExtractionRule(id="r", target=parse_path("system.parameters.value"),
                            source="*", key="K", occurrence="all", line=1)
     assert built.shape.open_list == parse_path("system.parameters")
-    assert built.shape.in_node == ((), "value")
+    assert built.shape.in_node == ((), "value", False)
     assert built == parse_config(
         "[rule r]\ntarget = system.parameters.value\nsource = *\nkey = K\noccurrence = all\n"
     ).rules[0]
@@ -735,7 +754,8 @@ def test_hand_built_group_on_different_lists_fails():
                            source="*", key="V", group="g", line=9)
     with pytest.raises(ConfigError, match="rules 'name' and 'value' target different lists"):
         ExtractionConfig((name, value))
-    assert ExtractionConfig((name, name)).steps == ((name, name),)
+    with pytest.raises(ConfigError, match=r"duplicate rule id 'name'"):
+        ExtractionConfig((name, name))
 
 
 # --- file names that are not UTF-8 --------------------------------------------

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from engmeta.canon import from_json, from_xml
-from engmeta.errors import CanonDecodeError, EngMetaError
+from engmeta.canon import from_json, from_xml, to_xml
+from engmeta.errors import CanonDecodeError, CanonValidationError, EngMetaError
 from engmeta.extract import (
     OCCURRENCES,
     VALUE_TYPES,
@@ -330,8 +330,10 @@ def rule_files_that_parse(draw) -> str:
 
 
 HIT_FILES = st.sampled_from(["a.log", "b.log"])
-# raw values that coerce to each rule type, and hostile ones
-RAW_VALUES = st.sampled_from(["7", "2.5", "yes", "2019-05-24", "x"]) | TEXTS
+# raw values that coerce to each rule type, and hostile ones: the date-time
+# rule takes any one character between date and time
+RAW_VALUES = st.sampled_from(["7", "2.5", "yes", "2019-05-24", "x", "2019-05-24\x1b12",
+                              "2019-05-24\ud80012:00"]) | TEXTS
 
 
 @settings(max_examples=200, deadline=None)
@@ -342,7 +344,12 @@ RAW_VALUES = st.sampled_from(["7", "2.5", "yes", "2019-05-24", "x"]) | TEXTS
     "type = integer\noccurrence = all",
     [("a.log", 0, "5")],
 )
+@example(
+    "[rule r0]\ntarget = date.date\nsource = *\nkey = k0\ntype = date\noccurrence = all",
+    [("a.log", 0, "2020-01-01\x0812")],
+)
 def test_assembly_for_accepted_rules_raises_only_engmeta_errors(text, picks):
+    """Assembly raises nothing, and its document is refused by the writer or reads back."""
     try:
         config = parse_config(text)
     except EngMetaError:
@@ -352,10 +359,12 @@ def test_assembly_for_accepted_rules_raises_only_engmeta_errors(text, picks):
         for line, (source, number, raw) in enumerate(picks, start=1)
         if number < len(config.rules) and raw.strip()
     ]
+    dataset = assemble(hits, config).dataset
     try:
-        assemble(hits, config)
-    except EngMetaError:
-        pass
+        written = to_xml(dataset)
+    except CanonValidationError:
+        return
+    assert from_xml(written).dataset == dataset
 
 
 PATH_SEGMENTS = st.builds(

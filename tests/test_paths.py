@@ -27,6 +27,8 @@ def test_parse_path_segments():
     assert [seg.name for seg in path.segments] == ["processingStep", "software", "name"]
     assert [seg.index for seg in path.segments] == [0, 0, None]
     assert str(path) == "processingStep[0].software[0].name"
+    for text in ("keyword[10]", "processingStep[0].software[2].name", "title[7].text"):
+        assert str(parse_path(text)) == text
 
 
 def test_parse_path_rejects_unknown_element():
@@ -36,7 +38,9 @@ def test_parse_path_rejects_unknown_element():
 
 
 def test_parse_path_rejects_bad_syntax():
-    for text, offset in (("", 0), ("title..text", 6), ("title[x]", 5), ("title.", 6)):
+    # an index is ASCII digits only, as every number rule is
+    for text, offset in (("", 0), ("title..text", 6), ("title[x]", 5), ("title.", 6),
+                         ("keyword[\u0661]", 7), ("processingStep[\uff10].date", 14)):
         with pytest.raises(PathSyntaxError) as excinfo:
             parse_path(text)
         assert excinfo.value.offset == offset

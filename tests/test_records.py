@@ -112,7 +112,7 @@ def test_record_values_are_immutable():
 
 def test_rule_records_are_checked_however_they_are_built():
     """``_replace`` and ``_make`` skip a plain named tuple's constructor; these run it."""
-    listed = _RULE._replace(target=parse_path("keyword"), occurrence="all")
+    listed = _RULE._replace(id="listed", target=parse_path("keyword"), occurrence="all")
     assert listed == ExtractionRule._make(listed)
     for rule in (listed, ExtractionRule._make(listed)):
         assert type(rule) is ExtractionRule
@@ -124,6 +124,8 @@ def test_rule_records_are_checked_however_they_are_built():
     grouped = ExtractionConfig((_RULE,))._replace(rules=[_RULE, listed])
     assert grouped.rules == (_RULE, listed)
     assert grouped.steps == ((_RULE,), (listed,))
+    with pytest.raises(ConfigError, match="duplicate rule id 'r'"):
+        grouped._replace(rules=[_RULE, _RULE])
     with pytest.raises(ConfigError, match="expected ExtractionRule entries, got str"):
         ExtractionConfig._make([("x",)])
     # equality and hashing see the declared fields only
@@ -158,10 +160,10 @@ REPRS = [
      "errors=(HarvestError(path='b', message='m'),))"),
     (ReadResult(None, ("w",)), "ReadResult(dataset=None, warnings=('w',))"),
     (TargetShape(FileInfo, MetadataPath((PathSegment("file"),)),
-                 ((("checksum", FileInfo),), "digest")),
+                 ((("checksum", FileInfo),), "digest", False)),
      "TargetShape(node_type=<class 'engmeta.model.FileInfo'>, open_list=MetadataPath(segments="
      "(PathSegment(name='file', index=None),)), in_node=((('checksum', "
-     "<class 'engmeta.model.FileInfo'>),), 'digest'))"),
+     "<class 'engmeta.model.FileInfo'>),), 'digest', False))"),
     (RawHit("r", "run.log", 3, "x"),
      "RawHit(ruleId='r', sourceFile='run.log', lineNumber=3, rawValue='x')"),
     (ExtractionReport(("r",), ("s",), {"r": 2}, (_CONFLICT,), (_FAILURE,), ("w",), 4, 100, 0.5),
