@@ -6,9 +6,14 @@ of the processing history to PROV, and flattening into repository metadata
 blocks.
 
 Every name in ``__all__`` is importable from this package, and its module
-loads on first use (PEP 562): ``import engmeta`` costs almost nothing, and a
+loads on first use (PEP 562): ``import engmeta`` costs almost nothing, a
 program that only reads and validates documents never loads extraction,
-harvest or merge code.
+harvest or merge code, and parsing a rule file loads no extraction engine.
+
+``engmeta.extract``, ``engmeta.flatten`` and ``engmeta.harvest`` are the
+functions, never the modules: ``from engmeta.extract import engine`` reaches
+a module under them, while ``import engmeta.extract.engine as engine``
+raises ``ImportError``, since ``as`` looks ``engine`` up on the function.
 """
 
 import sys
@@ -80,13 +85,15 @@ class _Package(ModuleType):
     """This package, keeping ``extract``, ``flatten`` and ``harvest`` functions.
 
     Loading a submodule binds it as an attribute of its package, which
-    would replace the public function of the same name with the module.
+    would replace the public function of the same name with the module. A
+    submodule named after a public function is therefore not bound at all:
+    the function stays, or ``__getattr__`` gives it on first use, so loading
+    ``engmeta.extract`` to parse rules does not load its engine.
     """
 
     def __setattr__(self, name: str, value) -> None:
-        if isinstance(value, ModuleType) and _ORIGIN.get(name) == name:
-            value = getattr(value, name)
-        super().__setattr__(name, value)
+        if not (isinstance(value, ModuleType) and _ORIGIN.get(name) == name):
+            super().__setattr__(name, value)
 
 
 sys.modules[__name__].__class__ = _Package

@@ -72,9 +72,11 @@ def _field_fault(name: str, value: str) -> str | None:
     """Why a rule's non-empty text field is refused, or None: a unit that
     XML cannot carry, or a key or delimiter that can match no line.
 
-    A matched line is stripped of leading whitespace, its key of the spaces
-    and tabs that follow, and it ends at its "\n". Field values in a rule
-    file are stripped, so only a rule built by hand can hold such a value.
+    A matched line is decoded UTF-8, so it holds no lone surrogate; it is
+    stripped of leading whitespace, its key of the spaces and tabs that
+    follow, and it ends at its "\n". Field values in a rule file are
+    stripped, so only a rule built by hand, or rule text given as a ``str``
+    holding a surrogate, can hold such a value.
     """
     if name == "unit":  # written into documents
         return text_fault(value)
@@ -84,6 +86,8 @@ def _field_fault(name: str, value: str) -> str | None:
         reason = "starts with a space or tab"
     elif name in ("key", "delimiter") and "\n" in value:
         reason = "holds a line break"
+    elif name in ("key", "delimiter") and re.search(r"[\ud800-\udfff]", value):
+        reason = "holds a lone surrogate"
     else:
         return None
     return f"{reason}, so it can match no line"

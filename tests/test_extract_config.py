@@ -269,15 +269,29 @@ def test_config_refuses_entries_that_are_not_rules():
     ("delimiter", " =", "starts with a space or tab"),
     ("delimiter", "\t=", "starts with a space or tab"),
     ("delimiter", "=\n", "holds a line break"),
+    ("key", "x\ud800", "holds a lone surrogate"),
+    ("key", "\udfffx", "holds a lone surrogate"),
+    ("delimiter", "\udc80", "holds a lone surrogate"),
 ])
 def test_hand_built_key_or_delimiter_that_can_match_no_line_rejected(name, value, fault):
-    # a line is matched stripped, its key of the spaces and tabs after it, and ends at "\n"
+    # a line is matched stripped, its key of the spaces and tabs after it, and ends at "\n";
+    # it is decoded UTF-8, so it holds no lone surrogate
     fields = dict(id="r", target=parse_path("project"), source="*", key="a", line=3)
     with pytest.raises(ConfigError) as excinfo:
         ExtractionRule(**{**fields, name: value})
     assert str(excinfo.value) == (
         f"line 3: rule 'r': {name} {value!r} {fault}, so it can match no line"
     )
+
+
+@pytest.mark.parametrize(("fields", "message"), [
+    ("key = x\ud800\n", "line 4: rule 'r': key 'x\\ud800'"),
+    ("key = x\ndelimiter = =\udc80\n", "line 5: rule 'r': delimiter '=\\udc80'"),
+])
+def test_rule_text_holding_a_lone_surrogate_rejected_on_its_field_line(fields, message):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config("[rule r]\ntarget = project\nsource = a.log\n" + fields)
+    assert str(excinfo.value) == f"{message} holds a lone surrogate, so it can match no line"
 
 
 def test_rule_file_strips_key_and_delimiter_and_other_whitespace_still_matches():

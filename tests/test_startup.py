@@ -93,20 +93,47 @@ def test_command_loads_only_its_layers(command, tmp_path, golden_xml_path, rules
     assert not {"dataclasses", "inspect"} & set(loaded["modules"])
 
 
-# Parses a rule file as the benchmark's set-up probe does, then prints which
-# of the two modules it loaded.
+# Parses a rule file as the benchmark's set-up probe does, then prints the
+# modules it loaded.
 _PARSE_RULES = """
-import sys, engmeta
+import json, sys, engmeta
 from pathlib import Path
 engmeta.parse_config(Path(sys.argv[1]).read_text(encoding="utf-8"))
-print(sorted({"dataclasses", "inspect"} & set(sys.modules)))
+print(json.dumps(sorted(sys.modules)))
+"""
+
+RULE_LAYERS = {"engmeta", "engmeta.errors", "engmeta.model", "engmeta.paths", "engmeta.extract",
+               "engmeta.extract.config"}
+
+
+def test_parsing_rules_loads_only_the_rule_layers(rules_path):
+    result = _python(_PARSE_RULES, str(rules_path))
+    assert result.returncode == 0, result.stderr
+    loaded = set(json.loads(result.stdout))
+    # no engine, file walker or date rules
+    assert {m for m in loaded if m.split(".")[0] == "engmeta"} == RULE_LAYERS
+    assert not {"dataclasses", "inspect"} & loaded
+
+
+# Lists and star-imports the extraction package's names, the first before
+# its engine loads.
+_EXTRACTION_NAMES = """
+import sys, engmeta.extract
+package = sys.modules["engmeta.extract"]
+assert len(package.__all__) == 16
+assert set(package.__all__) <= set(dir(package)), dir(package)
+assert "engmeta.extract.engine" not in sys.modules
+namespace = {}
+exec("from engmeta.extract import *", namespace)
+namespace.pop("__builtins__")
+assert set(namespace) == set(package.__all__), namespace
+assert namespace["scan_file"] is sys.modules["engmeta.extract.engine"].scan_file
 """
 
 
-def test_parsing_rules_loads_no_dataclasses(rules_path):
-    result = _python(_PARSE_RULES, str(rules_path))
+def test_extraction_package_lists_every_name_before_its_engine_loads():
+    result = _python(_EXTRACTION_NAMES)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "[]"
 
 
 # Makes the node classes dataclasses by one first introspection, then checks
@@ -153,6 +180,8 @@ def test_node_classes_become_dataclasses_on_first_introspection(first):
 
 IMPORT_ORDERS = {
     "package first": "import engmeta; engmeta.extract; from engmeta.extract import scan_file",
+    "rules first": "import engmeta; engmeta.parse_config(''); import engmeta.extract; "
+                   "from engmeta.extract import scan_file, engine",
     "submodule first": "from engmeta.flatten import serialize_blocks_json; import engmeta",
     "dotted import": "import engmeta.harvest, engmeta.extract, engmeta.flatten",
     "from the package": "from engmeta import extract, flatten, harvest; import engmeta.extract.engine",
