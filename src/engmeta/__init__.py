@@ -6,9 +6,10 @@ of the processing history to PROV, and flattening into repository metadata
 blocks.
 
 Every name in ``__all__`` is importable from this package, and its module
-loads on first use (PEP 562): ``import engmeta`` costs almost nothing, a
-program that only reads and validates documents never loads extraction,
-harvest or merge code, and parsing a rule file loads no extraction engine.
+loads on first use (PEP 562, ``_lazy``, which ``engmeta.extract`` uses for its
+engine's names too): ``import engmeta`` costs almost nothing, a program that
+only reads and validates documents never loads extraction, harvest or merge
+code, and parsing a rule file loads no extraction engine.
 
 ``engmeta.extract``, ``engmeta.flatten`` and ``engmeta.harvest`` are the
 functions, never the modules: ``from engmeta.extract import engine`` reaches
@@ -68,17 +69,23 @@ _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = sorted(_ORIGIN)
 
 
-def __getattr__(name: str):
-    module = _ORIGIN.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{module}", __name__), name)
-    globals()[name] = value
-    return value
+def _lazy(namespace: dict, origin: dict[str, str]):
+    """The PEP 562 ``__getattr__`` and ``__dir__`` of the module whose globals are
+    ``namespace``: a name in ``origin`` loads the submodule it maps to on first use."""
+    def __getattr__(name: str):
+        module = origin.get(name)
+        if module is None:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(import_module(f".{module}", namespace["__name__"]), name)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(set(namespace) | set(namespace["__all__"]))
+
+    return __getattr__, __dir__
 
 
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = _lazy(globals(), _ORIGIN)
 
 
 class _Package(ModuleType):

@@ -416,28 +416,20 @@ def _decode_obj(obj: dict, cls: type, path: str, warnings: list[str]):
             warnings.append(f"{label}: unknown key {key!r} skipped")
             continue
         key_path = f"{path}.{key}" if path else key
-        if spec.kind == SCALAR:
-            value = _scalar_from_json(raw, spec, key_path, warnings)
-        elif spec.kind == SCALAR_LIST:
-            items = _expect_array(raw, key_path)
-            decoded = [
-                _scalar_from_json(item, spec, f"{key_path}[{i}]", warnings)
-                for i, item in enumerate(items)
-            ]
-            value = [item for item in decoded if item is not None] or None
-        elif spec.kind == NODE:
-            value = _decode_obj(_expect_object(raw, key_path), spec.value_type, key_path, warnings)
+        decode = _node_from_json if spec.kind in (NODE, NODE_LIST) else _scalar_from_json
+        if spec.kind in (SCALAR, NODE):
+            value = decode(raw, spec, key_path, warnings)
         else:
-            items = _expect_array(raw, key_path)
-            decoded = [
-                _decode_obj(_expect_object(item, f"{key_path}[{i}]"), spec.value_type,
-                            f"{key_path}[{i}]", warnings)
-                for i, item in enumerate(items)
-            ]
+            decoded = [decode(item, spec, f"{key_path}[{i}]", warnings)
+                       for i, item in enumerate(_expect_array(raw, key_path))]
             value = [item for item in decoded if item is not None] or None
         if value is not None:
             kwargs[spec.attr] = value
     return _trusted_node(cls, kwargs)
+
+
+def _node_from_json(raw, spec: FieldSpec, path: str, warnings: list[str]):
+    return _decode_obj(_expect_object(raw, path), spec.value_type, path, warnings)
 
 
 def _expect_array(raw, path: str) -> list:

@@ -1,11 +1,11 @@
 """Config-driven metadata extraction from simulation input/output/log files.
 
 The rule-file names load with this package; the engine's names load its
-module on first use (PEP 562), so parsing a rule file loads no engine.
+module on first use (PEP 562, the package's ``_lazy``), so parsing a rule
+file loads no engine.
 """
 
-from importlib import import_module
-
+from .. import _lazy
 from .config import OCCURRENCES, VALUE_TYPES, ExtractionConfig, ExtractionRule, parse_config
 
 # the engine's names, resolved by __getattr__
@@ -15,14 +15,4 @@ _ENGINE = ("MODES", "AssembleResult", "CoercionFailure", "ExtractionReport", "Ra
 __all__ = ["OCCURRENCES", "VALUE_TYPES", "ExtractionConfig", "ExtractionRule", "parse_config",
            *_ENGINE]
 
-
-def __getattr__(name: str):
-    if name not in _ENGINE:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(".engine", __name__), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = _lazy(globals(), dict.fromkeys(_ENGINE, "engine"))

@@ -69,8 +69,8 @@ _DUPLICATE_ID = "duplicate rule id {!r} (first declared on line {})"
 
 
 def _field_fault(name: str, value: str) -> str | None:
-    """Why a rule's non-empty text field is refused, or None: a unit that
-    XML cannot carry, or a key or delimiter that can match no line.
+    """Why a rule's non-empty text field is refused, or None: a unit that XML
+    cannot carry, or a source, key or delimiter that can match no file or line.
 
     A matched line is decoded UTF-8, so it holds no lone surrogate; it is
     stripped of leading whitespace, its key of the spaces and tabs that
@@ -78,8 +78,9 @@ def _field_fault(name: str, value: str) -> str | None:
     stripped, so only a rule built by hand, or rule text given as a ``str``
     holding a surrogate, can hold such a value.
     """
-    if name == "unit":  # written into documents
-        return text_fault(value)
+    if name in ("unit", "source"):  # a walked name has U+FFFD for each such character
+        fault = text_fault(value)
+        return fault if fault is None or name == "unit" else f"{fault}, so it can match no file"
     if name == "key" and value[0].isspace():
         reason = "starts with whitespace"
     elif name == "delimiter" and value[0] in " \t":

@@ -67,9 +67,6 @@ from .config import ExtractionConfig, ExtractionRule
 
 MODES = ("serial", "parallel")
 
-_UNREACHABLE_TARGET = "rule {!r} ({}:{}): target {} not reachable"
-_UNREACHABLE_LIST = "append to {} not reachable"
-
 # the characters that make a source a pattern for fnmatch
 _WILDCARDS = frozenset("*?[")
 
@@ -304,8 +301,9 @@ class _AssemblyState:
     A file's entries for one list go in as one batch, deduplicated against
     the list and within the batch, with one write. Writes whose list
     indices are not reachable yet (a later-sorting file holds the earlier
-    steps) are deferred entry by entry and retried once everything else is
-    in; only writes that stay unplaceable end up as warnings.
+    steps) are deferred entry by entry, each with its warning text, and
+    retried once everything else is in; only writes that stay unplaceable
+    end up as warnings.
     """
 
     def __init__(self, config: ExtractionConfig):
@@ -314,9 +312,9 @@ class _AssemblyState:
         self.conflicts: list[Conflict] = []
         self.failures: list[CoercionFailure] = []
         self.warnings: list[str] = []
-        self.deferred: list[tuple[object, object]] = []  # (describe, retry)
+        self.deferred: list[tuple[str, object]] = []  # (warning, retry)
         self.hits_per_rule: dict[str, int] = {}  # in order of each rule's first hit
-        # list path -> (stored tuple, its entries as a set); see _seen
+        # list path -> (stored tuple, its entries as a set); see _append
         self._list_keys: dict[MetadataPath, tuple[tuple, set]] = {}
         # rule id -> the index of the step it applies in
         self._step_of = {rule.id: index for index, members in enumerate(self.steps)
@@ -346,8 +344,8 @@ class _AssemblyState:
             value = self._coerced(rule, hit)
             if value is not None and not self._apply_scalar(rule, value):
                 self.deferred.append((
-                    partial(_UNREACHABLE_TARGET.format, rule.id, hit.sourceFile,
-                            hit.lineNumber, rule.target),
+                    f"rule {rule.id!r} ({hit.sourceFile}:{hit.lineNumber}): target "
+                    f"{rule.target} not reachable; hit skipped",
                     partial(self._apply_scalar, rule, value),
                 ))
 
@@ -355,11 +353,11 @@ class _AssemblyState:
         """End the pass: retry the deferred writes while any of them succeeds."""
         pending = self.deferred
         while pending:
-            remaining = [(describe, retry) for describe, retry in pending if not retry()]
+            remaining = [(warning, retry) for warning, retry in pending if not retry()]
             if len(remaining) == len(pending):
                 break
             pending = remaining
-        self.warnings.extend(f"{describe()}; hit skipped" for describe, _ in pending)
+        self.warnings.extend(warning for warning, _ in pending)
         return AssembleResult(
             self.dataset, tuple(self.conflicts), tuple(self.failures), tuple(self.warnings)
         )
@@ -404,17 +402,21 @@ class _AssemblyState:
         warned about if it stays unplaceable, on its own.
         """
         if items and not self._append(list_path, items):
-            describe = partial(_UNREACHABLE_LIST.format, list_path)
+            warning = f"append to {list_path} not reachable; hit skipped"
             self.deferred.extend(
-                (describe, partial(self._append, list_path, (item,))) for item in items
+                (warning, partial(self._append, list_path, (item,))) for item in items
             )
 
     def _append(self, list_path: MetadataPath, items) -> bool:
         """Append, in order and with one write, the items the list does not hold yet.
 
-        False, with nothing written, while the list is unreachable.
+        False, with nothing written, while the list is unreachable. The set of the
+        entries is cached per list and trusted only for the tuple it was built from:
+        any other write to the list (an indexed rule, a unit) replaces the tuple.
         """
-        seen = self._seen(list_path)
+        stored = self._stored_list(list_path)
+        cached = self._list_keys.get(list_path)
+        seen = cached[1] if cached is not None and cached[0] is stored else set(stored)
         fresh = [item for item in dict.fromkeys(items) if item not in seen]
         if fresh:
             try:
@@ -422,7 +424,8 @@ class _AssemblyState:
             except PathIndexGapError:
                 return False
             seen.update(fresh)
-            self._list_keys[list_path] = (self._stored_list(list_path), seen)
+            stored = self._stored_list(list_path)
+        self._list_keys[list_path] = (stored, seen)
         return True
 
     def _stored_list(self, list_path: MetadataPath) -> tuple:
@@ -433,22 +436,6 @@ class _AssemblyState:
             return ()
         owner = owners[0]
         return getattr(owner, field_by_element(type(owner), last.name).attr)
-
-    def _seen(self, list_path: MetadataPath) -> set:
-        """The entries of a stored list as a set, rebuilt whenever the tuple changed.
-
-        Entries are their own dedup keys: nodes hash and compare by their
-        type-strict canonical key, and the model declares scalar lists str.
-        Any write elsewhere in the list (an indexed rule, a unit) replaces the
-        tuple, so a set cached for the old tuple is never trusted for the new.
-        """
-        stored = self._stored_list(list_path)
-        cached = self._list_keys.get(list_path)
-        if cached is not None and cached[0] is stored:
-            return cached[1]
-        seen = set(stored)
-        self._list_keys[list_path] = (stored, seen)
-        return seen
 
     def _take_group(self, members: tuple[ExtractionRule, ...], source_file: str,
                     per_rule: dict[str, list[RawHit]]) -> None:

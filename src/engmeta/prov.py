@@ -168,8 +168,9 @@ def _end_time(date: str | None) -> str:
     return date
 
 
-def _attr_list(pairs: list[tuple[str, str]]) -> str:
-    return "[" + ", ".join(f"{key}={_quote(value)}" for key, value in pairs) + "]"
+def _attr_list(pairs: tuple[tuple[str, str | None], ...]) -> str:
+    attrs = ", ".join(f"{key}={_quote(value)}" for key, value in pairs if value is not None)
+    return f", [{attrs}]" if attrs else ""
 
 
 def serialize_prov_n(doc: ProvDocument, base_uri: str = DEFAULT_BASE_URI) -> str:
@@ -182,27 +183,19 @@ def serialize_prov_n(doc: ProvDocument, base_uri: str = DEFAULT_BASE_URI) -> str
 
     statements: list[str] = []
     for activity in sorted(doc.activities, key=lambda a: a.id):
-        attrs = []
-        if activity.stepType is not None:
-            attrs.append((f"{PREFIX}:stepType", activity.stepType))
-        if activity.date is not None:
-            attrs.append((f"{PREFIX}:date", activity.date))
-        suffix = f", {_attr_list(attrs)}" if attrs else ""
+        attrs = _attr_list(((f"{PREFIX}:stepType", activity.stepType),
+                            (f"{PREFIX}:date", activity.date)))
         end_time = _end_time(activity.date)
-        statements.append(f"activity({PREFIX}:{activity.id}, -, {end_time}{suffix})")
+        statements.append(f"activity({PREFIX}:{activity.id}, -, {end_time}{attrs})")
 
     for agent in sorted(doc.agents, key=lambda a: a.id):
-        attrs = []
-        if agent.name is not None:
-            attrs.append(("prov:label", agent.name))
-        if agent.identifier is not None:
-            attrs.append((f"{PREFIX}:identifier", agent.identifier))
-        suffix = f", {_attr_list(attrs)}" if attrs else ""
-        statements.append(f"agent({PREFIX}:{agent.id}{suffix})")
+        attrs = _attr_list((("prov:label", agent.name),
+                            (f"{PREFIX}:identifier", agent.identifier)))
+        statements.append(f"agent({PREFIX}:{agent.id}{attrs})")
 
     for entity in sorted(doc.entities, key=lambda e: e.id):
-        attrs = [("prov:label", entity.label), (f"{PREFIX}:kind", entity.kind)]
-        statements.append(f"entity({PREFIX}:{entity.id}, {_attr_list(attrs)})")
+        attrs = _attr_list((("prov:label", entity.label), (f"{PREFIX}:kind", entity.kind)))
+        statements.append(f"entity({PREFIX}:{entity.id}{attrs})")
 
     rank = {name: i for i, name in enumerate(RELATION_TYPES)}
     for relation in sorted(doc.relations, key=lambda r: (rank[r.type], r.subject, r.object)):

@@ -319,6 +319,8 @@ def test_json_syntax_error_has_position():
 def test_json_type_error_has_path():
     for text, message in [
         ('{"project": 42}', "project: expected a string"),
+        ('{"worked": {"success": 1}}', "worked.success: expected a boolean, got int"),
+        ('{"worked": {"success": "true"}}', "worked.success: expected a boolean, got str"),
         ("[]", "engMeta: document root must be a JSON object"),
         ('{"system": {"controlledVariables": [{"value": {"type": "decimal", "text": 5}}]}}',
          "system.controlledVariables[0].value: tagged value 'text' must be a string"),

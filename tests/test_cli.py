@@ -418,6 +418,20 @@ def test_bad_config_is_usage_error(tmp_path, corpus_dir, capsys):
     capsys.readouterr()
 
 
+def test_other_engmeta_error_is_usage_error(empty_xml, monkeypatch, capsys):
+    # an EngMetaError that is no ConfigError, CanonError or OSError
+    from engmeta import cli
+    from engmeta.errors import ProvError
+
+    def to_prov(args):
+        raise ProvError("dangling endpoint in used(act_0, x)")
+
+    monkeypatch.setattr(cli, "_cmd_to_prov", to_prov)
+    assert main(["to-prov", "--in", str(empty_xml)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: dangling endpoint in used(act_0, x)\n")
+
+
 def test_malformed_document_is_validation_error(tmp_path, capsys):
     path = tmp_path / "broken.xml"
     path.write_text("<engMeta><title>oops</engMeta>")

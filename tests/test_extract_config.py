@@ -294,6 +294,23 @@ def test_rule_text_holding_a_lone_surrogate_rejected_on_its_field_line(fields, m
     assert str(excinfo.value) == f"{message} holds a lone surrogate, so it can match no line"
 
 
+@pytest.mark.parametrize(("source", "fault"), [
+    ("a\udc80.log", "holds a lone surrogate, not UTF-8 text"),
+    ("b\x01.log", "holds U+0001, which XML cannot carry"),
+    ("*\ufffe*", "holds U+FFFE, which XML cannot carry"),
+])
+def test_source_that_can_match_no_file_rejected_on_its_line(source, fault):
+    # a walked name has U+FFFD for each byte that is not UTF-8 and each character
+    # XML cannot carry, so a source holding either matches no name
+    message = f"rule 'r': source {source!r} {fault}, so it can match no file"
+    with pytest.raises(ConfigError) as excinfo:
+        ExtractionRule(id="r", target=parse_path("project"), source=source, key="a", line=3)
+    assert str(excinfo.value) == f"line 3: {message}"
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(f"[rule r]\ntarget = project\nkey = a\nsource = {source}\n")
+    assert str(excinfo.value) == f"line 4: {message}"
+
+
 def test_rule_file_strips_key_and_delimiter_and_other_whitespace_still_matches():
     parsed = parse_config(
         "[rule r]\ntarget = project\nsource = *\nkey = \u3000a b\t\ndelimiter = \t=\n"

@@ -786,6 +786,16 @@ def test_extraction_sorts_files_by_their_file_system_names(tmp_path):
                                "listed with U+FFFD for its undecodable bytes",)
 
 
+def test_source_names_such_files_with_replacement_characters(tmp_path):
+    _write_raw(tmp_path, b"a\x80.log", b"x = 1\n")
+    _write_raw(tmp_path, b"b\x01.log", b"x = 2\n")
+    config = parse_config("[rule a]\ntarget = project\nsource = a\ufffd.log\nkey = x\n\n"
+                          "[rule b]\ntarget = keyword[0]\nsource = b\ufffd.log\nkey = x\n")
+    dataset, report = extract(tmp_path, config)
+    assert (dataset.project, dataset.keywords) == ("1", ("2",))
+    assert (report.filesScanned, report.rulesUnmatched) == (2, ())
+
+
 def test_unreadable_directory_is_named_with_replacement_characters(tmp_path, monkeypatch):
     unreadable = os.path.join(os.fsencode(tmp_path), b"d\xff")
     try:

@@ -46,3 +46,32 @@ def test_walk_stats_no_file(monkeypatch, corpus_dir):
     monkeypatch.undo()
     assert len(entries) == len(walk_files_by_os_walk(corpus_dir)) > 5
     assert calls == []
+
+
+def test_entry_that_vanishes_before_its_type_check_is_skipped(tmp_path, monkeypatch):
+    for name in ("a.txt", "gone.txt", "z.txt"):
+        (tmp_path / name).write_text(name)
+    real_scandir = os.scandir
+
+    class Vanished:
+        """A listed entry whose file is removed before its type is read."""
+
+        def __init__(self, entry):
+            self.name, self.path = entry.name, entry.path
+
+        def is_dir(self, follow_symlinks=True):
+            raise FileNotFoundError(2, "No such file or directory", self.path)
+
+    class Listing:
+        def __init__(self, path):
+            with real_scandir(path) as listing:
+                self.entries = [Vanished(e) if e.name == "gone.txt" else e for e in listing]
+
+        def __enter__(self):
+            return iter(self.entries)
+
+        def __exit__(self, *exc_info):
+            return False
+
+    monkeypatch.setattr(os, "scandir", Listing)
+    assert [name for name, _ in walk_files(tmp_path)] == ["a.txt", "z.txt"]
