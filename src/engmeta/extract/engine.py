@@ -20,16 +20,17 @@ file's hits, not the tree's, and only the steps with hits in the file are
 visited. Assembly, and the report, do not depend on the walk's order: files
 are processed in lexicographic path order, lines in file order, rules in
 declaration order.
-Scalar targets follow first-wins (later differing values are recorded as
-conflicts); open list targets append, skipping entries the list already
-contains, so scanning duplicated inputs cannot duplicate metadata. A
-file's entries for one list (a group's instances, or the values of an
-``occurrence = all`` scalar-list rule) are appended with one write. Group
-instances are built from the coerced values without a second check:
-``coerce`` gives each value as the model stores it, and each rule's
-``shape`` says where in the node its value goes and whether it widens to a
-``Decimal`` (an integer in a decimal field). Extraction runs the plan the
-config derived (its steps, each rule's shape) and derives none of it again.
+A step writes either a scalar or a list. Scalar targets follow first-wins
+(later differing values are recorded as conflicts); open list targets
+append, skipping entries the list already contains, so scanning duplicated
+inputs cannot duplicate metadata. A file's entries for one list (a group's
+instances, or an ``occurrence = all`` rule's values) are appended with one
+write, or wait as one write until every file is in. Group instances are
+built from the coerced values without a second check: ``coerce`` gives each
+value as the model stores it, and each rule's ``shape`` says where in the
+node its value goes and whether it widens to a ``Decimal`` (an integer in a
+decimal field). Extraction runs the plan the config derived (its steps,
+each rule's shape) and derives none of it again.
 
 Both modes run this one path, so they produce byte-identical documents.
 "parallel" is kept as an alias of "serial": scanning is pure Python and
@@ -102,35 +103,17 @@ class ExtractionReport(NamedTuple):
     elapsedSeconds: float
 
     def to_obj(self) -> dict:
-        """JSON-ready representation (written by the CLI --report flag)."""
-        return {
-            "rulesMatched": list(self.rulesMatched),
-            "rulesUnmatched": list(self.rulesUnmatched),
-            "hitsPerRule": dict(self.hitsPerRule),
-            "conflicts": [
-                {
-                    "path": c.path,
-                    "base": scalar_to_text(c.base),
-                    "overlay": scalar_to_text(c.overlay),
-                    "chosen": scalar_to_text(c.chosen),
-                }
-                for c in self.conflicts
-            ],
-            "coercionFailures": [
-                {
-                    "rule": f.ruleId,
-                    "file": f.sourceFile,
-                    "line": f.lineNumber,
-                    "rawValue": f.rawValue,
-                    "reason": f.reason,
-                }
-                for f in self.coercionFailures
-            ],
-            "warnings": list(self.warnings),
-            "filesScanned": self.filesScanned,
-            "bytesScanned": self.bytesScanned,
-            "elapsedSeconds": self.elapsedSeconds,
-        }
+        """JSON-ready representation (written by the CLI --report flag): each
+        field under its name, in field order, tuples as lists, conflict values
+        as text and coercion failures keyed rule, file, line, rawValue, reason."""
+        obj = {key: list(value) if isinstance(value, tuple) else value
+               for key, value in self._asdict().items()}
+        obj["conflicts"] = [{"path": c.path, "base": scalar_to_text(c.base),
+                             "overlay": scalar_to_text(c.overlay),
+                             "chosen": scalar_to_text(c.chosen)} for c in self.conflicts]
+        obj["coercionFailures"] = [dict(zip(("rule", "file", "line", "rawValue", "reason"), f))
+                                   for f in self.coercionFailures]
+        return obj
 
 
 def parse_line(
@@ -296,14 +279,16 @@ def assemble(hits: list[RawHit], config: ExtractionConfig) -> AssembleResult:
 
 
 class _AssemblyState:
-    """Builds the document file by file, in sorted order.
+    """Builds the document file by file, in sorted order, in two kinds of step.
 
-    A file's entries for one list go in as one batch, deduplicated against
-    the list and within the batch, with one write. Writes whose list
-    indices are not reachable yet (a later-sorting file holds the earlier
-    steps) are deferred entry by entry, each with its warning text, and
-    retried once everything else is in; only writes that stay unplaceable
-    end up as warnings.
+    A list step appends a file's entries for one list (a group's instances,
+    or a scalar list's values) as one batch, deduplicated against the list
+    and within the batch, with one write; a scalar step writes one value.
+    A write whose list indices are not reachable yet (a later-sorting file
+    holds the earlier steps) is deferred as one record, (warning, retry,
+    entry count), and retried once everything else is in: a batch as one
+    write, since all its entries share one reachability. Each entry of a
+    write that stays unplaceable gives the warning once.
     """
 
     def __init__(self, config: ExtractionConfig):
@@ -312,7 +297,7 @@ class _AssemblyState:
         self.conflicts: list[Conflict] = []
         self.failures: list[CoercionFailure] = []
         self.warnings: list[str] = []
-        self.deferred: list[tuple[str, object]] = []  # (warning, retry)
+        self.deferred: list[tuple[str, object, int]] = []  # (warning, retry, entry count)
         self.hits_per_rule: dict[str, int] = {}  # in order of each rule's first hit
         # list path -> (stored tuple, its entries as a set); see _append
         self._list_keys: dict[MetadataPath, tuple[tuple, set]] = {}
@@ -331,33 +316,29 @@ class _AssemblyState:
         for index in sorted({step_of[rule_id] for rule_id in per_rule if rule_id in step_of}):
             members = self.steps[index]
             rule = members[0]
-            if rule.shape.node_type is not None:
-                self._take_group(members, source_file, per_rule)
+            if rule.shape.open_list is not None:
+                self._take_list(members, source_file, per_rule)
                 continue
             rule_hits = per_rule[rule.id]
-            if rule.shape.open_list is not None:
-                # occurrence = all: each hit is one entry of a scalar list, e.g. a keyword
-                values = [self._coerced(rule, hit) for hit in rule_hits]
-                self._take_entries(rule.shape.open_list, [v for v in values if v is not None])
-                continue
             hit = rule_hits[0] if rule.occurrence == "first" else rule_hits[-1]
             value = self._coerced(rule, hit)
             if value is not None and not self._apply_scalar(rule, value):
                 self.deferred.append((
                     f"rule {rule.id!r} ({hit.sourceFile}:{hit.lineNumber}): target "
                     f"{rule.target} not reachable; hit skipped",
-                    partial(self._apply_scalar, rule, value),
+                    partial(self._apply_scalar, rule, value), 1,
                 ))
 
     def result(self) -> AssembleResult:
         """End the pass: retry the deferred writes while any of them succeeds."""
         pending = self.deferred
         while pending:
-            remaining = [(warning, retry) for warning, retry in pending if not retry()]
+            remaining = [record for record in pending if not record[1]()]
             if len(remaining) == len(pending):
                 break
             pending = remaining
-        self.warnings.extend(warning for warning, _ in pending)
+        for warning, _, count in pending:
+            self.warnings.extend([warning] * count)
         return AssembleResult(
             self.dataset, tuple(self.conflicts), tuple(self.failures), tuple(self.warnings)
         )
@@ -372,6 +353,7 @@ class _AssemblyState:
             return None
 
     def _apply_scalar(self, rule: ExtractionRule, value) -> bool:
+        """Write a value first-wins, with the rule's unit; False while unreachable."""
         existing = get_path(self.dataset, rule.target)
         if existing:
             if scalar_key(existing[0]) != scalar_key(value):
@@ -380,32 +362,14 @@ class _AssemblyState:
                 )
             return True
         try:
-            updated = set_path(self.dataset, rule.target, value)
+            self.dataset = set_path(self.dataset, rule.target, value)
         except PathIndexGapError:
             return False
-        self.dataset = updated
-        self._attach_unit(rule, rule.target.segments)
+        if rule.unit is not None:
+            unit_path = MetadataPath(rule.target.segments[:-1] + (PathSegment("unit"),))
+            if not get_path(self.dataset, unit_path):
+                self.dataset = set_path(self.dataset, unit_path, rule.unit)
         return True
-
-    def _attach_unit(self, rule: ExtractionRule, segments: tuple[PathSegment, ...]) -> None:
-        if rule.unit is None:
-            return
-        unit_path = MetadataPath(segments[:-1] + (PathSegment("unit"),))
-        if not get_path(self.dataset, unit_path):
-            self.dataset = set_path(self.dataset, unit_path, rule.unit)
-
-    def _take_entries(self, list_path: MetadataPath, items: list) -> None:
-        """Append one file's entries for a list, or defer each while the list is unreachable.
-
-        Reachability does not change within a batch, so a batch that cannot
-        be written is deferred entry by entry: each entry is retried, and
-        warned about if it stays unplaceable, on its own.
-        """
-        if items and not self._append(list_path, items):
-            warning = f"append to {list_path} not reachable; hit skipped"
-            self.deferred.extend(
-                (warning, partial(self._append, list_path, (item,))) for item in items
-            )
 
     def _append(self, list_path: MetadataPath, items) -> bool:
         """Append, in order and with one write, the items the list does not hold yet.
@@ -437,13 +401,17 @@ class _AssemblyState:
         owner = owners[0]
         return getattr(owner, field_by_element(type(owner), last.name).attr)
 
-    def _take_group(self, members: tuple[ExtractionRule, ...], source_file: str,
-                    per_rule: dict[str, list[RawHit]]) -> None:
-        """Join the members' hits index-wise into one node each, as each rule's
-        ``shape.in_node`` places its value."""
+    def _take_list(self, members: tuple[ExtractionRule, ...], source_file: str,
+                   per_rule: dict[str, list[RawHit]]) -> None:
+        """Append one file's entries for a list with one write, or defer them as one.
+
+        A scalar list's rule (``occurrence = all``, alone in its step) gives
+        its coerced values, e.g. keywords; a group joins its members' hits
+        index-wise into one node each, as each rule's ``shape.in_node``
+        places its value.
+        """
         present = [rule for rule in members if rule.id in per_rule]
         counts = {rule.id: len(per_rule[rule.id]) for rule in present}
-        instance_count = min(counts.values())
         if len(set(counts.values())) > 1:
             detail = ", ".join(f"{rid}={n}" for rid, n in sorted(counts.items()))
             self.warnings.append(
@@ -451,13 +419,16 @@ class _AssemblyState:
                 f"counts ({detail}); surplus dropped"
             )
         shape = present[0].shape
-        nodes = []
-        for instance in range(instance_count):
+        entries = []
+        for instance in range(min(counts.values())):
             fields: dict = {}
             unit = None
             for rule in present:
                 value = self._coerced(rule, per_rule[rule.id][instance])
                 if value is None:
+                    continue
+                if shape.node_type is None:  # a scalar list: the value is the entry
+                    entries.append(value)
                     continue
                 owners, attr, widen = rule.shape.in_node
                 target = fields
@@ -472,8 +443,10 @@ class _AssemblyState:
             # the unit as a plain str
             if unit is not None:
                 fields.setdefault("unit", str.__str__(unit))
-            nodes.append(_node_from(shape.node_type, fields))
-        self._take_entries(shape.open_list, nodes)
+            entries.append(_node_from(shape.node_type, fields))
+        if entries and not self._append(shape.open_list, entries):
+            self.deferred.append((f"append to {shape.open_list} not reachable; hit skipped",
+                                  partial(self._append, shape.open_list, entries), len(entries)))
 
 
 def _node_from(cls: type, fields: dict):

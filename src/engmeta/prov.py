@@ -168,7 +168,12 @@ def _end_time(date: str | None) -> str:
     return date
 
 
-def _attr_list(pairs: tuple[tuple[str, str | None], ...]) -> str:
+def _attr_list(statement: str, pairs: tuple[tuple[str, str | None], ...]) -> str:
+    """The attribute suffix of a statement, its unset values left out; a set
+    value that is not a string (a hand-built record's) raises ProvError."""
+    for key, value in pairs:
+        if value is not None and not isinstance(value, str):
+            raise ProvError(f"{statement}: {key} must be a string, got {type(value).__name__}")
     attrs = ", ".join(f"{key}={_quote(value)}" for key, value in pairs if value is not None)
     return f", [{attrs}]" if attrs else ""
 
@@ -177,24 +182,28 @@ def serialize_prov_n(doc: ProvDocument, base_uri: str = DEFAULT_BASE_URI) -> str
     """Render the document in the human-readable PROV notation.
 
     Statements are ordered activities, agents, entities, relations; each
-    group is sorted, so equal documents serialize identically.
+    group is sorted, so equal documents serialize identically. A record's
+    set attributes must be strings: one that is not (a hand-built
+    ``Agent('a', 5)``, say) raises ProvError naming its statement and
+    attribute.
     """
     _check_referential_integrity(doc)
 
     statements: list[str] = []
     for activity in sorted(doc.activities, key=lambda a: a.id):
-        attrs = _attr_list(((f"{PREFIX}:stepType", activity.stepType),
-                            (f"{PREFIX}:date", activity.date)))
+        attrs = _attr_list(f"activity {activity.id}", ((f"{PREFIX}:stepType", activity.stepType),
+                                                       (f"{PREFIX}:date", activity.date)))
         end_time = _end_time(activity.date)
         statements.append(f"activity({PREFIX}:{activity.id}, -, {end_time}{attrs})")
 
     for agent in sorted(doc.agents, key=lambda a: a.id):
-        attrs = _attr_list((("prov:label", agent.name),
-                            (f"{PREFIX}:identifier", agent.identifier)))
+        attrs = _attr_list(f"agent {agent.id}", (("prov:label", agent.name),
+                                                 (f"{PREFIX}:identifier", agent.identifier)))
         statements.append(f"agent({PREFIX}:{agent.id}{attrs})")
 
     for entity in sorted(doc.entities, key=lambda e: e.id):
-        attrs = _attr_list((("prov:label", entity.label), (f"{PREFIX}:kind", entity.kind)))
+        attrs = _attr_list(f"entity {entity.id}",
+                           (("prov:label", entity.label), (f"{PREFIX}:kind", entity.kind)))
         statements.append(f"entity({PREFIX}:{entity.id}{attrs})")
 
     rank = {name: i for i, name in enumerate(RELATION_TYPES)}

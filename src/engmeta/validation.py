@@ -74,7 +74,13 @@ class ValidationReport(NamedTuple):
 
 
 def validate(dataset: EngMetaDataset, profile: str = "structural") -> ValidationReport:
-    """Check the document against the given profile; never raises on content."""
+    """Check the document against the given profile; never raises on content.
+
+    Anything but an ``EngMetaDataset`` (a bare node, say, which both writers
+    would otherwise write as a root of the wrong shape) raises TypeError.
+    """
+    if not isinstance(dataset, EngMetaDataset):
+        raise TypeError(f"expected an EngMetaDataset, got {type(dataset).__name__}")
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; expected one of {PROFILES}")
 

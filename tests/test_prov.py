@@ -13,7 +13,15 @@ from engmeta.model import (
     Software,
     schema,
 )
-from engmeta.prov import ProvDocument, Relation, serialize_prov_n, to_prov
+from engmeta.prov import (
+    Activity,
+    Agent,
+    Entity,
+    ProvDocument,
+    Relation,
+    serialize_prov_n,
+    to_prov,
+)
 from everyfield import every_field_dataset
 
 
@@ -176,6 +184,18 @@ def test_dangling_relation_rejected():
         serialize_prov_n(doc)
     doc = ProvDocument(relations=(Relation("wasInformedBy", "act_0", "act_1"),))
     with pytest.raises(ProvError, match="unknown relation type 'wasInformedBy'"):
+        serialize_prov_n(doc)
+
+
+@pytest.mark.parametrize("doc, message", [
+    (ProvDocument(agents=(Agent("a", 5),)), "agent a: prov:label must be a string, got int"),
+    # the attribute is checked before the date fills the end-time slot
+    (ProvDocument(activities=(Activity("x", 20200101),)),
+     "activity x: ex:date must be a string, got int"),
+    (ProvDocument(entities=(Entity("e", 3, "l"),)), "entity e: ex:kind must be a string, got int"),
+], ids=["agent", "activity", "entity"])
+def test_hand_built_attribute_that_is_not_a_string_rejected(doc, message):
+    with pytest.raises(ProvError, match=f"^{message}$"):
         serialize_prov_n(doc)
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from engmeta.canon import to_json, to_xml
 from engmeta.model import (
     NODE,
     NODE_LIST,
@@ -173,6 +174,15 @@ def test_unknown_code_lists_warn_not_error():
     report = validate(doc)
     assert report.ok
     assert [f.path for f in report.warnings] == ["date[0].dateType"]
+
+
+def test_writers_and_validate_take_only_a_dataset():
+    # a bare node would be written as the root and read back empty
+    title = Title(text="x", titleType="main")
+    for call, argument, got in ((to_xml, title, "Title"), (to_json, title, "Title"),
+                                (to_xml, 42, "int"), (validate, None, "NoneType")):
+        with pytest.raises(TypeError, match=f"^expected an EngMetaDataset, got {got}$"):
+            call(argument)
 
 
 def test_unknown_profile_rejected():
