@@ -7,8 +7,9 @@ notation without trailing zeros, and repeated serialization of the same
 document is byte-identical. Both writers refuse structurally invalid documents.
 
 Parsing is forgiving about unknown content: unknown elements, attributes
-and object keys are skipped and reported as warnings; only malformed input
-and type-incompatible scalar text are hard errors.
+and object keys are skipped and reported as warnings, as are a repeated
+singular element and a repeated object key, whose first value is kept; only
+malformed input and type-incompatible scalar text are hard errors.
 
 XML is read and written through one cached plan per node class (``_plan``),
 derived from the model's field placements: its attributes, its text-content
@@ -366,9 +367,9 @@ def _scalar_json(spec: FieldSpec, value, newline: str) -> str:
 
 
 def from_json(text: str) -> ReadResult:
-    """Parse canonical JSON; unknown keys become warnings, not errors."""
+    """Parse canonical JSON; unknown and repeated keys become warnings, not errors."""
     try:
-        obj = json.loads(text, parse_int=_json_integer)
+        obj = json.loads(text, parse_int=_json_integer, object_pairs_hook=_json_object)
     except json.JSONDecodeError as exc:
         raise CanonSyntaxError(f"not valid JSON: {exc.msg}", exc.lineno, exc.colno) from None
     except RecursionError:
@@ -397,8 +398,33 @@ def _json_integer(text: str):
         return _LongInteger(text)
 
 
+class _RepeatedKeys(dict):
+    """A JSON object that gives a key more than once: the first value of each
+    key, and in ``repeated`` each key given again, in the order given."""
+
+    __slots__ = ("repeated",)
+
+
+def _json_object(pairs: list) -> dict:
+    """The object's keys with their first values, as the XML reader keeps the
+    first of a repeated element; ``json.loads`` alone keeps the last."""
+    obj = dict(pairs)
+    if len(obj) == len(pairs):
+        return obj
+    obj = _RepeatedKeys()
+    obj.repeated = []
+    for key, value in pairs:
+        if key in obj:
+            obj.repeated.append(key)
+        else:
+            obj[key] = value
+    return obj
+
+
 def _json_type(raw) -> str:
-    return "int" if isinstance(raw, _LongInteger) else type(raw).__name__
+    if isinstance(raw, _LongInteger):
+        return "int"
+    return "dict" if isinstance(raw, dict) else type(raw).__name__
 
 
 def _decode_obj(obj: dict, cls: type, path: str, warnings: list[str]):
@@ -409,6 +435,7 @@ def _decode_obj(obj: dict, cls: type, path: str, warnings: list[str]):
     fields = _BY_ELEMENT[cls]
     kwargs: dict[str, object] = {}
     label = path or ROOT_ELEMENT
+    _warn_repeated(obj, label, warnings)
 
     for key, raw in obj.items():
         spec = fields.get(key)
@@ -421,7 +448,7 @@ def _decode_obj(obj: dict, cls: type, path: str, warnings: list[str]):
             value = decode(raw, spec, key_path, warnings)
         else:
             decoded = [decode(item, spec, f"{key_path}[{i}]", warnings)
-                       for i, item in enumerate(_expect_array(raw, key_path))]
+                       for i, item in enumerate(_expect(raw, list, key_path))]
             value = [item for item in decoded if item is not None] or None
         if value is not None:
             kwargs[spec.attr] = value
@@ -429,19 +456,20 @@ def _decode_obj(obj: dict, cls: type, path: str, warnings: list[str]):
 
 
 def _node_from_json(raw, spec: FieldSpec, path: str, warnings: list[str]):
-    return _decode_obj(_expect_object(raw, path), spec.value_type, path, warnings)
+    return _decode_obj(_expect(raw, dict, path), spec.value_type, path, warnings)
 
 
-def _expect_array(raw, path: str) -> list:
-    if not isinstance(raw, list):
-        raise CanonDecodeError(f"expected an array, got {_json_type(raw)}", path)
+def _expect(raw, container: type, path: str):
+    """``raw`` when it is a JSON array (``list``) or object (``dict``), as ``container`` asks."""
+    if not isinstance(raw, container):
+        wanted = "an array" if container is list else "an object"
+        raise CanonDecodeError(f"expected {wanted}, got {_json_type(raw)}", path)
     return raw
 
 
-def _expect_object(raw, path: str) -> dict:
-    if not isinstance(raw, dict):
-        raise CanonDecodeError(f"expected an object, got {_json_type(raw)}", path)
-    return raw
+def _warn_repeated(obj: dict, label: str, warnings: list[str]) -> None:
+    for key in getattr(obj, "repeated", ()):  # a _RepeatedKeys object
+        warnings.append(f"{label}: repeated key {key!r} skipped")
 
 
 def _document_text(text: str, path: str) -> str:
@@ -462,7 +490,8 @@ def _scalar_from_json(raw, spec: FieldSpec, path: str, warnings: list[str]):
             return _absent(path, warnings)
         return _document_text(raw, path)
     if spec.value_type is TAGGED:
-        tagged = _expect_object(raw, path)
+        tagged = _expect(raw, dict, path)
+        _warn_repeated(tagged, path, warnings)
         unknown = set(tagged) - {"type", "text"}
         if unknown or "text" not in tagged:
             raise CanonDecodeError("tagged value needs 'type' and 'text' keys", path)

@@ -42,10 +42,13 @@ declarations, and ``_Node`` provides the one constructor (positional or
 keyword arguments, each field checked and normalized), the dataclass-style
 ``repr`` and the ``FrozenInstanceError`` on assignment and deletion;
 ``dataclasses.fields``, ``replace`` and ``is_dataclass`` still work on
-nodes (``_DataclassView``). Code that already holds canonical values
-checks nothing again: both decoders in ``canon`` and ``harvest``'s listing
-end in ``_trusted_node``, which turns item lists into tuples and reads no
-field set as absent, and ``_replaced`` copies a node with one field set.
+nodes (``_DataclassView``). Each field's default is decided by its kind:
+``()`` for a list, None for any other. Code that already holds canonical
+values checks nothing again, and builds its nodes through the one unchecked
+builder, ``_trusted_node``, which turns item lists into tuples and reads no
+field set as absent: both decoders in ``canon``, ``harvest``'s listing,
+extraction's group instances, and ``_replaced``, which copies a node with
+one field set.
 """
 
 import re
@@ -257,15 +260,12 @@ class _Node:
 
     __dataclass_fields__ = _DataclassView()
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, *value):  # a deletion passes no value
         from dataclasses import FrozenInstanceError
 
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
 
-    def __delattr__(self, name):
-        from dataclasses import FrozenInstanceError
-
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __delattr__ = __setattr__
 
     def is_empty(self) -> bool:
         """True when no field of this node is set."""
@@ -302,34 +302,29 @@ class _Node:
     def _replaced(self, attr: str, value):
         """Copy with one field set, sharing the others without re-checking.
 
-        Only for values already in canonical form: a scalar as
-        ``_check_scalar`` returns it, a non-empty node, or a tuple of
-        those. The other fields are normalized already, so the copy stays
-        canonical at the cost of one field, not the whole node.
-
-        The fields are copied as one instance dict, three times faster than
-        setting them one by one; assembly and merging copy every node along
-        each written path. Each copy then carries a dict object of its own
-        (64 bytes), which ``_trusted_node`` avoids for the long-lived nodes
-        the decoders build.
+        Only for a value already in canonical form: a scalar as
+        ``_check_scalar`` returns it, a non-empty node, or a non-empty tuple
+        of those. The other fields are normalized already, so the copy is
+        built unchecked by ``_trusted_node`` from the set fields and the new
+        value, and stays canonical at the cost of one field, not the whole node.
         """
-        copy = object.__new__(type(self))
-        fields = copy.__dict__
-        fields.update(self.__dict__)
-        fields.pop("_canonical_key", None)  # the copy's content differs
-        fields[attr] = value
-        return copy
+        values = {spec.attr: field for spec in _SCHEMA[type(self)]
+                  if (field := getattr(self, spec.attr)) is not None and field != ()}
+        values[attr] = value
+        return _trusted_node(type(self), values)
 
 
 def _trusted_node(cls: type, values: dict):
     """A node of ``cls`` with the given fields set and the others unset,
-    or None when no field is given; the decoders in ``canon`` and
-    ``harvest`` end here.
+    or None when no field is given: the one unchecked builder, where the
+    decoders in ``canon``, ``harvest``'s listing, extraction's group
+    instances and ``_replaced`` end.
 
     Nothing is checked: every value must already be canonical, as the
     constructor would leave it (a checked scalar or a non-empty node), and
     a list field's value is the non-empty list or tuple of its items. An
-    unset field is not stored: it reads as its class default, None or ``()``.
+    unset field is not stored: it reads as the class default its kind
+    decides, None or ``()``.
     """
     if not values:
         return None
@@ -444,28 +439,26 @@ class FieldRules(NamedTuple):  # a tuple: cheaper to declare at import than a da
 
 
 class _Declared(NamedTuple):
-    """What a field declares beyond its annotation and default, for ``_derive_schema``."""
+    """What a field declares beyond its annotation, for ``_derive_schema``."""
 
-    default: object = None  # None, or () for a list field
     element: str | None = None  # the repeated element of a list field, if not its name
     placement: str | None = None  # CONTENT for the text-content field
     rules: FieldRules | None = None
 
 
-def _rules(*, content: bool = False, default=None, **rules):
+def _rules(*, content: bool = False, **rules):
     """A field with the ``FieldRules`` named; keyword-only, so a misspelled rule fails at import.
 
-    ``content`` marks the text-content field (see ``_content``); ``default``
-    is ``()`` for a list field.
+    ``content`` marks the text-content field (see ``_content``).
     """
     rules = FieldRules(**rules)
-    return _Declared(default, placement=CONTENT if content else None,
+    return _Declared(placement=CONTENT if content else None,
                      rules=None if rules == FieldRules() else rules)
 
 
 def _plural(element: str):
     """A list field whose repeated element is named ``element``."""
-    return _Declared((), element)
+    return _Declared(element)
 
 
 def _content(**rules):
@@ -609,9 +602,9 @@ class ObservedSystem(_Node):
     description: str | None = None
     components: tuple[Component, ...] = ()
     boundaryConditions: tuple[str, ...] = ()
-    controlledVariables: tuple[Variable, ...] = _rules(default=(), unique_names=True)
-    measuredVariables: tuple[Variable, ...] = _rules(default=(), unique_names=True)
-    parameters: tuple[Variable, ...] = _rules(default=(), unique_names=True)
+    controlledVariables: tuple[Variable, ...] = _rules(unique_names=True)
+    measuredVariables: tuple[Variable, ...] = _rules(unique_names=True)
+    parameters: tuple[Variable, ...] = _rules(unique_names=True)
     spatialResolution: SpatialResolution | None = None
     temporalResolution: TemporalResolution | None = None
 
@@ -731,21 +724,22 @@ def _kind(hint) -> tuple[str, object]:
 
 def _derive_schema(cls: type) -> tuple[FieldSpec, ...]:
     """The specs of a node class's own annotated fields, in declaration order;
-    each class attribute a ``_Declared`` record gave becomes its plain default."""
+    each field's class attribute becomes the default its kind decides: ``()``
+    for a list, None for any other."""
     hints = cls.__annotations__
     if cls.__doc__ is None:  # else the dataclass view derives one through inspect.signature
         cls.__doc__ = f"{cls.__name__}({', '.join(hints)})"
     declared = {}
     for attr in hints:
         value = vars(cls)[attr]
-        declared[attr] = value if type(value) is _Declared else _Declared(value)
-        setattr(cls, attr, declared[attr].default)
+        declared[attr] = value if type(value) is _Declared else _Declared()
     placement = ATTRIBUTE if any(d.placement == CONTENT for d in declared.values()) else CHILD
     specs = tuple(FieldSpec(attr, d.element or attr, *_kind(hints[attr]), d.placement or placement,
                             d.rules) for attr, d in declared.items())
     for spec in specs:
         if (spec.placement == CONTENT or spec.kind == SCALAR_LIST) and spec.value_type is not str:
             raise TypeError(f"{cls.__name__}.{spec.attr}: text content and scalar lists hold str")
+        setattr(cls, spec.attr, () if spec.kind in (SCALAR_LIST, NODE_LIST) else None)
     return specs
 
 

@@ -5,7 +5,6 @@ import hashlib
 import json
 import os
 import re
-from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 from xml.etree import ElementTree
@@ -285,7 +284,10 @@ def _merge_node(base, overlay, path: str, policy: str, conflicts: list):
             merged = left + extra if extra else left
         if merged is not left:
             updates[spec.attr] = merged
-    return replace(base, **updates) if updates else base
+    if not updates:
+        return base
+    fields = {spec.attr: getattr(base, spec.attr) for spec in schema(type(base))}
+    return type(base)(**(fields | updates))
 
 
 class ListScanAssembly:
@@ -729,15 +731,43 @@ def _decode_element_checked(element, cls: type, path: str, warnings: list[str]):
     return cls(**kwargs)
 
 
+def _scalar_checked(raw, spec, path: str, warnings: list[str], warn_repeats):
+    """canon._scalar_from_json, after the repeated keys of a tagged value's object."""
+    if spec.value_type is TAGGED and isinstance(raw, dict):
+        warn_repeats(raw, path)
+    return canon._scalar_from_json(raw, spec, path, warnings)
+
+
 def from_json_checked(text: str) -> canon.ReadResult:
+    """canon.from_json through the checked constructors. A repeated key keeps its
+    first value, with a warning when its object is decoded, as the XML reader
+    keeps the first of a repeated element."""
     warnings: list[str] = []
-    dataset = _decode_obj_checked(json.loads(text), EngMetaDataset, "", warnings)
+    repeats: dict[int, list[str]] = {}  # id of a parsed object -> the keys it repeats
+    parsed: list[dict] = []  # every object, even a skipped value, stays alive: ids stay unique
+
+    def first_values(pairs):
+        obj: dict = {}
+        parsed.append(obj)
+        for key, value in pairs:
+            if key in obj:
+                repeats.setdefault(id(obj), []).append(key)
+            else:
+                obj[key] = value
+        return obj
+
+    def warn_repeats(obj, label: str) -> None:
+        warnings.extend(f"{label}: repeated key {key!r} skipped" for key in repeats.get(id(obj), ()))
+
+    dataset = _decode_obj_checked(json.loads(text, object_pairs_hook=first_values),
+                                  EngMetaDataset, "", warnings, warn_repeats)
     return canon.ReadResult(dataset, tuple(warnings))
 
 
-def _decode_obj_checked(obj: dict, cls: type, path: str, warnings: list[str]):
+def _decode_obj_checked(obj: dict, cls: type, path: str, warnings: list[str], warn_repeats):
     kwargs: dict[str, object] = {}
     label = path or "engMeta"
+    warn_repeats(obj, label)
     for key, raw in obj.items():
         spec = field_by_element(cls, key)
         if spec is None:
@@ -745,24 +775,25 @@ def _decode_obj_checked(obj: dict, cls: type, path: str, warnings: list[str]):
             continue
         key_path = f"{path}.{key}" if path else key
         if spec.kind == SCALAR:
-            value = canon._scalar_from_json(raw, spec, key_path, warnings)
+            value = _scalar_checked(raw, spec, key_path, warnings, warn_repeats)
             if value is not None:
                 kwargs[spec.attr] = value
         elif spec.kind == SCALAR_LIST:
             values = [
-                canon._scalar_from_json(item, spec, f"{key_path}[{i}]", warnings)
-                for i, item in enumerate(canon._expect_array(raw, key_path))
+                _scalar_checked(item, spec, f"{key_path}[{i}]", warnings, warn_repeats)
+                for i, item in enumerate(canon._expect(raw, list, key_path))
             ]
             kwargs[spec.attr] = tuple(value for value in values if value is not None)
         elif spec.kind == NODE:
             kwargs[spec.attr] = _decode_obj_checked(
-                canon._expect_object(raw, key_path), spec.value_type, key_path, warnings
+                canon._expect(raw, dict, key_path), spec.value_type, key_path, warnings,
+                warn_repeats,
             )
         else:
             kwargs[spec.attr] = tuple(
-                _decode_obj_checked(canon._expect_object(item, f"{key_path}[{i}]"),
-                                    spec.value_type, f"{key_path}[{i}]", warnings)
-                for i, item in enumerate(canon._expect_array(raw, key_path))
+                _decode_obj_checked(canon._expect(item, dict, f"{key_path}[{i}]"),
+                                    spec.value_type, f"{key_path}[{i}]", warnings, warn_repeats)
+                for i, item in enumerate(canon._expect(raw, list, key_path))
             )
     return cls(**kwargs)
 

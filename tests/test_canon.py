@@ -1,4 +1,3 @@
-import dataclasses
 import enum
 import json
 from decimal import Decimal
@@ -20,6 +19,7 @@ from engmeta.model import (
     Title,
     Variable,
     _Node,
+    schema,
 )
 from engmeta.paths import append_nodes, set_path
 from everyfield import every_field_dataset
@@ -308,6 +308,20 @@ def test_json_unknown_key_is_warning():
     result = from_json('{"unknownThing": 1}')
     assert result.dataset == EngMetaDataset()
     assert len(result.warnings) == 1
+    # a repeated key keeps its first value, as a repeated element does, in any object
+    xml = from_xml("<engMeta><project>a</project><project>b</project></engMeta>")
+    result = from_json('{"project": "a", "project": "b"}')
+    assert result.dataset == xml.dataset == EngMetaDataset(project="a")
+    assert xml.warnings == ("engMeta: repeated element <project> skipped",)
+    assert result.warnings == ("engMeta: repeated key 'project' skipped",)
+    result = from_json('{"system": {"controlledVariables": [{"name": "T", "name": 5, "value": '
+                       '{"type": "integer", "text": "1", "text": "x", "type": 5}}]}}')
+    assert result.dataset.system.controlledVariables == (Variable(name="T", value=1),)
+    assert result.warnings == (
+        "system.controlledVariables[0]: repeated key 'name' skipped",
+        "system.controlledVariables[0].value: repeated key 'text' skipped",
+        "system.controlledVariables[0].value: repeated key 'type' skipped",
+    )
 
 
 def test_json_syntax_error_has_position():
@@ -321,6 +335,7 @@ def test_json_type_error_has_path():
         ('{"project": 42}', "project: expected a string"),
         ('{"worked": {"success": 1}}', "worked.success: expected a boolean, got int"),
         ('{"worked": {"success": "true"}}', "worked.success: expected a boolean, got str"),
+        ('{"project": {"a": 1, "a": 2}}', "project: expected a string, got dict"),
         ("[]", "engMeta: document root must be a JSON object"),
         ('{"system": {"controlledVariables": [{"value": {"type": "decimal", "text": 5}}]}}',
          "system.controlledVariables[0].value: tagged value 'text' must be a string"),
@@ -394,11 +409,11 @@ def test_fixture_round_trip(gromacs_doc):
 
 def _set_fields(node, found: dict) -> None:
     names = found.setdefault(type(node), set())
-    for field in dataclasses.fields(node):
-        value = getattr(node, field.name)
+    for spec in schema(type(node)):
+        value = getattr(node, spec.attr)
         if value is None or value == ():
             continue
-        names.add(field.name)
+        names.add(spec.attr)
         for item in value if isinstance(value, tuple) else (value,):
             if isinstance(item, _Node):
                 _set_fields(item, found)
@@ -408,7 +423,7 @@ def test_every_field_document_sets_every_field():
     found: dict = {}
     _set_fields(every_field_dataset(), found)
     declared = {
-        cls: {field.name for field in dataclasses.fields(cls)} for cls in _Node.__subclasses__()
+        cls: {spec.attr for spec in schema(cls)} for cls in _Node.__subclasses__()
     }
     assert found == declared
 

@@ -22,7 +22,6 @@ import os
 import random
 import re
 import sys
-from dataclasses import replace
 from decimal import Decimal
 from functools import partial
 from pathlib import Path
@@ -180,11 +179,12 @@ def test_key_equality_is_type_strict(a, b):
 
 def _doubled(doc):
     """The document with every top-level list repeated twice over."""
-    return replace(doc, **{
-        spec.attr: getattr(doc, spec.attr) * 2
+    fields = {spec.attr: getattr(doc, spec.attr) for spec in schema(EngMetaDataset)}
+    return EngMetaDataset(**(fields | {
+        spec.attr: fields[spec.attr] * 2
         for spec in schema(EngMetaDataset)
         if spec.kind in (NODE_LIST, SCALAR_LIST)
-    })
+    }))
 
 
 def _overlays() -> list:
@@ -921,6 +921,11 @@ def _hostile_json(obj: dict, cls, rng: random.Random) -> None:
             obj[key] = {NODE: {}, NODE_LIST: [{}]}.get(spec.kind, _empty_spelling(spec))
         elif roll < 0.055:  # a value the field may refuse
             obj[key] = rng.choice([7, "x", True, None, [], {}])
+        elif roll < 0.07 and spec.kind in (SCALAR, SCALAR_LIST):
+            # a key given again, last, with a value a string field refuses: in a
+            # tagged value's object, or in this one ("\0" marks it until dumped)
+            tagged = isinstance(value, dict)
+            (value if tagged else obj)["\0" + ("text" if tagged else key)] = 7
         elif spec.kind == NODE:
             _hostile_json(value, spec.value_type, rng)
         elif spec.kind == NODE_LIST:
@@ -959,7 +964,7 @@ def _hostile_documents():
         yield "xml", ElementTree.tostring(root, encoding="unicode")
         obj = json.loads(text)
         _hostile_json(obj, EngMetaDataset, rng)
-        yield "json", json.dumps(obj, ensure_ascii=False)
+        yield "json", json.dumps(obj, ensure_ascii=False).replace('"\\u0000', '"')
 
 
 def test_readers_equal_reference_readers_on_hostile_documents():
@@ -976,7 +981,7 @@ def test_readers_equal_reference_readers_on_hostile_documents():
     for kind in ("unknown attribute", "empty attribute", "unknown element <unknown>",
                  f"unknown element <{{{FOREIGN_NAMESPACE}}}", "repeated element",
                  "stray text", "unexpected child elements", "empty element",
-                 "unknown key", "empty value"):
+                 "unknown key", "repeated key", "empty value"):
         assert kind in warnings, kind
     for outcomes in seen.values():
         assert sum(isinstance(o[0], type) for o in outcomes) >= 10

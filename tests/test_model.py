@@ -380,6 +380,15 @@ SAMPLES = _nodes_by_class(every_field_dataset(), {})
 NODE_CLASSES = sorted(_Node.__subclasses__(), key=lambda cls: cls.__name__)
 
 
+def _changed(value):
+    """Another canonical value of the kind of a first field: a list, str, int or bool."""
+    if isinstance(value, tuple):
+        return value + value[:1]
+    if isinstance(value, bool):
+        return not value
+    return value + (value[:1] if isinstance(value, str) else 1)
+
+
 @pytest.mark.parametrize("cls", NODE_CLASSES, ids=lambda cls: cls.__name__)
 def test_node_classes_share_one_constructor_repr_and_immutability(cls):
     """No per-class generated method: one frozen dataclass declaration would fail this."""
@@ -400,6 +409,13 @@ def test_node_classes_share_one_constructor_repr_and_immutability(cls):
     first = fields[0].name
     changed = dataclasses.replace(node, **{first: None})
     assert getattr(changed, first) in (None, ()) and changed != node
+
+    key = node.canonical_key()  # cached on the sample before it is copied
+    value = _changed(getattr(node, first))
+    copied = node._replaced(first, value)
+    checked = cls(**{spec.attr: getattr(node, spec.attr) for spec in schema(cls)} | {first: value})
+    assert type(copied) is cls and copied == checked and repr(copied) == repr(checked)
+    assert copied.canonical_key() != key and node.canonical_key() is key
 
     for name in (first, "unknown"):
         with pytest.raises(dataclasses.FrozenInstanceError):
