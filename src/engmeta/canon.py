@@ -481,14 +481,19 @@ def _document_text(text: str, path: str) -> str:
     return text
 
 
+# Each plain scalar type: the JSON type that carries it, how an error about another begins,
+# and the step from a carried value, never an empty string, to the field's value.
+_CARRIERS = {
+    str: (str, "expected a string", _document_text),
+    bool: (bool, "expected a boolean", lambda value, path: value),
+    int: (int, "expected an integer", lambda value, path: value),
+    Decimal: (str, "decimals are carried as strings",
+              lambda text, path: _scalar_from_text(text, Decimal, path)),
+}
+
+
 def _scalar_from_json(raw, spec: FieldSpec, path: str, warnings: list[str]):
     """The field's value, or None for an empty string, which counts as absent."""
-    if spec.value_type is str:
-        if not isinstance(raw, str):
-            raise CanonDecodeError(f"expected a string, got {_json_type(raw)}", path)
-        if raw == "":
-            return _absent(path, warnings)
-        return _document_text(raw, path)
     if spec.value_type is TAGGED:
         tagged = _expect(raw, dict, path)
         _warn_repeated(tagged, path, warnings)
@@ -503,24 +508,15 @@ def _scalar_from_json(raw, spec: FieldSpec, path: str, warnings: list[str]):
         if tagged["text"] == "":
             return _absent(path, warnings)
         return _tagged_from_text(_document_text(tagged["text"], path), type_name, path)
-    if spec.value_type is bool:
-        if not isinstance(raw, bool):
-            raise CanonDecodeError(f"expected a boolean, got {_json_type(raw)}", path)
-        return raw
-    if spec.value_type is int:
-        if isinstance(raw, _LongInteger):  # int() refused it, so this raises as from_xml does
-            _scalar_from_text(raw.text, int, path)
-        if isinstance(raw, bool) or not isinstance(raw, int):
-            raise CanonDecodeError(f"expected an integer, got {_json_type(raw)}", path)
-        return raw
-    if spec.value_type is Decimal:
-        if not isinstance(raw, str):
-            raise CanonDecodeError(
-                f"decimals are carried as strings, got {_json_type(raw)}", path
-            )
-        if raw == "":
+    if spec.value_type in _CARRIERS:
+        carrier, expected, finish = _CARRIERS[spec.value_type]
+        if spec.value_type is int and isinstance(raw, _LongInteger):
+            _scalar_from_text(raw.text, int, path)  # int() refused it; raise as from_xml does
+        if type(raw) is not carrier:  # json.loads gives exact types; a bool is no int here
+            raise CanonDecodeError(f"{expected}, got {_json_type(raw)}", path)
+        if raw == "":  # only a string carrier holds one
             return _absent(path, warnings)
-        return _scalar_from_text(raw, Decimal, path)
+        return finish(raw, path)
     raise AssertionError(spec.value_type)
 
 

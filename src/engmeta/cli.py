@@ -8,14 +8,21 @@ repository block JSON and ``harvest`` collects technical file metadata.
 Payload goes to standard output (or --out); everything informational goes
 to standard error. Exit codes: 0 success, 1 validation errors found,
 2 usage error, 3 I/O error.
+
+A file named by --out or --report is written whole to a new file beside it,
+which then replaces it, so a failed write leaves the previous file as it was.
+A symlink (``/dev/stdout`` too), a device (``/dev/null``), a FIFO or a file
+with other hard links is written in place.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
+import os
+import stat
 import sys
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import CanonError, ConfigError, EngMetaError
@@ -38,22 +45,51 @@ def _info(message: str) -> None:
 def _emit(payload: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(payload)
-    else:
-        Path(out).write_text(payload, encoding="utf-8")
+        return
+    try:
+        target = os.lstat(out)
+    except FileNotFoundError:
+        target = None
+    # Only a single-linked regular file is replaced. A symlink (/dev/stdout too), a device, a
+    # FIFO or a file with other hard links is written in place, so what it leads to gets the bytes.
+    if target is not None and not (stat.S_ISREG(target.st_mode) and target.st_nlink == 1):
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(payload)
+        return
+    for attempt in itertools.count():
+        temporary = f"{out}.{os.getpid()}.{attempt}.tmp"
+        try:  # the mode is 0o666 less the umask, as a plain write gives
+            handle = open(temporary, "x", encoding="utf-8")
+            break
+        except FileExistsError:
+            continue  # not this call's file (a killed run's, say): leave it, take the next name
+        except OSError as exc:
+            exc.filename = out  # name the file asked for, as a plain write's error does
+            raise
+    try:
+        with handle:
+            if target is not None:  # a plain write keeps the permission bits it finds
+                os.chmod(temporary, target.st_mode & 0o777)
+            handle.write(payload)
+        os.replace(temporary, out)
+    except BaseException:
+        os.remove(temporary)
+        raise
 
 
-def _not_utf8(path: str, error: UnicodeDecodeError) -> str:
-    return f"{path}: not valid UTF-8 from byte {error.start}"
+def _read_text(path: str, error_type: type[EngMetaError]) -> str:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise error_type(f"{path}: not valid UTF-8 from byte {exc.start}") from None
 
 
 def _read_document(path: str) -> EngMetaDataset:
     """Load a document from XML or JSON, sniffing the format."""
     from . import canon
 
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise CanonError(_not_utf8(path, exc)) from None
+    text = _read_text(path, CanonError)
     text = text.removeprefix("\ufeff")  # a byte-order mark; json.loads refuses one
     result = canon.from_xml(text) if text.lstrip().startswith("<") else canon.from_json(text)
     for warning in result.warnings:
@@ -136,18 +172,11 @@ def main(argv: list[str] | None = None) -> int:
 def _cmd_extract(args) -> int:
     from .extract import extract, parse_config
 
-    try:
-        rules_text = Path(args.config).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        _info(f"error: {_not_utf8(args.config, exc)}")
-        return EXIT_USAGE
-    config = parse_config(rules_text)
+    config = parse_config(_read_text(args.config, EngMetaError))  # exit 2, as a config error
     dataset, report = extract(args.root, config, mode=args.mode)
     _emit(_serialize(dataset, args.format), args.out)
     if args.report is not None:
-        Path(args.report).write_text(
-            json.dumps(report.to_obj(), indent=2) + "\n", encoding="utf-8"
-        )
+        _emit(json.dumps(report.to_obj(), indent=2) + "\n", args.report)
     for warning in report.warnings:
         _info(f"warning: {warning}")
     _info(
@@ -168,13 +197,10 @@ def _cmd_validate(args) -> int:
         _info(f"{finding.severity}: {finding.path}: {finding.message}")
     payload = {
         "profile": report.profile,
-        "findings": [
-            {"severity": f.severity, "path": f.path, "message": f.message}
-            for f in report.findings
-        ],
+        "findings": [f._asdict() for f in report.findings],
         "valid": report.ok,
     }
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    _emit(json.dumps(payload, indent=2) + "\n", None)
     _info(f"validate: {len(report.errors)} errors, {len(report.warnings)} warnings")
     return EXIT_OK if report.ok else EXIT_INVALID
 

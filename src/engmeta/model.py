@@ -9,12 +9,13 @@ resolutions).
 
 All types are immutable value objects. The class declarations are the
 schema: declaration order is element order, annotations give each field's
-kind and scalar type, and a ``_Declared`` record adds the rest. Field names
-equal the canonical element names used by the XML/JSON serializations and by
-metadata paths, except that list-valued attributes carry the plural spelling
-and name their canonical (repeated) element in the record (``_plural``). A
-class with a text-content field (``_content``) carries every other field as
-an XML attribute; all other classes carry their fields as child elements.
+kind and scalar type, and ``_field`` declares the rest. Field names equal
+the canonical element names used by the XML/JSON serializations and by
+metadata paths, except that list-valued attributes carry the plural
+spelling and name their canonical (repeated) element (``element=``). A
+class with a text-content field (``content=True``) carries every other
+field as an XML attribute; all other classes carry their fields as child
+elements.
 ``FieldSpec.placement`` records this; ``canon`` derives its per-class XML
 plan from it. ``_derive_schema`` refuses a text-content field or a scalar
 list that does not hold ``str``, so other modules take those values as text.
@@ -22,7 +23,7 @@ list that does not hold ``str``, so other modules take those values as text.
 Construction is deliberately permissive: partially filled documents are the
 normal intermediate state of automated extraction. Field-local constraints
 (code lists, required fields, ISO dates, URIs, bounds, ...) are declared as
-field rules (``_rules``), carried in ``FieldSpec.rules`` and checked by
+``_field``'s other keywords, carried in ``FieldSpec.rules`` and checked by
 ``validation.validate``, not by constructors; the code lists a rule names
 stay editable in codes.json. Constructors do enforce value semantics:
 correct scalar types, no empty strings, only text XML 1.0 can carry (no C0
@@ -425,7 +426,7 @@ PROV_STEP_FIELDS = ("date", "actor", "inputs", "outputs")
 
 
 class FieldRules(NamedTuple):  # a tuple: cheaper to declare at import than a dataclass
-    """Field-local constraints, declared with ``_rules``, that validation checks."""
+    """Field-local constraints, declared with ``_field``, that validation checks."""
 
     required: str | None = None  # the error message when the field is absent
     codes: str | None = None  # a code list in codes.json; other values are findings
@@ -446,45 +447,37 @@ class _Declared(NamedTuple):
     rules: FieldRules | None = None
 
 
-def _rules(*, content: bool = False, **rules):
-    """A field with the ``FieldRules`` named; keyword-only, so a misspelled rule fails at import.
+def _field(*, element: str | None = None, content: bool = False, **rules):
+    """A field's declaration; keyword-only, so a misspelled rule fails at import.
 
-    ``content`` marks the text-content field (see ``_content``).
+    ``element`` names the repeated element of a list field, ``content`` marks
+    the field carried as the element's text (its siblings become attributes),
+    and the other keywords are the field's ``FieldRules``.
     """
     rules = FieldRules(**rules)
-    return _Declared(placement=CONTENT if content else None,
-                     rules=None if rules == FieldRules() else rules)
-
-
-def _plural(element: str):
-    """A list field whose repeated element is named ``element``."""
-    return _Declared(element)
-
-
-def _content(**rules):
-    """The field carried as the element's text; its siblings become attributes."""
-    return _rules(content=True, **rules)
+    return _Declared(element, CONTENT if content else None,
+                     None if rules == FieldRules() else rules)
 
 
 class Title(_Node):
-    text: str | None = _content()
-    titleType: str | None = _rules(codes="titleTypes", severity="error")
+    text: str | None = _field(content=True)
+    titleType: str | None = _field(codes="titleTypes", severity="error")
 
 
 class Description(_Node):
-    text: str | None = _content()
-    descriptionType: str | None = _rules(codes="descriptionTypes")
+    text: str | None = _field(content=True)
+    descriptionType: str | None = _field(codes="descriptionTypes")
 
 
 class DatedEvent(_Node):
-    date: str | None = _content(iso_date=True)
-    dateType: str | None = _rules(codes="dateTypes")
+    date: str | None = _field(content=True, iso_date=True)
+    dateType: str | None = _field(codes="dateTypes")
 
 
 class Identifier(_Node):
     """A scheme-qualified identifier, e.g. an ORCID for a person."""
 
-    value: str | None = _content()
+    value: str | None = _field(content=True)
     scheme: str | None = None
 
 
@@ -492,30 +485,31 @@ class PersonOrOrganization(_Node):
     name: str | None = None
     identifier: Identifier | None = None
     affiliation: str | None = None
-    role: str | None = _rules(codes="roles", severity="error")
+    role: str | None = _field(codes="roles", severity="error")
 
 
 class FundingReference(_Node):
     funderName: str | None = None
     awardNumber: str | None = None
-    funderIdentifierType: str | None = _rules(codes="funderIdentifierTypes")
+    funderIdentifierType: str | None = _field(codes="funderIdentifierTypes")
 
 
 class RelatedIdentifier(_Node):
     """A link to related work or data: identifier plus two type codes."""
 
-    identifier: str | None = _content(required="related identifier needs an identifier")
-    relatedIdentifierType: str | None = _rules(
+    identifier: str | None = _field(content=True,
+                                    required="related identifier needs an identifier")
+    relatedIdentifierType: str | None = _field(
         required="type code is required", codes="relatedIdentifierTypes"
     )
-    relationType: str | None = _rules(
+    relationType: str | None = _field(
         required="relation type code is required", codes="relationTypes"
     )
 
 
 class ResourceType(_Node):
-    text: str | None = _content()
-    resourceTypeGeneral: str | None = _rules(codes="resourceTypes")
+    text: str | None = _field(content=True)
+    resourceTypeGeneral: str | None = _field(codes="resourceTypes")
 
 
 class RightsStatement(_Node):
@@ -527,25 +521,25 @@ class SuccessMarker(_Node):
     """Documents whether a run worked; failed runs are data too."""
 
     success: bool | None = None
-    note: str | None = _content()
+    note: str | None = _field(content=True)
 
 
 class PersistentIdentifier(_Node):
-    value: str | None = _content(required="persistent identifier needs a value")
-    scheme: str | None = _rules(required="persistent identifier needs a scheme")
+    value: str | None = _field(content=True, required="persistent identifier needs a value")
+    scheme: str | None = _field(required="persistent identifier needs a scheme")
 
 
 class Checksum(_Node):
-    digest: str | None = _content()
+    digest: str | None = _field(content=True)
     algorithm: str | None = None
 
 
 class FileInfo(_Node):
     filename: str | None = None
-    link: str | None = _rules(uri=True)
+    link: str | None = _field(uri=True)
     pid: PersistentIdentifier | None = None
     checksum: Checksum | None = None
-    sizeBytes: int | None = _rules(at_least=0)
+    sizeBytes: int | None = _field(at_least=0)
     fileType: str | None = None
 
 
@@ -553,7 +547,7 @@ class FileRef(_Node):
     """A file locator used by processing-step inputs/outputs."""
 
     name: str | None = None
-    link: str | None = _rules(uri=True)
+    link: str | None = _field(uri=True)
     pid: str | None = None
 
     def locator(self) -> str | None:
@@ -567,7 +561,7 @@ class Variable(_Node):
     name: str | None = None
     value: str | int | bool | Decimal | None = None
     unit: str | None = None
-    uncertainty: Decimal | None = _rules(at_least=0)
+    uncertainty: Decimal | None = _field(at_least=0)
     symbol: str | None = None
 
 
@@ -585,13 +579,13 @@ class Component(_Node):
 
 
 class TemporalResolution(_Node):
-    numberOfTimesteps: int | None = _rules(at_least=0)
-    interval: Decimal | None = _rules(above=0)
+    numberOfTimesteps: int | None = _field(at_least=0)
+    interval: Decimal | None = _field(above=0)
     intervalUnit: str | None = None
 
 
 class SpatialResolution(_Node):
-    numberOfCells: int | None = _rules(at_least=0)
+    numberOfCells: int | None = _field(at_least=0)
     scale: Decimal | None = None
     scaleUnit: str | None = None
 
@@ -602,9 +596,9 @@ class ObservedSystem(_Node):
     description: str | None = None
     components: tuple[Component, ...] = ()
     boundaryConditions: tuple[str, ...] = ()
-    controlledVariables: tuple[Variable, ...] = _rules(unique_names=True)
-    measuredVariables: tuple[Variable, ...] = _rules(unique_names=True)
-    parameters: tuple[Variable, ...] = _rules(unique_names=True)
+    controlledVariables: tuple[Variable, ...] = _field(unique_names=True)
+    measuredVariables: tuple[Variable, ...] = _field(unique_names=True)
+    parameters: tuple[Variable, ...] = _field(unique_names=True)
     spatialResolution: SpatialResolution | None = None
     temporalResolution: TemporalResolution | None = None
 
@@ -623,9 +617,9 @@ class Environment(_Node):
     """The computing environment a step ran on."""
 
     name: str | None = None
-    nodes: int | None = _rules(above=0)
-    coresPerNode: int | None = _rules(above=0)
-    totalCores: int | None = _rules(above=0)
+    nodes: int | None = _field(above=0)
+    coresPerNode: int | None = _field(above=0)
+    totalCores: int | None = _field(above=0)
     compiler: Compiler | None = None
 
 
@@ -635,10 +629,10 @@ class Software(_Node):
     contributor: tuple[PersonOrOrganization, ...] = ()
     programmingLanguage: str | None = None
     operatingSystem: str | None = None
-    url: str | None = _rules(uri=True)
-    softwareSourceCode: str | None = _rules(uri=True)
-    softwareApplication: str | None = _rules(uri=True)
-    codeRepository: str | None = _rules(uri=True)
+    url: str | None = _field(uri=True)
+    softwareSourceCode: str | None = _field(uri=True)
+    softwareApplication: str | None = _field(uri=True)
+    codeRepository: str | None = _field(uri=True)
     citation: str | None = None
     referencePublication: str | None = None
     license: RightsStatement | None = None
@@ -653,11 +647,11 @@ class Instrument(_Node):
 class ProcessingStep(_Node):
     """One stage of the research process."""
 
-    stepType: str | None = _rules(one_of=STEP_TYPES)
-    date: str | None = _rules(iso_date=True)
+    stepType: str | None = _field(one_of=STEP_TYPES)
+    date: str | None = _field(iso_date=True)
     actor: PersonOrOrganization | None = None
-    inputs: tuple[FileRef, ...] = _plural("input")
-    outputs: tuple[FileRef, ...] = _plural("output")
+    inputs: tuple[FileRef, ...] = _field(element="input")
+    outputs: tuple[FileRef, ...] = _field(element="output")
     method: Method | None = None
     errorMethod: Method | None = None
     software: tuple[Software, ...] = ()
@@ -669,24 +663,24 @@ class ProcessingStep(_Node):
 class EngMetaDataset(_Node):
     """Root document describing one piece of research data."""
 
-    titles: tuple[Title, ...] = _plural("title")
-    descriptions: tuple[Description, ...] = _plural("description")
-    dates: tuple[DatedEvent, ...] = _plural("date")
-    keywords: tuple[str, ...] = _plural("keyword")
+    titles: tuple[Title, ...] = _field(element="title")
+    descriptions: tuple[Description, ...] = _field(element="description")
+    dates: tuple[DatedEvent, ...] = _field(element="date")
+    keywords: tuple[str, ...] = _field(element="keyword")
     subject: tuple[str, ...] = ()
-    persons: tuple[PersonOrOrganization, ...] = _plural("person")
-    fundingReferences: tuple[FundingReference, ...] = _plural("fundingReference")
+    persons: tuple[PersonOrOrganization, ...] = _field(element="person")
+    fundingReferences: tuple[FundingReference, ...] = _field(element="fundingReference")
     project: str | None = None
     context: tuple[RelatedIdentifier, ...] = ()
     resourceType: ResourceType | None = None
     rightsStatement: RightsStatement | None = None
     worked: SuccessMarker | None = None
     pid: PersistentIdentifier | None = None
-    files: tuple[FileInfo, ...] = _plural("file")
+    files: tuple[FileInfo, ...] = _field(element="file")
     storage: str | None = None
     format: str | None = None
     system: ObservedSystem | None = None
-    processingSteps: tuple[ProcessingStep, ...] = _plural("processingStep")
+    processingSteps: tuple[ProcessingStep, ...] = _field(element="processingStep")
 
 
 # --- Schema -------------------------------------------------------------

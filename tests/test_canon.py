@@ -335,7 +335,15 @@ def test_json_type_error_has_path():
         ('{"project": 42}', "project: expected a string"),
         ('{"worked": {"success": 1}}', "worked.success: expected a boolean, got int"),
         ('{"worked": {"success": "true"}}', "worked.success: expected a boolean, got str"),
+        ('{"worked": {"success": {}}}', "worked.success: expected a boolean, got dict"),
         ('{"project": {"a": 1, "a": 2}}', "project: expected a string, got dict"),
+        ('{"system": {"temporalResolution": {"interval": 0.5}}}',
+         "system.temporalResolution.interval: decimals are carried as strings, got float"),
+        ('{"system": {"temporalResolution": {"interval": 2}}}',
+         "system.temporalResolution.interval: decimals are carried as strings, got int"),
+        ('{"file": [{"sizeBytes": true}]}', "file[0].sizeBytes: expected an integer, got bool"),
+        ('{"file": [{"sizeBytes": "12"}]}', "file[0].sizeBytes: expected an integer, got str"),
+        ('{"file": [{"sizeBytes": 1.5}]}', "file[0].sizeBytes: expected an integer, got float"),
         ("[]", "engMeta: document root must be a JSON object"),
         ('{"system": {"controlledVariables": [{"value": {"type": "decimal", "text": 5}}]}}',
          "system.controlledVariables[0].value: tagged value 'text' must be a string"),

@@ -540,3 +540,135 @@ def test_validate_findings_order_matches_golden(golden_xml_path, capsys):
     assert code == 1
     assert captured.out == (data / "findings.validate.json").read_text(encoding="utf-8")
     assert captured.err == (data / "findings.validate.err").read_text(encoding="utf-8")
+
+
+# Runs the CLI under a file-size limit, which it sets on its own process only,
+# after its imports: a write past the limit fails with EFBIG ("File too large").
+_LIMITED_CLI = """
+import resource, sys
+from engmeta.cli import main
+resource.setrlimit(resource.RLIMIT_FSIZE, (int(sys.argv[1]), int(sys.argv[1])))
+sys.exit(main(sys.argv[2:]))
+"""
+FILE_SIZE_LIMIT = 1024
+
+
+@pytest.mark.parametrize("command", [
+    ["extract", "--config", "{rules}", "--root", "{corpus}", "--out", "{target}"],
+    ["extract", "--config", "{rules}", "--root", "{corpus}", "--report", "{target}"],
+    ["to-prov", "--in", "{every_field}", "--out", "{target}"],
+    ["to-dataverse", "--in", "{every_field}", "--out", "{target}"],
+    ["harvest", "--root", "{corpus}", "--out", "{target}"],
+    ["harvest", "--root", "{corpus}", "--merge-into", "{target}", "--out", "{target}"],
+], ids=["extract", "extract --report", "to-prov", "to-dataverse", "harvest",
+        "harvest --merge-into in place"])
+def test_a_failed_write_keeps_the_previous_file(command, tmp_path, corpus_dir, rules_path,
+                                                golden_xml_path, capsys):
+    pytest.importorskip("resource")
+    target = tmp_path / "target"
+    old = golden_xml_path.read_bytes()
+    target.write_bytes(old)
+    argv = [arg.format(rules=rules_path, corpus=corpus_dir, target=target,
+                       every_field=golden_xml_path.parent / "every_field.xml")
+            for arg in command]
+    run = subprocess.run(
+        [sys.executable, "-c", _LIMITED_CLI, str(FILE_SIZE_LIMIT), *argv],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+    )
+    assert run.returncode == 3
+    assert run.stderr.splitlines()[-1] == "error: [Errno 27] File too large"
+    assert target.read_bytes() == old
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["target"]  # no temporary file
+
+    assert main(argv) == 0  # the same command, unlimited, writes past the limit
+    assert len(target.read_bytes()) > FILE_SIZE_LIMIT
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["target"]
+    capsys.readouterr()
+
+
+def test_a_new_output_file_gets_the_mode_a_plain_write_gives(golden_xml_path, tmp_path, capsys):
+    out = tmp_path / "doc.provn"
+    umask = os.umask(0o027)
+    try:
+        assert main(["to-prov", "--in", str(golden_xml_path), "--out", str(out)]) == 0
+    finally:
+        os.umask(umask)
+    assert out.stat().st_mode & 0o777 == 0o640
+    capsys.readouterr()
+
+
+def test_a_replaced_output_file_keeps_its_mode(golden_xml_path, tmp_path, capsys):
+    out = tmp_path / "doc.provn"
+    out.write_text("old\n", encoding="utf-8")
+    out.chmod(0o600)
+    assert main(["to-prov", "--in", str(golden_xml_path), "--out", str(out)]) == 0
+    assert out.stat().st_mode & 0o777 == 0o600
+    assert out.read_bytes() == (golden_xml_path.parent / "golden.provn").read_bytes()
+    capsys.readouterr()
+
+
+def test_output_to_a_device_is_written_in_place(golden_xml_path, capsys):
+    assert main(["to-prov", "--in", str(golden_xml_path), "--out", os.devnull]) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_a_symlinked_output_is_written_through(golden_xml_path, tmp_path, capsys):
+    linked = tmp_path / "linked.provn"
+    linked.write_text("old\n", encoding="utf-8")
+    out = tmp_path / "doc.provn"
+    out.symlink_to(linked)
+    assert main(["to-prov", "--in", str(golden_xml_path), "--out", str(out)]) == 0
+    assert out.is_symlink()
+    assert linked.read_bytes() == (golden_xml_path.parent / "golden.provn").read_bytes()
+    capsys.readouterr()
+
+
+def test_a_hard_linked_output_is_written_in_place(golden_xml_path, tmp_path, capsys):
+    other = tmp_path / "other.provn"
+    other.write_text("old\n", encoding="utf-8")
+    out = tmp_path / "doc.provn"
+    os.link(other, out)
+    assert main(["to-prov", "--in", str(golden_xml_path), "--out", str(out)]) == 0
+    assert other.read_bytes() == (golden_xml_path.parent / "golden.provn").read_bytes()
+    assert out.stat().st_ino == other.stat().st_ino
+    capsys.readouterr()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/fd/1"), reason="no /proc/self/fd")
+def test_out_dev_stdout_writes_to_a_redirected_stdout(golden_xml_path, tmp_path):
+    # /dev/stdout is a symlink to /proc/self/fd/1; a link of the same kind in tmp_path
+    # takes the same path through _emit, and a writer that replaced it harms nothing else.
+    stdout_link = tmp_path / "stdout"
+    stdout_link.symlink_to("/proc/self/fd/1")
+    redirected = tmp_path / "doc.provn"
+    with redirected.open("w", encoding="utf-8") as stdout:
+        run = subprocess.run(
+            [sys.executable, "-m", "engmeta", "to-prov", "--in", str(golden_xml_path),
+             "--out", str(stdout_link)],
+            stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        )
+    assert run.returncode == 0, run.stderr
+    assert redirected.read_bytes() == (golden_xml_path.parent / "golden.provn").read_bytes()
+    assert stdout_link.is_symlink()
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["doc.provn", "stdout"]
+
+
+def test_an_output_in_a_missing_directory_names_the_output(golden_xml_path, tmp_path, capsys):
+    out = tmp_path / "gone" / "doc.provn"
+    assert main(["to-prov", "--in", str(golden_xml_path), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+    assert not (tmp_path / "gone").exists()
+
+
+def test_a_file_holding_the_temporary_name_is_left_alone(golden_xml_path, tmp_path, capsys):
+    out = tmp_path / "doc.provn"
+    out.write_text("old\n", encoding="utf-8")
+    held = tmp_path / f"doc.provn.{os.getpid()}.0.tmp"  # say, left by a killed run
+    held.write_text("someone else's\n", encoding="utf-8")
+    assert main(["to-prov", "--in", str(golden_xml_path), "--out", str(out)]) == 0
+    assert out.read_bytes() == (golden_xml_path.parent / "golden.provn").read_bytes()
+    assert held.read_text(encoding="utf-8") == "someone else's\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["doc.provn", held.name]
+    capsys.readouterr()

@@ -30,8 +30,8 @@ from engmeta.model import (
     Variable,
     _Node,
     _check_scalar,
-    _content,
     _derive_schema,
+    _field,
     decimal_to_text,
     fills,
     number_from_text,
@@ -169,7 +169,7 @@ def test_one_fill_rule_decides_constructors_and_rules(value_type, field_type):
 def test_schema_refuses_text_content_or_scalar_lists_that_are_not_str():
     # plain classes: a _Node subclass would join the model's list of node classes
     class Counted:
-        count: int | None = _content()
+        count: int | None = _field(content=True)
         unit: str | None = None
 
     class Counts:
@@ -182,7 +182,7 @@ def test_schema_refuses_text_content_or_scalar_lists_that_are_not_str():
             f"{cls.__name__}.{attr}: text content and scalar lists hold str")
 
     class Measured:
-        text: str | None = _content()
+        text: str | None = _field(content=True)
         count: int | None = None
         labels: tuple[str, ...] = ()
 

@@ -18,7 +18,7 @@ from engmeta.model import (
     TemporalResolution,
     Title,
     Variable,
-    _rules,
+    _field,
     schema,
 )
 from engmeta.validation import load_codes, validate
@@ -254,6 +254,6 @@ def test_every_code_list_a_field_rule_names_exists():
 
 def test_a_misspelled_rule_name_fails_where_it_is_declared():
     with pytest.raises(TypeError):
-        _rules(code="roles")
+        _field(code="roles")
     with pytest.raises(TypeError):
-        _rules("roles")
+        _field("roles")
