@@ -10,7 +10,8 @@ to standard error. Exit codes: 0 success, 1 validation errors found,
 2 usage error, 3 I/O error.
 
 A file named by --out or --report is written whole to a new file beside it,
-which then replaces it, so a failed write leaves the previous file as it was.
+which replaces it only once every output of the command is written, so a
+failed write leaves every previous file as it was.
 A symlink (``/dev/stdout`` too), a device (``/dev/null``), a FIFO or a file
 with other hard links is written in place.
 """
@@ -42,39 +43,63 @@ def _info(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _emit(payload: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(payload)
-        return
+def _emit(*outputs: tuple[str, str | None]) -> None:
+    """Write a command's outputs, each a ``(payload, path)``; a path of None is stdout.
+
+    Each file to replace is written whole to a temporary file beside it, and
+    only when all are written do they replace their targets, one rename each.
+    A failure removes every temporary file not yet renamed, so one before the
+    first rename leaves every target as it was. Then the targets written in
+    place get their bytes, and stdout last.
+    """
+    staged: list[tuple[str, str]] = []  # (temporary, target) not yet renamed
+    in_place: list[tuple[str, str]] = []
     try:
-        target = os.lstat(out)
-    except FileNotFoundError:
-        target = None
-    # Only a single-linked regular file is replaced. A symlink (/dev/stdout too), a device, a
-    # FIFO or a file with other hard links is written in place, so what it leads to gets the bytes.
-    if target is not None and not (stat.S_ISREG(target.st_mode) and target.st_nlink == 1):
+        for payload, out in outputs:
+            if out is None:
+                continue
+            try:
+                target = os.lstat(out)
+            except FileNotFoundError:
+                target = None
+            # Only a single-linked regular file is replaced. A symlink (/dev/stdout too), a
+            # device, a FIFO or a file with other hard links is written in place, so what it
+            # leads to gets the bytes.
+            if target is not None and not (stat.S_ISREG(target.st_mode) and target.st_nlink == 1):
+                in_place.append((payload, out))
+                continue
+            temporary, handle = _new_file_beside(out)
+            staged.append((temporary, out))
+            with handle:
+                if target is not None:  # a plain write keeps the permission bits it finds
+                    os.chmod(temporary, target.st_mode & 0o777)
+                handle.write(payload)
+        while staged:
+            os.replace(*staged[0])
+            del staged[0]
+    except BaseException:
+        for temporary, _ in staged:
+            os.remove(temporary)
+        raise
+    for payload, out in in_place:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(payload)
-        return
+    for payload, out in outputs:
+        if out is None:
+            sys.stdout.write(payload)
+
+
+def _new_file_beside(out: str):
+    """The name of a new file beside ``out`` and the file, open for writing."""
     for attempt in itertools.count():
         temporary = f"{out}.{os.getpid()}.{attempt}.tmp"
         try:  # the mode is 0o666 less the umask, as a plain write gives
-            handle = open(temporary, "x", encoding="utf-8")
-            break
+            return temporary, open(temporary, "x", encoding="utf-8")
         except FileExistsError:
             continue  # not this call's file (a killed run's, say): leave it, take the next name
         except OSError as exc:
             exc.filename = out  # name the file asked for, as a plain write's error does
             raise
-    try:
-        with handle:
-            if target is not None:  # a plain write keeps the permission bits it finds
-                os.chmod(temporary, target.st_mode & 0o777)
-            handle.write(payload)
-        os.replace(temporary, out)
-    except BaseException:
-        os.remove(temporary)
-        raise
 
 
 def _read_text(path: str, error_type: type[EngMetaError]) -> str:
@@ -174,9 +199,10 @@ def _cmd_extract(args) -> int:
 
     config = parse_config(_read_text(args.config, EngMetaError))  # exit 2, as a config error
     dataset, report = extract(args.root, config, mode=args.mode)
-    _emit(_serialize(dataset, args.format), args.out)
+    outputs = [(_serialize(dataset, args.format), args.out)]
     if args.report is not None:
-        _emit(json.dumps(report.to_obj(), indent=2) + "\n", args.report)
+        outputs.append((json.dumps(report.to_obj(), indent=2) + "\n", args.report))
+    _emit(*outputs)
     for warning in report.warnings:
         _info(f"warning: {warning}")
     _info(
@@ -200,7 +226,7 @@ def _cmd_validate(args) -> int:
         "findings": [f._asdict() for f in report.findings],
         "valid": report.ok,
     }
-    _emit(json.dumps(payload, indent=2) + "\n", None)
+    _emit((json.dumps(payload, indent=2) + "\n", None))
     _info(f"validate: {len(report.errors)} errors, {len(report.warnings)} warnings")
     return EXIT_OK if report.ok else EXIT_INVALID
 
@@ -209,7 +235,7 @@ def _cmd_to_prov(args) -> int:
     from .prov import serialize_prov_n, to_prov
 
     dataset = _read_document(args.infile)
-    _emit(serialize_prov_n(to_prov(dataset)), args.out)
+    _emit((serialize_prov_n(to_prov(dataset)), args.out))
     return EXIT_OK
 
 
@@ -218,7 +244,7 @@ def _cmd_to_dataverse(args) -> int:
 
     dataset = _read_document(args.infile)
     blocks, report = flatten(dataset)
-    _emit(serialize_blocks_json(blocks, report), args.out)
+    _emit((serialize_blocks_json(blocks, report), args.out))
     return EXIT_OK
 
 
@@ -234,7 +260,7 @@ def _cmd_harvest(args) -> int:
 
         base = _read_document(args.merge_into)
         dataset, _ = merge(base, dataset, "first-wins")  # lists merge without conflicts
-    _emit(_serialize(dataset, args.format), args.out)
+    _emit((_serialize(dataset, args.format), args.out))
     _info(f"harvest: {len(result.files)} files, {len(result.errors)} errors")
     return EXIT_OK
 

@@ -64,7 +64,10 @@ _FIELD_NAMES = ("target", "source", "key", "delimiter", "type", "unit", "group",
 # or None for text that must not be empty
 _FIELD_CHECKS = (("delimiter", None), ("type", VALUE_TYPES), ("occurrence", OCCURRENCES),
                  ("key", None), ("source", None), ("unit", None), ("group", None))
-_HEADER_RE = re.compile(r"\[rule\s+([^\s\]]+)\]")
+# a rule id: text without whitespace, "]" or a lone surrogate, as a rule file's header gives
+_RULE_ID = r"[^\s\]\ud800-\udfff]+"
+_RULE_ID_RE = re.compile(_RULE_ID)
+_HEADER_RE = re.compile(rf"\[rule\s+({_RULE_ID})\]")
 _DUPLICATE_ID = "duplicate rule id {!r} (first declared on line {})"
 
 
@@ -205,6 +208,9 @@ def analyze_target(rule: ExtractionRule) -> TargetShape:
     """Check a rule's fields, its target, and the type of the values it takes,
     against the schema, and derive how the rule writes."""
     rule_id, path, line = rule.id, rule.target, rule.line
+    if not isinstance(rule_id, str) or not _RULE_ID_RE.fullmatch(rule_id):
+        raise ConfigError(f"rule id {rule_id!r} must be non-empty text without whitespace, ']' "
+                          "or a lone surrogate", line)
     values = {**rule._asdict(), "type": rule.valueType}  # keyed by config name
     for name in ("unit", "group"):
         if values[name] is None:  # None leaves it unset, as a rule file that omits it does

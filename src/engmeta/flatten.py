@@ -346,12 +346,10 @@ def serialize_blocks_json(blocks: list[MetadataBlock], report: FlattenReport) ->
         fields = _enclosed([_field_json(name, field) for field in block.fields], "\n  ")
         text.append(f'\n  "{name}": {fields},')
     try:
-        mapped = _enclosed([f'{{\n        "path": {_encode_string(m.path)},\n        "field": '
-                            f'{_encode_string(m.field)}\n      }}' for m in report.mappedPaths],
-                           "\n    ")
-        dropped = _enclosed([f'{{\n        "path": {_encode_string(d.path)},\n        "reason": '
-                             f'{_encode_string(d.reason)}\n      }}' for d in report.droppedPaths],
-                            "\n    ")
+        mapped, dropped = (
+            _enclosed([f'{{\n        "path": {_encode_string(path)},\n        "{key}": '
+                       f'{_encode_string(value)}\n      }}' for path, value in entries], "\n    ")
+            for entries, key in ((report.mappedPaths, "field"), (report.droppedPaths, "reason")))
     except TypeError:  # some path, field or reason is not a string
         bad = next(entry for entry in (*report.mappedPaths, *report.droppedPaths)
                    if not all(isinstance(value, str) for value in entry))
@@ -381,7 +379,7 @@ def _field_json(block_name: str, field: BlockField) -> str:
         raise FlattenStructureError(f"{where}: unknown typeClass {field.typeClass!r}")
     value_text = _enclosed(written, "\n      ") if multiple else written[0]
     return (f'{{\n      "typeName": {_encode_string(type_name)},\n      "multiple": '
-            f'{"true" if multiple else "false"},\n      "typeClass": "{field.typeClass}",\n'
+            f'{_json_primitive(multiple)},\n      "typeClass": "{field.typeClass}",\n'
             f'      "value": {value_text}\n    }}')
 
 

@@ -22,9 +22,13 @@ from .model import PROV_STEP_FIELDS, EngMetaDataset, FileRef, ProcessingStep, sc
 DEFAULT_BASE_URI = "https://engmeta.example.org/prov#"
 PREFIX = "ex"
 
-# used(activity, entity), wasGeneratedBy(entity, activity),
-# wasAssociatedWith(activity, agent)
-RELATION_TYPES = ("used", "wasGeneratedBy", "wasAssociatedWith")
+# each relation type, in statement order, with the record kinds of its subject and object
+_ENDPOINTS = {"used": ("activities", "entities"), "wasGeneratedBy": ("entities", "activities"),
+              "wasAssociatedWith": ("activities", "agents")}
+RELATION_TYPES = tuple(_ENDPOINTS)
+# each record kind's statement; a record's id is a PROV-N local name after "ex:"
+_STATEMENTS = {"activities": "activity", "agents": "agent", "entities": "entity"}
+_RECORD_ID = re.compile(r"[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?")
 
 # The step fields that become used entities: every field but those with a
 # place of their own (the activity's type and its PROV structure).
@@ -183,11 +187,11 @@ def serialize_prov_n(doc: ProvDocument, base_uri: str = DEFAULT_BASE_URI) -> str
 
     Statements are ordered activities, agents, entities, relations; each
     group is sorted, so equal documents serialize identically. A record's
-    set attributes must be strings: one that is not (a hand-built
-    ``Agent('a', 5)``, say) raises ProvError naming its statement and
-    attribute.
+    id must be a name PROV-N can write after ``ex:``, and its set attributes
+    must be strings: one that is not (a hand-built ``Activity('a b')`` or
+    ``Agent('a', 5)``, say) raises ProvError naming its statement.
     """
-    _check_referential_integrity(doc)
+    _check_records(doc)
 
     statements: list[str] = []
     for activity in sorted(doc.activities, key=lambda a: a.id):
@@ -218,20 +222,22 @@ def serialize_prov_n(doc: ProvDocument, base_uri: str = DEFAULT_BASE_URI) -> str
     return "\n".join(lines) + "\n"
 
 
-def _check_referential_integrity(doc: ProvDocument) -> None:
-    activity_ids = {a.id for a in doc.activities}
-    agent_ids = {a.id for a in doc.agents}
-    entity_ids = {e.id for e in doc.entities}
+def _check_records(doc: ProvDocument) -> None:
+    """Refuse a record whose id PROV-N cannot write, and a relation that is of
+    no known type or does not link records of the kinds its type names."""
+    ids = {}
+    for kind, statement in _STATEMENTS.items():
+        records = getattr(doc, kind)
+        for record in records:
+            if type(record.id) is not str or not _RECORD_ID.fullmatch(record.id):
+                raise ProvError(f"{statement} id {record.id!r} must be letters, digits, '_', '-' "
+                                "and '.', neither starting with '-' or '.' nor ending with '.'")
+        ids[kind] = {record.id for record in records}
     for relation in doc.relations:
-        if relation.type == "used":
-            ok = relation.subject in activity_ids and relation.object in entity_ids
-        elif relation.type == "wasGeneratedBy":
-            ok = relation.subject in entity_ids and relation.object in activity_ids
-        elif relation.type == "wasAssociatedWith":
-            ok = relation.subject in activity_ids and relation.object in agent_ids
-        else:
+        if relation.type not in RELATION_TYPES:
             raise ProvError(f"unknown relation type {relation.type!r}")
-        if not ok:
+        subject_kind, object_kind = _ENDPOINTS[relation.type]
+        if relation.subject not in ids[subject_kind] or relation.object not in ids[object_kind]:
             raise ProvError(
                 f"dangling endpoint in {relation.type}({relation.subject}, {relation.object})"
             )

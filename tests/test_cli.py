@@ -587,6 +587,27 @@ def test_a_failed_write_keeps_the_previous_file(command, tmp_path, corpus_dir, r
     capsys.readouterr()
 
 
+def test_a_failed_report_write_keeps_the_previous_document_too(tmp_path, rules_path):
+    """Every output is written whole before any is replaced: a report cut short
+    by the limit leaves the document of the earlier run beside it."""
+    pytest.importorskip("resource")
+    root, out, report = tmp_path / "root", tmp_path / "doc.xml", tmp_path / "rep.json"
+    root.mkdir()
+    out.write_text("old-doc", encoding="utf-8")
+    report.write_text("old-report", encoding="utf-8")
+    run = subprocess.run(
+        [sys.executable, "-c", _LIMITED_CLI, "300", "extract", "--config", str(rules_path),
+         "--root", str(root), "--out", str(out), "--report", str(report)],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+    )
+    assert run.returncode == 3
+    assert run.stderr.splitlines()[-1] == "error: [Errno 27] File too large"
+    assert out.read_text(encoding="utf-8") == "old-doc"
+    assert report.read_text(encoding="utf-8") == "old-report"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["doc.xml", "rep.json", "root"]
+
+
 def test_a_new_output_file_gets_the_mode_a_plain_write_gives(golden_xml_path, tmp_path, capsys):
     out = tmp_path / "doc.provn"
     umask = os.umask(0o027)

@@ -294,6 +294,20 @@ def test_rule_text_holding_a_lone_surrogate_rejected_on_its_field_line(fields, m
     assert str(excinfo.value) == f"{message} holds a lone surrogate, so it can match no line"
 
 
+@pytest.mark.parametrize("rule_id", [None, 5, "", "a b", "x]", "a\udc80"])
+def test_hand_built_rule_id_a_header_cannot_give_rejected(rule_id):
+    with pytest.raises(ConfigError) as excinfo:
+        ExtractionRule(rule_id, parse_path("project"), "a.log", "p", line=3)
+    assert str(excinfo.value) == (f"line 3: rule id {rule_id!r} must be non-empty text without "
+                                  "whitespace, ']' or a lone surrogate")
+
+
+def test_rule_header_holding_a_lone_surrogate_rejected():
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config("[rule a\udc80]\ntarget = project\nsource = a.log\nkey = p\n")
+    assert str(excinfo.value) == "line 1: bad rule header '[rule a\\udc80]'; expected [rule <id>]"
+
+
 @pytest.mark.parametrize(("source", "fault"), [
     ("a\udc80.log", "holds a lone surrogate, not UTF-8 text"),
     ("b\x01.log", "holds U+0001, which XML cannot carry"),

@@ -187,6 +187,50 @@ def test_dangling_relation_rejected():
         serialize_prov_n(doc)
 
 
+# one record of each kind, by id, and the kinds each relation type links
+_RECORDS = ProvDocument((Activity("a"),), (Agent("g"),), (Entity("e", "file", "x"),))
+_IDS = {"activity": "a", "agent": "g", "entity": "e"}
+_LINKS = {"used": ("activity", "entity"), "wasGeneratedBy": ("entity", "activity"),
+          "wasAssociatedWith": ("activity", "agent")}
+
+
+@pytest.mark.parametrize("relation_type, position, kind", [
+    (relation_type, position, kind)
+    for relation_type, kinds in _LINKS.items()
+    for position in (0, 1)
+    for kind in _IDS if kind != kinds[position]
+])
+def test_dangling_relation_rejected_for_a_record_of_the_wrong_kind(relation_type, position, kind):
+    ends = [_IDS[end] for end in _LINKS[relation_type]]
+    linked = _RECORDS._replace(relations=(Relation(relation_type, *ends),))
+    assert f"{relation_type}(ex:{ends[0]}, ex:{ends[1]})" in serialize_prov_n(linked)
+    ends[position] = _IDS[kind]
+    message = f"dangling endpoint in {relation_type}({ends[0]}, {ends[1]})"
+    with pytest.raises(ProvError, match=f"^{re.escape(message)}$"):
+        serialize_prov_n(_RECORDS._replace(relations=(Relation(relation_type, *ends),)))
+
+
+_BAD_ID = ("must be letters, digits, '_', '-' and '.', neither starting with '-' or '.' "
+           "nor ending with '.'")
+
+
+@pytest.mark.parametrize("doc, message", [
+    (ProvDocument(activities=(Activity("a b"),)), "activity id 'a b'"),
+    (ProvDocument(entities=(Entity("e)", "file", "x"),)), "entity id 'e)'"),
+    (ProvDocument(agents=(Agent("g."),)), "agent id 'g.'"),
+    (ProvDocument(agents=(Agent("-g"),)), "agent id '-g'"),
+    (ProvDocument(activities=(Activity(None),)), "activity id None"),
+    # refused before the records are sorted, which would compare None with a string
+    (ProvDocument(activities=(Activity("a"), Activity(None))), "activity id None"),
+    (ProvDocument(activities=(Activity("a b"),), entities=(Entity("e)", "file", "x"),),
+                  relations=(Relation("used", "a b", "e)"),)), "activity id 'a b'"),
+], ids=["space", "parenthesis", "last dot", "first dash", "none", "none beside a str",
+        "relation"])
+def test_hand_built_record_id_that_prov_n_cannot_write_rejected(doc, message):
+    with pytest.raises(ProvError, match=f"^{re.escape(f'{message} {_BAD_ID}')}$"):
+        serialize_prov_n(doc)
+
+
 @pytest.mark.parametrize("doc, message", [
     (ProvDocument(agents=(Agent("a", 5),)), "agent a: prov:label must be a string, got int"),
     # the attribute is checked before the date fills the end-time slot
